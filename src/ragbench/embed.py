@@ -8,6 +8,8 @@ from dataclasses import dataclass
 from math import sqrt
 from typing import Callable
 
+import numpy as np
+
 from ._http import post_json_with_retries
 from .errors import DimMismatch, EmptyText, InvalidConfig, ProtocolError
 
@@ -16,6 +18,11 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 _MAX_BATCH = 64
+
+# Byte budget of one block of the batch embedder. Hashing a block allocates
+# a few uint64 arrays of its size plus a count matrix of its texts x dim, so
+# a bounded block keeps peak memory flat however many texts come in.
+_BLOCK_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -59,6 +66,7 @@ def embed_offline(text: str, dim: int = 256) -> Vector:
 
     Case-folds the text, hashes every UTF-8 byte trigram with FNV-1a-64 into
     dim buckets, then normalizes. Deterministic across runs and platforms.
+    This is the scalar reference; embed_offline_batch is the fast path.
     """
     if not text:
         raise EmptyText("cannot embed empty text")
@@ -73,6 +81,55 @@ def embed_offline(text: str, dim: int = 256) -> Vector:
     if norm > 0:
         acc = [v / norm for v in acc]
     return Vector(dim=dim, values=tuple(acc))
+
+
+def _embed_block(datas: list[bytes], dim: int) -> list[Vector]:
+    """embed_offline over already case-folded UTF-8 texts, in one pass.
+
+    FNV-1a-64 of every trigram of the concatenated bytes is computed with
+    uint64 arrays, whose multiplication wraps mod 2**64 like _MASK64.
+    Trigrams that cross a text boundary are dropped, the rest are counted
+    per (text, bucket) with one bincount. Counts are integers, so the sum of
+    squares is exact and every value is bit-identical to embed_offline.
+    """
+    lengths = np.fromiter(map(len, datas), dtype=np.intp, count=len(datas))
+    buf = np.frombuffer(b"".join(datas), dtype=np.uint8)
+    text_id = np.repeat(np.arange(len(datas)), lengths)
+    h = np.full(max(len(buf) - 2, 0), _FNV_OFFSET, dtype=np.uint64)
+    for j in range(3):
+        h ^= buf[j:len(buf) - 2 + j]
+        h *= np.uint64(_FNV_PRIME)
+    trigram_text = text_id[:-2]
+    inside = trigram_text == text_id[2:]
+    keys = trigram_text[inside] * dim + (h[inside] % np.uint64(dim)).astype(np.intp)
+    counts = np.bincount(keys, minlength=len(datas) * dim).reshape(len(datas), dim)
+    for i in np.flatnonzero(lengths < 3):
+        counts[i, _fnv1a64(datas[i]) % dim] += 1
+    rows = counts / np.sqrt((counts * counts).sum(axis=1))[:, None]
+    return [Vector(dim=dim, values=tuple(row)) for row in rows.tolist()]
+
+
+def embed_offline_batch(texts: list[str], dim: int = 256) -> list[Vector]:
+    """embed_offline for many texts, bit-identical to it and much faster.
+
+    Texts are hashed in blocks of about _BLOCK_BYTES; a text longer than
+    that is a block of its own.
+    """
+    out: list[Vector] = []
+    block: list[bytes] = []
+    size = 0
+    for text in texts:
+        if not text:
+            raise EmptyText("cannot embed empty text")
+        data = text.casefold().encode("utf-8")
+        if block and size + len(data) > _BLOCK_BYTES:
+            out += _embed_block(block, dim)
+            block, size = [], 0
+        block.append(data)
+        size += len(data)
+    if block:
+        out += _embed_block(block, dim)
+    return out
 
 
 def cosine(a: Vector, b: Vector) -> float:
@@ -143,7 +200,7 @@ def embed_remote(texts: list[str], cfg: EmbedderConfig) -> list[Vector]:
 def embed_texts(texts: list[str], cfg: EmbedderConfig) -> list[Vector]:
     """Dispatch to the configured embedder."""
     if cfg.kind == "offline":
-        return [embed_offline(t, cfg.dim) for t in texts]
+        return embed_offline_batch(texts, cfg.dim)
     return embed_remote(texts, cfg)
 
 

@@ -58,9 +58,12 @@ class Index:
         self.dim = dims.pop()
         self._matrix = np.array([e.vector.values for e in entries], dtype=np.float64)
         norms = np.linalg.norm(self._matrix, axis=1)
-        norms[norms == 0.0] = 1.0  # zero-norm entries score 0 by convention
+        self._zero_mask = norms == 0.0
+        norms[self._zero_mask] = 1.0  # zero-norm entries score 0 by convention
         self._unit = self._matrix / norms[:, None]
-        self._zero_mask = np.linalg.norm(self._matrix, axis=1) == 0.0
+        # each entry's position in chunk_ref order, the tie-break key of query_topk
+        self._ref_rank = np.empty(len(refs), dtype=np.intp)
+        self._ref_rank[sorted(range(len(refs)), key=refs.__getitem__)] = np.arange(len(refs))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -92,13 +95,10 @@ class Index:
         else:
             scores = self._unit @ (qv / qnorm)
             scores[self._zero_mask] = 0.0
-        order = sorted(
-            range(len(self._entries)),
-            key=lambda i: (-scores[i], self._entries[i].chunk_ref),
-        )
+        order = np.lexsort((self._ref_rank, -scores))[:k]
         return [
             Hit(chunk_ref=self._entries[i].chunk_ref, score=float(scores[i]), rank=r)
-            for r, i in enumerate(order[:k])
+            for r, i in enumerate(order.tolist())
         ]
 
 

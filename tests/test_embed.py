@@ -3,8 +3,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ragbench.embed as embed_mod
 from ragbench.embed import (EmbedderConfig, Vector, cosine, embed_offline,
-                            embed_remote, embed_texts, make_embed_fn)
+                            embed_offline_batch, embed_remote, embed_texts,
+                            make_embed_fn)
 from ragbench.errors import (DimMismatch, EmptyText, ProtocolError,
                              RateLimitedExhausted)
 
@@ -48,6 +50,42 @@ class TestOffline:
     def test_property_unit_norm(self, text):
         v = embed_offline(text, 256)
         assert abs(math.sqrt(sum(x * x for x in v.values)) - 1.0) < 1e-9
+
+
+# casefold expands "ß" to "ss", "İ" to "i̇" and "ﬁ" to "fi"; texts of 1 and 2
+# bytes take embed_offline's single-hash branch
+_BATCH_TEXT = st.text(alphabet=st.sampled_from("aZ 1éß İﬁ日\U0001F600"),
+                      min_size=1, max_size=40)
+
+
+class TestOfflineBatch:
+    @settings(max_examples=200)
+    @given(st.lists(_BATCH_TEXT, min_size=1, max_size=20),
+           st.sampled_from([1, 7, 64, 256]))
+    def test_equals_scalar_reference(self, texts, dim):
+        assert embed_offline_batch(texts, dim) == [embed_offline(t, dim) for t in texts]
+
+    @settings(max_examples=100)
+    @given(st.lists(st.one_of(_BATCH_TEXT, st.text(min_size=1, max_size=3)),
+                    min_size=1, max_size=30))
+    def test_equals_scalar_reference_across_blocks(self, texts):
+        # shrink the block budget so one batch spans many blocks, and a text
+        # longer than the budget gets a block of its own
+        old = embed_mod._BLOCK_BYTES
+        embed_mod._BLOCK_BYTES = 16
+        try:
+            assert embed_offline_batch(texts, 32) == [embed_offline(t, 32) for t in texts]
+        finally:
+            embed_mod._BLOCK_BYTES = old
+
+    def test_long_batch_spans_blocks_at_default_budget(self):
+        texts = [f"chunk {i} " + "Straße İstanbul ﬁle " * (i % 50 + 1) for i in range(400)]
+        assert sum(len(t.casefold().encode()) for t in texts) > 2 * embed_mod._BLOCK_BYTES
+        assert embed_offline_batch(texts, 256) == [embed_offline(t, 256) for t in texts]
+
+    def test_empty_text_rejected(self):
+        with pytest.raises(EmptyText):
+            embed_offline_batch(["ok", ""], 16)
 
 
 class TestCosine:
@@ -151,11 +189,10 @@ def test_embed_texts_offline_dispatch():
 
 def test_make_embed_fn_memoizes(monkeypatch):
     calls = []
-    import ragbench.embed as embed_mod
-    real = embed_mod.embed_offline
-    monkeypatch.setattr(embed_mod, "embed_offline",
-                        lambda t, d: calls.append(t) or real(t, d))
+    real = embed_mod.embed_offline_batch
+    monkeypatch.setattr(embed_mod, "embed_offline_batch",
+                        lambda ts, d: calls.append(list(ts)) or real(ts, d))
     fn = make_embed_fn(EmbedderConfig(kind="offline", dim=16))
     fn("q")
     fn("q")
-    assert calls == ["q"]
+    assert calls == [["q"]]

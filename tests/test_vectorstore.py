@@ -104,6 +104,23 @@ class TestQuery:
                 for h, (s, _) in zip(hits, expected):
                     assert h.score == pytest.approx(s, abs=1e-12)
 
+    def test_tie_heavy_matches_oracle(self):
+        # few distinct integer rows, so most scores tie exactly and order
+        # rests on the chunk_ref tie-break; refs are inserted out of order
+        rng = random.Random(5)
+        rows = [vec(1, 0, 0), vec(2, 0, 0), vec(0, 1, 1), vec(1, 1, 0),
+                vec(0, 0, 0), vec(-1, 0, 0)]
+        refs = [(f"d{i % 7}", i // 7) for i in range(60)]
+        rng.shuffle(refs)
+        entries = [entry(d, s, rng.choice(rows)) for d, s in refs]
+        idx = build(entries)
+        n = len(entries)
+        for q in [vec(1, 0, 0), vec(0, 1, 1), vec(1, 1, 1), vec(0, 0, 0), vec(-3, 0, 0)]:
+            for k in (1, 3, n, n + 5):
+                hits = idx.query_topk(q, k)
+                assert [h.chunk_ref for h in hits] == [r for _, r in oracle_topk(entries, q, k)]
+                assert [h.rank for h in hits] == list(range(min(k, n)))
+
     def test_full_permutation_sorted(self):
         rng = random.Random(3)
         entries = [entry("d", i, rand_vec(rng, 8)) for i in range(50)]
