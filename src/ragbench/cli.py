@@ -37,11 +37,20 @@ def _load_app(config_path: str | None) -> AppConfig:
 
 
 def _make_backends(app: AppConfig, backend: str, cache_dir: str):
-    """Return (embed_texts_fn, embed_fn, generate_fn, judge) for a backend."""
+    """Return (embed_texts_fn, embed_fn, generate_fn, judge, concurrency)
+    for a backend.
+
+    concurrency is how many QA items a sweep answers at once. Remote calls
+    mostly wait on the network, so they overlap up to the LLM's
+    max_concurrency; the offline backend computes in Python under the
+    interpreter lock, where threads would only add switching, so it runs
+    one item at a time.
+    """
     if backend == "offline":
         emb_cfg = dataclasses.replace(app.embedder, kind="offline")
         base_generate = mock_generate
         endpoint_tag = "mock"
+        concurrency = 1
     else:
         emb_cfg = dataclasses.replace(app.embedder, kind="remote")
         if not emb_cfg.endpoint_url:
@@ -52,6 +61,7 @@ def _make_backends(app: AppConfig, backend: str, cache_dir: str):
             raise InvalidConfig("remote backend requires an LLM endpoint url")
         base_generate = lambda req: generate(req, llm_cfg)
         endpoint_tag = llm_cfg.endpoint_url
+        concurrency = llm_cfg.max_concurrency
 
     generate_fn = base_generate
     if cache_dir:
@@ -63,7 +73,8 @@ def _make_backends(app: AppConfig, backend: str, cache_dir: str):
         judge = LexicalJudge(app.metric.jaccard_threshold)
 
     embed_fn = make_embed_fn(emb_cfg)
-    return (lambda texts: embed_texts(texts, emb_cfg)), embed_fn, generate_fn, judge
+    return ((lambda texts: embed_texts(texts, emb_cfg)), embed_fn, generate_fn,
+            judge, concurrency)
 
 
 @click.group()
@@ -117,7 +128,7 @@ def cmd_ask(corpus_path, question, chunk_size, overlap, top_k, backend,
     if top_k is not None:
         app.rag = dataclasses.replace(app.rag, top_k=top_k)
     cache = _resolve_cache_dir(cache_dir, app)
-    embed_texts_fn, embed_fn, generate_fn, _ = _make_backends(app, backend, cache)
+    embed_texts_fn, embed_fn, generate_fn, _, _ = _make_backends(app, backend, cache)
 
     docs = corpus_mod.load_corpus(corpus_path)
     chunks = chunk_corpus(docs, ChunkConfig(size=chunk_size, overlap=overlap))
@@ -162,7 +173,8 @@ def cmd_sweep(corpus_path, qa_path, sizes, out_dir, overlap, backend,
                       overlap=app.overlap if overlap is None else overlap,
                       rag=app.rag, metric=app.metric)
     cache = _resolve_cache_dir(cache_dir, app)
-    embed_texts_fn, embed_fn, generate_fn, judge = _make_backends(app, backend, cache)
+    embed_texts_fn, embed_fn, generate_fn, judge, concurrency = \
+        _make_backends(app, backend, cache)
 
     docs = corpus_mod.load_corpus(corpus_path)
     qa_set = load_qa_jsonl(qa_path)
@@ -171,7 +183,8 @@ def cmd_sweep(corpus_path, qa_path, sizes, out_dir, overlap, backend,
     report = run_sweep(docs, qa_set, cfg,
                        embed_texts_fn=embed_texts_fn, embed_fn=embed_fn,
                        generate_fn=generate_fn, judge=judge,
-                       keep_going=keep_going, out_dir=out)
+                       keep_going=keep_going, out_dir=out,
+                       concurrency=concurrency)
     emit_csv(report, out / "report.csv")
     emit_svg(report, out / "report.svg")
     for row in report.rows:

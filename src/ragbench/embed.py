@@ -11,6 +11,7 @@ from typing import Callable
 import numpy as np
 
 from ._http import post_json_with_retries
+from ._singleflight import SingleFlight
 from .errors import DimMismatch, EmptyText, InvalidConfig, ProtocolError
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -206,12 +207,17 @@ def embed_texts(texts: list[str], cfg: EmbedderConfig) -> list[Vector]:
 
 def make_embed_fn(cfg: EmbedderConfig) -> Callable[[str], Vector]:
     """Single-text embed function with a memo, so repeated texts (questions
-    reused across sweep sizes) are embedded once."""
+    reused across sweep sizes) are embedded once, also when several threads
+    ask for one text at once. Its single-flight table is ``fn.flight``."""
     memo: dict[str, Vector] = {}
+    flight = SingleFlight()
+
+    def compute(text: str) -> Vector:
+        memo[text] = vec = embed_texts([text], cfg)[0]
+        return vec
 
     def fn(text: str) -> Vector:
-        if text not in memo:
-            memo[text] = embed_texts([text], cfg)[0]
-        return memo[text]
+        return flight.run(text, lambda: memo.get(text), lambda: compute(text))
 
+    fn.flight = flight
     return fn

@@ -5,6 +5,18 @@ class RagBenchError(Exception):
     """Base class for all errors raised by this package."""
 
 
+def tag_qa(exc: RagBenchError, qa_id: str) -> None:
+    """Mark exc, in place, as raised while handling QA item qa_id.
+
+    Sets exc.qa_id and prefixes str(exc) with "[qa <id>] ". The exception
+    keeps its type, attributes, traceback and chain, so a caller re-raises
+    it with a bare raise; building a new one of type(exc) would fail for
+    classes whose __init__ takes other arguments.
+    """
+    exc.qa_id = qa_id
+    exc.args = (f"[qa {qa_id}] {exc}",)
+
+
 # -- corpus --------------------------------------------------------------
 
 class MalformedLine(RagBenchError):

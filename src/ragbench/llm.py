@@ -6,12 +6,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from ._http import post_json_with_retries
+from ._singleflight import SingleFlight
 from .errors import EmptyCompletion, InvalidConfig, ProtocolError
 
 _MOCK_PREFIX = "MOCK-ANSWER: "
@@ -102,34 +104,53 @@ def request_key(req: ChatRequest, endpoint: str = "") -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+# Entries are files that every caller in the process shares, so calls are
+# single-flighted on the entry path rather than per cached function.
+_FLIGHT = SingleFlight()
+
+
+def _read_entry(path: Path, key: str) -> ChatResponse | None:
+    if not path.is_file():
+        return None
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        if obj.get("request_key") == key and isinstance(obj.get("content"), str):
+            return ChatResponse(content=obj["content"], latency_ms=0, cached=True)
+    except (json.JSONDecodeError, OSError, UnicodeDecodeError):
+        pass  # corrupt entry: a miss, overwritten by the next write
+    return None
+
+
+def _write_entry(path: Path, key: str, content: str) -> None:
+    """Atomic write: a temp file unique to this process and thread, then a
+    rename over the entry."""
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
+    tmp.write_text(json.dumps({"request_key": key, "content": content},
+                              ensure_ascii=False),
+                   encoding="utf-8")
+    os.replace(tmp, path)
+
+
 def cached(op: GenerateFn, req: ChatRequest, cache_dir: str | Path,
            endpoint: str = "") -> ChatResponse:
     """Content-addressed cache around a generate function.
 
     Hit: stored content, cached=True, zero calls to op. Miss: call through
-    and persist atomically (temp file + rename). Corrupt entries are treated
-    as misses and overwritten.
+    and persist atomically. Corrupt entries are treated as misses and
+    overwritten. Threads that miss on one entry at once make one call to op;
+    the others wait for it and get the stored content with cached=True.
     """
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     key = request_key(req, endpoint)
     path = cache_dir / key
-    if path.is_file():
-        try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
-            if obj.get("request_key") == key and isinstance(obj.get("content"), str):
-                return ChatResponse(content=obj["content"], latency_ms=0, cached=True)
-        except (json.JSONDecodeError, OSError, UnicodeDecodeError):
-            pass  # corrupt entry: fall through to recompute
-    resp = op(req)
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-    tmp.write_text(
-        json.dumps({"request_key": key, "content": resp.content},
-                   ensure_ascii=False),
-        encoding="utf-8",
-    )
-    os.replace(tmp, path)
-    return resp
+
+    def compute() -> ChatResponse:
+        resp = op(req)
+        _write_entry(path, key, resp.content)
+        return resp
+
+    return _FLIGHT.run(path, lambda: _read_entry(path, key), compute)
 
 
 def make_cached_fn(op: GenerateFn, cache_dir: str | Path,

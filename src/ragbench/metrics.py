@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 
 from .embed import Vector, cosine
 from .errors import (EmptyResults, EmptyText, InvalidConfig, MalformedLine,
-                     MetricUndefined, ProtocolError, RagBenchError)
+                     MetricUndefined, ProtocolError, RagBenchError, tag_qa)
 from .llm import ChatRequest, ChatResponse
 
 _SENTENCE_SPLIT = re.compile(r"[.?!]+(?:\s+|$)")
@@ -77,16 +77,23 @@ class LexicalJudge:
     def _tokens(s: str) -> frozenset[str]:
         return frozenset(_TOKEN.findall(s.casefold()))
 
-    def supports(self, statement: str, reference: str) -> bool:
-        a, b = self._tokens(statement), self._tokens(reference)
+    def _overlaps(self, a: frozenset[str], b: frozenset[str]) -> bool:
         if not a or not b:
             return False
         return len(a & b) / len(a | b) >= self.jaccard_threshold
 
+    def supports(self, statement: str, reference: str) -> bool:
+        return self._overlaps(self._tokens(statement), self._tokens(reference))
+
     def classify(self, answer_stmts: list[str], gt_stmts: list[str]) -> tuple[int, int, int]:
-        tp = sum(1 for s in answer_stmts if any(self.supports(s, g) for g in gt_stmts))
+        """Tokenizes each statement once; support[i][j] is whether answer
+        statement i and ground-truth statement j support each other."""
+        gt_tokens = [self._tokens(g) for g in gt_stmts]
+        support = [[self._overlaps(a, g) for g in gt_tokens]
+                   for a in map(self._tokens, answer_stmts)]
+        tp = sum(map(any, support))
         fp = len(answer_stmts) - tp
-        fn = sum(1 for g in gt_stmts if not any(self.supports(s, g) for s in answer_stmts))
+        fn = sum(1 for j in range(len(gt_stmts)) if not any(row[j] for row in support))
         return tp, fp, fn
 
 
@@ -194,7 +201,8 @@ def answer_correctness(answer: str, qa: QAItem,
     except MetricUndefined:
         raise
     except RagBenchError as exc:
-        raise type(exc)(f"[qa {qa.id}] {exc}") from exc
+        tag_qa(exc, qa.id)
+        raise
     score = cfg.w_factual * factual + cfg.w_semantic * sim
     return EvalResult(qa_id=qa.id, tp=tp, fp=fp, fn=fn, f1=factual,
                       semantic_sim=sim, answer_correctness=score)

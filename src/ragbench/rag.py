@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .embed import Vector
-from .errors import InvalidConfig, RagBenchError, TemplateError
+from .errors import InvalidConfig, RagBenchError, TemplateError, tag_qa
 from .llm import ChatRequest, ChatResponse
 from .vectorstore import ChunkRef, Index
 
@@ -107,7 +107,8 @@ def answer_question(qa, index: Index, embed_fn: Callable[[str], Vector],
                           temperature=0.0, max_tokens=cfg.max_tokens)
         resp = generate_fn(req)
     except RagBenchError as exc:
-        raise type(exc)(f"[qa {qa.id}] {exc}") from exc
+        tag_qa(exc, qa.id)
+        raise
     return AnswerRecord(
         qa_id=qa.id,
         question=qa.question,

@@ -4,6 +4,7 @@ score it, and emit per-size aggregates as CSV plus an SVG bar chart."""
 from __future__ import annotations
 
 import json
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Callable
@@ -66,12 +67,18 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], cfg: SweepConfig, *,
               generate_fn,
               judge=None,
               keep_going: bool = False,
-              out_dir: str | Path | None = None) -> SweepReport:
+              out_dir: str | Path | None = None,
+              concurrency: int = 1) -> SweepReport:
     """Run the experiment over every configured chunk size.
 
     embed_texts_fn batch-embeds chunk texts; embed_fn embeds single texts
     (questions, answers, ground truths) and should memoize so question
     embeddings are computed once and reused across sizes.
+
+    With concurrency > 1, up to that many QA items of a size are answered
+    and scored at once, on threads; embed_fn, generate_fn and judge must
+    then be safe to call from several threads. Results, reports and errors
+    are the same as with concurrency 1.
     """
     if not docs:
         raise EmptyCorpus("sweep needs a non-empty corpus")
@@ -81,8 +88,8 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], cfg: SweepConfig, *,
     per_question: dict[int, list[EvalResult]] = {}
     for size in cfg.chunk_sizes:
         try:
-            results = _run_size(docs, qa_set, size, cfg,
-                                embed_texts_fn, embed_fn, generate_fn, judge)
+            results = _run_size(docs, qa_set, size, cfg, embed_texts_fn,
+                                embed_fn, generate_fn, judge, concurrency)
         except RagBenchError as exc:
             if not keep_going:
                 raise
@@ -101,18 +108,29 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], cfg: SweepConfig, *,
 
 
 def _run_size(docs, qa_set, size, cfg, embed_texts_fn, embed_fn,
-              generate_fn, judge) -> list[EvalResult]:
+              generate_fn, judge, concurrency) -> list[EvalResult]:
     chunks = chunk_corpus(docs, ChunkConfig(size=size, overlap=cfg.overlap))
     vectors = embed_texts_fn([c.text for c in chunks])
     entries = [IndexEntry(chunk_ref=(c.doc_id, c.seq), vector=v, text=c.text)
                for c, v in zip(chunks, vectors)]
     index = build(entries)
-    results = []
-    for qa in qa_set:
+
+    def score(qa) -> EvalResult:
         record = answer_question(qa, index, embed_fn, generate_fn, cfg.rag)
-        results.append(answer_correctness(record.answer, qa, embed_fn,
-                                          cfg.metric, judge))
-    return results
+        return answer_correctness(record.answer, qa, embed_fn, cfg.metric, judge)
+
+    if concurrency <= 1:
+        return [score(qa) for qa in qa_set]
+    pool = ThreadPoolExecutor(max_workers=min(concurrency, len(qa_set)))
+    try:
+        futures = [pool.submit(score, qa) for qa in qa_set]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    # The pool starts items in input order, so every item before a failed
+    # one has run: the first error in input order is the one a sequential
+    # loop raises. Only items after it can have been cancelled.
+    return [f.result() for f in futures]
 
 
 def _dump_size_results(size_dir: Path, results: list[EvalResult]) -> None:

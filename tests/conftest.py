@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -72,3 +73,34 @@ def no_backoff_sleep(monkeypatch):
     slept = []
     monkeypatch.setattr(_http, "_sleep", slept.append)
     yield slept
+
+
+@pytest.fixture
+def in_threads():
+    """Run fn(i) for i in range(n) on n threads released together, with a
+    short switch interval so that threads interleave often. Returns each
+    thread's result, or the exception it raised, in thread order."""
+    def run(n, fn):
+        barrier = threading.Barrier(n)
+        out = [None] * n
+
+        def work(i):
+            barrier.wait(timeout=10)
+            try:
+                out[i] = fn(i)
+            except Exception as exc:
+                out[i] = exc
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        return out
+    return run

@@ -159,6 +159,27 @@ class TestSweep:
         assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
         assert (out1 / "report.svg").read_bytes() == (out2 / "report.svg").read_bytes()
 
+    def test_remote_warm_rerun_sends_no_chat_requests(self, inputs, tmp_path,
+                                                      fake_server):
+        corpus, qa = inputs
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"embedder": {"endpoint_url": fake_server.url}}))
+        common = ["sweep", "--corpus", str(corpus), "--qa", str(qa),
+                  "--sizes", "100,200", "--backend", "remote",
+                  "--config", str(cfg), "--cache-dir", str(tmp_path / "cache")]
+        assert main(common + ["--out", str(tmp_path / "o1")]) == 0
+        def chat_requests():
+            return sum(path.endswith("/chat/completions")
+                       for path, _, _ in fake_server.requests)
+
+        cold = chat_requests()
+        assert cold > 0
+        assert main(common + ["--out", str(tmp_path / "o2")]) == 0
+        assert chat_requests() == cold
+        for name in ("report.csv", "report.svg", "100/results.jsonl"):
+            assert (tmp_path / "o1" / name).read_bytes() == \
+                (tmp_path / "o2" / name).read_bytes()
+
 
 class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -196,3 +197,38 @@ def test_make_embed_fn_memoizes(monkeypatch):
     fn("q")
     fn("q")
     assert calls == [["q"]]
+
+
+def test_make_embed_fn_single_flight(monkeypatch, in_threads):
+    calls = []
+
+    def slow(texts, cfg):
+        calls.append(list(texts))
+        time.sleep(0.05)
+        return embed_offline_batch(texts, cfg.dim)
+
+    monkeypatch.setattr(embed_mod, "embed_texts", slow)
+    fn = make_embed_fn(EmbedderConfig(kind="offline", dim=16))
+    out = in_threads(8, lambda i: fn("same question"))
+    assert calls == [["same question"]]
+    assert out == [embed_offline("same question", 16)] * 8
+    assert fn.flight.waiting == {}
+
+
+def test_make_embed_fn_waiter_retries_after_failure(monkeypatch, in_threads):
+    calls = []
+
+    def fail_first(texts, cfg):
+        calls.append(list(texts))
+        time.sleep(0.05)
+        if len(calls) == 1:
+            raise ProtocolError("first call fails")
+        return embed_offline_batch(texts, cfg.dim)
+
+    monkeypatch.setattr(embed_mod, "embed_texts", fail_first)
+    fn = make_embed_fn(EmbedderConfig(kind="offline", dim=16))
+    out = in_threads(8, lambda i: fn("q"))
+    assert len(calls) == 2
+    assert sum(isinstance(r, ProtocolError) for r in out) == 1
+    assert sum(r == embed_offline("q", 16) for r in out) == 7
+    assert fn.flight.waiting == {}

@@ -1,9 +1,13 @@
 import json
+import os
+import threading
+import time
 
 import pytest
 
 from ragbench.errors import (EmptyCompletion, InvalidConfig, ProtocolError,
                              RateLimitedExhausted)
+import ragbench.llm as llm_mod
 from ragbench.llm import (ChatRequest, LlmConfig, cached, generate,
                           make_cached_fn, mock_generate, request_key)
 
@@ -147,3 +151,35 @@ class TestCache:
             direct = mock_generate(req(content))
             via_cache = cached(mock_generate, req(content), tmp_path)
             assert via_cache.content == direct.content
+
+
+class TestCacheThreads:
+    def test_single_flight_one_backend_call(self, tmp_path, in_threads):
+        calls = []
+
+        def op(r):
+            calls.append(r)
+            time.sleep(0.05)
+            return mock_generate(r)
+
+        out = in_threads(8, lambda i: cached(op, req("Q"), tmp_path))
+        assert len(calls) == 1
+        assert sorted(r.cached for r in out) == [False] + [True] * 7
+        assert {r.content for r in out} == {"MOCK-ANSWER: Q"}
+        assert llm_mod._FLIGHT.waiting == {}
+
+    def test_two_threads_write_one_key(self, tmp_path, monkeypatch, in_threads):
+        # both temp files are written before either is renamed over the entry
+        barrier = threading.Barrier(2)
+        real_replace = os.replace
+
+        def replace_together(src, dst):
+            barrier.wait(timeout=10)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(llm_mod.os, "replace", replace_together)
+        path = tmp_path / "entry"
+        out = in_threads(2, lambda i: llm_mod._write_entry(path, "entry", f"c{i}"))
+        assert out == [None, None]
+        assert json.loads(path.read_text())["content"] in ("c0", "c1")
+        assert [p.name for p in tmp_path.iterdir()] == ["entry"]

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ragbench.embed import embed_offline
 from ragbench.errors import (EmptyResults, InvalidConfig, MalformedLine,
@@ -57,6 +58,20 @@ class TestClassifyLexical:
 
     def test_empty_answer(self):
         assert classify([], ["a b c", "d e f"], LEX) == (0, 0, 2)
+
+    @given(st.lists(st.lists(st.sampled_from(["Patch", "the", "server", "now", "a", "!"]),
+                             max_size=5).map(" ".join), max_size=6),
+           st.lists(st.lists(st.sampled_from(["patch", "THE", "router", "now", "b"]),
+                             max_size=5).map(" ".join), max_size=6),
+           st.sampled_from([0.3, 0.6, 1.0]))
+    def test_matches_pairwise_supports(self, answer_stmts, gt_stmts, threshold):
+        judge = LexicalJudge(threshold)
+        tp = sum(1 for s in answer_stmts
+                 if any(judge.supports(s, g) for g in gt_stmts))
+        fn = sum(1 for g in gt_stmts
+                 if not any(judge.supports(s, g) for s in answer_stmts))
+        assert judge.classify(answer_stmts, gt_stmts) == \
+            (tp, len(answer_stmts) - tp, fn)
 
 
 class TestF1:
@@ -141,6 +156,18 @@ class TestAnswerCorrectness:
                                MetricConfig(w_factual=0.25, w_semantic=0.75))
         assert a.f1 != a.semantic_sim
         assert a.answer_correctness != b.answer_correctness
+
+
+    def test_error_tagged_in_place(self):
+        qa = QAItem(id="q9", question="?", ground_truth="Patch now.")
+
+        def embed_fn(text):
+            raise MalformedLine(5, "bad vector")
+
+        with pytest.raises(MalformedLine) as exc:
+            answer_correctness("Patch now.", qa, embed_fn, MetricConfig())
+        assert str(exc.value) == "[qa q9] malformed line 5: bad vector"
+        assert (exc.value.line_no, exc.value.qa_id) == (5, "q9")
 
 
 class TestAggregate:

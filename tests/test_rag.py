@@ -5,7 +5,8 @@ import pytest
 from ragbench.chunker import ChunkConfig, chunk_corpus
 from ragbench.corpus import Document
 from ragbench.embed import embed_offline
-from ragbench.errors import DimMismatch, InvalidConfig, TemplateError
+from ragbench.errors import (DimMismatch, InvalidConfig, MalformedLine,
+                             TemplateError)
 from ragbench.llm import mock_generate
 from ragbench.metrics import QAItem
 from ragbench.rag import (NO_CONTEXT, RagConfig, AnswerRecord, assemble_prompt,
@@ -152,3 +153,18 @@ class TestAnswerQuestion:
             answer_question(qa, index, lambda t: embed_offline(t, 64),
                             mock_generate, RagConfig())
         assert "q" in str(exc.value)  # annotated with qa id
+
+    def test_error_tagged_in_place(self):
+        index = build_index(self.planted_docs())
+        qa = QAItem(id="q7", question="ZEBRA-7?", ground_truth="g")
+        cause = ValueError("bad byte")
+
+        def generate_fn(req):
+            raise MalformedLine(3, "unexpected reply") from cause
+
+        with pytest.raises(MalformedLine) as exc:
+            answer_question(qa, index, offline_embed, generate_fn, RagConfig())
+        err = exc.value
+        assert str(err) == "[qa q7] malformed line 3: unexpected reply"
+        assert (err.line_no, err.reason, err.qa_id) == (3, "unexpected reply", "q7")
+        assert err.__cause__ is cause

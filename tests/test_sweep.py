@@ -1,11 +1,15 @@
 import random
+import re
+import time
 
 import pytest
 
 from ragbench.corpus import Document
 from ragbench.embed import EmbedderConfig, embed_texts, make_embed_fn
-from ragbench.errors import EmptyText, InvalidConfig, RagBenchError
-from ragbench.llm import mock_generate
+from ragbench.errors import (EmptyText, InvalidConfig, ProtocolError,
+                             RagBenchError)
+import ragbench.llm as llm_mod
+from ragbench.llm import make_cached_fn, mock_generate
 from ragbench.metrics import LexicalJudge, QAItem, aggregate
 
 from ragbench.sweep import (SweepConfig, SweepReport, SweepRow, emit_csv,
@@ -119,6 +123,61 @@ class TestRunSweep:
         assert report.rows[1].failed
         assert "boom" in report.rows[1].error
         assert report.argmax_sizes == [100]
+
+
+def slow_early_generate(n, fail=()):
+    """mock_generate that sleeps longer for earlier questions, so a pool
+    finishes QA items in reverse input order; raises for the numbers in
+    fail."""
+    def fn(req):
+        i = int(re.search(r"threat number (\d+)", req.messages[-1]["content"])[1])
+        time.sleep(0.003 * (n - i))
+        if i in fail:
+            raise ProtocolError(f"backend down for question {i}")
+        return mock_generate(req)
+    return fn
+
+
+class TestConcurrency:
+    def test_same_report_and_bytes_as_sequential(self, tmp_path):
+        qa = make_qa(8)
+        outs = {}
+        for workers in (1, 4):
+            out = tmp_path / str(workers)
+            report = run(qa=qa, out_dir=out, concurrency=workers)
+            report_bytes = {size: (out / str(size) / "results.jsonl").read_bytes()
+                            for size in (100, 200, 400)}
+            outs[workers] = report, report_bytes
+        assert outs[4] == outs[1]
+
+    @pytest.mark.parametrize("keep_going", [True, False])
+    def test_earliest_failure_in_input_order(self, keep_going):
+        # q5 fails first in time, q2 first in input order
+        def sweep(workers):
+            return run_sweep(make_corpus(), make_qa(8),
+                             SweepConfig(chunk_sizes=[100, 200]),
+                             embed_texts_fn=offline_batch,
+                             embed_fn=make_embed_fn(EMB),
+                             generate_fn=slow_early_generate(8, fail={2, 5}),
+                             judge=LexicalJudge(), keep_going=keep_going,
+                             concurrency=workers)
+
+        if keep_going:
+            rows = sweep(4).rows
+            assert rows == sweep(1).rows
+            assert rows[0].error == "[qa q2] backend down for question 2"
+        else:
+            with pytest.raises(ProtocolError, match=r"^\[qa q2\] "):
+                sweep(4)
+
+    def test_no_waiters_left_after_sweep(self, tmp_path):
+        embed_fn = make_embed_fn(EMB)
+        run_sweep(make_corpus(), make_qa(8), SweepConfig(chunk_sizes=[100, 200]),
+                  embed_texts_fn=offline_batch, embed_fn=embed_fn,
+                  generate_fn=make_cached_fn(slow_early_generate(8), tmp_path),
+                  judge=LexicalJudge(), concurrency=4)
+        assert embed_fn.flight.waiting == {}
+        assert llm_mod._FLIGHT.waiting == {}
 
 
 def hand_report(means):
