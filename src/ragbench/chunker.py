@@ -6,9 +6,7 @@ never split mid-character.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
-from typing import Iterable
+from dataclasses import dataclass
 
 from .corpus import Document
 from .errors import InvalidConfig
@@ -67,9 +65,3 @@ def chunk_corpus(docs: list[Document], cfg: ChunkConfig) -> list[Chunk]:
     for doc in docs:
         out.extend(chunk_text(doc.body, cfg, doc_id=doc.id))
     return out
-
-
-def dump_chunks_jsonl(chunks: Iterable[Chunk], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for c in chunks:
-            f.write(json.dumps(asdict(c), ensure_ascii=False) + "\n")

@@ -23,7 +23,7 @@ from .llm import LlmConfig, generate, make_cached_fn, mock_generate
 from .metrics import LexicalJudge, RemoteJudge, load_qa_jsonl
 from .rag import answer_question
 from .sweep import SweepConfig, emit_csv, emit_svg, run_sweep
-from .vectorstore import IndexEntry, build
+from .vectorstore import Index, IndexEntry
 
 CACHE_DIR_ENV = "RAGBENCH_CACHE_DIR"
 
@@ -72,8 +72,8 @@ def _make_backends(app: AppConfig, backend: str, cache_dir: str):
     else:
         judge = LexicalJudge(app.metric.jaccard_threshold)
 
-    embed_fn = make_embed_fn(emb_cfg)
-    return ((lambda texts: embed_texts(texts, emb_cfg)), embed_fn, generate_fn,
+    embed_fn = make_embed_fn(emb_cfg, cache_dir)
+    return ((lambda texts: embed_texts(texts, emb_cfg, cache_dir)), embed_fn, generate_fn,
             judge, concurrency)
 
 
@@ -133,7 +133,7 @@ def cmd_ask(corpus_path, question, chunk_size, overlap, top_k, backend,
     docs = corpus_mod.load_corpus(corpus_path)
     chunks = chunk_corpus(docs, ChunkConfig(size=chunk_size, overlap=overlap))
     vectors = embed_texts_fn([c.text for c in chunks])
-    index = build([IndexEntry(chunk_ref=(c.doc_id, c.seq), vector=v, text=c.text)
+    index = Index([IndexEntry(chunk_ref=(c.doc_id, c.seq), vector=v, text=c.text)
                    for c, v in zip(chunks, vectors)])
 
     qa = SimpleNamespace(id="adhoc", question=question)

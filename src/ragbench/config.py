@@ -46,18 +46,9 @@ def load_app_config(path: str | Path) -> AppConfig:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidConfig(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise InvalidConfig(f"{path}: top level must be an object")
-    allowed = {f.name for f in dataclasses.fields(AppConfig)}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise InvalidConfig(f"{path}: unknown keys {sorted(unknown)}")
-    kwargs = dict(obj)
+    app = _build(AppConfig, obj, str(path))
     for key, cls in (("embedder", EmbedderConfig), ("rag", RagConfig),
                      ("metric", MetricConfig)):
-        if key in kwargs:
-            kwargs[key] = _build(cls, kwargs[key], f"{path}:{key}")
-    try:
-        return AppConfig(**kwargs)
-    except TypeError as exc:
-        raise InvalidConfig(f"{path}: {exc}") from exc
+        if key in obj:
+            setattr(app, key, _build(cls, obj[key], f"{path}:{key}"))
+    return app

@@ -1,15 +1,19 @@
 """Embedding vectors: deterministic offline hashed-trigram embedder, a
-remote OpenAI-compatible client, and the cosine similarity kernel."""
+remote OpenAI-compatible client, and the cosine similarity kernel.
+
+An embedding is a 1-D float64 numpy array."""
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from . import store
 from ._http import post_json_with_retries
 from ._singleflight import SingleFlight
 from .errors import DimMismatch, EmptyText, InvalidConfig, ProtocolError
@@ -24,16 +28,6 @@ _MAX_BATCH = 64
 # a few uint64 arrays of its size plus a count matrix of its texts x dim, so
 # a bounded block keeps peak memory flat however many texts come in.
 _BLOCK_BYTES = 64 * 1024
-
-
-@dataclass(frozen=True)
-class Vector:
-    dim: int
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.dim <= 0 or len(self.values) != self.dim:
-            raise InvalidConfig(f"vector dim {self.dim} != len(values) {len(self.values)}")
 
 
 @dataclass
@@ -62,7 +56,7 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
-def embed_offline(text: str, dim: int = 256) -> Vector:
+def embed_offline(text: str, dim: int = 256) -> np.ndarray:
     """Hashed byte-trigram bag embedding, L2-normalized.
 
     Case-folds the text, hashes every UTF-8 byte trigram with FNV-1a-64 into
@@ -81,10 +75,10 @@ def embed_offline(text: str, dim: int = 256) -> Vector:
     norm = sqrt(sum(v * v for v in acc))
     if norm > 0:
         acc = [v / norm for v in acc]
-    return Vector(dim=dim, values=tuple(acc))
+    return np.array(acc)
 
 
-def _embed_block(datas: list[bytes], dim: int) -> list[Vector]:
+def _embed_block(datas: list[bytes], dim: int) -> np.ndarray:
     """embed_offline over already case-folded UTF-8 texts, in one pass.
 
     FNV-1a-64 of every trigram of the concatenated bytes is computed with
@@ -106,17 +100,16 @@ def _embed_block(datas: list[bytes], dim: int) -> list[Vector]:
     counts = np.bincount(keys, minlength=len(datas) * dim).reshape(len(datas), dim)
     for i in np.flatnonzero(lengths < 3):
         counts[i, _fnv1a64(datas[i]) % dim] += 1
-    rows = counts / np.sqrt((counts * counts).sum(axis=1))[:, None]
-    return [Vector(dim=dim, values=tuple(row)) for row in rows.tolist()]
+    return counts / np.sqrt((counts * counts).sum(axis=1))[:, None]
 
 
-def embed_offline_batch(texts: list[str], dim: int = 256) -> list[Vector]:
+def embed_offline_batch(texts: list[str], dim: int = 256) -> list[np.ndarray]:
     """embed_offline for many texts, bit-identical to it and much faster.
 
     Texts are hashed in blocks of about _BLOCK_BYTES; a text longer than
     that is a block of its own.
     """
-    out: list[Vector] = []
+    out: list[np.ndarray] = []
     block: list[bytes] = []
     size = 0
     for text in texts:
@@ -124,22 +117,25 @@ def embed_offline_batch(texts: list[str], dim: int = 256) -> list[Vector]:
             raise EmptyText("cannot embed empty text")
         data = text.casefold().encode("utf-8")
         if block and size + len(data) > _BLOCK_BYTES:
-            out += _embed_block(block, dim)
+            # extend, not +=: list += ndarray is numpy's elementwise add
+            out.extend(_embed_block(block, dim))
             block, size = [], 0
         block.append(data)
         size += len(data)
     if block:
-        out += _embed_block(block, dim)
+        out.extend(_embed_block(block, dim))
     return out
 
 
-def cosine(a: Vector, b: Vector) -> float:
-    """Cosine similarity; 0.0 when either vector has zero norm."""
-    if a.dim != b.dim:
-        raise DimMismatch(f"dim {a.dim} != {b.dim}")
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity; 0.0 when either vector has zero norm.
+
+    Sums left to right in Python floats, so a score does not depend on how
+    numpy or the interpreter would order or compensate a sum."""
+    if len(a) != len(b):
+        raise DimMismatch(f"dim {len(a)} != {len(b)}")
     dot = na = nb = 0.0
-    for i in range(a.dim):
-        x, y = a.values[i], b.values[i]
+    for x, y in zip(a.tolist(), b.tolist()):
         dot += x * y
         na += x * x
         nb += y * y
@@ -148,23 +144,44 @@ def cosine(a: Vector, b: Vector) -> float:
     return dot / (sqrt(na) * sqrt(nb))
 
 
-def embed_remote(texts: list[str], cfg: EmbedderConfig) -> list[Vector]:
+def _rows(rows, n: int) -> list[np.ndarray]:
+    """n embeddings from a decoded JSON list of rows, each a non-empty list
+    of numbers, all of one length."""
+    if not isinstance(rows, list) or len(rows) != n:
+        raise ProtocolError(f"expected a list of {n} embeddings")
+    try:
+        vecs = [np.array(row) for row in rows]
+    except ValueError as exc:  # ragged nesting, such as [[1], [2, 3]]
+        raise ProtocolError(f"malformed embedding: {exc}") from exc
+    # a JSON value other than a list makes a 0-d array
+    if any(v.ndim != 1 or not v.size or v.dtype.kind not in "iuf" for v in vecs):
+        raise ProtocolError("embedding is not a non-empty list of numbers")
+    dims = {len(v) for v in vecs}
+    if len(dims) > 1:
+        raise DimMismatch(f"embedding dims disagree within response: {sorted(dims)}")
+    return [v.astype(np.float64, copy=False) for v in vecs]
+
+
+def embed_remote(texts: list[str], cfg: EmbedderConfig,
+                 cache_dir: str | Path | None = None) -> list[np.ndarray]:
     """Embed texts via POST {endpoint_url}/v1/embeddings, in input order.
 
     Requests carry at most 64 texts each; 429/5xx responses are retried with
-    exponential backoff per cfg.max_retries.
+    exponential backoff per cfg.max_retries. With a cache_dir, each request's
+    validated embeddings are kept in the response store, keyed on URL, model
+    and input list, and a repeated request is answered from there.
     """
     if not texts:
         raise EmptyText("no texts to embed")
     for t in texts:
         if not t:
             raise EmptyText("cannot embed empty text")
+    url = cfg.endpoint_url.rstrip("/") + "/v1/embeddings"
     batches = [texts[i:i + _MAX_BATCH] for i in range(0, len(texts), _MAX_BATCH)]
 
-    def run_batch(batch: list[str]) -> list[Vector]:
+    def request(batch: list[str]) -> tuple[list[np.ndarray], dict]:
         body = post_json_with_retries(
-            cfg.endpoint_url.rstrip("/") + "/v1/embeddings",
-            {"model": cfg.model, "input": batch},
+            url, {"model": cfg.model, "input": batch},
             timeout_ms=cfg.timeout_ms,
             max_retries=cfg.max_retries,
         )
@@ -172,19 +189,15 @@ def embed_remote(texts: list[str], cfg: EmbedderConfig) -> list[Vector]:
             rows = [item["embedding"] for item in body["data"]]
         except (KeyError, TypeError) as exc:
             raise ProtocolError(f"malformed embeddings response: {exc}") from exc
-        if len(rows) != len(batch):
-            raise ProtocolError(
-                f"expected {len(batch)} embeddings, got {len(rows)}"
-            )
-        vecs = []
-        for row in rows:
-            if not isinstance(row, list) or not row:
-                raise ProtocolError("embedding is not a non-empty list")
-            vecs.append(Vector(dim=len(row), values=tuple(float(v) for v in row)))
-        dims = {v.dim for v in vecs}
-        if len(dims) > 1:
-            raise DimMismatch(f"embedding dims disagree within response: {sorted(dims)}")
-        return vecs
+        return _rows(rows, len(batch)), {"embeddings": rows}
+
+    def run_batch(batch: list[str]) -> list[np.ndarray]:
+        if not cache_dir:
+            return request(batch)[0]
+        key = store.request_key({"url": url, "model": cfg.model, "input": batch})
+        return store.fetch(cache_dir, key,
+                           lambda entry: _rows(entry.get("embeddings"), len(batch)),
+                           lambda: request(batch))
 
     if len(batches) == 1:
         results = [run_batch(batches[0])]
@@ -192,31 +205,35 @@ def embed_remote(texts: list[str], cfg: EmbedderConfig) -> list[Vector]:
         with ThreadPoolExecutor(max_workers=max(1, cfg.max_concurrency)) as pool:
             results = list(pool.map(run_batch, batches))
     out = [v for batch in results for v in batch]
-    dims = {v.dim for v in out}
+    dims = {len(v) for v in out}
     if len(dims) > 1:
         raise DimMismatch(f"embedding dims disagree across batches: {sorted(dims)}")
     return out
 
 
-def embed_texts(texts: list[str], cfg: EmbedderConfig) -> list[Vector]:
-    """Dispatch to the configured embedder."""
+def embed_texts(texts: list[str], cfg: EmbedderConfig,
+                cache_dir: str | Path | None = None) -> list[np.ndarray]:
+    """Dispatch to the configured embedder. Only remote embeddings are
+    cached in cache_dir: offline ones make no backend call."""
     if cfg.kind == "offline":
         return embed_offline_batch(texts, cfg.dim)
-    return embed_remote(texts, cfg)
+    return embed_remote(texts, cfg, cache_dir)
 
 
-def make_embed_fn(cfg: EmbedderConfig) -> Callable[[str], Vector]:
+def make_embed_fn(cfg: EmbedderConfig,
+                  cache_dir: str | Path | None = None) -> Callable[[str], np.ndarray]:
     """Single-text embed function with a memo, so repeated texts (questions
     reused across sweep sizes) are embedded once, also when several threads
-    ask for one text at once. Its single-flight table is ``fn.flight``."""
-    memo: dict[str, Vector] = {}
+    ask for one text at once. Its single-flight table is ``fn.flight``.
+    Remote embeddings are also kept in cache_dir, as embed_texts does."""
+    memo: dict[str, np.ndarray] = {}
     flight = SingleFlight()
 
-    def compute(text: str) -> Vector:
-        memo[text] = vec = embed_texts([text], cfg)[0]
+    def compute(text: str) -> np.ndarray:
+        memo[text] = vec = embed_texts([text], cfg, cache_dir)[0]
         return vec
 
-    def fn(text: str) -> Vector:
+    def fn(text: str) -> np.ndarray:
         return flight.run(text, lambda: memo.get(text), lambda: compute(text))
 
     fn.flight = flight

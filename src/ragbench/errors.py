@@ -65,14 +65,6 @@ class EmptyIndex(RagBenchError):
     pass
 
 
-class FormatError(RagBenchError):
-    pass
-
-
-class ChecksumError(RagBenchError):
-    pass
-
-
 # -- remote calls --------------------------------------------------------
 
 class RequestTimeout(RagBenchError):

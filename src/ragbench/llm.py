@@ -1,19 +1,15 @@
 """Chat-completion client: remote OpenAI-compatible backend, deterministic
-mock backend, and a content-addressed response cache."""
+mock backend, and chat completions cached in the response store."""
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from . import store
 from ._http import post_json_with_retries
-from ._singleflight import SingleFlight
 from .errors import EmptyCompletion, InvalidConfig, ProtocolError
 
 _MOCK_PREFIX = "MOCK-ANSWER: "
@@ -89,46 +85,20 @@ def mock_generate(req: ChatRequest) -> ChatResponse:
 
 def request_key(req: ChatRequest, endpoint: str = "") -> str:
     """SHA-256 of the canonical JSON of the full request semantics."""
-    canonical = json.dumps(
-        {
-            "endpoint": endpoint,
-            "model": req.model,
-            "messages": req.messages,
-            "temperature": req.temperature,
-            "max_tokens": req.max_tokens,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=False,
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return store.request_key({
+        "endpoint": endpoint,
+        "model": req.model,
+        "messages": req.messages,
+        "temperature": req.temperature,
+        "max_tokens": req.max_tokens,
+    })
 
 
-# Entries are files that every caller in the process shares, so calls are
-# single-flighted on the entry path rather than per cached function.
-_FLIGHT = SingleFlight()
-
-
-def _read_entry(path: Path, key: str) -> ChatResponse | None:
-    if not path.is_file():
-        return None
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-        if obj.get("request_key") == key and isinstance(obj.get("content"), str):
-            return ChatResponse(content=obj["content"], latency_ms=0, cached=True)
-    except (json.JSONDecodeError, OSError, UnicodeDecodeError):
-        pass  # corrupt entry: a miss, overwritten by the next write
-    return None
-
-
-def _write_entry(path: Path, key: str, content: str) -> None:
-    """Atomic write: a temp file unique to this process and thread, then a
-    rename over the entry."""
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
-    tmp.write_text(json.dumps({"request_key": key, "content": content},
-                              ensure_ascii=False),
-                   encoding="utf-8")
-    os.replace(tmp, path)
+def _decode_entry(entry: dict) -> ChatResponse:
+    content = entry.get("content")
+    if not isinstance(content, str):
+        raise ProtocolError("cached content is not a string")
+    return ChatResponse(content=content, latency_ms=0, cached=True)
 
 
 def cached(op: GenerateFn, req: ChatRequest, cache_dir: str | Path,
@@ -140,17 +110,11 @@ def cached(op: GenerateFn, req: ChatRequest, cache_dir: str | Path,
     overwritten. Threads that miss on one entry at once make one call to op;
     the others wait for it and get the stored content with cached=True.
     """
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    key = request_key(req, endpoint)
-    path = cache_dir / key
-
-    def compute() -> ChatResponse:
+    def compute() -> tuple[ChatResponse, dict]:
         resp = op(req)
-        _write_entry(path, key, resp.content)
-        return resp
+        return resp, {"content": resp.content}
 
-    return _FLIGHT.run(path, lambda: _read_entry(path, key), compute)
+    return store.fetch(cache_dir, request_key(req, endpoint), _decode_entry, compute)
 
 
 def make_cached_fn(op: GenerateFn, cache_dir: str | Path,

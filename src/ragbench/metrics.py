@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .embed import Vector, cosine
+import numpy as np
+
+from .embed import cosine
 from .errors import (EmptyResults, EmptyText, InvalidConfig, MalformedLine,
                      MetricUndefined, ProtocolError, RagBenchError, tag_qa)
 from .llm import ChatRequest, ChatResponse
@@ -165,14 +167,6 @@ class RemoteJudge:
         return tp, fp, fn
 
 
-def extract_statements(text: str, judge) -> list[str]:
-    return judge.extract(text)
-
-
-def classify(answer_stmts: list[str], gt_stmts: list[str], judge) -> tuple[int, int, int]:
-    return judge.classify(answer_stmts, gt_stmts)
-
-
 def f1(tp: int, fp: int, fn: int) -> float:
     """Balanced F1 over statement counts: tp / (tp + 0.5*(fp + fn))."""
     if tp < 0 or fp < 0 or fn < 0:
@@ -183,15 +177,15 @@ def f1(tp: int, fp: int, fn: int) -> float:
 
 
 def answer_correctness(answer: str, qa: QAItem,
-                       embed_fn: Callable[[str], Vector],
+                       embed_fn: Callable[[str], np.ndarray],
                        cfg: MetricConfig, judge=None) -> EvalResult:
     """Blend of statement-level F1 and clamped embedding cosine similarity."""
     if judge is None:
         judge = LexicalJudge(cfg.jaccard_threshold)
     try:
-        answer_stmts = extract_statements(answer, judge)
-        gt_stmts = extract_statements(qa.ground_truth, judge)
-        tp, fp, fn = classify(answer_stmts, gt_stmts, judge)
+        answer_stmts = judge.extract(answer)
+        gt_stmts = judge.extract(qa.ground_truth)
+        tp, fp, fn = judge.classify(answer_stmts, gt_stmts)
         factual = f1(tp, fp, fn)
         try:
             sim = cosine(embed_fn(answer), embed_fn(qa.ground_truth))

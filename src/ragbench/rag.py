@@ -6,7 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .embed import Vector
+import numpy as np
+
 from .errors import InvalidConfig, RagBenchError, TemplateError, tag_qa
 from .llm import ChatRequest, ChatResponse
 from .vectorstore import ChunkRef, Index
@@ -89,7 +90,7 @@ def assemble_prompt(question: str, chunks: list[tuple[ChunkRef, str]],
     return _fill(cfg.prompt_template, context, question), used, truncated
 
 
-def answer_question(qa, index: Index, embed_fn: Callable[[str], Vector],
+def answer_question(qa, index: Index, embed_fn: Callable[[str], np.ndarray],
                     generate_fn: Callable[[ChatRequest], ChatResponse],
                     cfg: RagConfig) -> AnswerRecord:
     """Run one question through retrieve -> assemble -> generate."""

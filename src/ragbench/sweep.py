@@ -9,14 +9,15 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from .chunker import ChunkConfig, chunk_corpus
 from .corpus import Document
-from .embed import Vector
 from .errors import EmptyCorpus, EmptyResults, InvalidConfig, RagBenchError
 from .metrics import (EvalResult, MetricConfig, QAItem, aggregate,
                       answer_correctness)
 from .rag import RagConfig, answer_question
-from .vectorstore import IndexEntry, build
+from .vectorstore import Index, IndexEntry
 
 DEFAULT_CHUNK_SIZES = [250, 500, 1000, 2000, 4000, 8000]
 
@@ -62,8 +63,8 @@ def _argmax_sizes(rows: list[SweepRow]) -> list[int]:
 
 
 def run_sweep(docs: list[Document], qa_set: list[QAItem], cfg: SweepConfig, *,
-              embed_texts_fn: Callable[[list[str]], list[Vector]],
-              embed_fn: Callable[[str], Vector],
+              embed_texts_fn: Callable[[list[str]], list[np.ndarray]],
+              embed_fn: Callable[[str], np.ndarray],
               generate_fn,
               judge=None,
               keep_going: bool = False,
@@ -113,7 +114,7 @@ def _run_size(docs, qa_set, size, cfg, embed_texts_fn, embed_fn,
     vectors = embed_texts_fn([c.text for c in chunks])
     entries = [IndexEntry(chunk_ref=(c.doc_id, c.seq), vector=v, text=c.text)
                for c, v in zip(chunks, vectors)]
-    index = build(entries)
+    index = Index(entries)
 
     def score(qa) -> EvalResult:
         record = answer_question(qa, index, embed_fn, generate_fn, cfg.rag)

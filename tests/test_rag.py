@@ -11,7 +11,7 @@ from ragbench.llm import mock_generate
 from ragbench.metrics import QAItem
 from ragbench.rag import (NO_CONTEXT, RagConfig, AnswerRecord, assemble_prompt,
                           answer_question)
-from ragbench.vectorstore import IndexEntry, build
+from ragbench.vectorstore import Index, IndexEntry
 
 
 def offline_embed(text):
@@ -20,7 +20,7 @@ def offline_embed(text):
 
 def build_index(docs, size=200, overlap=0, dim=256):
     chunks = chunk_corpus(docs, ChunkConfig(size, overlap))
-    return build([
+    return Index([
         IndexEntry(chunk_ref=(c.doc_id, c.seq),
                    vector=embed_offline(c.text, dim), text=c.text)
         for c in chunks

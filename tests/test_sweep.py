@@ -8,7 +8,7 @@ from ragbench.corpus import Document
 from ragbench.embed import EmbedderConfig, embed_texts, make_embed_fn
 from ragbench.errors import (EmptyText, InvalidConfig, ProtocolError,
                              RagBenchError)
-import ragbench.llm as llm_mod
+import ragbench.store as store_mod
 from ragbench.llm import make_cached_fn, mock_generate
 from ragbench.metrics import LexicalJudge, QAItem, aggregate
 
@@ -177,7 +177,7 @@ class TestConcurrency:
                   generate_fn=make_cached_fn(slow_early_generate(8), tmp_path),
                   judge=LexicalJudge(), concurrency=4)
         assert embed_fn.flight.waiting == {}
-        assert llm_mod._FLIGHT.waiting == {}
+        assert store_mod._FLIGHT.waiting == {}
 
 
 def hand_report(means):
