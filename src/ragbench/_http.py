@@ -1,20 +1,31 @@
 """Shared HTTP plumbing: JSON POST with retry/backoff, bearer auth from env.
 
 Retry policy (used by both the embeddings and chat clients): retry on
-HTTP 429 and 5xx with exponential backoff, base 500 ms, factor 2.
+HTTP 429 and 5xx with exponential backoff, base 500 ms, factor 2. A 429
+whose Retry-After header gives whole seconds waits that long instead,
+capped at _RETRY_AFTER_MAX_S; a header in the HTTP-date form, or one that
+is not a non-negative integer, falls back to the backoff.
+
+A refused or reset connection is not retried: it raises ProtocolError at
+once. Unlike a 429 or 5xx it carries no sign that waiting helps, and a
+reset may come after the backend has received the request. A timeout
+raises RequestTimeout, also without a retry.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import time
-
-import requests
+import urllib.error
+import urllib.request
 
 from .errors import ProtocolError, RateLimitedExhausted, RequestTimeout
 
 API_KEY_ENV = "RAGBENCH_API_KEY"
 _BACKOFF_BASE_S = 0.5
+_RETRY_AFTER_MAX_S = 30
 
 # test hook; replaced in unit tests to avoid real sleeps
 _sleep = time.sleep
@@ -28,30 +39,59 @@ def _headers() -> dict:
     return headers
 
 
+def _retry_after_s(value: str | None) -> int | None:
+    """The seconds form of a Retry-After header, capped; None otherwise."""
+    if value is None or not value.strip().isdecimal():
+        return None
+    return min(int(value), _RETRY_AFTER_MAX_S)
+
+
+def _post(url: str, data: bytes, timeout_s: float) -> tuple[int, str | None, bytes]:
+    """One POST; returns (status, Retry-After header, body)."""
+    # urlopen would also read file:, ftp: and data: URLs
+    if not url.lower().startswith(("http://", "https://")):
+        raise ProtocolError(f"request to {url} failed: not an http(s) URL")
+    try:
+        req = urllib.request.Request(url, data=data, headers=_headers(), method="POST")
+        with urllib.request.urlopen(req, timeout=timeout_s) as resp:
+            return resp.status, resp.headers.get("Retry-After"), resp.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        return exc.code, exc.headers.get("Retry-After"), b""
+    except TimeoutError as exc:
+        raise RequestTimeout(f"request to {url} timed out") from exc
+    except urllib.error.URLError as exc:
+        if isinstance(exc.reason, TimeoutError):
+            raise RequestTimeout(f"request to {url} timed out") from exc
+        raise ProtocolError(f"request to {url} failed: {exc.reason}") from exc
+    except (OSError, ValueError, http.client.HTTPException) as exc:
+        # ValueError: a malformed URL, such as one with a bad port
+        raise ProtocolError(f"request to {url} failed: {exc}") from exc
+
+
 def post_json_with_retries(url: str, payload: dict, *, timeout_ms: int,
                            max_retries: int) -> dict:
     """POST payload as JSON; return the decoded JSON response body."""
+    try:
+        data = json.dumps(payload, allow_nan=False).encode("utf-8")
+    except ValueError as exc:  # NaN or infinity: not JSON
+        raise ProtocolError(f"request to {url} is not valid JSON: {exc}") from exc
     last_status = None
     for attempt in range(max_retries + 1):
-        try:
-            resp = requests.post(url, json=payload, headers=_headers(),
-                                 timeout=timeout_ms / 1000.0)
-        except requests.Timeout as exc:
-            raise RequestTimeout(f"request to {url} timed out") from exc
-        except requests.RequestException as exc:
-            raise ProtocolError(f"request to {url} failed: {exc}") from exc
-        if resp.status_code == 200:
+        status, retry_after, body = _post(url, data, timeout_ms / 1000.0)
+        if status == 200:
             try:
-                return resp.json()
+                return json.loads(body)
             except ValueError as exc:
                 raise ProtocolError(f"non-JSON response from {url}") from exc
-        if resp.status_code == 429 or resp.status_code >= 500:
-            last_status = resp.status_code
+        if status == 429 or status >= 500:
+            last_status = status
             if attempt < max_retries:
-                _sleep(_BACKOFF_BASE_S * (2 ** attempt))
+                wait_s = _retry_after_s(retry_after) if status == 429 else None
+                _sleep(_BACKOFF_BASE_S * (2 ** attempt) if wait_s is None else wait_s)
                 continue
             break
-        raise ProtocolError(f"HTTP {resp.status_code} from {url}")
+        raise ProtocolError(f"HTTP {status} from {url}")
     if last_status == 429:
         raise RateLimitedExhausted(f"rate limited after {max_retries} retries: {url}")
     raise ProtocolError(f"HTTP {last_status} from {url} after {max_retries} retries")

@@ -25,7 +25,6 @@ class AppConfig:
     llm_endpoint_url: str = ""
     llm_model: str = ""
     cache_dir: str = ""
-    output_dir: str = "out"
 
 
 def _build(cls, obj: dict, where: str):

@@ -16,7 +16,8 @@ import numpy as np
 from . import store
 from ._http import post_json_with_retries
 from ._singleflight import SingleFlight
-from .errors import DimMismatch, EmptyText, InvalidConfig, ProtocolError
+from .errors import (DimMismatch, EmptyText, InvalidConfig, ProtocolError,
+                     RagBenchError)
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -225,7 +226,13 @@ def make_embed_fn(cfg: EmbedderConfig,
     """Single-text embed function with a memo, so repeated texts (questions
     reused across sweep sizes) are embedded once, also when several threads
     ask for one text at once. Its single-flight table is ``fn.flight``.
-    Remote embeddings are also kept in cache_dir, as embed_texts does."""
+    Remote embeddings are also kept in cache_dir, as embed_texts does.
+
+    ``fn.prime(texts)`` embeds the non-empty texts that the memo lacks in
+    one embed_texts call and stores their rows, so later calls of fn find
+    them. Priming only saves calls: if the batch raises a RagBenchError,
+    the memo is left as it was and each text's own call raises its error.
+    """
     memo: dict[str, np.ndarray] = {}
     flight = SingleFlight()
 
@@ -236,5 +243,16 @@ def make_embed_fn(cfg: EmbedderConfig,
     def fn(text: str) -> np.ndarray:
         return flight.run(text, lambda: memo.get(text), lambda: compute(text))
 
+    def prime(texts: list[str]) -> None:
+        missing = list(dict.fromkeys(t for t in texts if t and t not in memo))
+        if not missing:
+            return
+        try:
+            vecs = embed_texts(missing, cfg, cache_dir)
+        except RagBenchError:
+            return
+        memo.update(zip(missing, vecs))
+
     fn.flight = flight
+    fn.prime = prime
     return fn

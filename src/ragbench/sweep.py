@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, asdict
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -74,23 +75,36 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], cfg: SweepConfig, *,
 
     embed_texts_fn batch-embeds chunk texts; embed_fn embeds single texts
     (questions, answers, ground truths) and should memoize so question
-    embeddings are computed once and reused across sizes.
+    embeddings are computed once and reused across sizes. If embed_fn has a
+    prime(texts) method, as make_embed_fn's has, single texts are embedded
+    ahead of use in batches: all questions and ground truths once per
+    sweep, and each size's answers once per size.
 
-    With concurrency > 1, up to that many QA items of a size are answered
-    and scored at once, on threads; embed_fn, generate_fn and judge must
-    then be safe to call from several threads. Results, reports and errors
-    are the same as with concurrency 1.
+    Each size runs in stages: chunk and embed the chunks, answer every QA
+    item, embed the answers, score every item. A chunk text embedded at one
+    size is not embedded again at a later one.
+
+    With concurrency > 1, up to that many QA items of a stage run at once,
+    on threads; embed_fn, generate_fn and judge must then be safe to call
+    from several threads. Results, reports and errors are the same as with
+    concurrency 1, and the same as taking one item at a time through every
+    step: a size raises its earliest error in input order.
     """
     if not docs:
         raise EmptyCorpus("sweep needs a non-empty corpus")
     if not qa_set:
         raise EmptyResults("sweep needs a non-empty QA set")
+    prime = getattr(embed_fn, "prime", None) or (lambda texts: None)
+    prime([qa.question for qa in qa_set] + [qa.ground_truth for qa in qa_set])
+    tail_rows: dict[str, np.ndarray] = {}
     rows: list[SweepRow] = []
     per_question: dict[int, list[EvalResult]] = {}
     for size in cfg.chunk_sizes:
         try:
-            results = _run_size(docs, qa_set, size, cfg, embed_texts_fn,
-                                embed_fn, generate_fn, judge, concurrency)
+            # no name holds the index, so it is freed before the next size's
+            results = _run_size(
+                qa_set, _build_index(docs, size, cfg.overlap, embed_texts_fn, tail_rows),
+                cfg, embed_fn, prime, generate_fn, judge, concurrency)
         except RagBenchError as exc:
             if not keep_going:
                 raise
@@ -108,30 +122,75 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], cfg: SweepConfig, *,
                        argmax_sizes=_argmax_sizes(rows))
 
 
-def _run_size(docs, qa_set, size, cfg, embed_texts_fn, embed_fn,
-              generate_fn, judge, concurrency) -> list[EvalResult]:
-    chunks = chunk_corpus(docs, ChunkConfig(size=size, overlap=cfg.overlap))
-    vectors = embed_texts_fn([c.text for c in chunks])
-    entries = [IndexEntry(chunk_ref=(c.doc_id, c.seq), vector=v, text=c.text)
-               for c, v in zip(chunks, vectors)]
-    index = Index(entries)
+def _build_index(docs, size, overlap, embed_texts_fn,
+                 tail_rows: dict[str, np.ndarray]) -> Index:
+    """Chunk at size and index the chunks, embedding once each text that
+    tail_rows lacks.
 
-    def score(qa) -> EvalResult:
-        record = answer_question(qa, index, embed_fn, generate_fn, cfg.rag)
-        return answer_correctness(record.answer, qa, embed_fn, cfg.metric, judge)
+    tail_rows maps the text of every chunk that ends its document to a copy
+    of its row. Windows are fixed, so only such a chunk can recur at another
+    size; a copy lets the embedder's block arrays be freed with the index.
+    """
+    chunks = chunk_corpus(docs, ChunkConfig(size=size, overlap=overlap))
+    missing = list(dict.fromkeys(c.text for c in chunks if c.text not in tail_rows))
+    fresh = dict(zip(missing, embed_texts_fn(missing))) if missing else {}
+    vectors = [fresh[c.text] if c.text in fresh else tail_rows[c.text]
+               for c in chunks]
+    # a chunk ends its document when the next one starts another (seq 0)
+    for c, nxt, v in zip(chunks, chunks[1:] + [None], vectors):
+        if (nxt is None or nxt.seq == 0) and c.text not in tail_rows:
+            tail_rows[c.text] = v.copy()
+    return Index([IndexEntry(chunk_ref=(c.doc_id, c.seq), vector=v, text=c.text)
+                  for c, v in zip(chunks, vectors)])
 
-    if concurrency <= 1:
-        return [score(qa) for qa in qa_set]
-    pool = ThreadPoolExecutor(max_workers=min(concurrency, len(qa_set)))
-    try:
-        futures = [pool.submit(score, qa) for qa in qa_set]
-        wait(futures, return_when=FIRST_EXCEPTION)
-    finally:
-        pool.shutdown(cancel_futures=True)
-    # The pool starts items in input order, so every item before a failed
-    # one has run: the first error in input order is the one a sequential
-    # loop raises. Only items after it can have been cancelled.
-    return [f.result() for f in futures]
+
+def _run_size(qa_set, index, cfg, embed_fn, prime, generate_fn, judge,
+              concurrency) -> list[EvalResult]:
+    """Answer every QA item, embed the answers in one batch, score every
+    item. An item that fails to be answered stops the items after it, but
+    the items before it are still scored: the error raised is the earliest
+    in input order, as in a loop that takes one item through both steps."""
+    records, answer_error = _map_in_order(
+        lambda qa: answer_question(qa, index, embed_fn, generate_fn, cfg.rag),
+        qa_set, concurrency)
+    prime([r.answer for r in records])
+    results, score_error = _map_in_order(
+        lambda pair: answer_correctness(pair[1].answer, pair[0], embed_fn,
+                                        cfg.metric, judge),
+        list(zip(qa_set, records)), concurrency)
+    error = score_error or answer_error
+    if error is not None:
+        raise error
+    return results
+
+
+def _map_in_order(fn, items: list, concurrency: int):
+    """fn over items in input order, up to the first item that raises a
+    RagBenchError. Returns (results of the items before it, its error), the
+    error being None when every item succeeded.
+
+    With concurrency > 1 items run on up to that many threads. The pool
+    starts them in input order, so every item before the first failure in
+    input order has run; only items after it can have been cancelled. With
+    concurrency 1 items run in this thread, and none after a failure runs.
+    """
+    if concurrency > 1 and len(items) > 1:
+        pool = ThreadPoolExecutor(max_workers=min(concurrency, len(items)))
+        try:
+            futures = [pool.submit(fn, item) for item in items]
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            pool.shutdown(cancel_futures=True)
+        outcomes = (f.result for f in futures)
+    else:
+        outcomes = (partial(fn, item) for item in items)
+    results = []
+    for outcome in outcomes:
+        try:
+            results.append(outcome())
+        except RagBenchError as exc:
+            return results, exc
+    return results, None
 
 
 def _dump_size_results(size_dir: Path, results: list[EvalResult]) -> None:

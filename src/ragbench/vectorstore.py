@@ -82,7 +82,15 @@ class Index:
         else:
             scores = self._unit @ (q / qnorm)
             scores[self._zero_mask] = 0.0
-        order = np.lexsort((self._ref_rank, -scores))[:k]
+        neg = -scores
+        if k < len(neg):
+            # keep every entry that scores at least as well as the k-th best,
+            # ties included, and sort only those; a NaN k-th keeps them all
+            kth = np.partition(neg, k - 1)[k - 1]
+            cand = np.flatnonzero(~(neg > kth))
+            order = cand[np.lexsort((self._ref_rank[cand], neg[cand]))[:k]]
+        else:
+            order = np.lexsort((self._ref_rank, neg))
         return [
             Hit(chunk_ref=self._entries[i].chunk_ref, score=float(scores[i]), rank=r)
             for r, i in enumerate(order.tolist())

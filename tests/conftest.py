@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -11,9 +12,11 @@ import ragbench._http as _http
 class FakeApiServer:
     """Minimal OpenAI-compatible test server.
 
-    Responses are scripted: push (status, body_dict) tuples; each request
-    pops the next one. With an empty script, serves sensible defaults
-    (echo embeddings / canned chat content).
+    Responses are scripted: push (status, body_dict) tuples, optionally
+    followed by a dict of extra response headers and a delay in seconds
+    before the response is sent; each request pops the next one. With an
+    empty script, serves sensible defaults (echo embeddings / canned chat
+    content).
     """
 
     def __init__(self):
@@ -28,12 +31,17 @@ class FakeApiServer:
                 payload = json.loads(self.rfile.read(length) or b"{}")
                 outer.requests.append((self.path, payload, dict(self.headers)))
                 if outer.script:
-                    status, body = outer.script.pop(0)
+                    status, body, *extra = outer.script.pop(0)
                 else:
-                    status, body = 200, outer._default_body(self.path, payload)
+                    status, body, extra = 200, outer._default_body(self.path, payload), []
+                headers = extra[0] if extra else {}
+                delay_s = extra[1] if len(extra) > 1 else 0.0
+                time.sleep(delay_s)
                 data = json.dumps(body).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
+                for name, value in headers.items():
+                    self.send_header(name, value)
                 self.send_header("Content-Length", str(len(data)))
                 self.end_headers()
                 self.wfile.write(data)

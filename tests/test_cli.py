@@ -186,6 +186,14 @@ class TestConfigFile:
         assert main(["ask", "--corpus", "x", "--question", "q",
                      "--config", str(cfg)]) == 1
 
+    def test_output_dir_is_not_a_config_key(self, tmp_path, capsys):
+        # the sweep writes to --out; a config file cannot redirect it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"output_dir": "elsewhere"}')
+        assert main(["ask", "--corpus", "x", "--question", "q",
+                     "--config", str(cfg)]) == 1
+        assert "unknown keys ['output_dir']" in capsys.readouterr().err
+
     def test_config_applies(self, tmp_path, capsys):
         src = tmp_path / "export.jsonl"
         write_reddit(src, n=3)

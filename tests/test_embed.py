@@ -332,3 +332,34 @@ def test_make_embed_fn_waiter_retries_after_failure(monkeypatch, in_threads):
     assert sum(same_rows([r], [embed_offline("q", 16)]) for r in out
                if not isinstance(r, ProtocolError)) == 7
     assert fn.flight.waiting == {}
+
+
+def test_make_embed_fn_prime_one_batch(monkeypatch):
+    calls = []
+    real = embed_mod.embed_texts
+    monkeypatch.setattr(embed_mod, "embed_texts",
+                        lambda ts, cfg, cache_dir=None: calls.append(list(ts))
+                        or real(ts, cfg, cache_dir))
+    fn = make_embed_fn(EmbedderConfig(kind="offline", dim=16))
+    fn("known")
+    fn.prime(["a", "", "known", "b", "a"])
+    assert calls == [["known"], ["a", "b"]]
+    assert same_rows([fn("a"), fn("b")], [embed_offline("a", 16), embed_offline("b", 16)])
+    fn.prime(["a", "b", ""])
+    assert len(calls) == 2
+
+
+def test_make_embed_fn_failed_prime_leaves_memo(monkeypatch):
+    calls = []
+
+    def fail_batches(texts, cfg, cache_dir=None):
+        calls.append(list(texts))
+        if len(texts) > 1:
+            raise ProtocolError("batch refused")
+        return embed_offline_batch(texts, cfg.dim)
+
+    monkeypatch.setattr(embed_mod, "embed_texts", fail_batches)
+    fn = make_embed_fn(EmbedderConfig(kind="offline", dim=16))
+    fn.prime(["a", "b"])
+    assert same_rows([fn("a")], [embed_offline("a", 16)])
+    assert calls == [["a", "b"], ["a"]]

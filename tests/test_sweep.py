@@ -5,12 +5,18 @@ import time
 import pytest
 
 from ragbench.corpus import Document
-from ragbench.embed import EmbedderConfig, embed_texts, make_embed_fn
+import ragbench.embed as embed_mod
+from ragbench.chunker import ChunkConfig, chunk_corpus
+from ragbench.embed import (EmbedderConfig, embed_offline, embed_texts,
+                            make_embed_fn)
 from ragbench.errors import (EmptyText, InvalidConfig, ProtocolError,
                              RagBenchError)
 import ragbench.store as store_mod
 from ragbench.llm import make_cached_fn, mock_generate
-from ragbench.metrics import LexicalJudge, QAItem, aggregate
+from ragbench.metrics import (LexicalJudge, QAItem, aggregate,
+                              answer_correctness)
+from ragbench.rag import answer_question
+from ragbench.vectorstore import Index, IndexEntry
 
 from ragbench.sweep import (SweepConfig, SweepReport, SweepRow, emit_csv,
                             emit_svg, run_sweep)
@@ -178,6 +184,112 @@ class TestConcurrency:
                   judge=LexicalJudge(), concurrency=4)
         assert embed_fn.flight.waiting == {}
         assert store_mod._FLIGHT.waiting == {}
+
+
+class FailingJudge(LexicalJudge):
+    """Lexical judge whose extraction fails for any text about one of the
+    given threat numbers."""
+
+    def __init__(self, fail):
+        super().__init__()
+        self.fail = fail
+
+    def extract(self, text):
+        if any(f"number {i}" in text for i in self.fail):
+            raise ProtocolError("judge down")
+        return super().extract(text)
+
+
+class TestStages:
+    def test_equals_one_item_at_a_time(self):
+        # reference: the unstaged loop, every chunk embedded at every size
+        cfg = SweepConfig(chunk_sizes=[100, 200, 400])
+        docs, qa = make_corpus(), make_qa(6)
+        embed_fn = make_embed_fn(EMB)
+        expected = {}
+        for size in cfg.chunk_sizes:
+            chunks = chunk_corpus(docs, ChunkConfig(size=size))
+            index = Index([IndexEntry((c.doc_id, c.seq), v, c.text) for c, v in
+                           zip(chunks, offline_batch([c.text for c in chunks]))])
+            expected[size] = [
+                answer_correctness(
+                    answer_question(item, index, embed_fn, mock_generate, cfg.rag).answer,
+                    item, embed_fn, cfg.metric, LexicalJudge())
+                for item in qa]
+        assert run(cfg, docs=docs, qa=qa).per_question == expected
+
+    def test_plain_embed_fn_without_prime(self):
+        report = run_sweep(make_corpus(), make_qa(), SweepConfig(chunk_sizes=[100, 200]),
+                           embed_texts_fn=offline_batch,
+                           embed_fn=lambda text: embed_offline(text, EMB.dim),
+                           generate_fn=mock_generate, judge=LexicalJudge())
+        assert report == run(SweepConfig(chunk_sizes=[100, 200]))
+
+    def test_single_texts_batched_chunk_texts_embedded_once(self, monkeypatch):
+        single, chunk = [], []
+        monkeypatch.setattr(embed_mod, "embed_texts",
+                            lambda texts, cfg, cache_dir=None:
+                            single.append(list(texts)) or embed_texts(texts, cfg))
+        sizes = [250, 500, 1000, 2000, 4000, 8000]
+        docs, qa = make_corpus(), make_qa(5)
+        run_sweep(docs, qa, SweepConfig(chunk_sizes=sizes),
+                  embed_texts_fn=lambda texts: chunk.extend(texts) or offline_batch(texts),
+                  embed_fn=make_embed_fn(EMB), generate_fn=mock_generate,
+                  judge=LexicalJudge())
+        assert single[0] == [q.question for q in qa] + [q.ground_truth for q in qa]
+        assert len(single) <= 1 + len(sizes)
+        assert len(chunk) == len(set(chunk))
+        every = {c.text for size in sizes
+                 for c in chunk_corpus(docs, ChunkConfig(size=size))}
+        assert set(chunk) == every
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("keep_going", [True, False])
+    def test_score_error_before_answer_error(self, workers, keep_going):
+        # q2 fails to be scored, q5 fails to be answered: q2 comes first
+        def sweep():
+            return run_sweep(make_corpus(), make_qa(8), SweepConfig(chunk_sizes=[100, 200]),
+                             embed_texts_fn=offline_batch, embed_fn=make_embed_fn(EMB),
+                             generate_fn=slow_early_generate(8, fail={5}),
+                             judge=FailingJudge({2}), keep_going=keep_going,
+                             concurrency=workers)
+
+        if keep_going:
+            assert [r.error for r in sweep().rows] == ["[qa q2] judge down"] * 2
+        else:
+            with pytest.raises(ProtocolError, match=r"^\[qa q2\] judge down$"):
+                sweep()
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_answer_error_before_score_error(self, workers):
+        with pytest.raises(ProtocolError, match=r"^\[qa q2\] backend down"):
+            run_sweep(make_corpus(), make_qa(8), SweepConfig(chunk_sizes=[100]),
+                      embed_texts_fn=offline_batch, embed_fn=make_embed_fn(EMB),
+                      generate_fn=slow_early_generate(8, fail={2}),
+                      judge=FailingJudge({5}), concurrency=workers)
+
+    @pytest.mark.parametrize("keep_going", [True, False])
+    def test_failed_priming_leaves_per_item_error(self, monkeypatch, keep_going):
+        calls = []
+
+        def down_for_q1(texts, cfg, cache_dir=None):
+            calls.append(list(texts))
+            if "What about threat number 1?" in texts:
+                raise ProtocolError("embedder down")
+            return embed_texts(texts, cfg)
+
+        monkeypatch.setattr(embed_mod, "embed_texts", down_for_q1)
+        kw = dict(embed_texts_fn=offline_batch, embed_fn=make_embed_fn(EMB),
+                  generate_fn=mock_generate, judge=LexicalJudge(),
+                  keep_going=keep_going)
+        if keep_going:
+            report = run_sweep(make_corpus(), make_qa(), SweepConfig(chunk_sizes=[100]), **kw)
+            assert report.rows[0].error == "[qa q1] embedder down"
+        else:
+            with pytest.raises(ProtocolError, match=r"^\[qa q1\] embedder down$"):
+                run_sweep(make_corpus(), make_qa(), SweepConfig(chunk_sizes=[100]), **kw)
+        assert len(calls[0]) == 8  # the batch was tried first
+        assert ["What about threat number 1?"] in calls
 
 
 def hand_report(means):

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ragbench.errors import DimMismatch, DuplicateRef, EmptyIndex
 from ragbench.vectorstore import Index, IndexEntry
@@ -129,3 +130,61 @@ class TestQuery:
         scores = [h.score for h in hits]
         assert scores == sorted(scores, reverse=True)
         assert all(-1 - 1e-9 <= s <= 1 + 1e-9 for s in scores)
+
+
+DIM = 4
+
+
+def _refs(n):
+    # refs in an order unrelated to insertion, so the tie-break shows
+    return [(f"d{(i * 7) % 5}", i) for i in range(n)]
+
+
+def _ks(n):
+    return sorted({1, 3, max(n - 1, 1), n, n + 5})
+
+
+# a positive power-of-two multiple of a unit axis, or a zero row: every
+# score is a component of q over its norm, computed exactly alike here and
+# by the oracle, and entries on one axis tie exactly
+_AXIS_ROW = st.one_of(
+    st.just(None),
+    st.tuples(st.integers(0, DIM - 1), st.sampled_from([1, 2, 4, 8])))
+
+
+@settings(max_examples=200)
+@given(st.lists(_AXIS_ROW, min_size=1, max_size=30),
+       st.lists(st.integers(-2, 2), min_size=DIM, max_size=DIM))
+def test_partitioned_topk_equals_oracle_on_ties(rows, q):
+    vectors = []
+    for row in rows:
+        v = np.zeros(DIM)
+        if row is not None:
+            v[row[0]] = row[1]
+        vectors.append(v)
+    entries = [entry(d, s, v) for (d, s), v in zip(_refs(len(rows)), vectors)]
+    idx = Index(entries)
+    q = np.array(q, dtype=np.float64)
+    for k in _ks(len(entries)):
+        hits = idx.query_topk(q, k)
+        expected = oracle_topk(entries, q, k)
+        assert [(h.score, h.chunk_ref) for h in hits] == expected
+        assert [h.rank for h in hits] == list(range(len(hits)))
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-2, 2), min_size=DIM, max_size=DIM),
+             min_size=n, max_size=n),
+    st.lists(st.integers(-2, 2), min_size=DIM, max_size=DIM))))
+def test_partitioned_topk_is_prefix_of_full_order(data):
+    # integer rows, many of them equal or zero: k < n takes the partition
+    # path, k >= n the full sort, over the same scores
+    rows, q = data
+    entries = [entry(d, s, np.array(r, dtype=np.float64))
+               for (d, s), r in zip(_refs(len(rows)), rows)]
+    idx = Index(entries)
+    q = np.array(q, dtype=np.float64)
+    full = idx.query_topk(q, len(entries))
+    for k in _ks(len(entries)):
+        assert idx.query_topk(q, k) == full[:k]
