@@ -137,7 +137,8 @@ def cmd_ask(corpus_path, question, chunk_size, overlap, top_k, backend,
                    for c, v in zip(chunks, vectors)])
 
     qa = SimpleNamespace(id="adhoc", question=question)
-    record = answer_question(qa, index, embed_fn, generate_fn, app.rag)
+    hits = index.query_topk(embed_fn(question), app.rag.top_k)
+    record = answer_question(qa, index, hits, generate_fn, app.rag)
     click.echo(record.answer)
     click.echo("")
     click.echo("retrieved:")

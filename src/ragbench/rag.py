@@ -1,16 +1,14 @@
-"""Pipeline orchestrator: embed question, retrieve, assemble prompt within a
-context budget, generate, and record provenance."""
+"""Pipeline orchestrator: assemble a question's retrieved chunks into a prompt
+within a context budget, generate, and record provenance."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import InvalidConfig, RagBenchError, TemplateError, tag_qa
 from .llm import ChatRequest, ChatResponse
-from .vectorstore import ChunkRef, Index
+from .vectorstore import ChunkRef, Hit, Index
 
 DEFAULT_SYSTEM_PROMPT = "Answer the question using only the provided context."
 DEFAULT_TEMPLATE = "Context:\n{context}\n\nQuestion: {question}\nAnswer:"
@@ -90,14 +88,13 @@ def assemble_prompt(question: str, chunks: list[tuple[ChunkRef, str]],
     return _fill(cfg.prompt_template, context, question), used, truncated
 
 
-def answer_question(qa, index: Index, embed_fn: Callable[[str], np.ndarray],
+def answer_question(qa, index: Index, hits: list[Hit],
                     generate_fn: Callable[[ChatRequest], ChatResponse],
                     cfg: RagConfig) -> AnswerRecord:
-    """Run one question through retrieve -> assemble -> generate."""
+    """Run one question through assemble -> generate, from hits, its
+    question's query_topk result on index."""
     cfg._check()
     try:
-        qvec = embed_fn(qa.question)
-        hits = index.query_topk(qvec, cfg.top_k)
         chunks = [(h.chunk_ref, index.text_for(h.chunk_ref)) for h in hits]
         prompt, used, truncated = assemble_prompt(qa.question, chunks, cfg)
         messages = []

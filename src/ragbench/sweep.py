@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -14,7 +14,8 @@ import numpy as np
 
 from .chunker import ChunkConfig, chunk_corpus
 from .corpus import Document
-from .errors import EmptyCorpus, EmptyResults, InvalidConfig, RagBenchError
+from .errors import (DimMismatch, EmptyCorpus, EmptyResults, InvalidConfig,
+                     RagBenchError, tag_qa)
 from .metrics import (EvalResult, MetricConfig, QAItem, aggregate,
                       answer_correctness)
 from .rag import RagConfig, answer_question
@@ -80,9 +81,10 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], cfg: SweepConfig, *,
     ahead of use in batches: all questions and ground truths once per
     sweep, and each size's answers once per size.
 
-    Each size runs in stages: chunk and embed the chunks, answer every QA
-    item, embed the answers, score every item. A chunk text embedded at one
-    size is not embedded again at a later one.
+    Each size runs in stages: chunk and embed the chunks, retrieve every
+    QA item's chunks with one query_topk call, answer every item, embed the
+    answers, score every item. A chunk text embedded at one size is not
+    embedded again at a later one.
 
     With concurrency > 1, up to that many QA items of a stage run at once,
     on threads; embed_fn, generate_fn and judge must then be safe to call
@@ -108,6 +110,9 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], cfg: SweepConfig, *,
         except RagBenchError as exc:
             if not keep_going:
                 raise
+            if out_dir is not None:
+                # a file left by an earlier run would contradict the FAILED row
+                (Path(out_dir) / str(size) / "results.jsonl").unlink(missing_ok=True)
             rows.append(SweepRow(chunk_size=size, mean_correctness=0.0, n=0,
                                  failed=True, error=str(exc)))
             continue
@@ -146,22 +151,44 @@ def _build_index(docs, size, overlap, embed_texts_fn,
 
 def _run_size(qa_set, index, cfg, embed_fn, prime, generate_fn, judge,
               concurrency) -> list[EvalResult]:
-    """Answer every QA item, embed the answers in one batch, score every
-    item. An item that fails to be answered stops the items after it, but
-    the items before it are still scored: the error raised is the earliest
-    in input order, as in a loop that takes one item through both steps."""
+    """Retrieve every QA item's hits, answer every item, embed the answers
+    in one batch, score every item. An item that fails at one stage stops
+    the items after it, but the items before it go through the later
+    stages: the error raised is the earliest in input order, as in a loop
+    that takes one item through every step."""
+    hits, retrieve_error = _retrieve(qa_set, index, embed_fn, cfg.rag.top_k,
+                                     concurrency)
     records, answer_error = _map_in_order(
-        lambda qa: answer_question(qa, index, embed_fn, generate_fn, cfg.rag),
-        qa_set, concurrency)
+        lambda pair: answer_question(pair[0], index, pair[1], generate_fn, cfg.rag),
+        list(zip(qa_set, hits)), concurrency)
     prime([r.answer for r in records])
     results, score_error = _map_in_order(
         lambda pair: answer_correctness(pair[1].answer, pair[0], embed_fn,
                                         cfg.metric, judge),
         list(zip(qa_set, records)), concurrency)
-    error = score_error or answer_error
+    error = score_error or answer_error or retrieve_error
     if error is not None:
         raise error
     return results
+
+
+def _retrieve(qa_set, index, embed_fn, k, concurrency):
+    """Top-k hits of each QA item's question, from one query_topk call over
+    the stacked question vectors. As _map_in_order does, stops at the first
+    item whose vector fails or does not match the index's dim, and returns
+    (hits of the items before it, its error)."""
+    def question_vector(qa):
+        try:
+            vec = embed_fn(qa.question)
+            if len(vec) != index.dim:
+                raise DimMismatch(f"query dim {len(vec)} != index dim {index.dim}")
+        except RagBenchError as exc:
+            tag_qa(exc, qa.id)
+            raise
+        return vec
+
+    vectors, error = _map_in_order(question_vector, qa_set, concurrency)
+    return (index.query_topk(np.stack(vectors), k) if vectors else []), error
 
 
 def _map_in_order(fn, items: list, concurrency: int):
@@ -197,7 +224,8 @@ def _dump_size_results(size_dir: Path, results: list[EvalResult]) -> None:
     size_dir.mkdir(parents=True, exist_ok=True)
     with open(size_dir / "results.jsonl", "w", encoding="utf-8", newline="\n") as f:
         for r in results:
-            f.write(json.dumps(asdict(r), ensure_ascii=False) + "\n")
+            # vars, not asdict: the fields are scalars, so no deep copy is needed
+            f.write(json.dumps(vars(r), ensure_ascii=False) + "\n")
 
 
 def emit_csv(report: SweepReport, path: str | Path) -> None:

@@ -14,6 +14,11 @@ from .errors import DimMismatch, DuplicateRef, EmptyIndex
 
 ChunkRef = tuple[str, int]  # (doc_id, seq)
 
+# Byte budget of one block of query_topk's score matrix (rows x entries,
+# float64). One matrix product per block reads the index once for many
+# queries, and a bounded block keeps peak memory flat however many come in.
+_SCORE_BLOCK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class IndexEntry:
@@ -69,29 +74,47 @@ class Index:
     def __contains__(self, ref: ChunkRef) -> bool:
         return ref in self._by_ref
 
-    def query_topk(self, q: np.ndarray, k: int) -> list[Hit]:
+    def query_topk(self, q: np.ndarray, k: int) -> list[Hit] | list[list[Hit]]:
         """Top-k entries by cosine(q, entry), score descending, ties broken
-        by chunk_ref ascending. Returns all entries when k > count."""
-        if len(q) != self.dim:
-            raise DimMismatch(f"query dim {len(q)} != index dim {self.dim}")
+        by chunk_ref ascending. Returns all entries when k > count.
+
+        q is one query row, or a 2-D stack of rows, for which one hit list
+        per row is returned. Rows are scored against the index in blocks of
+        at most about _SCORE_BLOCK_BYTES of scores, one matrix product per
+        block. A zero query row scores 0 everywhere, and a NaN row changes
+        only its own hits.
+        """
+        rows = np.atleast_2d(q)
+        if rows.ndim != 2 or rows.shape[1] != self.dim:
+            raise DimMismatch(f"query dim {rows.shape[-1]} != index dim {self.dim}")
         if k < 1:
             raise ValueError("k must be >= 1")
-        qnorm = np.linalg.norm(q)
-        if qnorm == 0.0:
-            scores = np.zeros(len(self._entries))
-        else:
-            scores = self._unit @ (q / qnorm)
-            scores[self._zero_mask] = 0.0
+        step = max(1, _SCORE_BLOCK_BYTES // (8 * len(self._entries)))
+        hits: list[list[Hit]] = []
+        for start in range(0, len(rows), step):
+            hits.extend(self._topk_block(rows[start:start + step], k))
+        return hits if np.ndim(q) == 2 else hits[0]
+
+    def _topk_block(self, rows: np.ndarray, k: int) -> list[list[Hit]]:
+        norms = np.linalg.norm(rows, axis=1)
+        zero = norms == 0.0
+        norms[zero] = 1.0
+        scores = (rows / norms[:, None]) @ self._unit.T
+        scores[zero] = 0.0
+        scores[:, self._zero_mask] = 0.0
         neg = -scores
-        if k < len(neg):
+        if k < neg.shape[1]:
             # keep every entry that scores at least as well as the k-th best,
             # ties included, and sort only those; a NaN k-th keeps them all
-            kth = np.partition(neg, k - 1)[k - 1]
-            cand = np.flatnonzero(~(neg > kth))
-            order = cand[np.lexsort((self._ref_rank[cand], neg[cand]))[:k]]
+            keep = ~(neg > np.partition(neg, k - 1, axis=1)[:, k - 1:k])
         else:
-            order = np.lexsort((self._ref_rank, neg))
-        return [
-            Hit(chunk_ref=self._entries[i].chunk_ref, score=float(scores[i]), rank=r)
-            for r, i in enumerate(order.tolist())
-        ]
+            keep = np.ones(neg.shape, dtype=bool)
+        out = []
+        for row, row_neg, row_keep in zip(scores, neg, keep):
+            cand = np.flatnonzero(row_keep)
+            order = cand[np.lexsort((self._ref_rank[cand], row_neg[cand]))[:k]]
+            out.append([
+                Hit(chunk_ref=self._entries[i].chunk_ref, score=float(row[i]), rank=r)
+                for r, i in enumerate(order.tolist())
+            ])
+        return out

@@ -5,8 +5,7 @@ import pytest
 from ragbench.chunker import ChunkConfig, chunk_corpus
 from ragbench.corpus import Document
 from ragbench.embed import embed_offline
-from ragbench.errors import (DimMismatch, InvalidConfig, MalformedLine,
-                             TemplateError)
+from ragbench.errors import InvalidConfig, MalformedLine, TemplateError
 from ragbench.llm import mock_generate
 from ragbench.metrics import QAItem
 from ragbench.rag import (NO_CONTEXT, RagConfig, AnswerRecord, assemble_prompt,
@@ -16,6 +15,10 @@ from ragbench.vectorstore import Index, IndexEntry
 
 def offline_embed(text):
     return embed_offline(text, 256)
+
+
+def hits_for(qa, index, k=RagConfig().top_k):
+    return index.query_topk(offline_embed(qa.question), k)
 
 
 def build_index(docs, size=200, overlap=0, dim=256):
@@ -116,7 +119,7 @@ class TestAnswerQuestion:
     def test_planted_marker_retrieved_and_echoed(self):
         index = build_index(self.planted_docs())
         qa = QAItem(id="q1", question="What is ZEBRA-7?", ground_truth="g")
-        record = answer_question(qa, index, offline_embed, mock_generate,
+        record = answer_question(qa, index, hits_for(qa, index), mock_generate,
                                  RagConfig())
         assert record.retrieved[0][0][0] == "planted"
         assert "ZEBRA-7" in record.answer
@@ -124,14 +127,14 @@ class TestAnswerQuestion:
     def test_retrieved_length_clamped(self):
         index = build_index(self.planted_docs()[:3])
         qa = QAItem(id="q", question="anything", ground_truth="g")
-        record = answer_question(qa, index, offline_embed, mock_generate,
+        record = answer_question(qa, index, hits_for(qa, index, 50), mock_generate,
                                  RagConfig(top_k=50))
         assert len(record.retrieved) == min(50, len(index))
 
     def test_deterministic_records(self):
         index = build_index(self.planted_docs())
         qa = QAItem(id="q", question="ZEBRA-7?", ground_truth="g")
-        args = (qa, index, offline_embed, mock_generate, RagConfig())
+        args = (qa, index, hits_for(qa, index), mock_generate, RagConfig())
         a, b = answer_question(*args), answer_question(*args)
         assert dataclasses.replace(a, latency_ms=0) == \
             dataclasses.replace(b, latency_ms=0)
@@ -139,20 +142,12 @@ class TestAnswerQuestion:
     def test_scores_non_increasing_and_refs_in_index(self):
         index = build_index(self.planted_docs())
         qa = QAItem(id="q", question="gardening weather", ground_truth="g")
-        record = answer_question(qa, index, offline_embed, mock_generate,
+        record = answer_question(qa, index, hits_for(qa, index, 6), mock_generate,
                                  RagConfig(top_k=6))
         scores = [s for _, s in record.retrieved]
         assert scores == sorted(scores, reverse=True)
         for ref, _ in record.retrieved:
             assert ref in index
-
-    def test_dim_mismatch_not_silent(self):
-        index = build_index(self.planted_docs(), dim=256)
-        qa = QAItem(id="q", question="x", ground_truth="g")
-        with pytest.raises(DimMismatch) as exc:
-            answer_question(qa, index, lambda t: embed_offline(t, 64),
-                            mock_generate, RagConfig())
-        assert "q" in str(exc.value)  # annotated with qa id
 
     def test_error_tagged_in_place(self):
         index = build_index(self.planted_docs())
@@ -163,7 +158,7 @@ class TestAnswerQuestion:
             raise MalformedLine(3, "unexpected reply") from cause
 
         with pytest.raises(MalformedLine) as exc:
-            answer_question(qa, index, offline_embed, generate_fn, RagConfig())
+            answer_question(qa, index, hits_for(qa, index), generate_fn, RagConfig())
         err = exc.value
         assert str(err) == "[qa q7] malformed line 3: unexpected reply"
         assert (err.line_no, err.reason, err.qa_id) == (3, "unexpected reply", "q7")

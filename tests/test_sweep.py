@@ -1,7 +1,10 @@
+import json
 import random
 import re
 import time
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from ragbench.corpus import Document
@@ -9,13 +12,14 @@ import ragbench.embed as embed_mod
 from ragbench.chunker import ChunkConfig, chunk_corpus
 from ragbench.embed import (EmbedderConfig, embed_offline, embed_texts,
                             make_embed_fn)
-from ragbench.errors import (EmptyText, InvalidConfig, ProtocolError,
-                             RagBenchError)
+from ragbench.errors import (DimMismatch, EmptyText, InvalidConfig,
+                             ProtocolError, RagBenchError)
 import ragbench.store as store_mod
 from ragbench.llm import make_cached_fn, mock_generate
 from ragbench.metrics import (LexicalJudge, QAItem, aggregate,
                               answer_correctness)
 from ragbench.rag import answer_question
+import ragbench.sweep as sweep_mod
 from ragbench.vectorstore import Index, IndexEntry
 
 from ragbench.sweep import (SweepConfig, SweepReport, SweepRow, emit_csv,
@@ -44,6 +48,13 @@ def make_qa(n=4):
                    ground_truth=f"Threat number {i} requires a patch. "
                                 f"Then audit the firewall logs.")
             for i in range(n)]
+
+
+def embed_short_only(texts):
+    """offline_batch that fails for any text over 150 characters."""
+    if any(len(t) > 150 for t in texts):
+        raise EmptyText("boom")
+    return offline_batch(texts)
 
 
 def run(cfg=None, docs=None, qa=None, **kw):
@@ -100,27 +111,24 @@ class TestRunSweep:
         for size in (100, 200, 400):
             assert (tmp_path / str(size) / "results.jsonl").is_file()
 
-    def test_abort_by_default(self):
-        def flaky_embed(texts):
-            if any(len(t) > 150 for t in texts):
-                raise EmptyText("boom")
-            return offline_batch(texts)
+    def test_jsonl_lines_are_results_as_dicts(self, tmp_path):
+        report = run(out_dir=tmp_path)
+        for size, results in report.per_question.items():
+            lines = (tmp_path / str(size) / "results.jsonl").read_text(
+                encoding="utf-8").splitlines()
+            assert lines == [json.dumps(asdict(r), ensure_ascii=False) for r in results]
 
+    def test_abort_by_default(self):
         with pytest.raises(RagBenchError):
             run_sweep(make_corpus(), make_qa(),
                       SweepConfig(chunk_sizes=[100, 400]),
-                      embed_texts_fn=flaky_embed, embed_fn=make_embed_fn(EMB),
+                      embed_texts_fn=embed_short_only, embed_fn=make_embed_fn(EMB),
                       generate_fn=mock_generate, judge=LexicalJudge())
 
     def test_keep_going_records_failed_row(self):
-        def flaky_embed(texts):
-            if any(len(t) > 150 for t in texts):
-                raise EmptyText("boom")
-            return offline_batch(texts)
-
         report = run_sweep(make_corpus(), make_qa(),
                            SweepConfig(chunk_sizes=[100, 400]),
-                           embed_texts_fn=flaky_embed,
+                           embed_texts_fn=embed_short_only,
                            embed_fn=make_embed_fn(EMB),
                            generate_fn=mock_generate, judge=LexicalJudge(),
                            keep_going=True)
@@ -129,6 +137,18 @@ class TestRunSweep:
         assert report.rows[1].failed
         assert "boom" in report.rows[1].error
         assert report.argmax_sizes == [100]
+
+    def test_keep_going_removes_old_results_of_failed_size(self, tmp_path):
+        cfg = SweepConfig(chunk_sizes=[100, 400])
+        run(cfg, out_dir=tmp_path)
+        assert (tmp_path / "400" / "results.jsonl").is_file()
+        report = run_sweep(make_corpus(), make_qa(), cfg,
+                           embed_texts_fn=embed_short_only, embed_fn=make_embed_fn(EMB),
+                           generate_fn=mock_generate, judge=LexicalJudge(),
+                           keep_going=True, out_dir=tmp_path)
+        assert report.rows[1].failed
+        assert (tmp_path / "100" / "results.jsonl").is_file()
+        assert not (tmp_path / "400" / "results.jsonl").exists()
 
 
 def slow_early_generate(n, fail=()):
@@ -213,10 +233,56 @@ class TestStages:
                            zip(chunks, offline_batch([c.text for c in chunks]))])
             expected[size] = [
                 answer_correctness(
-                    answer_question(item, index, embed_fn, mock_generate, cfg.rag).answer,
+                    answer_question(item, index,
+                                    index.query_topk(embed_fn(item.question), cfg.rag.top_k),
+                                    mock_generate, cfg.rag).answer,
                     item, embed_fn, cfg.metric, LexicalJudge())
                 for item in qa]
         assert run(cfg, docs=docs, qa=qa).per_question == expected
+
+    def test_one_query_per_size(self, monkeypatch):
+        shapes = []
+        query = Index.query_topk
+        monkeypatch.setattr(Index, "query_topk",
+                            lambda self, q, k: shapes.append(np.shape(q)) or query(self, q, k))
+        run(SweepConfig(chunk_sizes=[100, 200, 400]), qa=make_qa(6))
+        assert shapes == [(6, EMB.dim)] * 3
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("keep_going", [True, False])
+    def test_wrong_dim_question_fails_as_its_own_item(self, monkeypatch, workers,
+                                                      keep_going):
+        # q2's vector is too short: q2 fails with its own DimMismatch, and
+        # q0 and q1 are still answered and scored at every size run
+        memo = make_embed_fn(EMB)
+
+        def embed_fn(text):
+            vec = memo(text)
+            return vec[:64] if text == "What about threat number 2?" else vec
+
+        embed_fn.prime = memo.prime
+        answered, scored = [], []
+        answer, score = sweep_mod.answer_question, sweep_mod.answer_correctness
+        monkeypatch.setattr(sweep_mod, "answer_question",
+                            lambda qa, *a: answered.append(qa.id) or answer(qa, *a))
+        monkeypatch.setattr(sweep_mod, "answer_correctness",
+                            lambda ans, qa, *a: scored.append(qa.id) or score(ans, qa, *a))
+
+        def sweep():
+            return run_sweep(make_corpus(), make_qa(), SweepConfig(chunk_sizes=[100, 200]),
+                             embed_texts_fn=offline_batch, embed_fn=embed_fn,
+                             generate_fn=mock_generate, judge=LexicalJudge(),
+                             keep_going=keep_going, concurrency=workers)
+
+        if keep_going:
+            assert [r.error for r in sweep().rows] == \
+                [f"[qa q2] query dim 64 != index dim {EMB.dim}"] * 2
+            sizes_run = 2
+        else:
+            with pytest.raises(DimMismatch, match=r"^\[qa q2\] query dim 64 "):
+                sweep()
+            sizes_run = 1
+        assert sorted(answered) == sorted(scored) == ["q0"] * sizes_run + ["q1"] * sizes_run
 
     def test_plain_embed_fn_without_prime(self):
         report = run_sweep(make_corpus(), make_qa(), SweepConfig(chunk_sizes=[100, 200]),

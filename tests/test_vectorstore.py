@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ragbench.vectorstore as vs_mod
 from ragbench.errors import DimMismatch, DuplicateRef, EmptyIndex
 from ragbench.vectorstore import Index, IndexEntry
 
@@ -79,6 +80,8 @@ class TestQuery:
         idx = Index([entry("a", 0, vec(1, 0))])
         with pytest.raises(DimMismatch):
             idx.query_topk(vec(1, 0, 0), 1)
+        with pytest.raises(DimMismatch):
+            idx.query_topk(np.zeros((3, 3)), 1)
 
     def test_tie_break_by_ref(self):
         idx = Index([entry("b", 1, vec(1, 0)), entry("a", 2, vec(1, 0)),
@@ -95,14 +98,16 @@ class TestQuery:
         entries = [entry(f"d{i // 10}", i % 10, rand_vec(rng, 32))
                    for i in range(500)]
         idx = Index(entries)
-        for _ in range(20):
-            q = rand_vec(rng, 32)
-            for k in (1, 5, 10):
-                hits = idx.query_topk(q, k)
+        queries = [rand_vec(rng, 32) for _ in range(20)]
+        for k in (1, 5, 10):
+            # each query alone, and all of them stacked in one call
+            stacked = idx.query_topk(np.stack(queries), k)
+            for q, hits_in_stack in zip(queries, stacked):
                 expected = oracle_topk(entries, q, k)
-                assert [h.chunk_ref for h in hits] == [r for _, r in expected]
-                for h, (s, _) in zip(hits, expected):
-                    assert h.score == pytest.approx(s, abs=1e-12)
+                for hits in (idx.query_topk(q, k), hits_in_stack):
+                    assert [h.chunk_ref for h in hits] == [r for _, r in expected]
+                    for h, (s, _) in zip(hits, expected):
+                        assert h.score == pytest.approx(s, abs=1e-12)
 
     def test_tie_heavy_matches_oracle(self):
         # few distinct integer rows, so most scores tie exactly and order
@@ -120,6 +125,21 @@ class TestQuery:
                 hits = idx.query_topk(q, k)
                 assert [h.chunk_ref for h in hits] == [r for _, r in oracle_topk(entries, q, k)]
                 assert [h.rank for h in hits] == list(range(min(k, n)))
+
+    def test_nan_query_row_changes_only_its_own_hits(self):
+        rng = random.Random(11)
+        entries = [entry("d", i, rand_vec(rng, 8)) for i in range(40)]
+        idx = Index(entries)
+        queries = np.stack([rand_vec(rng, 8) for _ in range(5)])
+        queries[2, 3] = np.nan
+        stacked = idx.query_topk(queries, 4)
+        for i in (0, 1, 3, 4):
+            alone = idx.query_topk(queries[i], 4)
+            assert [h.chunk_ref for h in stacked[i]] == [h.chunk_ref for h in alone]
+            assert [h.score for h in stacked[i]] == pytest.approx([h.score for h in alone], abs=1e-12)
+        # every score of the NaN row is NaN, so the tie-break alone orders it
+        assert [h.chunk_ref for h in stacked[2]] == [("d", i) for i in range(4)]
+        assert all(math.isnan(h.score) for h in stacked[2])
 
     def test_full_permutation_sorted(self):
         rng = random.Random(3)
@@ -188,3 +208,44 @@ def test_partitioned_topk_is_prefix_of_full_order(data):
     full = idx.query_topk(q, len(entries))
     for k in _ks(len(entries)):
         assert idx.query_topk(q, k) == full[:k]
+
+
+# a zero row, or one whose norm is a power of two: one nonzero entry, or
+# DIM entries of one magnitude. Unit rows then hold only 0, +-1 and +-1/2,
+# so every score is exact in any order of summation, on every matrix
+# product path, and equal scores tie exactly
+_EXACT_ROW = st.one_of(
+    st.just([0] * DIM),
+    st.tuples(st.integers(0, DIM - 1), st.sampled_from([-2, -1, 1, 2])).map(
+        lambda t: [t[1] if i == t[0] else 0 for i in range(DIM)]),
+    st.tuples(st.sampled_from([1, 2]),
+              st.lists(st.sampled_from([-1, 1]), min_size=DIM, max_size=DIM)).map(
+        lambda t: [t[0] * s for s in t[1]]))
+
+
+@settings(max_examples=200)
+@given(st.lists(_EXACT_ROW, min_size=1, max_size=30),
+       st.lists(_EXACT_ROW, min_size=5, max_size=12),
+       st.integers(1, 4))
+def test_stacked_queries_equal_one_at_a_time(rows, queries, block_rows):
+    entries = [entry(d, s, np.array(r, dtype=np.float64))
+               for (d, s), r in zip(_refs(len(rows)), rows)]
+    idx = Index(entries)
+    stack = np.array(queries, dtype=np.float64)
+    # shrink the block budget so the stack spans several blocks
+    old = vs_mod._SCORE_BLOCK_BYTES
+    vs_mod._SCORE_BLOCK_BYTES = block_rows * 8 * len(entries)
+    try:
+        for k in _ks(len(entries)):
+            stacked = idx.query_topk(stack, k)
+            assert len(stacked) == len(stack)
+            for q, hits in zip(stack, stacked):
+                alone = idx.query_topk(q, k)
+                assert [(h.chunk_ref, h.rank) for h in hits] == \
+                    [(h.chunk_ref, h.rank) for h in alone]
+                expected = oracle_topk(entries, q, k)
+                assert [h.chunk_ref for h in hits] == [r for _, r in expected]
+                for h, (score, _) in zip(hits, expected):
+                    assert h.score == pytest.approx(score, abs=1e-12)
+    finally:
+        vs_mod._SCORE_BLOCK_BYTES = old
