@@ -10,20 +10,17 @@ import dataclasses
 import os
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import click
 
 from . import corpus as corpus_mod
-from .chunker import ChunkConfig, chunk_corpus
 from .config import AppConfig, load_app_config
 from .embed import embed_texts, make_embed_fn
 from .errors import InvalidConfig, RagBenchError
 from .llm import LlmConfig, generate, make_cached_fn, mock_generate
 from .metrics import LexicalJudge, RemoteJudge, load_qa_jsonl
 from .rag import answer_question
-from .sweep import SweepConfig, emit_csv, emit_svg, run_sweep
-from .vectorstore import Index, IndexEntry
+from .sweep import SweepConfig, build_index, emit_csv, emit_svg, run_sweep
 
 CACHE_DIR_ENV = "RAGBENCH_CACHE_DIR"
 
@@ -36,9 +33,9 @@ def _load_app(config_path: str | None) -> AppConfig:
     return load_app_config(config_path) if config_path else AppConfig()
 
 
-def _make_backends(app: AppConfig, backend: str, cache_dir: str):
+def _make_backends(app: AppConfig, backend: str | None, cache_dir: str):
     """Return (embed_texts_fn, embed_fn, generate_fn, judge, concurrency)
-    for a backend.
+    for a backend, by default the config's embedder.kind.
 
     concurrency is how many QA items a sweep answers at once. Remote calls
     mostly wait on the network, so they overlap up to the LLM's
@@ -46,7 +43,7 @@ def _make_backends(app: AppConfig, backend: str, cache_dir: str):
     interpreter lock, where threads would only add switching, so it runs
     one item at a time.
     """
-    if backend == "offline":
+    if (backend or app.embedder.kind) == "offline":
         emb_cfg = dataclasses.replace(app.embedder, kind="offline")
         base_generate = mock_generate
         endpoint_tag = "mock"
@@ -118,7 +115,7 @@ def cmd_ingest(fmt, in_path, out_path, do_dedup, strict):
 @click.option("--overlap", type=int, default=0, show_default=True)
 @click.option("--top-k", type=int, default=None)
 @click.option("--backend", type=click.Choice(["offline", "remote"]),
-              default="offline", show_default=True)
+              default=None, help="default: the config's embedder.kind")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--cache-dir", default=None)
 def cmd_ask(corpus_path, question, chunk_size, overlap, top_k, backend,
@@ -130,15 +127,10 @@ def cmd_ask(corpus_path, question, chunk_size, overlap, top_k, backend,
     cache = _resolve_cache_dir(cache_dir, app)
     embed_texts_fn, embed_fn, generate_fn, _, _ = _make_backends(app, backend, cache)
 
-    docs = corpus_mod.load_corpus(corpus_path)
-    chunks = chunk_corpus(docs, ChunkConfig(size=chunk_size, overlap=overlap))
-    vectors = embed_texts_fn([c.text for c in chunks])
-    index = Index([IndexEntry(chunk_ref=(c.doc_id, c.seq), vector=v, text=c.text)
-                   for c, v in zip(chunks, vectors)])
-
-    qa = SimpleNamespace(id="adhoc", question=question)
+    index = build_index(corpus_mod.load_corpus(corpus_path), chunk_size, overlap,
+                        embed_texts_fn, {})
     hits = index.query_topk(embed_fn(question), app.rag.top_k)
-    record = answer_question(qa, index, hits, generate_fn, app.rag)
+    record = answer_question(question, hits, generate_fn, app.rag)
     click.echo(record.answer)
     click.echo("")
     click.echo("retrieved:")
@@ -161,7 +153,7 @@ def _parse_sizes(text: str) -> list[int]:
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--overlap", type=int, default=None)
 @click.option("--backend", type=click.Choice(["offline", "remote"]),
-              default="offline", show_default=True)
+              default=None, help="default: the config's embedder.kind")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--cache-dir", default=None)
 @click.option("--keep-going", is_flag=True, default=False)
@@ -177,9 +169,12 @@ def cmd_sweep(corpus_path, qa_path, sizes, out_dir, overlap, backend,
     embed_texts_fn, embed_fn, generate_fn, judge, concurrency = \
         _make_backends(app, backend, cache)
 
+    out = Path(out_dir)
+    # reports of an earlier run must not outlive a sweep that fails
+    for name in ("report.csv", "report.svg"):
+        (out / name).unlink(missing_ok=True)
     docs = corpus_mod.load_corpus(corpus_path)
     qa_set = load_qa_jsonl(qa_path)
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = run_sweep(docs, qa_set, cfg,
                        embed_texts_fn=embed_texts_fn, embed_fn=embed_fn,

@@ -131,18 +131,16 @@ def embed_offline_batch(texts: list[str], dim: int = 256) -> list[np.ndarray]:
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity; 0.0 when either vector has zero norm.
 
-    Sums left to right in Python floats, so a score does not depend on how
-    numpy or the interpreter would order or compensate a sum."""
+    Sums left to right, as a scalar loop from 0.0 does: np.cumsum adds in
+    order, unlike a dot product or a pairwise or compensated sum, and
+    + 0.0 turns a -0.0 sum into the loop's 0.0. So a score is the same
+    bits whatever BLAS or interpreter runs it."""
     if len(a) != len(b):
         raise DimMismatch(f"dim {len(a)} != {len(b)}")
-    dot = na = nb = 0.0
-    for x, y in zip(a.tolist(), b.tolist()):
-        dot += x * y
-        na += x * x
-        nb += y * y
+    dot, na, nb = np.cumsum(np.stack((a * b, a * a, b * b)), axis=1)[:, -1].tolist()
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return dot / (sqrt(na) * sqrt(nb))
+    return (dot + 0.0) / (sqrt(na) * sqrt(nb))
 
 
 def _rows(rows, n: int) -> list[np.ndarray]:

@@ -13,13 +13,13 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from .embed import cosine
 from .errors import (EmptyResults, EmptyText, InvalidConfig, MalformedLine,
-                     MetricUndefined, ProtocolError, RagBenchError, tag_qa)
+                     MetricUndefined, ProtocolError)
 from .llm import ChatRequest, ChatResponse
 
 _SENTENCE_SPLIT = re.compile(r"[.?!]+(?:\s+|$)")
@@ -182,21 +182,15 @@ def answer_correctness(answer: str, qa: QAItem,
     """Blend of statement-level F1 and clamped embedding cosine similarity."""
     if judge is None:
         judge = LexicalJudge(cfg.jaccard_threshold)
+    answer_stmts = judge.extract(answer)
+    gt_stmts = judge.extract(qa.ground_truth)
+    tp, fp, fn = judge.classify(answer_stmts, gt_stmts)
+    factual = f1(tp, fp, fn)
     try:
-        answer_stmts = judge.extract(answer)
-        gt_stmts = judge.extract(qa.ground_truth)
-        tp, fp, fn = judge.classify(answer_stmts, gt_stmts)
-        factual = f1(tp, fp, fn)
-        try:
-            sim = cosine(embed_fn(answer), embed_fn(qa.ground_truth))
-        except EmptyText:
-            sim = 0.0
-        sim = min(1.0, max(0.0, sim))
-    except MetricUndefined:
-        raise
-    except RagBenchError as exc:
-        tag_qa(exc, qa.id)
-        raise
+        sim = cosine(embed_fn(answer), embed_fn(qa.ground_truth))
+    except EmptyText:
+        sim = 0.0
+    sim = min(1.0, max(0.0, sim))
     score = cfg.w_factual * factual + cfg.w_semantic * sim
     return EvalResult(qa_id=qa.id, tp=tp, fp=fp, fn=fn, f1=factual,
                       semantic_sim=sim, answer_correctness=score)

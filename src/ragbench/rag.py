@@ -6,9 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import InvalidConfig, RagBenchError, TemplateError, tag_qa
+from .errors import InvalidConfig, TemplateError
 from .llm import ChatRequest, ChatResponse
-from .vectorstore import ChunkRef, Hit, Index
+from .vectorstore import ChunkRef, Hit
 
 DEFAULT_SYSTEM_PROMPT = "Answer the question using only the provided context."
 DEFAULT_TEMPLATE = "Context:\n{context}\n\nQuestion: {question}\nAnswer:"
@@ -16,7 +16,7 @@ NO_CONTEXT = "(no relevant context found)"
 _SEPARATOR = "\n---\n"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RagConfig:
     top_k: int = 4
     max_context_chars: int = 8000
@@ -26,9 +26,6 @@ class RagConfig:
     max_tokens: int = 512
 
     def __post_init__(self):
-        self._check()
-
-    def _check(self):
         if self.top_k < 1:
             raise InvalidConfig("top_k must be >= 1")
         if self.max_context_chars < 1:
@@ -42,8 +39,6 @@ class RagConfig:
 
 @dataclass
 class AnswerRecord:
-    qa_id: str
-    question: str
     answer: str
     retrieved: list[tuple[ChunkRef, float]]
     prompt_chars: int
@@ -69,7 +64,6 @@ def assemble_prompt(question: str, chunks: list[tuple[ChunkRef, str]],
     """Concatenate chunks in rank order, separated by "\\n---\\n", greedily
     while the context stays within cfg.max_context_chars codepoints. A chunk
     that would overflow is excluded whole (no mid-chunk truncation)."""
-    cfg._check()
     if not chunks:
         return _fill(cfg.prompt_template, NO_CONTEXT, question), [], False
     parts: list[str] = []
@@ -88,28 +82,20 @@ def assemble_prompt(question: str, chunks: list[tuple[ChunkRef, str]],
     return _fill(cfg.prompt_template, context, question), used, truncated
 
 
-def answer_question(qa, index: Index, hits: list[Hit],
+def answer_question(question: str, hits: list[Hit],
                     generate_fn: Callable[[ChatRequest], ChatResponse],
                     cfg: RagConfig) -> AnswerRecord:
     """Run one question through assemble -> generate, from hits, its
-    question's query_topk result on index."""
-    cfg._check()
-    try:
-        chunks = [(h.chunk_ref, index.text_for(h.chunk_ref)) for h in hits]
-        prompt, used, truncated = assemble_prompt(qa.question, chunks, cfg)
-        messages = []
-        if cfg.system_prompt:
-            messages.append({"role": "system", "content": cfg.system_prompt})
-        messages.append({"role": "user", "content": prompt})
-        req = ChatRequest(model=cfg.model, messages=messages,
-                          temperature=0.0, max_tokens=cfg.max_tokens)
-        resp = generate_fn(req)
-    except RagBenchError as exc:
-        tag_qa(exc, qa.id)
-        raise
+    query_topk result."""
+    prompt, _, truncated = assemble_prompt(
+        question, [(h.chunk_ref, h.text) for h in hits], cfg)
+    messages = []
+    if cfg.system_prompt:
+        messages.append({"role": "system", "content": cfg.system_prompt})
+    messages.append({"role": "user", "content": prompt})
+    resp = generate_fn(ChatRequest(model=cfg.model, messages=messages,
+                                   temperature=0.0, max_tokens=cfg.max_tokens))
     return AnswerRecord(
-        qa_id=qa.id,
-        question=qa.question,
         answer=resp.content,
         retrieved=[(h.chunk_ref, h.score) for h in hits],
         prompt_chars=len(prompt),

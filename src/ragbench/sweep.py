@@ -90,8 +90,16 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], cfg: SweepConfig, *,
     on threads; embed_fn, generate_fn and judge must then be safe to call
     from several threads. Results, reports and errors are the same as with
     concurrency 1, and the same as taking one item at a time through every
-    step: a size raises its earliest error in input order.
+    step: a size raises its earliest error in input order, tagged with that
+    item's id (errors.tag_qa).
+
+    With out_dir, every configured size's results.jsonl is deleted before
+    the first size runs, so a sweep that stops early leaves none from an
+    earlier run.
     """
+    if out_dir is not None:
+        for size in cfg.chunk_sizes:
+            (Path(out_dir) / str(size) / "results.jsonl").unlink(missing_ok=True)
     if not docs:
         raise EmptyCorpus("sweep needs a non-empty corpus")
     if not qa_set:
@@ -105,14 +113,11 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], cfg: SweepConfig, *,
         try:
             # no name holds the index, so it is freed before the next size's
             results = _run_size(
-                qa_set, _build_index(docs, size, cfg.overlap, embed_texts_fn, tail_rows),
+                qa_set, build_index(docs, size, cfg.overlap, embed_texts_fn, tail_rows),
                 cfg, embed_fn, prime, generate_fn, judge, concurrency)
         except RagBenchError as exc:
             if not keep_going:
                 raise
-            if out_dir is not None:
-                # a file left by an earlier run would contradict the FAILED row
-                (Path(out_dir) / str(size) / "results.jsonl").unlink(missing_ok=True)
             rows.append(SweepRow(chunk_size=size, mean_correctness=0.0, n=0,
                                  failed=True, error=str(exc)))
             continue
@@ -127,8 +132,8 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], cfg: SweepConfig, *,
                        argmax_sizes=_argmax_sizes(rows))
 
 
-def _build_index(docs, size, overlap, embed_texts_fn,
-                 tail_rows: dict[str, np.ndarray]) -> Index:
+def build_index(docs, size, overlap, embed_texts_fn,
+                tail_rows: dict[str, np.ndarray]) -> Index:
     """Chunk at size and index the chunks, embedding once each text that
     tail_rows lacks.
 
@@ -159,13 +164,13 @@ def _run_size(qa_set, index, cfg, embed_fn, prime, generate_fn, judge,
     hits, retrieve_error = _retrieve(qa_set, index, embed_fn, cfg.rag.top_k,
                                      concurrency)
     records, answer_error = _map_in_order(
-        lambda pair: answer_question(pair[0], index, pair[1], generate_fn, cfg.rag),
-        list(zip(qa_set, hits)), concurrency)
+        lambda qa, qa_hits: answer_question(qa.question, qa_hits, generate_fn, cfg.rag),
+        qa_set, hits, concurrency=concurrency)
     prime([r.answer for r in records])
     results, score_error = _map_in_order(
-        lambda pair: answer_correctness(pair[1].answer, pair[0], embed_fn,
-                                        cfg.metric, judge),
-        list(zip(qa_set, records)), concurrency)
+        lambda qa, record: answer_correctness(record.answer, qa, embed_fn,
+                                              cfg.metric, judge),
+        qa_set, records, concurrency=concurrency)
     error = score_error or answer_error or retrieve_error
     if error is not None:
         raise error
@@ -178,44 +183,44 @@ def _retrieve(qa_set, index, embed_fn, k, concurrency):
     item whose vector fails or does not match the index's dim, and returns
     (hits of the items before it, its error)."""
     def question_vector(qa):
-        try:
-            vec = embed_fn(qa.question)
-            if len(vec) != index.dim:
-                raise DimMismatch(f"query dim {len(vec)} != index dim {index.dim}")
-        except RagBenchError as exc:
-            tag_qa(exc, qa.id)
-            raise
+        vec = embed_fn(qa.question)
+        if len(vec) != index.dim:
+            raise DimMismatch(f"query dim {len(vec)} != index dim {index.dim}")
         return vec
 
-    vectors, error = _map_in_order(question_vector, qa_set, concurrency)
+    vectors, error = _map_in_order(question_vector, qa_set, concurrency=concurrency)
     return (index.query_topk(np.stack(vectors), k) if vectors else []), error
 
 
-def _map_in_order(fn, items: list, concurrency: int):
-    """fn over items in input order, up to the first item that raises a
-    RagBenchError. Returns (results of the items before it, its error), the
-    error being None when every item succeeded.
+def _map_in_order(fn, qa_set: list, *columns: list, concurrency: int):
+    """fn(qa, *its values in columns) for each QA item, in input order; a
+    column shorter than qa_set ends the map where it ends. Stops at the
+    first item that raises a RagBenchError, tags that error in place with
+    the item's id (errors.tag_qa), and returns (results of the items before
+    it, the error); the error is None when every item succeeded.
 
     With concurrency > 1 items run on up to that many threads. The pool
     starts them in input order, so every item before the first failure in
     input order has run; only items after it can have been cancelled. With
     concurrency 1 items run in this thread, and none after a failure runs.
     """
+    items = list(zip(qa_set, *columns))
     if concurrency > 1 and len(items) > 1:
         pool = ThreadPoolExecutor(max_workers=min(concurrency, len(items)))
         try:
-            futures = [pool.submit(fn, item) for item in items]
+            futures = [pool.submit(fn, *item) for item in items]
             wait(futures, return_when=FIRST_EXCEPTION)
         finally:
             pool.shutdown(cancel_futures=True)
         outcomes = (f.result for f in futures)
     else:
-        outcomes = (partial(fn, item) for item in items)
+        outcomes = (partial(fn, *item) for item in items)
     results = []
-    for outcome in outcomes:
+    for item, outcome in zip(items, outcomes):
         try:
             results.append(outcome())
         except RagBenchError as exc:
+            tag_qa(exc, item[0].id)
             return results, exc
     return results, None
 

@@ -32,6 +32,7 @@ class Hit:
     chunk_ref: ChunkRef
     score: float
     rank: int
+    text: str
 
 
 class Index:
@@ -51,7 +52,6 @@ class Index:
                     raise DuplicateRef(f"duplicate chunk ref {r}")
                 seen.add(r)
         self._entries = list(entries)
-        self._by_ref = {e.chunk_ref: e for e in self._entries}
         self.dim = dims.pop()
         matrix = np.stack([e.vector for e in entries])
         norms = np.linalg.norm(matrix, axis=1)
@@ -67,12 +67,6 @@ class Index:
 
     def __iter__(self):
         return iter(self._entries)
-
-    def text_for(self, ref: ChunkRef) -> str:
-        return self._by_ref[ref].text
-
-    def __contains__(self, ref: ChunkRef) -> bool:
-        return ref in self._by_ref
 
     def query_topk(self, q: np.ndarray, k: int) -> list[Hit] | list[list[Hit]]:
         """Top-k entries by cosine(q, entry), score descending, ties broken
@@ -114,7 +108,8 @@ class Index:
             cand = np.flatnonzero(row_keep)
             order = cand[np.lexsort((self._ref_rank[cand], row_neg[cand]))[:k]]
             out.append([
-                Hit(chunk_ref=self._entries[i].chunk_ref, score=float(row[i]), rank=r)
+                Hit(chunk_ref=self._entries[i].chunk_ref, score=float(row[i]), rank=r,
+                    text=self._entries[i].text)
                 for r, i in enumerate(order.tolist())
             ])
         return out

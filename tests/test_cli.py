@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import ragbench.cli as cli_mod
 from ragbench.cli import main
+from ragbench.errors import ProtocolError
 
 
 def write_reddit(path, n=5, extra_lines=()):
@@ -177,6 +179,35 @@ class TestSweep:
         for name in ("report.csv", "report.svg", "100/results.jsonl"):
             assert (tmp_path / "o1" / name).read_bytes() == \
                 (tmp_path / "o2" / name).read_bytes()
+
+
+    def test_failed_sweep_leaves_no_old_outputs(self, inputs, tmp_path, monkeypatch):
+        corpus, qa = inputs
+        out = tmp_path / "out"
+        args = ["sweep", "--corpus", str(corpus), "--qa", str(qa),
+                "--sizes", "100,200", "--out", str(out)]
+        assert main(args) == 0
+
+        def generate_down(req):
+            raise ProtocolError("backend down")
+
+        monkeypatch.setattr(cli_mod, "mock_generate", generate_down)
+        assert main(args) == 2
+        for name in ("report.csv", "report.svg", "100/results.jsonl",
+                     "200/results.jsonl"):
+            assert not (out / name).exists()
+
+    def test_config_embedder_kind_picks_backend(self, inputs, tmp_path, fake_server):
+        # no --backend: the config's "kind": "remote" is what the sweep uses
+        corpus, qa = inputs
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"embedder": {"kind": "remote",
+                                                "endpoint_url": fake_server.url}}))
+        assert main(["sweep", "--corpus", str(corpus), "--qa", str(qa),
+                     "--sizes", "100", "--out", str(tmp_path / "o"),
+                     "--config", str(cfg)]) == 0
+        assert {path for path, _, _ in fake_server.requests} == \
+            {"/v1/chat/completions", "/v1/embeddings"}
 
 
 class TestConfigFile:

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ragbench.corpus import Document
 from ragbench.embed import embed_offline
 from ragbench.errors import (EmptyResults, InvalidConfig, MalformedLine,
                              MetricUndefined, ProtocolError)
-from ragbench.llm import ChatResponse
+from ragbench.llm import ChatResponse, mock_generate
 from ragbench.metrics import (EvalResult, LexicalJudge, MetricConfig, QAItem,
                               RemoteJudge, aggregate, answer_correctness, f1,
                               load_qa_jsonl)
+from ragbench.sweep import SweepConfig, run_sweep
 
 
 def offline_embed(text):
@@ -19,6 +21,15 @@ def offline_embed(text):
 
 
 LEX = LexicalJudge()
+
+
+def sweep(qa_set, workers, embed_fn=offline_embed, generate_fn=mock_generate):
+    """A one-size sweep of qa_set over a two-sentence corpus."""
+    docs = [Document(id="d", source="s", title="", body="Patch now. Reboot later.")]
+    return run_sweep(docs, qa_set, SweepConfig(chunk_sizes=[100]),
+                     embed_texts_fn=lambda texts: [offline_embed(t) for t in texts],
+                     embed_fn=embed_fn, generate_fn=generate_fn,
+                     judge=LEX, concurrency=workers)
 
 
 class TestExtractLexical:
@@ -159,15 +170,40 @@ class TestAnswerCorrectness:
 
 
     def test_error_tagged_in_place(self):
-        qa = QAItem(id="q9", question="?", ground_truth="Patch now.")
+        # the sweep tags a scoring error with its item's id, on one thread
+        # or several; answer_correctness itself does not tag
+        qa_set = [QAItem(id="q8", question="When?", ground_truth="Reboot later."),
+                  QAItem(id="q9", question="What?", ground_truth="Patch now.")]
 
         def embed_fn(text):
-            raise MalformedLine(5, "bad vector")
+            if text == "Patch now.":
+                raise MalformedLine(5, "bad vector")
+            return offline_embed(text)
 
-        with pytest.raises(MalformedLine) as exc:
-            answer_correctness("Patch now.", qa, embed_fn, MetricConfig())
-        assert str(exc.value) == "[qa q9] malformed line 5: bad vector"
-        assert (exc.value.line_no, exc.value.qa_id) == (5, "q9")
+        for workers in (1, 4):
+            with pytest.raises(MalformedLine) as exc:
+                sweep(qa_set, workers, embed_fn=embed_fn)
+            assert str(exc.value) == "[qa q9] malformed line 5: bad vector"
+            assert (exc.value.line_no, exc.value.qa_id) == (5, "q9")
+        with pytest.raises(MalformedLine, match="^malformed line 5"):
+            answer_correctness("Patch now.", qa_set[1], embed_fn, MetricConfig())
+
+    def test_metric_undefined_tagged_in_sweep(self):
+        # no statements in the answer or the ground truth: F1 is undefined,
+        # and the sweep tags that error like any other
+        qa_set = [QAItem(id="q1", question="When?", ground_truth="Reboot later."),
+                  QAItem(id="q2", question="What?", ground_truth="...")]
+
+        def generate_fn(req):
+            if "Question: What?" in req.messages[-1]["content"]:
+                return ChatResponse(content="...")
+            return mock_generate(req)
+
+        for workers in (1, 4):
+            with pytest.raises(MetricUndefined) as exc:
+                sweep(qa_set, workers, generate_fn=generate_fn)
+            assert str(exc.value) == "[qa q2] no statements on either side"
+            assert exc.value.qa_id == "q2"
 
 
 class TestAggregate:

@@ -10,6 +10,7 @@ from ragbench.llm import mock_generate
 from ragbench.metrics import QAItem
 from ragbench.rag import (NO_CONTEXT, RagConfig, AnswerRecord, assemble_prompt,
                           answer_question)
+from ragbench.sweep import SweepConfig, run_sweep
 from ragbench.vectorstore import Index, IndexEntry
 
 
@@ -119,7 +120,7 @@ class TestAnswerQuestion:
     def test_planted_marker_retrieved_and_echoed(self):
         index = build_index(self.planted_docs())
         qa = QAItem(id="q1", question="What is ZEBRA-7?", ground_truth="g")
-        record = answer_question(qa, index, hits_for(qa, index), mock_generate,
+        record = answer_question(qa.question, hits_for(qa, index), mock_generate,
                                  RagConfig())
         assert record.retrieved[0][0][0] == "planted"
         assert "ZEBRA-7" in record.answer
@@ -127,14 +128,14 @@ class TestAnswerQuestion:
     def test_retrieved_length_clamped(self):
         index = build_index(self.planted_docs()[:3])
         qa = QAItem(id="q", question="anything", ground_truth="g")
-        record = answer_question(qa, index, hits_for(qa, index, 50), mock_generate,
+        record = answer_question(qa.question, hits_for(qa, index, 50), mock_generate,
                                  RagConfig(top_k=50))
         assert len(record.retrieved) == min(50, len(index))
 
     def test_deterministic_records(self):
         index = build_index(self.planted_docs())
         qa = QAItem(id="q", question="ZEBRA-7?", ground_truth="g")
-        args = (qa, index, hits_for(qa, index), mock_generate, RagConfig())
+        args = (qa.question, hits_for(qa, index), mock_generate, RagConfig())
         a, b = answer_question(*args), answer_question(*args)
         assert dataclasses.replace(a, latency_ms=0) == \
             dataclasses.replace(b, latency_ms=0)
@@ -142,24 +143,33 @@ class TestAnswerQuestion:
     def test_scores_non_increasing_and_refs_in_index(self):
         index = build_index(self.planted_docs())
         qa = QAItem(id="q", question="gardening weather", ground_truth="g")
-        record = answer_question(qa, index, hits_for(qa, index, 6), mock_generate,
+        record = answer_question(qa.question, hits_for(qa, index, 6), mock_generate,
                                  RagConfig(top_k=6))
         scores = [s for _, s in record.retrieved]
         assert scores == sorted(scores, reverse=True)
+        refs = {e.chunk_ref for e in index}
         for ref, _ in record.retrieved:
-            assert ref in index
+            assert ref in refs
 
     def test_error_tagged_in_place(self):
-        index = build_index(self.planted_docs())
-        qa = QAItem(id="q7", question="ZEBRA-7?", ground_truth="g")
+        # the sweep tags a generation error with its item's id, on one
+        # thread or several, and keeps its type, attributes and cause
+        qa_set = [QAItem(id=f"q{i}", question=q, ground_truth="g")
+                  for i, q in ((6, "gardening?"), (7, "ZEBRA-7?"), (8, "weather?"))]
         cause = ValueError("bad byte")
 
         def generate_fn(req):
-            raise MalformedLine(3, "unexpected reply") from cause
+            if "Question: ZEBRA-7?" in req.messages[-1]["content"]:
+                raise MalformedLine(3, "unexpected reply") from cause
+            return mock_generate(req)
 
-        with pytest.raises(MalformedLine) as exc:
-            answer_question(qa, index, hits_for(qa, index), generate_fn, RagConfig())
-        err = exc.value
-        assert str(err) == "[qa q7] malformed line 3: unexpected reply"
-        assert (err.line_no, err.reason, err.qa_id) == (3, "unexpected reply", "q7")
-        assert err.__cause__ is cause
+        for workers in (1, 4):
+            with pytest.raises(MalformedLine) as exc:
+                run_sweep(self.planted_docs(), qa_set, SweepConfig(chunk_sizes=[200]),
+                          embed_texts_fn=lambda texts: [offline_embed(t) for t in texts],
+                          embed_fn=offline_embed, generate_fn=generate_fn,
+                          concurrency=workers)
+            err = exc.value
+            assert str(err) == "[qa q7] malformed line 3: unexpected reply"
+            assert (err.line_no, err.reason, err.qa_id) == (3, "unexpected reply", "q7")
+            assert err.__cause__ is cause

@@ -138,6 +138,19 @@ class TestRunSweep:
         assert "boom" in report.rows[1].error
         assert report.argmax_sizes == [100]
 
+    def test_aborted_sweep_removes_old_results(self, tmp_path):
+        # without keep-going, the failed size's results and those of the
+        # sizes it never reached are gone too
+        cfg = SweepConfig(chunk_sizes=[100, 400, 800])
+        run(cfg, out_dir=tmp_path)
+        with pytest.raises(RagBenchError):
+            run_sweep(make_corpus(), make_qa(), cfg,
+                      embed_texts_fn=embed_short_only, embed_fn=make_embed_fn(EMB),
+                      generate_fn=mock_generate, judge=LexicalJudge(), out_dir=tmp_path)
+        assert (tmp_path / "100" / "results.jsonl").is_file()
+        assert not (tmp_path / "400" / "results.jsonl").exists()
+        assert not (tmp_path / "800" / "results.jsonl").exists()
+
     def test_keep_going_removes_old_results_of_failed_size(self, tmp_path):
         cfg = SweepConfig(chunk_sizes=[100, 400])
         run(cfg, out_dir=tmp_path)
@@ -233,7 +246,7 @@ class TestStages:
                            zip(chunks, offline_batch([c.text for c in chunks]))])
             expected[size] = [
                 answer_correctness(
-                    answer_question(item, index,
+                    answer_question(item.question,
                                     index.query_topk(embed_fn(item.question), cfg.rag.top_k),
                                     mock_generate, cfg.rag).answer,
                     item, embed_fn, cfg.metric, LexicalJudge())
@@ -262,9 +275,10 @@ class TestStages:
 
         embed_fn.prime = memo.prime
         answered, scored = [], []
+        ids = {qa.question: qa.id for qa in make_qa()}
         answer, score = sweep_mod.answer_question, sweep_mod.answer_correctness
         monkeypatch.setattr(sweep_mod, "answer_question",
-                            lambda qa, *a: answered.append(qa.id) or answer(qa, *a))
+                            lambda q, *a: answered.append(ids[q]) or answer(q, *a))
         monkeypatch.setattr(sweep_mod, "answer_correctness",
                             lambda ans, qa, *a: scored.append(qa.id) or score(ans, qa, *a))
 

@@ -71,6 +71,7 @@ class TestQuery:
         assert hits[0].chunk_ref == ("e1", 0)
         assert hits[0].score == pytest.approx(1.0)
         assert hits[0].rank == 0
+        assert hits[0].text == "e1/0"
 
     def test_k_clamped(self):
         idx = Index([entry("a", 0, vec(1, 0)), entry("b", 0, vec(0, 1))])
