@@ -18,7 +18,7 @@ from .config import AppConfig, load_app_config
 from .embed import embed_texts, make_embed_fn
 from .errors import InvalidConfig, RagBenchError
 from .llm import LlmConfig, generate, make_cached_fn, mock_generate
-from .metrics import LexicalJudge, RemoteJudge, load_qa_jsonl
+from .metrics import RemoteJudge, load_qa_jsonl
 from .rag import answer_question
 from .sweep import SweepConfig, build_index, emit_csv, emit_svg, run_sweep
 
@@ -35,7 +35,8 @@ def _load_app(config_path: str | None) -> AppConfig:
 
 def _make_backends(app: AppConfig, backend: str | None, cache_dir: str):
     """Return (embed_texts_fn, embed_fn, generate_fn, judge, concurrency)
-    for a backend, by default the config's embedder.kind.
+    for a backend, by default the config's embedder.kind. judge is None for
+    the lexical judge, which run_sweep builds once per sweep.
 
     concurrency is how many QA items a sweep answers at once. Remote calls
     mostly wait on the network, so they overlap up to the LLM's
@@ -64,10 +65,8 @@ def _make_backends(app: AppConfig, backend: str | None, cache_dir: str):
     if cache_dir:
         generate_fn = make_cached_fn(base_generate, cache_dir, endpoint=endpoint_tag)
 
-    if app.metric.judge == "remote":
-        judge = RemoteJudge(generate_fn, model=app.llm_model)
-    else:
-        judge = LexicalJudge(app.metric.jaccard_threshold)
+    judge = (RemoteJudge(generate_fn, model=app.llm_model)
+             if app.metric.judge == "remote" else None)
 
     embed_fn = make_embed_fn(emb_cfg, cache_dir)
     return ((lambda texts: embed_texts(texts, emb_cfg, cache_dir)), embed_fn, generate_fn,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import IO, Iterable
 
-from .errors import EmptyCorpus, MalformedLine, PathNotFound
+from .errors import EmptyCorpus, MalformedLine, PathNotFound, RagBenchError
 
 _FIELD_ORDER = ("id", "source", "title", "body", "score", "created_at")
 
@@ -72,11 +72,12 @@ def parse_reddit_jsonl(stream: IO, lenient: bool = True) -> tuple[list[Document]
     docs: list[Document] = []
     stats = CorpusStats()
     for line_no, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8", errors="strict" if not lenient else "replace")
-        if not raw.strip():
-            continue
         try:
+            if isinstance(raw, bytes):
+                # UnicodeDecodeError is a ValueError
+                raw = raw.decode("utf-8", errors="strict" if not lenient else "replace")
+            if not raw.strip():
+                continue
             obj = json.loads(raw)
             doc = _doc_from_reddit_obj(obj)
         except (json.JSONDecodeError, ValueError, TypeError) as exc:
@@ -102,7 +103,10 @@ def ingest_text_dir(path: str | Path) -> list[Document]:
     for p in sorted(root.rglob("*")):
         if not p.is_file() or p.suffix.lower() not in (".txt", ".md"):
             continue
-        body = p.read_text(encoding="utf-8")
+        try:
+            body = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise RagBenchError(f"{p} is not UTF-8 text: {exc.reason}") from exc
         if not body.strip():
             continue
         rel = p.relative_to(root).as_posix()

@@ -62,27 +62,47 @@ class MetricConfig:
             raise InvalidConfig("metric weights must sum to 1")
         if self.judge not in ("lexical", "remote"):
             raise InvalidConfig(f"unknown judge {self.judge!r}")
+        # 0 would count every pair of non-empty statements as support
+        if not 0 < self.jaccard_threshold <= 1:
+            raise InvalidConfig("jaccard_threshold must be in (0, 1]")
 
 
 class LexicalJudge:
     """Deterministic judge: sentence-terminator splitting and token-set
-    Jaccard overlap for support decisions."""
+    Jaccard overlap for support decisions.
+
+    A judge tokenizes each distinct statement once: it memoizes the token
+    set of every statement text it has seen, and interns every token
+    through one dict it owns, so equal tokens of different statements are
+    one string. The memo grows with the distinct statements the judge has
+    seen and lives as long as the judge; run_sweep uses one judge per
+    sweep. A judge is safe to share across threads: each dict operation is
+    atomic under the GIL, and two threads that race on one statement only
+    tokenize it twice, to equal sets.
+    """
 
     def __init__(self, jaccard_threshold: float = 0.6):
         self.jaccard_threshold = jaccard_threshold
+        self._token_sets: dict[str, frozenset[str]] = {}
+        self._interned: dict[str, str] = {}
 
     def extract(self, text: str) -> list[str]:
         parts = _SENTENCE_SPLIT.split(text)
         return [p.strip() for p in parts if p.strip()]
 
-    @staticmethod
-    def _tokens(s: str) -> frozenset[str]:
-        return frozenset(_TOKEN.findall(s.casefold()))
+    def _tokens(self, s: str) -> frozenset[str]:
+        tokens = self._token_sets.get(s)
+        if tokens is None:
+            intern = self._interned.setdefault
+            tokens = frozenset(intern(t, t) for t in _TOKEN.findall(s.casefold()))
+            self._token_sets[s] = tokens
+        return tokens
 
     def _overlaps(self, a: frozenset[str], b: frozenset[str]) -> bool:
         if not a or not b:
             return False
-        return len(a & b) / len(a | b) >= self.jaccard_threshold
+        common = len(a & b)
+        return common / (len(a) + len(b) - common) >= self.jaccard_threshold
 
     def supports(self, statement: str, reference: str) -> bool:
         return self._overlaps(self._tokens(statement), self._tokens(reference))
@@ -220,7 +240,8 @@ def load_qa_jsonl(path: str | Path) -> list[QAItem]:
                 obj = json.loads(line)
                 item = QAItem(id=str(obj["id"]), question=str(obj["question"]),
                               ground_truth=str(obj["ground_truth"]))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, InvalidConfig) as exc:
+                # a bad QA file is a data error, even where QAItem calls it config
                 raise MalformedLine(line_no, str(exc)) from exc
             if item.id in seen:
                 raise MalformedLine(line_no, f"duplicate qa id {item.id!r}")

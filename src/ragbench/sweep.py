@@ -16,8 +16,8 @@ from .chunker import ChunkConfig, chunk_corpus
 from .corpus import Document
 from .errors import (DimMismatch, EmptyCorpus, EmptyResults, InvalidConfig,
                      RagBenchError, tag_qa)
-from .metrics import (EvalResult, MetricConfig, QAItem, aggregate,
-                      answer_correctness)
+from .metrics import (EvalResult, LexicalJudge, MetricConfig, QAItem,
+                      aggregate, answer_correctness)
 from .rag import RagConfig, answer_question
 from .vectorstore import Index, IndexEntry
 
@@ -93,6 +93,10 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], cfg: SweepConfig, *,
     step: a size raises its earliest error in input order, tagged with that
     item's id (errors.tag_qa).
 
+    judge defaults to a LexicalJudge at cfg.metric.jaccard_threshold. One
+    judge serves the whole sweep, so a lexical judge tokenizes each
+    distinct statement once, however often it recurs across items and sizes.
+
     With out_dir, every configured size's results.jsonl is deleted before
     the first size runs, so a sweep that stops early leaves none from an
     earlier run.
@@ -104,6 +108,8 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], cfg: SweepConfig, *,
         raise EmptyCorpus("sweep needs a non-empty corpus")
     if not qa_set:
         raise EmptyResults("sweep needs a non-empty QA set")
+    if judge is None:
+        judge = LexicalJudge(cfg.metric.jaccard_threshold)
     prime = getattr(embed_fn, "prime", None) or (lambda texts: None)
     prime([qa.question for qa in qa_set] + [qa.ground_truth for qa in qa_set])
     tail_rows: dict[str, np.ndarray] = {}
@@ -163,6 +169,9 @@ def _run_size(qa_set, index, cfg, embed_fn, prime, generate_fn, judge,
     that takes one item through every step."""
     hits, retrieve_error = _retrieve(qa_set, index, embed_fn, cfg.rag.top_k,
                                      concurrency)
+    # hits carry their chunk texts, so the index's vectors can go now
+    # instead of adding to the judge's token memo at the size's peak
+    del index
     records, answer_error = _map_in_order(
         lambda qa, qa_hits: answer_question(qa.question, qa_hits, generate_fn, cfg.rag),
         qa_set, hits, concurrency=concurrency)

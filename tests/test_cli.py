@@ -69,6 +69,24 @@ class TestIngest:
         assert code == 2
         assert "3" in capsys.readouterr().err  # line number reported
 
+    def test_strict_line_not_utf8_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "export.jsonl"
+        write_reddit(src, n=2)
+        src.write_bytes(src.read_bytes() + b'{"id": "x\xff"}\n')
+        code = main(["ingest", "--format", "reddit-jsonl", "--strict",
+                     "--in", str(src), "--out", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert "malformed line 3" in capsys.readouterr().err
+
+    def test_textdir_file_not_utf8_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "materials"
+        src.mkdir()
+        (src / "lesson1.md").write_bytes(b"Threat modeling \xff basics.")
+        code = main(["ingest", "--format", "textdir",
+                     "--in", str(src), "--out", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert "lesson1.md is not UTF-8" in capsys.readouterr().err
+
     def test_textdir(self, tmp_path, capsys):
         src = tmp_path / "materials"
         src.mkdir()
@@ -141,6 +159,16 @@ class TestSweep:
         assert (out / "report.svg").is_file()
         assert (out / "100" / "results.jsonl").is_file()
         assert "argmax_sizes=" in capsys.readouterr().err
+
+    def test_empty_ground_truth_is_a_data_error(self, inputs, tmp_path, capsys):
+        corpus, qa = inputs
+        qa.write_text(qa.read_text() + json.dumps(
+            {"id": "q9", "question": "Why?", "ground_truth": ""}) + "\n")
+        code = main(["sweep", "--corpus", str(corpus), "--qa", str(qa),
+                     "--sizes", "100", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "malformed line 4: QA item 'q9' has empty ground_truth" in \
+            capsys.readouterr().err
 
     def test_non_increasing_sizes_exit_1(self, inputs, tmp_path):
         corpus, qa = inputs
@@ -224,6 +252,13 @@ class TestConfigFile:
         assert main(["ask", "--corpus", "x", "--question", "q",
                      "--config", str(cfg)]) == 1
         assert "unknown keys ['output_dir']" in capsys.readouterr().err
+
+    def test_jaccard_threshold_zero_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"metric": {"jaccard_threshold": 0}}')
+        assert main(["ask", "--corpus", "x", "--question", "q",
+                     "--config", str(cfg)]) == 1
+        assert "jaccard_threshold must be in (0, 1]" in capsys.readouterr().err
 
     def test_config_applies(self, tmp_path, capsys):
         src = tmp_path / "export.jsonl"

@@ -5,7 +5,8 @@ import pytest
 
 from ragbench.corpus import (Document, dedup, ingest_text_dir, load_corpus,
                              parse_reddit_jsonl, save_corpus)
-from ragbench.errors import EmptyCorpus, MalformedLine, PathNotFound
+from ragbench.errors import (EmptyCorpus, MalformedLine, PathNotFound,
+                             RagBenchError)
 
 
 def reddit_line(**kw):
@@ -74,6 +75,20 @@ def test_parse_bytes_stream():
     assert docs[0].id == "a1"
 
 
+def test_parse_strict_bytes_not_utf8_is_malformed_line():
+    stream = io.BytesIO(reddit_line().encode() + b"\n\xff" + reddit_line(id="b").encode())
+    with pytest.raises(MalformedLine) as exc:
+        parse_reddit_jsonl(stream, lenient=False)
+    assert exc.value.line_no == 2
+
+
+def test_parse_lenient_bytes_not_utf8_skipped():
+    stream = io.BytesIO(reddit_line().encode() + b"\n\xff{\n" + reddit_line(id="b").encode())
+    docs, stats = parse_reddit_jsonl(stream, lenient=True)
+    assert [d.id for d in docs] == ["a1", "b"]
+    assert stats.lines_skipped == 1
+
+
 def test_ingest_text_dir(tmp_path):
     (tmp_path / "notes.md").write_text("x")
     (tmp_path / "img.png").write_bytes(b"\x89PNG")
@@ -89,6 +104,13 @@ def test_ingest_text_dir(tmp_path):
 
 def test_ingest_empty_dir(tmp_path):
     with pytest.raises(EmptyCorpus):
+        ingest_text_dir(tmp_path)
+
+
+def test_ingest_text_dir_not_utf8_names_file(tmp_path):
+    (tmp_path / "ok.md").write_text("fine")
+    (tmp_path / "bad.txt").write_bytes(b"caf\xff")
+    with pytest.raises(RagBenchError, match="bad.txt is not UTF-8"):
         ingest_text_dir(tmp_path)
 
 

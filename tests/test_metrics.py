@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,65 @@ class TestClassifyLexical:
             (tp, len(answer_stmts) - tp, fn)
 
 
+def jaccard_supports(a, b, threshold):
+    """Support by the textbook Jaccard index of two token sets."""
+    ta = set(re.findall(r"[^\W_]+", a.casefold()))
+    tb = set(re.findall(r"[^\W_]+", b.casefold()))
+    return bool(ta and tb) and len(ta & tb) / len(ta | tb) >= threshold
+
+
+def pairwise_counts(answer_stmts, gt_stmts, supports):
+    tp = sum(1 for s in answer_stmts if any(supports(s, g) for g in gt_stmts))
+    fn = sum(1 for g in gt_stmts if not any(supports(s, g) for s in answer_stmts))
+    return tp, len(answer_stmts) - tp, fn
+
+
+# repeated tokens, case variants, overlapping statements, and statements of
+# equal length with other tokens
+MEMO_STATEMENTS = ["Patch the server", "patch the server", "patch the router",
+                   "PATCH THE SERVER now", "patch the patch", "the router now",
+                   "reboot the router", "Reboot the Router now", "server now",
+                   "router now", "now now", "zzz", "!"]
+
+
+class TestJudgeMemo:
+    @given(st.lists(st.tuples(st.lists(st.sampled_from(MEMO_STATEMENTS), max_size=4),
+                              st.lists(st.sampled_from(MEMO_STATEMENTS), max_size=4)),
+                    min_size=1, max_size=8),
+           st.sampled_from([0.3, 0.6, 1.0]))
+    def test_reused_judge_matches_fresh_and_pairwise(self, calls, threshold):
+        reused = LexicalJudge(threshold)
+        for answer_stmts, gt_stmts in calls:
+            got = reused.classify(answer_stmts, gt_stmts)
+            assert got == LexicalJudge(threshold).classify(answer_stmts, gt_stmts)
+            assert got == pairwise_counts(
+                answer_stmts, gt_stmts,
+                lambda a, b: LexicalJudge(threshold).supports(a, b))
+            assert got == pairwise_counts(
+                answer_stmts, gt_stmts,
+                lambda a, b: jaccard_supports(a, b, threshold))
+
+    def test_jaccard_equal_to_threshold_supports(self):
+        # 3 shared tokens over a union of 5 is exactly 0.6
+        stmts = ["patch the server now"], ["patch the server later"]
+        assert LexicalJudge(0.6).classify(*stmts) == (1, 0, 0)
+        assert LexicalJudge(0.61).classify(*stmts) == (0, 1, 1)
+
+    def test_shared_across_threads(self, in_threads):
+        calls = [([a, b], [g]) for a in MEMO_STATEMENTS for b in MEMO_STATEMENTS[::3]
+                 for g in MEMO_STATEMENTS[::2]]
+        expected = [LexicalJudge().classify(*c) for c in calls]
+        shared = LexicalJudge()
+
+        def work(i):
+            # each thread starts at another call, so threads race on new statements
+            order = [(i * 37 + j) % len(calls) for j in range(len(calls))]
+            return {j: shared.classify(*calls[j]) for j in order}
+
+        for out in in_threads(8, work):
+            assert out == dict(enumerate(expected))
+
+
 class TestF1:
     def test_perfect(self):
         assert f1(1, 0, 0) == 1.0
@@ -109,6 +169,15 @@ class TestMetricConfig:
     def test_negative_weight(self):
         with pytest.raises(InvalidConfig):
             MetricConfig(w_factual=1.5, w_semantic=-0.5)
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.1, 1.01, float("nan")])
+    def test_jaccard_threshold_outside_unit_interval(self, threshold):
+        with pytest.raises(InvalidConfig, match="jaccard_threshold"):
+            MetricConfig(jaccard_threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [1e-9, 0.3, 1.0])
+    def test_jaccard_threshold_in_unit_interval(self, threshold):
+        assert MetricConfig(jaccard_threshold=threshold).jaccard_threshold == threshold
 
 
 class TestAnswerCorrectness:
@@ -293,3 +362,13 @@ class TestQASetFile:
         path.write_text('{"id":"1","question":"Q"}\n')
         with pytest.raises(MalformedLine):
             load_qa_jsonl(path)
+
+    def test_empty_ground_truth_is_a_malformed_line(self, tmp_path):
+        path = tmp_path / "qa.jsonl"
+        path.write_text('{"id":"1","question":"Q","ground_truth":"G"}\n'
+                        '{"id":"2","question":"Q","ground_truth":""}\n')
+        with pytest.raises(MalformedLine) as exc:
+            load_qa_jsonl(path)
+        assert exc.value.line_no == 2
+        assert "empty ground_truth" in str(exc.value)
+        assert isinstance(exc.value.__cause__, InvalidConfig)
