@@ -13,7 +13,9 @@ from typing import IO, Iterable
 
 from .errors import EmptyCorpus, MalformedLine, PathNotFound, RagBenchError
 
-_FIELD_ORDER = ("id", "source", "title", "body", "score", "created_at")
+# a stored document's fields, in their order on disk, and their types
+_FIELDS = {"id": str, "source": str, "title": str, "body": str,
+           "score": int, "created_at": int}
 
 
 @dataclass(frozen=True)
@@ -66,16 +68,15 @@ def _doc_from_reddit_obj(obj: dict) -> Document:
 def parse_reddit_jsonl(stream: IO, lenient: bool = True) -> tuple[list[Document], CorpusStats]:
     """Parse a Reddit-export JSONL stream into Documents, order preserved.
 
-    In lenient mode malformed lines are skipped and counted; in strict mode
-    the first malformed line raises MalformedLine.
+    In lenient mode malformed lines, such as one that is not UTF-8, are
+    skipped and counted; in strict mode the first raises MalformedLine.
     """
     docs: list[Document] = []
     stats = CorpusStats()
     for line_no, raw in enumerate(stream, start=1):
         try:
             if isinstance(raw, bytes):
-                # UnicodeDecodeError is a ValueError
-                raw = raw.decode("utf-8", errors="strict" if not lenient else "replace")
+                raw = raw.decode("utf-8")  # UnicodeDecodeError is a ValueError
             if not raw.strip():
                 continue
             obj = json.loads(raw)
@@ -145,23 +146,36 @@ def save_corpus(docs: Iterable[Document], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for doc in docs:
             d = asdict(doc)
-            ordered = {k: d[k] for k in _FIELD_ORDER}
+            ordered = {k: d[k] for k in _FIELDS}
             f.write(json.dumps(ordered, ensure_ascii=False) + "\n")
 
 
+def _stored_document(obj) -> Document:
+    """The Document of one decoded store line; TypeError if a field is
+    missing or of another type."""
+    if not isinstance(obj, dict):
+        raise TypeError("not a JSON object")
+    for name, kind in _FIELDS.items():
+        # type(), not isinstance: JSON true is a bool, and bool is an int
+        if type(obj.get(name)) is not kind:
+            raise TypeError(f"field {name!r} missing or not a {kind.__name__}")
+    return Document(**{name: obj[name] for name in _FIELDS})
+
+
 def load_corpus(path: str | Path) -> list[Document]:
+    """Read a document store written by save_corpus. A line that is not
+    UTF-8, not JSON or not a document raises MalformedLine."""
     p = Path(path)
     if not p.is_file():
         raise PathNotFound(str(path))
     docs = []
-    with open(p, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
+    with open(p, "rb") as f:
+        for line_no, raw in enumerate(f, start=1):
             try:
-                obj = json.loads(line)
-                docs.append(Document(**{k: obj[k] for k in _FIELD_ORDER}))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                line = raw.decode("utf-8")
+                if line.strip():
+                    docs.append(_stored_document(json.loads(line)))
+            except (ValueError, TypeError) as exc:  # decode and JSON errors are ValueErrors
                 raise MalformedLine(line_no, str(exc)) from exc
     if not docs:
         raise EmptyCorpus(str(path))

@@ -232,15 +232,16 @@ def load_qa_jsonl(path: str | Path) -> list[QAItem]:
     """QA set file: JSONL, one {id, question, ground_truth} per line."""
     items: list[QAItem] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as f:
+        for line_no, raw in enumerate(f, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 obj = json.loads(line)
                 item = QAItem(id=str(obj["id"]), question=str(obj["question"]),
                               ground_truth=str(obj["ground_truth"]))
-            except (json.JSONDecodeError, KeyError, TypeError, InvalidConfig) as exc:
+            except (ValueError, KeyError, TypeError, InvalidConfig) as exc:
                 # a bad QA file is a data error, even where QAItem calls it config
                 raise MalformedLine(line_no, str(exc)) from exc
             if item.id in seen:

@@ -4,7 +4,8 @@ score it, and emit per-size aggregates as CSV plus an SVG bar chart."""
 from __future__ import annotations
 
 import json
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -75,31 +76,23 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], cfg: SweepConfig, *,
     """Run the experiment over every configured chunk size.
 
     embed_texts_fn batch-embeds chunk texts; embed_fn embeds single texts
-    (questions, answers, ground truths) and should memoize so question
-    embeddings are computed once and reused across sizes. If embed_fn has a
-    prime(texts) method, as make_embed_fn's has, single texts are embedded
-    ahead of use in batches: all questions and ground truths once per
-    sweep, and each size's answers once per size.
+    (questions, answers, ground truths) and should memoize. If it has a
+    prime(texts) method, as make_embed_fn's has, the sweep embeds single
+    texts in two batches: the questions and ground truths, then the answers.
 
-    Each size runs in stages: chunk and embed the chunks, retrieve every
-    QA item's chunks with one query_topk call, answer every item, embed the
-    answers, score every item. A chunk text embedded at one size is not
-    embedded again at a later one.
-
-    With concurrency > 1, up to that many QA items of a stage run at once,
-    on threads; embed_fn, generate_fn and judge must then be safe to call
-    from several threads. Results, reports and errors are the same as with
-    concurrency 1, and the same as taking one item at a time through every
-    step: a size raises its earliest error in input order, tagged with that
-    item's id (errors.tag_qa).
-
-    judge defaults to a LexicalJudge at cfg.metric.jaccard_threshold. One
-    judge serves the whole sweep, so a lexical judge tokenizes each
-    distinct statement once, however often it recurs across items and sizes.
-
-    With out_dir, every configured size's results.jsonl is deleted before
-    the first size runs, so a sweep that stops early leaves none from an
-    earlier run.
+    For each size in turn the sweep chunks and embeds the chunks (a text
+    embedded at one size is not embedded again), retrieves every QA item's
+    chunks with one query_topk call and starts answering the items. Then it
+    scores every item of every size. With concurrency > 1, items run on one
+    pool of that many threads, so a size is answered while the next is
+    chunked and embedded; embed_fn, generate_fn and judge must then be
+    thread-safe. Results and errors are those of one item at a time through
+    every step: a size raises its earliest error in input order, tagged
+    with its item's id (errors.tag_qa). A failed item cancels the queued
+    items of its size; without keep_going, every queued item, and no later
+    size is built. judge defaults to one LexicalJudge per sweep at the
+    configured threshold. With out_dir, every size's results.jsonl is
+    deleted first.
     """
     if out_dir is not None:
         for size in cfg.chunk_sizes:
@@ -112,30 +105,61 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], cfg: SweepConfig, *,
         judge = LexicalJudge(cfg.metric.jaccard_threshold)
     prime = getattr(embed_fn, "prime", None) or (lambda texts: None)
     prime([qa.question for qa in qa_set] + [qa.ground_truth for qa in qa_set])
-    tail_rows: dict[str, np.ndarray] = {}
-    rows: list[SweepRow] = []
-    per_question: dict[int, list[EvalResult]] = {}
-    for size in cfg.chunk_sizes:
-        try:
-            # no name holds the index, so it is freed before the next size's
-            results = _run_size(
-                qa_set, build_index(docs, size, cfg.overlap, embed_texts_fn, tail_rows),
-                cfg, embed_fn, prime, generate_fn, judge, concurrency)
-        except RagBenchError as exc:
-            if not keep_going:
-                raise
-            rows.append(SweepRow(chunk_size=size, mean_correctness=0.0, n=0,
-                                 failed=True, error=str(exc)))
-            continue
-        summary = aggregate(results)
-        rows.append(SweepRow(chunk_size=size,
-                             mean_correctness=summary["mean"],
-                             n=summary["n"]))
-        per_question[size] = results
-        if out_dir is not None:
-            _dump_size_results(Path(out_dir) / str(size), results)
-    return SweepReport(rows=rows, per_question=per_question,
-                       argmax_sizes=_argmax_sizes(rows))
+
+    def answer(qa, hits):
+        return answer_question(qa.question, hits, generate_fn, cfg.rag)
+
+    def score(qa, record):
+        return answer_correctness(record.answer, qa, embed_fn, cfg.metric, judge)
+
+    def question_vector(qa):
+        vec = embed_fn(qa.question)
+        if len(vec) != index.dim:
+            raise DimMismatch(f"query dim {len(vec)} != index dim {index.dim}")
+        return vec
+
+    # a stage maps each size to (its items' outcomes, its error before them)
+    pool = ThreadPoolExecutor(max_workers=concurrency) if concurrency > 1 else None
+    try:
+        answering, tail_rows = {}, {}
+        answers = None if keep_going else ([], threading.Event())
+        for size in cfg.chunk_sizes:
+            try:
+                index = build_index(docs, size, cfg.overlap, embed_texts_fn, tail_rows)
+                vectors, error = _collect(qa_set, _submit(None, question_vector, qa_set))
+                hits = index.query_topk(np.stack(vectors), cfg.rag.top_k) if vectors else []
+            except RagBenchError as exc:
+                hits, error = [], exc
+            index = None  # hits carry their chunk texts, so the vectors can go now
+            answering[size] = _submit(pool, answer, qa_set, hits, stage=answers), error
+            if answers is not None and (error is not None or answers[1].is_set()):
+                break
+        records = {}
+        for size, (outcomes, error) in answering.items():
+            done, error = records[size] = _collect(qa_set, outcomes, error)
+            if error is not None and not keep_going:
+                break
+        prime([r.answer for done, _ in records.values() for r in done])
+        scores = None if keep_going else ([], threading.Event())
+        scoring = {size: (_submit(pool, score, qa_set, done, stage=scores), error)
+                   for size, (done, error) in records.items()}
+        rows, per_question = [], {}
+        for size, (outcomes, error) in scoring.items():
+            results, error = _collect(qa_set, outcomes, error)
+            if error is not None:
+                if not keep_going:
+                    raise error
+                rows.append(SweepRow(size, 0.0, 0, failed=True, error=str(error)))
+                continue
+            summary = aggregate(results)
+            rows.append(SweepRow(size, summary["mean"], summary["n"]))
+            per_question[size] = results
+            if out_dir is not None:
+                _dump_size_results(Path(out_dir) / str(size), results)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return SweepReport(rows, per_question, _argmax_sizes(rows))
 
 
 def build_index(docs, size, overlap, embed_texts_fn,
@@ -160,78 +184,54 @@ def build_index(docs, size, overlap, embed_texts_fn,
                   for c, v in zip(chunks, vectors)])
 
 
-def _run_size(qa_set, index, cfg, embed_fn, prime, generate_fn, judge,
-              concurrency) -> list[EvalResult]:
-    """Retrieve every QA item's hits, answer every item, embed the answers
-    in one batch, score every item. An item that fails at one stage stops
-    the items after it, but the items before it go through the later
-    stages: the error raised is the earliest in input order, as in a loop
-    that takes one item through every step."""
-    hits, retrieve_error = _retrieve(qa_set, index, embed_fn, cfg.rag.top_k,
-                                     concurrency)
-    # hits carry their chunk texts, so the index's vectors can go now
-    # instead of adding to the judge's token memo at the size's peak
-    del index
-    records, answer_error = _map_in_order(
-        lambda qa, qa_hits: answer_question(qa.question, qa_hits, generate_fn, cfg.rag),
-        qa_set, hits, concurrency=concurrency)
-    prime([r.answer for r in records])
-    results, score_error = _map_in_order(
-        lambda qa, record: answer_correctness(record.answer, qa, embed_fn,
-                                              cfg.metric, judge),
-        qa_set, records, concurrency=concurrency)
-    error = score_error or answer_error or retrieve_error
-    if error is not None:
-        raise error
-    return results
-
-
-def _retrieve(qa_set, index, embed_fn, k, concurrency):
-    """Top-k hits of each QA item's question, from one query_topk call over
-    the stacked question vectors. As _map_in_order does, stops at the first
-    item whose vector fails or does not match the index's dim, and returns
-    (hits of the items before it, its error)."""
-    def question_vector(qa):
-        vec = embed_fn(qa.question)
-        if len(vec) != index.dim:
-            raise DimMismatch(f"query dim {len(vec)} != index dim {index.dim}")
-        return vec
-
-    vectors, error = _map_in_order(question_vector, qa_set, concurrency=concurrency)
-    return (index.query_topk(np.stack(vectors), k) if vectors else []), error
-
-
-def _map_in_order(fn, qa_set: list, *columns: list, concurrency: int):
-    """fn(qa, *its values in columns) for each QA item, in input order; a
-    column shorter than qa_set ends the map where it ends. Stops at the
-    first item that raises a RagBenchError, tags that error in place with
-    the item's id (errors.tag_qa), and returns (results of the items before
-    it, the error); the error is None when every item succeeded.
-
-    With concurrency > 1 items run on up to that many threads. The pool
-    starts them in input order, so every item before the first failure in
-    input order has run; only items after it can have been cancelled. With
-    concurrency 1 items run in this thread, and none after a failure runs.
+def _submit(pool, fn, qa_set: list, *columns: list, stage=None) -> list:
+    """Start fn(qa, *its values in columns) for each QA item in input order,
+    on pool or else in this thread; a column shorter than qa_set ends the
+    items. Returns each item's result, or a future of it. stage is the
+    (queue, halt) shared by the calls that one failure stops, or None for a
+    new one. The pool starts items in queue order, so when one fails every
+    item queued before it has started: the failure sets halt and cancels
+    those queued after it. No item starts once halt is set.
     """
-    items = list(zip(qa_set, *columns))
-    if concurrency > 1 and len(items) > 1:
-        pool = ThreadPoolExecutor(max_workers=min(concurrency, len(items)))
-        try:
-            futures = [pool.submit(fn, *item) for item in items]
-            wait(futures, return_when=FIRST_EXCEPTION)
-        finally:
-            pool.shutdown(cancel_futures=True)
-        outcomes = (f.result for f in futures)
-    else:
-        outcomes = (partial(fn, *item) for item in items)
+    queue, halt = stage or ([], threading.Event())
+    outcomes = []
+
+    def cancel_after(at, future):
+        if not future.cancelled() and future.exception() is not None:
+            halt.set()
+            for later in queue[at + 1:]:
+                later.cancel()
+
+    for item in zip(qa_set, *columns):
+        if halt.is_set():
+            break
+        if pool is None:
+            try:
+                outcomes.append(fn(*item))  # a Future costs more than a cheap item
+                continue
+            except RagBenchError as exc:
+                future = Future()
+                future.set_exception(exc)
+        else:
+            future = pool.submit(fn, *item)
+        queue.append(future)
+        outcomes.append(future)
+        future.add_done_callback(partial(cancel_after, len(queue) - 1))
+    return outcomes
+
+
+def _collect(qa_set: list, outcomes: list, error=None):
+    """(results of _submit's items in input order up to the first that
+    failed, its error tagged in place with its item's id by errors.tag_qa,
+    or else error). Only items after a failed one are ever cancelled."""
     results = []
-    for item, outcome in zip(items, outcomes):
+    for qa, outcome in zip(qa_set, outcomes):
         try:
-            results.append(outcome())
+            results.append(outcome.result() if isinstance(outcome, Future) else outcome)
         except RagBenchError as exc:
-            tag_qa(exc, item[0].id)
+            tag_qa(exc, qa.id)
             return results, exc
-    return results, None
+    return results, error
 
 
 def _dump_size_results(size_dir: Path, results: list[EvalResult]) -> None:

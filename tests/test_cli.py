@@ -1,8 +1,13 @@
 import json
+import threading
+import time
+from collections import Counter
 
 import pytest
 
+import ragbench._http as http_mod
 import ragbench.cli as cli_mod
+from ragbench.corpus import Document, save_corpus
 from ragbench.cli import main
 from ragbench.errors import ProtocolError
 
@@ -133,6 +138,20 @@ class TestAsk:
         assert main(["ask", "--corpus", str(tmp_path / "nope.jsonl"),
                      "--question", "q"]) == 2
 
+    def test_corpus_not_utf8_data_error(self, corpus, capsys):
+        corpus.write_bytes(corpus.read_bytes().replace(b"ZEBRA-7 marker", b"ZEBRA\xff"))
+        assert main(["ask", "--corpus", str(corpus), "--question", "q"]) == 2
+        assert "malformed line 5" in capsys.readouterr().err
+
+    def test_corpus_body_not_a_string_data_error(self, corpus, capsys):
+        lines = corpus.read_text().splitlines()
+        doc = json.loads(lines[1])
+        doc["body"] = 5
+        corpus.write_text("\n".join([lines[0], json.dumps(doc)] + lines[2:]) + "\n")
+        assert main(["ask", "--corpus", str(corpus), "--question", "q"]) == 2
+        assert "malformed line 2: field 'body' missing or not a str" in \
+            capsys.readouterr().err
+
 
 class TestSweep:
     @pytest.fixture
@@ -169,6 +188,17 @@ class TestSweep:
         assert code == 2
         assert "malformed line 4: QA item 'q9' has empty ground_truth" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["corpus", "qa"])
+    def test_input_not_utf8_is_a_data_error(self, inputs, tmp_path, capsys, which):
+        corpus, qa = inputs
+        path = corpus if which == "corpus" else qa
+        path.write_bytes(path.read_bytes() + b'{"id": "\xff"}\n')
+        line_no = len(path.read_bytes().splitlines())
+        code = main(["sweep", "--corpus", str(corpus), "--qa", str(qa),
+                     "--sizes", "100", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"malformed line {line_no}" in capsys.readouterr().err
 
     def test_non_increasing_sizes_exit_1(self, inputs, tmp_path):
         corpus, qa = inputs
@@ -236,6 +266,43 @@ class TestSweep:
                      "--config", str(cfg)]) == 0
         assert {path for path, _, _ in fake_server.requests} == \
             {"/v1/chat/completions", "/v1/embeddings"}
+
+
+    def test_remote_sweep_caps_requests_per_backend(self, tmp_path, fake_server,
+                                                    monkeypatch):
+        # enough chunks for several embedding batches per size, so chunk
+        # embedding runs its own requests while the sweep's pool answers
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus([Document(id=f"d{i}", source="s", title="",
+                              body=" ".join(f"Doc {i} step {j}: patch the router."
+                                            for j in range(40)))
+                     for i in range(24)], corpus)
+        qa = tmp_path / "qa.jsonl"
+        write_qa(qa, n=12)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"embedder": {"endpoint_url": fake_server.url}}))
+        lock = threading.Lock()
+        in_flight, peak = Counter(), Counter()
+        post = http_mod._post
+
+        def counting_post(url, data, timeout_s):
+            path = "embed" if url.endswith("/embeddings") else "chat"
+            with lock:
+                in_flight[path] += 1
+                peak[path] = max(peak[path], in_flight[path])
+            try:
+                time.sleep(0.005)  # a backend's latency, so requests overlap
+                return post(url, data, timeout_s)
+            finally:
+                with lock:
+                    in_flight[path] -= 1
+
+        monkeypatch.setattr(http_mod, "_post", counting_post)
+        assert main(["sweep", "--corpus", str(corpus), "--qa", str(qa),
+                     "--sizes", "100,200,400", "--backend", "remote",
+                     "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert 1 <= peak["chat"] <= 4
+        assert 1 <= peak["embed"] <= 4
 
 
 class TestConfigFile:

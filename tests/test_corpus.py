@@ -89,6 +89,16 @@ def test_parse_lenient_bytes_not_utf8_skipped():
     assert stats.lines_skipped == 1
 
 
+def test_parse_lenient_string_not_utf8_skipped():
+    # the same line that strict mode rejects: no U+FFFD text is kept
+    stream = io.BytesIO(reddit_line().encode() + b'\n{"id":"x","title":"caf\xff"}\n')
+    docs, stats = parse_reddit_jsonl(stream, lenient=True)
+    assert [d.id for d in docs] == ["a1"]
+    assert stats.lines_skipped == 1
+    with pytest.raises(MalformedLine):
+        parse_reddit_jsonl(io.BytesIO(stream.getvalue()), lenient=False)
+
+
 def test_ingest_text_dir(tmp_path):
     (tmp_path / "notes.md").write_text("x")
     (tmp_path / "img.png").write_bytes(b"\x89PNG")
@@ -174,3 +184,40 @@ def test_store_round_trip(tmp_path):
 def test_load_corpus_missing(tmp_path):
     with pytest.raises(PathNotFound):
         load_corpus(tmp_path / "nope.jsonl")
+
+
+def store_line(**kw):
+    base = {"id": "a", "source": "s", "title": "t", "body": "b", "score": 0,
+            "created_at": 0}
+    base.update(kw)
+    return json.dumps({k: v for k, v in base.items() if v is not None})
+
+
+def test_load_corpus_not_utf8_is_malformed_line(tmp_path):
+    path = tmp_path / "store.jsonl"
+    path.write_bytes(store_line().encode() + b"\n" + store_line(title="T").encode()
+                     .replace(b'"T"', b'"caf\xff"') + b"\n")
+    with pytest.raises(MalformedLine) as exc:
+        load_corpus(path)
+    assert exc.value.line_no == 2
+    assert isinstance(exc.value.__cause__, UnicodeDecodeError)
+
+
+@pytest.mark.parametrize("field", [
+    {"body": 5}, {"id": 1}, {"title": None}, {"source": ["s"]}, {"score": "3"},
+    {"score": True}, {"created_at": 1.5}, {"created_at": False}])
+def test_load_corpus_field_of_wrong_type_is_malformed_line(tmp_path, field):
+    path = tmp_path / "store.jsonl"
+    path.write_text(store_line() + "\n" + store_line(**field) + "\n")
+    with pytest.raises(MalformedLine) as exc:
+        load_corpus(path)
+    assert exc.value.line_no == 2
+    assert repr(next(iter(field))) in str(exc.value)
+
+
+def test_load_corpus_line_not_an_object_is_malformed_line(tmp_path):
+    path = tmp_path / "store.jsonl"
+    path.write_text(store_line() + "\n\n[1, 2]\n")
+    with pytest.raises(MalformedLine) as exc:
+        load_corpus(path)
+    assert exc.value.line_no == 3

@@ -363,6 +363,15 @@ class TestQASetFile:
         with pytest.raises(MalformedLine):
             load_qa_jsonl(path)
 
+    def test_line_not_utf8_is_a_malformed_line(self, tmp_path):
+        path = tmp_path / "qa.jsonl"
+        path.write_bytes(b'{"id":"1","question":"Q","ground_truth":"G"}\n'
+                         b'{"id":"2","question":"Q\xff","ground_truth":"G"}\n')
+        with pytest.raises(MalformedLine) as exc:
+            load_qa_jsonl(path)
+        assert exc.value.line_no == 2
+        assert isinstance(exc.value.__cause__, UnicodeDecodeError)
+
     def test_empty_ground_truth_is_a_malformed_line(self, tmp_path):
         path = tmp_path / "qa.jsonl"
         path.write_text('{"id":"1","question":"Q","ground_truth":"G"}\n'

@@ -1,6 +1,8 @@
 import json
 import random
 import re
+import sys
+import threading
 import time
 from dataclasses import asdict
 
@@ -232,6 +234,106 @@ class TestConcurrency:
                   judge=LexicalJudge(), concurrency=4)
         assert embed_fn.flight.waiting == {}
         assert store_mod._FLIGHT.waiting == {}
+
+
+class TestPipeline:
+    def test_answering_overlaps_next_size_indexing(self):
+        # no answer can finish until the second size's chunks are embedded:
+        # a sweep that answers a size before it indexes the next one fails
+        second_size = threading.Event()
+        chunk_calls = []
+
+        def embed_chunks(texts):
+            chunk_calls.append(texts)
+            if len(chunk_calls) == 2:
+                second_size.set()
+            return offline_batch(texts)
+
+        def generate(req):
+            if not second_size.wait(timeout=5):
+                raise ProtocolError("the next size was not indexed while answering")
+            return mock_generate(req)
+
+        cfg = SweepConfig(chunk_sizes=[100, 200])
+        report = run_sweep(make_corpus(), make_qa(8), cfg, embed_texts_fn=embed_chunks,
+                           embed_fn=make_embed_fn(EMB), generate_fn=generate,
+                           judge=LexicalJudge(), concurrency=4)
+        assert report == run(cfg, qa=make_qa(8))
+
+    @pytest.mark.parametrize("keep_going", [True, False])
+    def test_failure_cancels_queued_items(self, keep_going):
+        # q0 fails once every item is queued, the others later: only the
+        # items already started when q0 fails (one per thread) may run
+        calls = []
+
+        def generate(req):
+            calls.append(req)
+            first = "threat number 0?" in req.messages[-1]["content"]
+            time.sleep(0.01 if first else 0.05)
+            raise ProtocolError("backend down")
+
+        def sweep():
+            return run_sweep(make_corpus(), make_qa(8),
+                             SweepConfig(chunk_sizes=[100, 200, 400]),
+                             embed_texts_fn=offline_batch, embed_fn=make_embed_fn(EMB),
+                             generate_fn=generate, judge=LexicalJudge(),
+                             keep_going=keep_going, concurrency=4)
+
+        if keep_going:
+            assert [r.error for r in sweep().rows] == ["[qa q0] backend down"] * 3
+            assert len(calls) <= 4 * 3
+        else:
+            with pytest.raises(ProtocolError, match=r"^\[qa q0\] backend down$"):
+                sweep()
+            assert len(calls) <= 4
+
+    def test_answers_embedded_in_one_batch_per_sweep(self, monkeypatch):
+        single, answers = [], set()
+        monkeypatch.setattr(embed_mod, "embed_texts",
+                            lambda texts, cfg, cache_dir=None:
+                            single.append(list(texts)) or embed_texts(texts, cfg))
+        answer = sweep_mod.answer_question
+
+        def recording(*args):
+            record = answer(*args)
+            answers.add(record.answer)
+            return record
+
+        monkeypatch.setattr(sweep_mod, "answer_question", recording)
+        qa = make_qa(5)
+        run(SweepConfig(chunk_sizes=[250, 500, 1000, 2000, 4000, 8000]), qa=qa)
+        questions_and_truths = [q.question for q in qa] + [q.ground_truth for q in qa]
+        assert len(single) == 2
+        assert single[0] == questions_and_truths
+        assert set(single[1]) == answers - set(questions_and_truths)
+        assert len(single[1]) == len(set(single[1]))
+
+
+    @pytest.mark.parametrize("keep_going", [True, False])
+    def test_sequential_results_under_frequent_thread_switches(self, keep_going):
+        # more threads than cores share the sweep's queue and halt flag
+        def sweep(workers):
+            try:
+                return run_sweep(make_corpus(), make_qa(16),
+                                 SweepConfig(chunk_sizes=[100, 200, 400]),
+                                 embed_texts_fn=offline_batch, embed_fn=make_embed_fn(EMB),
+                                 generate_fn=slow_early_generate(16, fail={5, 11}),
+                                 judge=FailingJudge({3}), keep_going=keep_going,
+                                 concurrency=workers)
+            except ProtocolError as exc:
+                return str(exc)
+
+        expected = sweep(1)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert sweep(8) == expected
+        finally:
+            sys.setswitchinterval(old)
+        if keep_going:
+            assert [r.error for r in expected.rows] == ["[qa q3] judge down"] * 3
+        else:
+            assert expected == "[qa q3] judge down"
 
 
 class FailingJudge(LexicalJudge):
