@@ -239,8 +239,13 @@ def load_qa_jsonl(path: str | Path) -> list[QAItem]:
                 if not line.strip():
                     continue
                 obj = json.loads(line)
-                item = QAItem(id=str(obj["id"]), question=str(obj["question"]),
-                              ground_truth=str(obj["ground_truth"]))
+                for name, kinds in (("id", (str, int)), ("question", (str,)),
+                                    ("ground_truth", (str,))):
+                    if type(obj[name]) not in kinds:  # not isinstance: a bool is an int
+                        raise TypeError(f"field {name!r} is not a "
+                                        + " or ".join(k.__name__ for k in kinds))
+                item = QAItem(id=str(obj["id"]), question=obj["question"],
+                              ground_truth=obj["ground_truth"])
             except (ValueError, KeyError, TypeError, InvalidConfig) as exc:
                 # a bad QA file is a data error, even where QAItem calls it config
                 raise MalformedLine(line_no, str(exc)) from exc

@@ -20,7 +20,7 @@ from .errors import (DimMismatch, EmptyCorpus, EmptyResults, InvalidConfig,
 from .metrics import (EvalResult, LexicalJudge, MetricConfig, QAItem,
                       aggregate, answer_correctness)
 from .rag import RagConfig, answer_question
-from .vectorstore import Index, IndexEntry
+from .vectorstore import Index
 
 DEFAULT_CHUNK_SIZES = [250, 500, 1000, 2000, 4000, 8000]
 
@@ -37,8 +37,8 @@ class SweepConfig:
             raise InvalidConfig("chunk_sizes must be non-empty")
         if any(b <= a for a, b in zip(self.chunk_sizes, self.chunk_sizes[1:])):
             raise InvalidConfig("chunk_sizes must be strictly increasing")
-        if any(s <= self.overlap for s in self.chunk_sizes):
-            raise InvalidConfig("every chunk size must exceed overlap")
+        for size in self.chunk_sizes:
+            ChunkConfig(size, self.overlap)
 
 
 @dataclass
@@ -164,24 +164,24 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], cfg: SweepConfig, *,
 
 def build_index(docs, size, overlap, embed_texts_fn,
                 tail_rows: dict[str, np.ndarray]) -> Index:
-    """Chunk at size and index the chunks, embedding once each text that
-    tail_rows lacks.
+    """Chunk at size and index the chunks with one row per distinct text,
+    embedding once each text that tail_rows lacks.
 
     tail_rows maps the text of every chunk that ends its document to a copy
     of its row. Windows are fixed, so only such a chunk can recur at another
     size; a copy lets the embedder's block arrays be freed with the index.
     """
     chunks = chunk_corpus(docs, ChunkConfig(size=size, overlap=overlap))
-    missing = list(dict.fromkeys(c.text for c in chunks if c.text not in tail_rows))
+    row_no = {t: i for i, t in enumerate(dict.fromkeys(c.text for c in chunks))}
+    missing = [t for t in row_no if t not in tail_rows]
     fresh = dict(zip(missing, embed_texts_fn(missing))) if missing else {}
-    vectors = [fresh[c.text] if c.text in fresh else tail_rows[c.text]
-               for c in chunks]
+    rows = [fresh[t] if t in fresh else tail_rows[t] for t in row_no]
     # a chunk ends its document when the next one starts another (seq 0)
-    for c, nxt, v in zip(chunks, chunks[1:] + [None], vectors):
+    for c, nxt in zip(chunks, chunks[1:] + [None]):
         if (nxt is None or nxt.seq == 0) and c.text not in tail_rows:
-            tail_rows[c.text] = v.copy()
-    return Index([IndexEntry(chunk_ref=(c.doc_id, c.seq), vector=v, text=c.text)
-                  for c, v in zip(chunks, vectors)])
+            tail_rows[c.text] = rows[row_no[c.text]].copy()
+    return Index([((c.doc_id, c.seq), c.text) for c in chunks], rows,
+                 [row_no[c.text] for c in chunks])
 
 
 def _submit(pool, fn, qa_set: list, *columns: list, stage=None) -> list:

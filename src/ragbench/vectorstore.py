@@ -6,6 +6,7 @@ retrieval recall out of the experiment as a confound.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,17 +15,10 @@ from .errors import DimMismatch, DuplicateRef, EmptyIndex
 
 ChunkRef = tuple[str, int]  # (doc_id, seq)
 
-# Byte budget of one block of query_topk's score matrix (rows x entries,
+# Byte budget of one block of query_topk's score matrix (rows x chunks,
 # float64). One matrix product per block reads the index once for many
 # queries, and a bounded block keeps peak memory flat however many come in.
 _SCORE_BLOCK_BYTES = 1 << 20
-
-
-@dataclass(frozen=True)
-class IndexEntry:
-    chunk_ref: ChunkRef
-    vector: np.ndarray  # 1-D float64
-    text: str
 
 
 @dataclass(frozen=True)
@@ -36,54 +30,52 @@ class Hit:
 
 
 class Index:
-    """Immutable exact-cosine index; iteration order = insertion order."""
+    """Immutable exact-cosine index over chunks, each a (chunk_ref, text), with
+    one 1-D row per distinct text in rows and each chunk's row number in
+    row_of. Chunks that share a row get equal score bits; chunk_ref orders them."""
 
-    def __init__(self, entries: list[IndexEntry]):
-        if not entries:
-            raise EmptyIndex("cannot build index from zero entries")
-        dims = {len(e.vector) for e in entries}
+    def __init__(self, chunks: list[tuple[ChunkRef, str]], rows: list[np.ndarray],
+                 row_of: list[int]):
+        if not chunks:
+            raise EmptyIndex("cannot build index from zero chunks")
+        dims = {len(r) for r in rows}
         if len(dims) > 1:
-            raise DimMismatch(f"entry dims disagree: {sorted(dims)}")
-        refs = [e.chunk_ref for e in entries]
+            raise DimMismatch(f"row dims disagree: {sorted(dims)}")
+        refs = [ref for ref, _ in chunks]
         if len(set(refs)) != len(refs):
-            seen: set[ChunkRef] = set()
-            for r in refs:
-                if r in seen:
-                    raise DuplicateRef(f"duplicate chunk ref {r}")
-                seen.add(r)
-        self._entries = list(entries)
-        self.dim = dims.pop()
-        matrix = np.stack([e.vector for e in entries])
+            dup = next(r for r, n in Counter(refs).items() if n > 1)
+            raise DuplicateRef(f"duplicate chunk ref {dup}")
+        self._chunks = list(chunks)
+        self._row_of = np.asarray(row_of, dtype=np.intp)
+        matrix = np.stack(rows)
+        self.dim = matrix.shape[1]
         norms = np.linalg.norm(matrix, axis=1)
         self._zero_mask = norms == 0.0
-        norms[self._zero_mask] = 1.0  # zero-norm entries score 0 by convention
+        norms[self._zero_mask] = 1.0  # zero-norm rows score 0 by convention
         self._unit = matrix / norms[:, None]
-        # each entry's position in chunk_ref order, the tie-break key of query_topk
+        # each chunk's position in chunk_ref order, the tie-break key of query_topk
         self._ref_rank = np.empty(len(refs), dtype=np.intp)
         self._ref_rank[sorted(range(len(refs)), key=refs.__getitem__)] = np.arange(len(refs))
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)
+        return len(self._chunks)
 
     def query_topk(self, q: np.ndarray, k: int) -> list[Hit] | list[list[Hit]]:
-        """Top-k entries by cosine(q, entry), score descending, ties broken
-        by chunk_ref ascending. Returns all entries when k > count.
+        """Top-k chunks by cosine(q, chunk's row), score descending, ties
+        broken by chunk_ref ascending. Returns all chunks when k > count.
 
         q is one query row, or a 2-D stack of rows, for which one hit list
-        per row is returned. Rows are scored against the index in blocks of
-        at most about _SCORE_BLOCK_BYTES of scores, one matrix product per
-        block. A zero query row scores 0 everywhere, and a NaN row changes
-        only its own hits.
+        per row is returned. Rows are scored against the distinct rows in
+        blocks of at most about _SCORE_BLOCK_BYTES of per-chunk scores, one
+        matrix product per block. A zero query row scores 0 everywhere, and
+        a NaN row changes only its own hits.
         """
         rows = np.atleast_2d(q)
         if rows.ndim != 2 or rows.shape[1] != self.dim:
             raise DimMismatch(f"query dim {rows.shape[-1]} != index dim {self.dim}")
         if k < 1:
             raise ValueError("k must be >= 1")
-        step = max(1, _SCORE_BLOCK_BYTES // (8 * len(self._entries)))
+        step = max(1, _SCORE_BLOCK_BYTES // (8 * len(self._chunks)))
         hits: list[list[Hit]] = []
         for start in range(0, len(rows), step):
             hits.extend(self._topk_block(rows[start:start + step], k))
@@ -96,9 +88,11 @@ class Index:
         scores = (rows / norms[:, None]) @ self._unit.T
         scores[zero] = 0.0
         scores[:, self._zero_mask] = 0.0
+        # per chunk, in row-major order: scores[:, row_of] is column-major
+        scores = np.take(scores, self._row_of, axis=1)
         neg = -scores
         if k < neg.shape[1]:
-            # keep every entry that scores at least as well as the k-th best,
+            # keep every chunk that scores at least as well as the k-th best,
             # ties included, and sort only those; a NaN k-th keeps them all
             keep = ~(neg > np.partition(neg, k - 1, axis=1)[:, k - 1:k])
         else:
@@ -108,8 +102,8 @@ class Index:
             cand = np.flatnonzero(row_keep)
             order = cand[np.lexsort((self._ref_rank[cand], row_neg[cand]))[:k]]
             out.append([
-                Hit(chunk_ref=self._entries[i].chunk_ref, score=float(row[i]), rank=r,
-                    text=self._entries[i].text)
+                Hit(chunk_ref=self._chunks[i][0], score=float(row[i]), rank=r,
+                    text=self._chunks[i][1])
                 for r, i in enumerate(order.tolist())
             ])
         return out

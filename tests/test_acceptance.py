@@ -5,6 +5,7 @@ import functools
 import math
 import random
 import time
+from collections import namedtuple
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from ragbench.metrics import (LexicalJudge, MetricConfig, QAItem,
 from ragbench.rag import RagConfig
 from ragbench.sweep import (SweepConfig, SweepReport, SweepRow, _argmax_sizes,
                             emit_csv, emit_svg, run_sweep)
-from ragbench.vectorstore import Index, IndexEntry
+from ragbench.vectorstore import Index
 
 EMB = EmbedderConfig(kind="offline", dim=256)
 SIZES = [250, 500, 1000, 2000, 4000, 8000]
@@ -73,6 +74,10 @@ def test_criterion_1_chunker_properties():
     assert time.monotonic() - t0 < 10.0
 
 
+# one chunk as the oracle sees it
+Entry = namedtuple("Entry", "chunk_ref vector text")
+
+
 def oracle_topk(entries, q, k):
     """Independently coded linear scan over raw values."""
     q = q.tolist()
@@ -95,12 +100,14 @@ def test_criterion_2_vectorstore_oracle():
     rng = random.Random(202)
     t0 = time.monotonic()
     entries = [
-        IndexEntry(chunk_ref=(f"doc{i // 20}", i % 20),
-                   vector=np.array([rng.uniform(-1, 1) for _ in range(32)]),
-                   text="")
+        Entry(chunk_ref=(f"doc{i // 20}", i % 20),
+              vector=np.array([rng.uniform(-1, 1) for _ in range(32)]),
+              text="")
         for i in range(1000)
     ]
-    index = Index(entries)
+    # chunk i has its own row i
+    index = Index([(e.chunk_ref, e.text) for e in entries], [e.vector for e in entries],
+                  range(len(entries)))
     for _ in range(100):
         q = np.array([rng.uniform(-1, 1) for _ in range(32)])
         expected_all = oracle_topk(entries, q, 10)
@@ -274,8 +281,8 @@ def test_criterion_7_planted_corpus_sensitivity():
               for i in range(5)]
 
     # pre-check with the brute-force oracle: each planted doc is rank-0
-    entries = [IndexEntry(chunk_ref=(d.id, 0),
-                          vector=embed_offline(d.body, EMB.dim), text=d.body)
+    entries = [Entry(chunk_ref=(d.id, 0),
+                     vector=embed_offline(d.body, EMB.dim), text=d.body)
                for d in docs_a]
     for i, item in enumerate(qa):
         top = oracle_topk(entries, embed_offline(item.question, EMB.dim), 1)

@@ -189,6 +189,27 @@ class TestSweep:
         assert "malformed line 4: QA item 'q9' has empty ground_truth" in \
             capsys.readouterr().err
 
+    def test_qa_field_of_wrong_type_is_a_data_error(self, inputs, tmp_path, capsys):
+        corpus, qa = inputs
+        qa.write_text(qa.read_text() + json.dumps(
+            {"id": True, "question": None, "ground_truth": ["a", "b"]}) + "\n")
+        out = tmp_path / "o"
+        code = main(["sweep", "--corpus", str(corpus), "--qa", str(qa),
+                     "--sizes", "100", "--out", str(out)])
+        assert code == 2
+        assert "malformed line 4: field 'id' is not a str or int" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
+    def test_negative_overlap_is_a_config_error(self, inputs, tmp_path, capsys):
+        corpus, qa = inputs
+        out = tmp_path / "o"
+        code = main(["sweep", "--corpus", str(corpus), "--qa", str(qa),
+                     "--sizes", "100,200", "--overlap", "-1", "--keep-going",
+                     "--out", str(out)])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
     @pytest.mark.parametrize("which", ["corpus", "qa"])
     def test_input_not_utf8_is_a_data_error(self, inputs, tmp_path, capsys, which):
         corpus, qa = inputs

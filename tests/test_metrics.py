@@ -372,6 +372,31 @@ class TestQASetFile:
         assert exc.value.line_no == 2
         assert isinstance(exc.value.__cause__, UnicodeDecodeError)
 
+    def test_int_id_kept_as_text(self, tmp_path):
+        path = tmp_path / "qa.jsonl"
+        path.write_text('{"id":7,"question":"Q","ground_truth":"G"}\n')
+        assert load_qa_jsonl(path) == [QAItem(id="7", question="Q", ground_truth="G")]
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("id", True, "str or int"), ("id", 1.5, "str or int"), ("id", None, "str or int"),
+        ("question", None, "str"), ("question", 3, "str"),
+        ("ground_truth", ["a", "b"], "str"), ("ground_truth", {"a": 1}, "str")])
+    def test_field_of_wrong_type_is_a_malformed_line(self, tmp_path, field, value, kind):
+        obj = {"id": "2", "question": "Q", "ground_truth": "G", field: value}
+        path = tmp_path / "qa.jsonl"
+        path.write_text('{"id":"1","question":"Q","ground_truth":"G"}\n' + json.dumps(obj) + "\n")
+        with pytest.raises(MalformedLine) as exc:
+            load_qa_jsonl(path)
+        assert exc.value.line_no == 2
+        assert f"field {field!r} is not a {kind}" in str(exc.value)
+
+    def test_line_not_an_object_is_a_malformed_line(self, tmp_path):
+        path = tmp_path / "qa.jsonl"
+        path.write_text('["1", "Q", "G"]\n')
+        with pytest.raises(MalformedLine) as exc:
+            load_qa_jsonl(path)
+        assert exc.value.line_no == 1
+
     def test_empty_ground_truth_is_a_malformed_line(self, tmp_path):
         path = tmp_path / "qa.jsonl"
         path.write_text('{"id":"1","question":"Q","ground_truth":"G"}\n'

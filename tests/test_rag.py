@@ -11,7 +11,7 @@ from ragbench.metrics import QAItem
 from ragbench.rag import (NO_CONTEXT, RagConfig, AnswerRecord, assemble_prompt,
                           answer_question)
 from ragbench.sweep import SweepConfig, run_sweep
-from ragbench.vectorstore import Index, IndexEntry
+from ragbench.vectorstore import Index
 
 
 def offline_embed(text):
@@ -24,11 +24,8 @@ def hits_for(qa, index, k=RagConfig().top_k):
 
 def build_index(docs, size=200, overlap=0, dim=256):
     chunks = chunk_corpus(docs, ChunkConfig(size, overlap))
-    return Index([
-        IndexEntry(chunk_ref=(c.doc_id, c.seq),
-                   vector=embed_offline(c.text, dim), text=c.text)
-        for c in chunks
-    ])
+    return Index([((c.doc_id, c.seq), c.text) for c in chunks],
+                 [embed_offline(c.text, dim) for c in chunks], range(len(chunks)))
 
 
 class TestConfig:
@@ -141,13 +138,14 @@ class TestAnswerQuestion:
             dataclasses.replace(b, latency_ms=0)
 
     def test_scores_non_increasing_and_refs_in_index(self):
-        index = build_index(self.planted_docs())
+        docs = self.planted_docs()
+        index = build_index(docs)
         qa = QAItem(id="q", question="gardening weather", ground_truth="g")
         record = answer_question(qa.question, hits_for(qa, index, 6), mock_generate,
                                  RagConfig(top_k=6))
         scores = [s for _, s in record.retrieved]
         assert scores == sorted(scores, reverse=True)
-        refs = {e.chunk_ref for e in index}
+        refs = {(c.doc_id, c.seq) for c in chunk_corpus(docs, ChunkConfig(200))}
         for ref, _ in record.retrieved:
             assert ref in refs
 

@@ -22,7 +22,7 @@ from ragbench.metrics import (LexicalJudge, MetricConfig, QAItem, aggregate,
                               answer_correctness)
 from ragbench.rag import answer_question
 import ragbench.sweep as sweep_mod
-from ragbench.vectorstore import Index, IndexEntry
+from ragbench.vectorstore import Index
 
 from ragbench.sweep import (SweepConfig, SweepReport, SweepRow, emit_csv,
                             emit_svg, run_sweep)
@@ -77,6 +77,10 @@ class TestConfig:
     def test_sizes_exceed_overlap(self):
         with pytest.raises(InvalidConfig):
             SweepConfig(chunk_sizes=[10, 20], overlap=10)
+
+    def test_negative_overlap(self):
+        with pytest.raises(InvalidConfig):
+            SweepConfig(chunk_sizes=[10, 20], overlap=-1)
 
     def test_empty_sizes(self):
         with pytest.raises(InvalidConfig):
@@ -359,8 +363,8 @@ class TestStages:
         expected = {}
         for size in cfg.chunk_sizes:
             chunks = chunk_corpus(docs, ChunkConfig(size=size))
-            index = Index([IndexEntry((c.doc_id, c.seq), v, c.text) for c, v in
-                           zip(chunks, offline_batch([c.text for c in chunks]))])
+            index = Index([((c.doc_id, c.seq), c.text) for c in chunks],
+                          offline_batch([c.text for c in chunks]), range(len(chunks)))
             expected[size] = [
                 answer_correctness(
                     answer_question(item.question,
@@ -369,6 +373,27 @@ class TestStages:
                     item, embed_fn, cfg.metric, LexicalJudge())
                 for item in qa]
         assert run(cfg, docs=docs, qa=qa).per_question == expected
+
+    def test_equal_chunk_texts_share_one_row(self):
+        # every document 20 times under other ids, about 2,000 chunks: each
+        # chunk text is embedded once, and chunks of one text tie exactly,
+        # in chunk_ref order
+        originals = make_corpus(20)
+        docs = [Document(id=f"copy{j:02d}-{d.id}", source="synthetic", title="", body=d.body)
+                for j in random.Random(1).sample(range(20), 20) for d in originals]
+        embedded = []
+        index = sweep_mod.build_index(
+            docs, 100, 0, lambda texts: embedded.extend(texts) or offline_batch(texts), {})
+        assert sorted(embedded) == sorted({c.text for c in chunk_corpus(docs, ChunkConfig(100))})
+        queries = np.stack([embed_offline(q.question, EMB.dim) for q in make_qa(64)])
+        for hits in index.query_topk(queries, len(index)):
+            by_text = {}
+            for h in hits:
+                by_text.setdefault(h.text, []).append(h)
+            for group in by_text.values():
+                assert len(group) == 20
+                assert len({h.score for h in group}) == 1
+                assert [h.chunk_ref for h in group] == sorted(h.chunk_ref for h in group)
 
     def test_one_query_per_size(self, monkeypatch):
         shapes = []

@@ -1,13 +1,15 @@
 import math
 import random
+from collections import namedtuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import ragbench.vectorstore as vs_mod
 from ragbench.errors import DimMismatch, DuplicateRef, EmptyIndex
-from ragbench.vectorstore import Index, IndexEntry
+from ragbench.vectorstore import Index
 
 
 def vec(*values):
@@ -18,9 +20,18 @@ def rand_vec(rng, dim):
     return np.array([rng.uniform(-1, 1) for _ in range(dim)])
 
 
+# one chunk as the oracle sees it
+Entry = namedtuple("Entry", "chunk_ref vector text")
+
+
 def entry(doc_id, seq, vector, text=""):
-    return IndexEntry(chunk_ref=(doc_id, seq), vector=vector,
-                      text=text or f"{doc_id}/{seq}")
+    return Entry(chunk_ref=(doc_id, seq), vector=vector, text=text or f"{doc_id}/{seq}")
+
+
+def index_of(entries):
+    """An Index that gives chunk i its own row i."""
+    return Index([(e.chunk_ref, e.text) for e in entries], [e.vector for e in entries],
+                 range(len(entries)))
 
 
 def oracle_topk(entries, q, k):
@@ -41,31 +52,34 @@ def oracle_topk(entries, q, k):
 
 class TestBuild:
     def test_basic(self):
-        idx = Index([entry("a", 0, vec(1, 0)), entry("a", 1, vec(0, 1))])
+        idx = index_of([entry("a", 0, vec(1, 0)), entry("a", 1, vec(0, 1))])
         assert len(idx) == 2
         assert idx.dim == 2
 
+    def test_chunks_share_rows(self):
+        idx = Index([(("a", 0), "x"), (("a", 1), "y"), (("b", 0), "x")],
+                    [vec(1, 0), vec(0, 1)], [0, 1, 0])
+        assert len(idx) == 3
+        hits = idx.query_topk(vec(1, 0), 3)
+        assert [(h.chunk_ref, h.score, h.text) for h in hits] == \
+            [(("a", 0), 1.0, "x"), (("b", 0), 1.0, "x"), (("a", 1), 0.0, "y")]
+
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            Index([entry("a", 0, vec(1, 0)), entry("b", 0, vec(1, 0, 0))])
+            index_of([entry("a", 0, vec(1, 0)), entry("b", 0, vec(1, 0, 0))])
 
     def test_duplicate_ref(self):
         with pytest.raises(DuplicateRef):
-            Index([entry("a", 0, vec(1, 0)), entry("a", 0, vec(0, 1))])
+            index_of([entry("a", 0, vec(1, 0)), entry("a", 0, vec(0, 1))])
 
     def test_empty(self):
         with pytest.raises(EmptyIndex):
-            Index([])
-
-    def test_iteration_order(self):
-        entries = [entry("d", i, vec(i, 1)) for i in range(5)]
-        idx = Index(entries)
-        assert [e.chunk_ref for e in idx] == [("d", i) for i in range(5)]
+            Index([], [], [])
 
 
 class TestQuery:
     def test_top1(self):
-        idx = Index([entry("e1", 0, vec(1, 0)), entry("e2", 0, vec(0, 1))])
+        idx = index_of([entry("e1", 0, vec(1, 0)), entry("e2", 0, vec(0, 1))])
         hits = idx.query_topk(vec(1, 0), 1)
         assert len(hits) == 1
         assert hits[0].chunk_ref == ("e1", 0)
@@ -74,31 +88,31 @@ class TestQuery:
         assert hits[0].text == "e1/0"
 
     def test_k_clamped(self):
-        idx = Index([entry("a", 0, vec(1, 0)), entry("b", 0, vec(0, 1))])
+        idx = index_of([entry("a", 0, vec(1, 0)), entry("b", 0, vec(0, 1))])
         assert len(idx.query_topk(vec(1, 1), 5)) == 2
 
     def test_query_dim_mismatch(self):
-        idx = Index([entry("a", 0, vec(1, 0))])
+        idx = index_of([entry("a", 0, vec(1, 0))])
         with pytest.raises(DimMismatch):
             idx.query_topk(vec(1, 0, 0), 1)
         with pytest.raises(DimMismatch):
             idx.query_topk(np.zeros((3, 3)), 1)
 
     def test_tie_break_by_ref(self):
-        idx = Index([entry("b", 1, vec(1, 0)), entry("a", 2, vec(1, 0)),
-                     entry("a", 1, vec(1, 0))])
+        idx = index_of([entry("b", 1, vec(1, 0)), entry("a", 2, vec(1, 0)),
+                        entry("a", 1, vec(1, 0))])
         hits = idx.query_topk(vec(1, 0), 3)
         assert [h.chunk_ref for h in hits] == [("a", 1), ("a", 2), ("b", 1)]
 
     def test_zero_query_scores_zero(self):
-        idx = Index([entry("a", 0, vec(1, 0))])
+        idx = index_of([entry("a", 0, vec(1, 0))])
         assert idx.query_topk(vec(0, 0), 1)[0].score == 0.0
 
     def test_matches_oracle(self):
         rng = random.Random(7)
         entries = [entry(f"d{i // 10}", i % 10, rand_vec(rng, 32))
                    for i in range(500)]
-        idx = Index(entries)
+        idx = index_of(entries)
         queries = [rand_vec(rng, 32) for _ in range(20)]
         for k in (1, 5, 10):
             # each query alone, and all of them stacked in one call
@@ -119,7 +133,7 @@ class TestQuery:
         refs = [(f"d{i % 7}", i // 7) for i in range(60)]
         rng.shuffle(refs)
         entries = [entry(d, s, rng.choice(rows)) for d, s in refs]
-        idx = Index(entries)
+        idx = index_of(entries)
         n = len(entries)
         for q in [vec(1, 0, 0), vec(0, 1, 1), vec(1, 1, 1), vec(0, 0, 0), vec(-3, 0, 0)]:
             for k in (1, 3, n, n + 5):
@@ -130,7 +144,7 @@ class TestQuery:
     def test_nan_query_row_changes_only_its_own_hits(self):
         rng = random.Random(11)
         entries = [entry("d", i, rand_vec(rng, 8)) for i in range(40)]
-        idx = Index(entries)
+        idx = index_of(entries)
         queries = np.stack([rand_vec(rng, 8) for _ in range(5)])
         queries[2, 3] = np.nan
         stacked = idx.query_topk(queries, 4)
@@ -145,7 +159,7 @@ class TestQuery:
     def test_full_permutation_sorted(self):
         rng = random.Random(3)
         entries = [entry("d", i, rand_vec(rng, 8)) for i in range(50)]
-        idx = Index(entries)
+        idx = index_of(entries)
         hits = idx.query_topk(rand_vec(rng, 8), 50)
         assert sorted(h.chunk_ref for h in hits) == sorted(e.chunk_ref for e in entries)
         scores = [h.score for h in hits]
@@ -184,7 +198,7 @@ def test_partitioned_topk_equals_oracle_on_ties(rows, q):
             v[row[0]] = row[1]
         vectors.append(v)
     entries = [entry(d, s, v) for (d, s), v in zip(_refs(len(rows)), vectors)]
-    idx = Index(entries)
+    idx = index_of(entries)
     q = np.array(q, dtype=np.float64)
     for k in _ks(len(entries)):
         hits = idx.query_topk(q, k)
@@ -204,7 +218,7 @@ def test_partitioned_topk_is_prefix_of_full_order(data):
     rows, q = data
     entries = [entry(d, s, np.array(r, dtype=np.float64))
                for (d, s), r in zip(_refs(len(rows)), rows)]
-    idx = Index(entries)
+    idx = index_of(entries)
     q = np.array(q, dtype=np.float64)
     full = idx.query_topk(q, len(entries))
     for k in _ks(len(entries)):
@@ -231,7 +245,7 @@ _EXACT_ROW = st.one_of(
 def test_stacked_queries_equal_one_at_a_time(rows, queries, block_rows):
     entries = [entry(d, s, np.array(r, dtype=np.float64))
                for (d, s), r in zip(_refs(len(rows)), rows)]
-    idx = Index(entries)
+    idx = index_of(entries)
     stack = np.array(queries, dtype=np.float64)
     # shrink the block budget so the stack spans several blocks
     old = vs_mod._SCORE_BLOCK_BYTES
@@ -250,3 +264,46 @@ def test_stacked_queries_equal_one_at_a_time(rows, queries, block_rows):
                     assert h.score == pytest.approx(score, abs=1e-12)
     finally:
         vs_mod._SCORE_BLOCK_BYTES = old
+
+
+def assert_equal_text_ties_exact(hits, chunks):
+    """Every text's hits share one score and are that text's lowest refs,
+    in chunk_ref order."""
+    refs_by_text: dict[str, list] = {}
+    for ref, text in sorted(chunks):
+        refs_by_text.setdefault(text, []).append(ref)
+    by_text: dict[str, list] = {}
+    for h in hits:
+        by_text.setdefault(h.text, []).append(h)
+    for text, group in by_text.items():
+        assert len({h.score for h in group}) == 1, text
+        assert [h.chunk_ref for h in group] == refs_by_text[text][:len(group)], text
+
+
+def test_equal_text_ties_exact_in_shuffled_columns():
+    # 50 distinct rows repeated over 1,914 chunks in shuffled columns: a
+    # matrix product over every chunk's own copy scores some copies of one
+    # row differently in the last bit, so their order would rest on rounding
+    rng = np.random.default_rng(20)
+    rows = list(rng.standard_normal((50, 256)))
+    row_of = rng.permutation(np.arange(1914) % 50)
+    refs = [(f"d{i % 97:02d}", i // 97) for i in rng.permutation(1914)]
+    chunks = [(ref, f"text {r}") for ref, r in zip(refs, row_of)]
+    idx = Index(chunks, rows, row_of)
+    for hits in idx.query_topk(rng.standard_normal((64, 256)), len(chunks)):
+        assert_equal_text_ties_exact(hits, chunks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda d: st.tuples(
+    arrays(np.float64, (d, DIM), elements=st.floats(-1, 1, width=64)),
+    st.lists(st.integers(0, d - 1), min_size=1, max_size=200).flatmap(
+        lambda row_of: st.tuples(st.just(row_of), st.permutations(range(len(row_of))))),
+    arrays(np.float64, (3, DIM), elements=st.floats(-1, 1, width=64)))))
+def test_equal_text_ties_exact(data):
+    rows, (row_of, order), queries = data
+    chunks = [((f"d{j % 7}", j), f"text {r}") for j, r in zip(order, row_of)]
+    idx = Index(chunks, list(rows), row_of)
+    for k in _ks(len(chunks)):
+        for hits in idx.query_topk(queries, k):
+            assert_equal_text_ties_exact(hits, chunks)
