@@ -20,23 +20,32 @@ from .errors import InvalidConfig, RagBenchError
 from .llm import LlmConfig, generate, make_cached_fn, mock_generate
 from .metrics import RemoteJudge, load_qa_jsonl
 from .rag import answer_question
-from .sweep import SweepConfig, build_index, emit_csv, emit_svg, run_sweep
+from .sweep import build_index, emit_csv, emit_svg, run_sweep
 
 CACHE_DIR_ENV = "RAGBENCH_CACHE_DIR"
 
 
-def _resolve_cache_dir(flag_value: str | None, app: AppConfig) -> str:
-    return os.environ.get(CACHE_DIR_ENV) or flag_value or app.cache_dir
+def _resolve_app(config_path: str | None, cache_dir: str | None, *,
+                 backend: str | None = None, sizes: list[int] | None = None,
+                 overlap: int | None = None, top_k: int | None = None) -> AppConfig:
+    """The command's settings: the config file's, or the defaults, with the
+    flags given (not None) applied. backend sets embedder.kind; the cache dir
+    comes from the environment, then the flag, then the file; rag.model
+    defaults to llm_model."""
+    app = load_app_config(config_path) if config_path else AppConfig()
+    return dataclasses.replace(
+        app, chunk_sizes=app.chunk_sizes if sizes is None else sizes,
+        overlap=app.overlap if overlap is None else overlap,
+        embedder=dataclasses.replace(app.embedder, kind=backend or app.embedder.kind),
+        rag=dataclasses.replace(app.rag, top_k=app.rag.top_k if top_k is None else top_k,
+                                model=app.rag.model or app.llm_model),
+        cache_dir=os.environ.get(CACHE_DIR_ENV) or cache_dir or app.cache_dir)
 
 
-def _load_app(config_path: str | None) -> AppConfig:
-    return load_app_config(config_path) if config_path else AppConfig()
-
-
-def _make_backends(app: AppConfig, backend: str | None, cache_dir: str):
+def _make_backends(app: AppConfig):
     """Return (embed_texts_fn, embed_fn, generate_fn, judge, concurrency)
-    for a backend, by default the config's embedder.kind. judge is None for
-    the lexical judge, which run_sweep builds once per sweep.
+    for app's embedder.kind. judge is None for the lexical judge, which
+    run_sweep builds once per sweep.
 
     concurrency is how many QA items a sweep answers at once. Remote calls
     mostly wait on the network, so they overlap up to the LLM's
@@ -44,33 +53,26 @@ def _make_backends(app: AppConfig, backend: str | None, cache_dir: str):
     interpreter lock, where threads would only add switching, so it runs
     one item at a time.
     """
-    if (backend or app.embedder.kind) == "offline":
-        emb_cfg = dataclasses.replace(app.embedder, kind="offline")
+    if app.embedder.kind == "offline":
         base_generate = mock_generate
         endpoint_tag = "mock"
         concurrency = 1
     else:
-        emb_cfg = dataclasses.replace(app.embedder, kind="remote")
-        if not emb_cfg.endpoint_url:
-            raise InvalidConfig("remote backend requires an embedder endpoint_url")
-        llm_cfg = LlmConfig(endpoint_url=app.llm_endpoint_url or emb_cfg.endpoint_url,
-                            model=app.llm_model)
-        if not llm_cfg.endpoint_url:
-            raise InvalidConfig("remote backend requires an LLM endpoint url")
+        # a remote embedder always has an endpoint_url (EmbedderConfig checks)
+        llm_cfg = LlmConfig(endpoint_url=app.llm_endpoint_url or app.embedder.endpoint_url)
         base_generate = lambda req: generate(req, llm_cfg)
         endpoint_tag = llm_cfg.endpoint_url
         concurrency = llm_cfg.max_concurrency
 
     generate_fn = base_generate
-    if cache_dir:
-        generate_fn = make_cached_fn(base_generate, cache_dir, endpoint=endpoint_tag)
+    if app.cache_dir:
+        generate_fn = make_cached_fn(base_generate, app.cache_dir, endpoint=endpoint_tag)
 
     judge = (RemoteJudge(generate_fn, model=app.llm_model)
              if app.metric.judge == "remote" else None)
 
-    embed_fn = make_embed_fn(emb_cfg, cache_dir)
-    return ((lambda texts: embed_texts(texts, emb_cfg, cache_dir)), embed_fn, generate_fn,
-            judge, concurrency)
+    return ((lambda texts: embed_texts(texts, app.embedder, app.cache_dir)),
+            make_embed_fn(app.embedder, app.cache_dir), generate_fn, judge, concurrency)
 
 
 @click.group()
@@ -120,14 +122,12 @@ def cmd_ingest(fmt, in_path, out_path, do_dedup, strict):
 def cmd_ask(corpus_path, question, chunk_size, overlap, top_k, backend,
             config_path, cache_dir):
     """Answer one question against a corpus and print provenance."""
-    app = _load_app(config_path)
-    if top_k is not None:
-        app.rag = dataclasses.replace(app.rag, top_k=top_k)
-    cache = _resolve_cache_dir(cache_dir, app)
-    embed_texts_fn, embed_fn, generate_fn, _, _ = _make_backends(app, backend, cache)
+    app = _resolve_app(config_path, cache_dir, backend=backend, sizes=[chunk_size],
+                       overlap=overlap, top_k=top_k)
+    embed_texts_fn, embed_fn, generate_fn, _, _ = _make_backends(app)
 
-    index = build_index(corpus_mod.load_corpus(corpus_path), chunk_size, overlap,
-                        embed_texts_fn, {})
+    index = build_index(corpus_mod.load_corpus(corpus_path), app.chunk_sizes[0],
+                        app.overlap, embed_texts_fn, {})
     hits = index.query_topk(embed_fn(question), app.rag.top_k)
     record = answer_question(question, hits, generate_fn, app.rag)
     click.echo(record.answer)
@@ -159,14 +159,9 @@ def _parse_sizes(text: str) -> list[int]:
 def cmd_sweep(corpus_path, qa_path, sizes, out_dir, overlap, backend,
               config_path, cache_dir, keep_going):
     """Run the chunk-size sweep and write report.csv / report.svg."""
-    app = _load_app(config_path)
-    chunk_sizes = _parse_sizes(sizes) if sizes else app.chunk_sizes
-    cfg = SweepConfig(chunk_sizes=chunk_sizes,
-                      overlap=app.overlap if overlap is None else overlap,
-                      rag=app.rag, metric=app.metric)
-    cache = _resolve_cache_dir(cache_dir, app)
-    embed_texts_fn, embed_fn, generate_fn, judge, concurrency = \
-        _make_backends(app, backend, cache)
+    app = _resolve_app(config_path, cache_dir, backend=backend,
+                       sizes=_parse_sizes(sizes) if sizes else None, overlap=overlap)
+    embed_texts_fn, embed_fn, generate_fn, judge, concurrency = _make_backends(app)
 
     out = Path(out_dir)
     # reports of an earlier run must not outlive a sweep that fails
@@ -175,7 +170,7 @@ def cmd_sweep(corpus_path, qa_path, sizes, out_dir, overlap, backend,
     docs = corpus_mod.load_corpus(corpus_path)
     qa_set = load_qa_jsonl(qa_path)
     out.mkdir(parents=True, exist_ok=True)
-    report = run_sweep(docs, qa_set, cfg,
+    report = run_sweep(docs, qa_set, app,
                        embed_texts_fn=embed_texts_fn, embed_fn=embed_fn,
                        generate_fn=generate_fn, judge=judge,
                        keep_going=keep_going, out_dir=out,
@@ -183,7 +178,8 @@ def cmd_sweep(corpus_path, qa_path, sizes, out_dir, overlap, backend,
     emit_csv(report, out / "report.csv")
     emit_svg(report, out / "report.svg")
     for row in report.rows:
-        status = "FAILED" if row.failed else f"mean={row.mean_correctness:.6f} n={row.n}"
+        status = (f"FAILED: {row.error}" if row.failed
+                  else f"mean={row.mean_correctness:.6f} n={row.n}")
         click.echo(f"chunk_size={row.chunk_size} {status}", err=True)
     click.echo(f"argmax_sizes={report.argmax_sizes}", err=True)
 

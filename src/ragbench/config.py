@@ -1,18 +1,20 @@
 """Structured app config: a JSON file mirroring the component configs, with
-unknown keys rejected. CLI flags override file values."""
+unknown keys and values of the wrong type rejected. Each command resolves
+its flags and file into one AppConfig."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .chunker import ChunkConfig
 from .embed import EmbedderConfig
 from .errors import InvalidConfig
 from .metrics import MetricConfig
 from .rag import RagConfig
-from .sweep import DEFAULT_CHUNK_SIZES
+
+DEFAULT_CHUNK_SIZES = [250, 500, 1000, 2000, 4000, 8000]
 
 
 @dataclass
@@ -26,17 +28,47 @@ class AppConfig:
     llm_model: str = ""
     cache_dir: str = ""
 
+    def __post_init__(self):
+        if not self.chunk_sizes:
+            raise InvalidConfig("chunk_sizes must be non-empty")
+        if any(b <= a for a, b in zip(self.chunk_sizes, self.chunk_sizes[1:])):
+            raise InvalidConfig("chunk_sizes must be strictly increasing")
+        for size in self.chunk_sizes:
+            ChunkConfig(size, self.overlap)
 
-def _build(cls, obj: dict, where: str):
+
+# the config sections, by their field type's name
+_SECTIONS = {"EmbedderConfig": EmbedderConfig, "RagConfig": RagConfig,
+             "MetricConfig": MetricConfig}
+# the JSON values a field of each type accepts; type(), not isinstance:
+# JSON true is a bool, and bool is an int
+_ACCEPTS = {
+    "str": lambda v: type(v) is str,
+    "int": lambda v: type(v) is int,
+    "float": lambda v: type(v) in (float, int),
+    "list[int]": lambda v: type(v) is list and all(type(x) is int for x in v),
+}
+
+
+def _build(cls, obj, where: str):
     if not isinstance(obj, dict):
         raise InvalidConfig(f"{where}: expected an object")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(obj) - allowed
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(obj) - set(types)
     if unknown:
         raise InvalidConfig(f"{where}: unknown keys {sorted(unknown)}")
+    values = {}
+    for name, value in obj.items():
+        kind = types[name]
+        if kind in _SECTIONS:
+            value = _build(_SECTIONS[kind], value, f"{where}:{name}")
+        elif not _ACCEPTS[kind](value):
+            raise InvalidConfig(f"{where}:{name}: expected {kind}, "
+                                f"got {type(value).__name__}")
+        values[name] = value
     try:
-        return cls(**obj)
-    except TypeError as exc:
+        return cls(**values)
+    except InvalidConfig as exc:  # name the file, and the section it is in
         raise InvalidConfig(f"{where}: {exc}") from exc
 
 
@@ -45,9 +77,4 @@ def load_app_config(path: str | Path) -> AppConfig:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidConfig(f"cannot read config {path}: {exc}") from exc
-    app = _build(AppConfig, obj, str(path))
-    for key, cls in (("embedder", EmbedderConfig), ("rag", RagConfig),
-                     ("metric", MetricConfig)):
-        if key in obj:
-            setattr(app, key, _build(cls, obj[key], f"{path}:{key}"))
-    return app
+    return _build(AppConfig, obj, str(path))

@@ -40,7 +40,6 @@ class ChatResponse:
 @dataclass
 class LlmConfig:
     endpoint_url: str = ""
-    model: str = ""
     max_concurrency: int = 4
     timeout_ms: int = 30000
     max_retries: int = 3
@@ -55,7 +54,7 @@ def generate(req: ChatRequest, cfg: LlmConfig) -> ChatResponse:
     body = post_json_with_retries(
         cfg.endpoint_url.rstrip("/") + "/v1/chat/completions",
         {
-            "model": req.model or cfg.model,
+            "model": req.model,
             "messages": req.messages,
             "temperature": req.temperature,
             "max_tokens": req.max_tokens,

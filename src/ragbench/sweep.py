@@ -6,39 +6,19 @@ from __future__ import annotations
 import json
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .chunker import ChunkConfig, chunk_corpus
+from .config import AppConfig
 from .corpus import Document
-from .errors import (DimMismatch, EmptyCorpus, EmptyResults, InvalidConfig,
-                     RagBenchError, tag_qa)
-from .metrics import (EvalResult, LexicalJudge, MetricConfig, QAItem,
-                      aggregate, answer_correctness)
-from .rag import RagConfig, answer_question
+from .errors import DimMismatch, EmptyCorpus, EmptyResults, RagBenchError, tag_qa
+from .metrics import EvalResult, LexicalJudge, QAItem, aggregate, answer_correctness
+from .rag import answer_question
 from .vectorstore import Index
-
-DEFAULT_CHUNK_SIZES = [250, 500, 1000, 2000, 4000, 8000]
-
-
-@dataclass
-class SweepConfig:
-    chunk_sizes: list[int] = field(default_factory=lambda: list(DEFAULT_CHUNK_SIZES))
-    overlap: int = 0
-    rag: RagConfig = field(default_factory=RagConfig)
-    metric: MetricConfig = field(default_factory=MetricConfig)
-
-    def __post_init__(self):
-        if not self.chunk_sizes:
-            raise InvalidConfig("chunk_sizes must be non-empty")
-        if any(b <= a for a, b in zip(self.chunk_sizes, self.chunk_sizes[1:])):
-            raise InvalidConfig("chunk_sizes must be strictly increasing")
-        for size in self.chunk_sizes:
-            ChunkConfig(size, self.overlap)
 
 
 @dataclass
@@ -65,7 +45,7 @@ def _argmax_sizes(rows: list[SweepRow]) -> list[int]:
     return [r.chunk_size for r in ok if r.mean_correctness == best]
 
 
-def run_sweep(docs: list[Document], qa_set: list[QAItem], cfg: SweepConfig, *,
+def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
               embed_texts_fn: Callable[[list[str]], list[np.ndarray]],
               embed_fn: Callable[[str], np.ndarray],
               generate_fn,
@@ -73,7 +53,9 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], cfg: SweepConfig, *,
               keep_going: bool = False,
               out_dir: str | Path | None = None,
               concurrency: int = 1) -> SweepReport:
-    """Run the experiment over every configured chunk size.
+    """Run the experiment over every chunk size of app, with its overlap,
+    rag and metric settings; its backend and cache settings are the
+    caller's to turn into the functions passed here.
 
     embed_texts_fn batch-embeds chunk texts; embed_fn embeds single texts
     (questions, answers, ground truths) and should memoize. If it has a
@@ -88,29 +70,29 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], cfg: SweepConfig, *,
     chunked and embedded; embed_fn, generate_fn and judge must then be
     thread-safe. Results and errors are those of one item at a time through
     every step: a size raises its earliest error in input order, tagged
-    with its item's id (errors.tag_qa). A failed item cancels the queued
-    items of its size; without keep_going, every queued item, and no later
-    size is built. judge defaults to one LexicalJudge per sweep at the
-    configured threshold. With out_dir, every size's results.jsonl is
-    deleted first.
+    with its item's id (errors.tag_qa). A failed item skips the items of
+    its size that have not started; without keep_going, every item that
+    has not started, and no later size is built. judge defaults to one
+    LexicalJudge per sweep at the configured threshold. With out_dir,
+    every size's results.jsonl is deleted first.
     """
     if out_dir is not None:
-        for size in cfg.chunk_sizes:
+        for size in app.chunk_sizes:
             (Path(out_dir) / str(size) / "results.jsonl").unlink(missing_ok=True)
     if not docs:
         raise EmptyCorpus("sweep needs a non-empty corpus")
     if not qa_set:
         raise EmptyResults("sweep needs a non-empty QA set")
     if judge is None:
-        judge = LexicalJudge(cfg.metric.jaccard_threshold)
+        judge = LexicalJudge(app.metric.jaccard_threshold)
     prime = getattr(embed_fn, "prime", None) or (lambda texts: None)
     prime([qa.question for qa in qa_set] + [qa.ground_truth for qa in qa_set])
 
     def answer(qa, hits):
-        return answer_question(qa.question, hits, generate_fn, cfg.rag)
+        return answer_question(qa.question, hits, generate_fn, app.rag)
 
     def score(qa, record):
-        return answer_correctness(record.answer, qa, embed_fn, cfg.metric, judge)
+        return answer_correctness(record.answer, qa, embed_fn, app.metric, judge)
 
     def question_vector(qa):
         vec = embed_fn(qa.question)
@@ -118,21 +100,22 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], cfg: SweepConfig, *,
             raise DimMismatch(f"query dim {len(vec)} != index dim {index.dim}")
         return vec
 
-    # a stage maps each size to (its items' outcomes, its error before them)
+    # a stage maps each size to (its items' outcomes, its error before them);
+    # without keep_going, one halt flag per stage stops every size's items
     pool = ThreadPoolExecutor(max_workers=concurrency) if concurrency > 1 else None
     try:
         answering, tail_rows = {}, {}
-        answers = None if keep_going else ([], threading.Event())
-        for size in cfg.chunk_sizes:
+        answers_halt = None if keep_going else threading.Event()
+        for size in app.chunk_sizes:
             try:
-                index = build_index(docs, size, cfg.overlap, embed_texts_fn, tail_rows)
+                index = build_index(docs, size, app.overlap, embed_texts_fn, tail_rows)
                 vectors, error = _collect(qa_set, _submit(None, question_vector, qa_set))
-                hits = index.query_topk(np.stack(vectors), cfg.rag.top_k) if vectors else []
+                hits = index.query_topk(np.stack(vectors), app.rag.top_k) if vectors else []
             except RagBenchError as exc:
                 hits, error = [], exc
             index = None  # hits carry their chunk texts, so the vectors can go now
-            answering[size] = _submit(pool, answer, qa_set, hits, stage=answers), error
-            if answers is not None and (error is not None or answers[1].is_set()):
+            answering[size] = _submit(pool, answer, qa_set, hits, halt=answers_halt), error
+            if answers_halt is not None and (error is not None or answers_halt.is_set()):
                 break
         records = {}
         for size, (outcomes, error) in answering.items():
@@ -140,8 +123,8 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], cfg: SweepConfig, *,
             if error is not None and not keep_going:
                 break
         prime([r.answer for done, _ in records.values() for r in done])
-        scores = None if keep_going else ([], threading.Event())
-        scoring = {size: (_submit(pool, score, qa_set, done, stage=scores), error)
+        scores_halt = None if keep_going else threading.Event()
+        scoring = {size: (_submit(pool, score, qa_set, done, halt=scores_halt), error)
                    for size, (done, error) in records.items()}
         rows, per_question = [], {}
         for size, (outcomes, error) in scoring.items():
@@ -184,53 +167,43 @@ def build_index(docs, size, overlap, embed_texts_fn,
                  [row_no[c.text] for c in chunks])
 
 
-def _submit(pool, fn, qa_set: list, *columns: list, stage=None) -> list:
+def _submit(pool, fn, qa_set: list, *columns: list, halt=None) -> list:
     """Start fn(qa, *its values in columns) for each QA item in input order,
     on pool or else in this thread; a column shorter than qa_set ends the
-    items. Returns each item's result, or a future of it. stage is the
-    (queue, halt) shared by the calls that one failure stops, or None for a
-    new one. The pool starts items in queue order, so when one fails every
-    item queued before it has started: the failure sets halt and cancels
-    those queued after it. No item starts once halt is set.
+    items. Returns each item's outcome, or a future of it: fn's result, the
+    RagBenchError it raised, or None if halt (the Event shared by the calls
+    that one failure stops, or None for a new one) was set when it started.
+    A failing item sets halt, and one that raises any other exception also
+    re-raises it. The pool starts items in queue order, so a skipped item
+    only follows a failed one.
     """
-    queue, halt = stage or ([], threading.Event())
-    outcomes = []
+    halt = threading.Event() if halt is None else halt
 
-    def cancel_after(at, future):
-        if not future.cancelled() and future.exception() is not None:
+    def run(*item):
+        try:
+            return None if halt.is_set() else fn(*item)
+        except Exception as exc:
             halt.set()
-            for later in queue[at + 1:]:
-                later.cancel()
+            if isinstance(exc, RagBenchError):
+                return exc
+            raise
 
-    for item in zip(qa_set, *columns):
-        if halt.is_set():
-            break
-        if pool is None:
-            try:
-                outcomes.append(fn(*item))  # a Future costs more than a cheap item
-                continue
-            except RagBenchError as exc:
-                future = Future()
-                future.set_exception(exc)
-        else:
-            future = pool.submit(fn, *item)
-        queue.append(future)
-        outcomes.append(future)
-        future.add_done_callback(partial(cancel_after, len(queue) - 1))
-    return outcomes
+    if pool is None:  # a Future costs more than a cheap item
+        return [run(*item) for item in zip(qa_set, *columns)]
+    return [pool.submit(run, *item) for item in zip(qa_set, *columns)]
 
 
 def _collect(qa_set: list, outcomes: list, error=None):
     """(results of _submit's items in input order up to the first that
     failed, its error tagged in place with its item's id by errors.tag_qa,
-    or else error). Only items after a failed one are ever cancelled."""
+    or else error)."""
     results = []
     for qa, outcome in zip(qa_set, outcomes):
-        try:
-            results.append(outcome.result() if isinstance(outcome, Future) else outcome)
-        except RagBenchError as exc:
-            tag_qa(exc, qa.id)
-            return results, exc
+        outcome = outcome.result() if isinstance(outcome, Future) else outcome
+        if isinstance(outcome, RagBenchError):
+            tag_qa(outcome, qa.id)
+            return results, outcome
+        results.append(outcome)
     return results, error
 
 

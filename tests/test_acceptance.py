@@ -10,14 +10,15 @@ from collections import namedtuple
 import numpy as np
 
 from ragbench.chunker import ChunkConfig, chunk_text
+from ragbench.config import AppConfig
 from ragbench.corpus import Document
 from ragbench.embed import EmbedderConfig, embed_offline, embed_texts, make_embed_fn
 from ragbench.llm import LlmConfig, generate, make_cached_fn, mock_generate
 from ragbench.metrics import (LexicalJudge, MetricConfig, QAItem,
                               answer_correctness, f1)
 from ragbench.rag import RagConfig
-from ragbench.sweep import (SweepConfig, SweepReport, SweepRow, _argmax_sizes,
-                            emit_csv, emit_svg, run_sweep)
+from ragbench.sweep import (SweepReport, SweepRow, _argmax_sizes, emit_csv,
+                            emit_svg, run_sweep)
 from ragbench.vectorstore import Index
 
 EMB = EmbedderConfig(kind="offline", dim=256)
@@ -190,7 +191,7 @@ def test_criterion_6_end_to_end_determinism(tmp_path):
     t0 = time.monotonic()
     docs = synthetic_corpus()
     qa = synthetic_qa()
-    cfg = SweepConfig(chunk_sizes=list(SIZES))
+    cfg = AppConfig(chunk_sizes=list(SIZES))
     cache_dir = tmp_path / "cache"
     outputs = []
     counters = []
@@ -221,9 +222,9 @@ def test_criterion_6_end_to_end_determinism(tmp_path):
 def test_criterion_6_remote_warm_cache(tmp_path, fake_server):
     docs = synthetic_corpus(n=20)
     qa = synthetic_qa(n=3)
-    cfg = SweepConfig(chunk_sizes=[500, 2000])
+    cfg = AppConfig(chunk_sizes=[500, 2000])
     emb = EmbedderConfig(kind="remote", endpoint_url=fake_server.url, model="e")
-    llm = LlmConfig(endpoint_url=fake_server.url, model="m")
+    llm = LlmConfig(endpoint_url=fake_server.url)
     cache_dir = tmp_path / "cache"
     outputs, requests = [], []
     remote_generate = make_cached_fn(lambda req: generate(req, llm), cache_dir,
@@ -256,7 +257,7 @@ PLANTED_RAG = dict(top_k=1, prompt_template="{context}\nQ: {question}")
 
 
 def run_means(docs, qa, sizes=SIZES, rag_kw=PLANTED_RAG):
-    cfg = SweepConfig(chunk_sizes=list(sizes), rag=RagConfig(**rag_kw))
+    cfg = AppConfig(chunk_sizes=list(sizes), rag=RagConfig(**rag_kw))
     report = run_sweep(docs, qa, cfg, embed_texts_fn=offline_batch,
                        embed_fn=make_embed_fn(EMB),
                        generate_fn=mock_generate, judge=LexicalJudge())
@@ -326,7 +327,7 @@ def test_criterion_8_span_effect():
 def test_criterion_9_report_shape(tmp_path):
     docs = synthetic_corpus(n=10)
     qa = synthetic_qa(n=3)
-    cfg = SweepConfig(chunk_sizes=list(SIZES))
+    cfg = AppConfig(chunk_sizes=list(SIZES))
     report = run_sweep(docs, qa, cfg, embed_texts_fn=offline_batch,
                        embed_fn=make_embed_fn(EMB),
                        generate_fn=mock_generate, judge=LexicalJudge())

@@ -9,6 +9,7 @@ import ragbench._http as http_mod
 import ragbench.cli as cli_mod
 from ragbench.corpus import Document, save_corpus
 from ragbench.cli import main
+from ragbench.config import load_app_config
 from ragbench.errors import ProtocolError
 
 
@@ -260,6 +261,29 @@ class TestSweep:
                 (tmp_path / "o2" / name).read_bytes()
 
 
+    def test_changed_model_misses_the_answer_cache(self, inputs, tmp_path, fake_server):
+        # answers are keyed on the model they are sent to, so a sweep with
+        # another llm_model asks it again instead of reusing the old answers
+        corpus, qa = inputs
+        cfg = tmp_path / "cfg.json"
+
+        def sweep(model, out):
+            cfg.write_text(json.dumps({"embedder": {"endpoint_url": fake_server.url},
+                                       "llm_model": model}))
+            sent = len(fake_server.requests)
+            assert main(["sweep", "--corpus", str(corpus), "--qa", str(qa),
+                         "--sizes", "100", "--backend", "remote", "--config", str(cfg),
+                         "--cache-dir", str(tmp_path / "cache"),
+                         "--out", str(tmp_path / out)]) == 0
+            return [payload["model"] for path, payload, _ in fake_server.requests[sent:]
+                    if path == "/v1/chat/completions"]
+
+        assert set(sweep("model-a", "o1")) == {"model-a"}
+        chat = sweep("model-b", "o2")
+        assert chat and set(chat) == {"model-b"}
+        assert sweep("model-b", "o3") == []  # same model: every answer is cached
+
+
     def test_failed_sweep_leaves_no_old_outputs(self, inputs, tmp_path, monkeypatch):
         corpus, qa = inputs
         out = tmp_path / "out"
@@ -275,6 +299,24 @@ class TestSweep:
         for name in ("report.csv", "report.svg", "100/results.jsonl",
                      "200/results.jsonl"):
             assert not (out / name).exists()
+
+    def test_keep_going_prints_why_a_size_failed(self, inputs, tmp_path, monkeypatch,
+                                                 capsys):
+        corpus, qa = inputs
+        mock_generate = cli_mod.mock_generate
+
+        def generate_down_for_q1(req):
+            if "topic 1?" in req.messages[-1]["content"]:
+                raise ProtocolError("backend down")
+            return mock_generate(req)
+
+        monkeypatch.setattr(cli_mod, "mock_generate", generate_down_for_q1)
+        assert main(["sweep", "--corpus", str(corpus), "--qa", str(qa),
+                     "--sizes", "100,200", "--keep-going",
+                     "--out", str(tmp_path / "o")]) == 0
+        err = capsys.readouterr().err
+        assert "chunk_size=100 FAILED: [qa q1] backend down\n" in err
+        assert "chunk_size=200 FAILED: [qa q1] backend down\n" in err
 
     def test_config_embedder_kind_picks_backend(self, inputs, tmp_path, fake_server):
         # no --backend: the config's "kind": "remote" is what the sweep uses
@@ -347,6 +389,32 @@ class TestConfigFile:
         assert main(["ask", "--corpus", "x", "--question", "q",
                      "--config", str(cfg)]) == 1
         assert "jaccard_threshold must be in (0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("obj", [
+        {"overlap": "5"}, {"overlap": True}, {"overlap": 5.0}, {"cache_dir": 5},
+        {"llm_model": ["x"]}, {"chunk_sizes": [250, "500"]}, {"chunk_sizes": 250},
+        {"rag": {"prompt_template": 5}}, {"rag": {"top_k": None}},
+        {"metric": {"w_factual": "1"}}, {"embedder": {"dim": False}},
+    ])
+    def test_value_of_the_wrong_type_rejected(self, tmp_path, capsys, obj):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(obj))
+        assert main(["ask", "--corpus", "x", "--question", "q",
+                     "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {cfg}:")
+
+    def test_int_accepted_for_a_float(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"metric": {"w_factual": 1, "w_semantic": 0}}')
+        assert load_app_config(cfg).metric.w_factual == 1
+
+    def test_bad_file_sizes_rejected_under_sizes_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"chunk_sizes": [500, 250]}')
+        assert main(["sweep", "--corpus", "x", "--qa", "y", "--sizes", "100",
+                     "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 1
+        assert f"config error: {cfg}: chunk_sizes must be strictly increasing" in \
+            capsys.readouterr().err
 
     def test_config_applies(self, tmp_path, capsys):
         src = tmp_path / "export.jsonl"

@@ -30,7 +30,7 @@ class TestRequestValidation:
 
 class TestGenerate:
     def cfg(self, server):
-        return LlmConfig(endpoint_url=server.url, model="m", max_retries=2)
+        return LlmConfig(endpoint_url=server.url, max_retries=2)
 
     def test_maps_first_choice(self, fake_server):
         fake_server.script.append(

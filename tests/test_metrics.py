@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ragbench.config import AppConfig
 from ragbench.corpus import Document
 from ragbench.embed import embed_offline
 from ragbench.errors import (EmptyResults, InvalidConfig, MalformedLine,
@@ -14,7 +15,7 @@ from ragbench.llm import ChatResponse, mock_generate
 from ragbench.metrics import (EvalResult, LexicalJudge, MetricConfig, QAItem,
                               RemoteJudge, aggregate, answer_correctness, f1,
                               load_qa_jsonl)
-from ragbench.sweep import SweepConfig, run_sweep
+from ragbench.sweep import run_sweep
 
 
 def offline_embed(text):
@@ -27,7 +28,7 @@ LEX = LexicalJudge()
 def sweep(qa_set, workers, embed_fn=offline_embed, generate_fn=mock_generate):
     """A one-size sweep of qa_set over a two-sentence corpus."""
     docs = [Document(id="d", source="s", title="", body="Patch now. Reboot later.")]
-    return run_sweep(docs, qa_set, SweepConfig(chunk_sizes=[100]),
+    return run_sweep(docs, qa_set, AppConfig(chunk_sizes=[100]),
                      embed_texts_fn=lambda texts: [offline_embed(t) for t in texts],
                      embed_fn=embed_fn, generate_fn=generate_fn,
                      judge=LEX, concurrency=workers)

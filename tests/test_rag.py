@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from ragbench.chunker import ChunkConfig, chunk_corpus
+from ragbench.config import AppConfig
 from ragbench.corpus import Document
 from ragbench.embed import embed_offline
 from ragbench.errors import InvalidConfig, MalformedLine, TemplateError
@@ -10,7 +11,7 @@ from ragbench.llm import mock_generate
 from ragbench.metrics import QAItem
 from ragbench.rag import (NO_CONTEXT, RagConfig, AnswerRecord, assemble_prompt,
                           answer_question)
-from ragbench.sweep import SweepConfig, run_sweep
+from ragbench.sweep import run_sweep
 from ragbench.vectorstore import Index
 
 
@@ -163,7 +164,7 @@ class TestAnswerQuestion:
 
         for workers in (1, 4):
             with pytest.raises(MalformedLine) as exc:
-                run_sweep(self.planted_docs(), qa_set, SweepConfig(chunk_sizes=[200]),
+                run_sweep(self.planted_docs(), qa_set, AppConfig(chunk_sizes=[200]),
                           embed_texts_fn=lambda texts: [offline_embed(t) for t in texts],
                           embed_fn=offline_embed, generate_fn=generate_fn,
                           concurrency=workers)

@@ -9,6 +9,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from ragbench.config import AppConfig
 from ragbench.corpus import Document
 import ragbench.embed as embed_mod
 from ragbench.chunker import ChunkConfig, chunk_corpus
@@ -24,8 +25,8 @@ from ragbench.rag import answer_question
 import ragbench.sweep as sweep_mod
 from ragbench.vectorstore import Index
 
-from ragbench.sweep import (SweepConfig, SweepReport, SweepRow, emit_csv,
-                            emit_svg, run_sweep)
+from ragbench.sweep import (SweepReport, SweepRow, emit_csv, emit_svg,
+                            run_sweep)
 
 EMB = EmbedderConfig(kind="offline", dim=128)
 
@@ -60,7 +61,7 @@ def embed_short_only(texts):
 
 
 def run(cfg=None, docs=None, qa=None, **kw):
-    cfg = cfg or SweepConfig(chunk_sizes=[100, 200, 400])
+    cfg = cfg or AppConfig(chunk_sizes=[100, 200, 400])
     return run_sweep(docs or make_corpus(), qa or make_qa(), cfg,
                      embed_texts_fn=offline_batch, embed_fn=make_embed_fn(EMB),
                      generate_fn=mock_generate, judge=LexicalJudge(), **kw)
@@ -68,28 +69,28 @@ def run(cfg=None, docs=None, qa=None, **kw):
 
 class TestConfig:
     def test_default_sizes(self):
-        assert SweepConfig().chunk_sizes == [250, 500, 1000, 2000, 4000, 8000]
+        assert AppConfig().chunk_sizes == [250, 500, 1000, 2000, 4000, 8000]
 
     def test_sizes_must_increase(self):
         with pytest.raises(InvalidConfig):
-            SweepConfig(chunk_sizes=[100, 50])
+            AppConfig(chunk_sizes=[100, 50])
 
     def test_sizes_exceed_overlap(self):
         with pytest.raises(InvalidConfig):
-            SweepConfig(chunk_sizes=[10, 20], overlap=10)
+            AppConfig(chunk_sizes=[10, 20], overlap=10)
 
     def test_negative_overlap(self):
         with pytest.raises(InvalidConfig):
-            SweepConfig(chunk_sizes=[10, 20], overlap=-1)
+            AppConfig(chunk_sizes=[10, 20], overlap=-1)
 
     def test_empty_sizes(self):
         with pytest.raises(InvalidConfig):
-            SweepConfig(chunk_sizes=[])
+            AppConfig(chunk_sizes=[])
 
 
 class TestRunSweep:
     def test_one_row_per_size(self):
-        report = run(SweepConfig(chunk_sizes=[250, 500, 1000, 2000, 4000, 8000]))
+        report = run(AppConfig(chunk_sizes=[250, 500, 1000, 2000, 4000, 8000]))
         assert [r.chunk_size for r in report.rows] == \
             [250, 500, 1000, 2000, 4000, 8000]
         assert all(0.0 <= r.mean_correctness <= 1.0 for r in report.rows)
@@ -100,8 +101,8 @@ class TestRunSweep:
         assert a == b
 
     def test_size_isolation(self):
-        both = run(SweepConfig(chunk_sizes=[100, 200]))
-        alone = run(SweepConfig(chunk_sizes=[100]))
+        both = run(AppConfig(chunk_sizes=[100, 200]))
+        alone = run(AppConfig(chunk_sizes=[100]))
         assert both.per_question[100] == alone.per_question[100]
         assert both.rows[0].mean_correctness == alone.rows[0].mean_correctness
 
@@ -127,13 +128,13 @@ class TestRunSweep:
     def test_abort_by_default(self):
         with pytest.raises(RagBenchError):
             run_sweep(make_corpus(), make_qa(),
-                      SweepConfig(chunk_sizes=[100, 400]),
+                      AppConfig(chunk_sizes=[100, 400]),
                       embed_texts_fn=embed_short_only, embed_fn=make_embed_fn(EMB),
                       generate_fn=mock_generate, judge=LexicalJudge())
 
     def test_keep_going_records_failed_row(self):
         report = run_sweep(make_corpus(), make_qa(),
-                           SweepConfig(chunk_sizes=[100, 400]),
+                           AppConfig(chunk_sizes=[100, 400]),
                            embed_texts_fn=embed_short_only,
                            embed_fn=make_embed_fn(EMB),
                            generate_fn=mock_generate, judge=LexicalJudge(),
@@ -147,7 +148,7 @@ class TestRunSweep:
     def test_aborted_sweep_removes_old_results(self, tmp_path):
         # without keep-going, the failed size's results and those of the
         # sizes it never reached are gone too
-        cfg = SweepConfig(chunk_sizes=[100, 400, 800])
+        cfg = AppConfig(chunk_sizes=[100, 400, 800])
         run(cfg, out_dir=tmp_path)
         with pytest.raises(RagBenchError):
             run_sweep(make_corpus(), make_qa(), cfg,
@@ -158,7 +159,7 @@ class TestRunSweep:
         assert not (tmp_path / "800" / "results.jsonl").exists()
 
     def test_keep_going_removes_old_results_of_failed_size(self, tmp_path):
-        cfg = SweepConfig(chunk_sizes=[100, 400])
+        cfg = AppConfig(chunk_sizes=[100, 400])
         run(cfg, out_dir=tmp_path)
         assert (tmp_path / "400" / "results.jsonl").is_file()
         report = run_sweep(make_corpus(), make_qa(), cfg,
@@ -172,7 +173,7 @@ class TestRunSweep:
     def test_default_judge_is_lexical_at_config_threshold(self):
         reports = {}
         for threshold in (0.3, 0.6):
-            cfg = SweepConfig(chunk_sizes=[100, 200, 400],
+            cfg = AppConfig(chunk_sizes=[100, 200, 400],
                               metric=MetricConfig(jaccard_threshold=threshold))
             common = dict(embed_texts_fn=offline_batch, embed_fn=make_embed_fn(EMB),
                           generate_fn=mock_generate)
@@ -215,7 +216,7 @@ class TestConcurrency:
         # q5 fails first in time, q2 first in input order
         def sweep(workers):
             return run_sweep(make_corpus(), make_qa(8),
-                             SweepConfig(chunk_sizes=[100, 200]),
+                             AppConfig(chunk_sizes=[100, 200]),
                              embed_texts_fn=offline_batch,
                              embed_fn=make_embed_fn(EMB),
                              generate_fn=slow_early_generate(8, fail={2, 5}),
@@ -232,7 +233,7 @@ class TestConcurrency:
 
     def test_no_waiters_left_after_sweep(self, tmp_path):
         embed_fn = make_embed_fn(EMB)
-        run_sweep(make_corpus(), make_qa(8), SweepConfig(chunk_sizes=[100, 200]),
+        run_sweep(make_corpus(), make_qa(8), AppConfig(chunk_sizes=[100, 200]),
                   embed_texts_fn=offline_batch, embed_fn=embed_fn,
                   generate_fn=make_cached_fn(slow_early_generate(8), tmp_path),
                   judge=LexicalJudge(), concurrency=4)
@@ -258,7 +259,7 @@ class TestPipeline:
                 raise ProtocolError("the next size was not indexed while answering")
             return mock_generate(req)
 
-        cfg = SweepConfig(chunk_sizes=[100, 200])
+        cfg = AppConfig(chunk_sizes=[100, 200])
         report = run_sweep(make_corpus(), make_qa(8), cfg, embed_texts_fn=embed_chunks,
                            embed_fn=make_embed_fn(EMB), generate_fn=generate,
                            judge=LexicalJudge(), concurrency=4)
@@ -278,7 +279,7 @@ class TestPipeline:
 
         def sweep():
             return run_sweep(make_corpus(), make_qa(8),
-                             SweepConfig(chunk_sizes=[100, 200, 400]),
+                             AppConfig(chunk_sizes=[100, 200, 400]),
                              embed_texts_fn=offline_batch, embed_fn=make_embed_fn(EMB),
                              generate_fn=generate, judge=LexicalJudge(),
                              keep_going=keep_going, concurrency=4)
@@ -305,7 +306,7 @@ class TestPipeline:
 
         monkeypatch.setattr(sweep_mod, "answer_question", recording)
         qa = make_qa(5)
-        run(SweepConfig(chunk_sizes=[250, 500, 1000, 2000, 4000, 8000]), qa=qa)
+        run(AppConfig(chunk_sizes=[250, 500, 1000, 2000, 4000, 8000]), qa=qa)
         questions_and_truths = [q.question for q in qa] + [q.ground_truth for q in qa]
         assert len(single) == 2
         assert single[0] == questions_and_truths
@@ -319,7 +320,7 @@ class TestPipeline:
         def sweep(workers):
             try:
                 return run_sweep(make_corpus(), make_qa(16),
-                                 SweepConfig(chunk_sizes=[100, 200, 400]),
+                                 AppConfig(chunk_sizes=[100, 200, 400]),
                                  embed_texts_fn=offline_batch, embed_fn=make_embed_fn(EMB),
                                  generate_fn=slow_early_generate(16, fail={5, 11}),
                                  judge=FailingJudge({3}), keep_going=keep_going,
@@ -357,7 +358,7 @@ class FailingJudge(LexicalJudge):
 class TestStages:
     def test_equals_one_item_at_a_time(self):
         # reference: the unstaged loop, every chunk embedded at every size
-        cfg = SweepConfig(chunk_sizes=[100, 200, 400])
+        cfg = AppConfig(chunk_sizes=[100, 200, 400])
         docs, qa = make_corpus(), make_qa(6)
         embed_fn = make_embed_fn(EMB)
         expected = {}
@@ -400,7 +401,7 @@ class TestStages:
         query = Index.query_topk
         monkeypatch.setattr(Index, "query_topk",
                             lambda self, q, k: shapes.append(np.shape(q)) or query(self, q, k))
-        run(SweepConfig(chunk_sizes=[100, 200, 400]), qa=make_qa(6))
+        run(AppConfig(chunk_sizes=[100, 200, 400]), qa=make_qa(6))
         assert shapes == [(6, EMB.dim)] * 3
 
     @pytest.mark.parametrize("workers", [1, 4])
@@ -425,7 +426,7 @@ class TestStages:
                             lambda ans, qa, *a: scored.append(qa.id) or score(ans, qa, *a))
 
         def sweep():
-            return run_sweep(make_corpus(), make_qa(), SweepConfig(chunk_sizes=[100, 200]),
+            return run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100, 200]),
                              embed_texts_fn=offline_batch, embed_fn=embed_fn,
                              generate_fn=mock_generate, judge=LexicalJudge(),
                              keep_going=keep_going, concurrency=workers)
@@ -441,11 +442,11 @@ class TestStages:
         assert sorted(answered) == sorted(scored) == ["q0"] * sizes_run + ["q1"] * sizes_run
 
     def test_plain_embed_fn_without_prime(self):
-        report = run_sweep(make_corpus(), make_qa(), SweepConfig(chunk_sizes=[100, 200]),
+        report = run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100, 200]),
                            embed_texts_fn=offline_batch,
                            embed_fn=lambda text: embed_offline(text, EMB.dim),
                            generate_fn=mock_generate, judge=LexicalJudge())
-        assert report == run(SweepConfig(chunk_sizes=[100, 200]))
+        assert report == run(AppConfig(chunk_sizes=[100, 200]))
 
     def test_single_texts_batched_chunk_texts_embedded_once(self, monkeypatch):
         single, chunk = [], []
@@ -454,7 +455,7 @@ class TestStages:
                             single.append(list(texts)) or embed_texts(texts, cfg))
         sizes = [250, 500, 1000, 2000, 4000, 8000]
         docs, qa = make_corpus(), make_qa(5)
-        run_sweep(docs, qa, SweepConfig(chunk_sizes=sizes),
+        run_sweep(docs, qa, AppConfig(chunk_sizes=sizes),
                   embed_texts_fn=lambda texts: chunk.extend(texts) or offline_batch(texts),
                   embed_fn=make_embed_fn(EMB), generate_fn=mock_generate,
                   judge=LexicalJudge())
@@ -470,7 +471,7 @@ class TestStages:
     def test_score_error_before_answer_error(self, workers, keep_going):
         # q2 fails to be scored, q5 fails to be answered: q2 comes first
         def sweep():
-            return run_sweep(make_corpus(), make_qa(8), SweepConfig(chunk_sizes=[100, 200]),
+            return run_sweep(make_corpus(), make_qa(8), AppConfig(chunk_sizes=[100, 200]),
                              embed_texts_fn=offline_batch, embed_fn=make_embed_fn(EMB),
                              generate_fn=slow_early_generate(8, fail={5}),
                              judge=FailingJudge({2}), keep_going=keep_going,
@@ -485,7 +486,7 @@ class TestStages:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_answer_error_before_score_error(self, workers):
         with pytest.raises(ProtocolError, match=r"^\[qa q2\] backend down"):
-            run_sweep(make_corpus(), make_qa(8), SweepConfig(chunk_sizes=[100]),
+            run_sweep(make_corpus(), make_qa(8), AppConfig(chunk_sizes=[100]),
                       embed_texts_fn=offline_batch, embed_fn=make_embed_fn(EMB),
                       generate_fn=slow_early_generate(8, fail={2}),
                       judge=FailingJudge({5}), concurrency=workers)
@@ -505,11 +506,11 @@ class TestStages:
                   generate_fn=mock_generate, judge=LexicalJudge(),
                   keep_going=keep_going)
         if keep_going:
-            report = run_sweep(make_corpus(), make_qa(), SweepConfig(chunk_sizes=[100]), **kw)
+            report = run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100]), **kw)
             assert report.rows[0].error == "[qa q1] embedder down"
         else:
             with pytest.raises(ProtocolError, match=r"^\[qa q1\] embedder down$"):
-                run_sweep(make_corpus(), make_qa(), SweepConfig(chunk_sizes=[100]), **kw)
+                run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100]), **kw)
         assert len(calls[0]) == 8  # the batch was tried first
         assert ["What about threat number 1?"] in calls
 
@@ -535,7 +536,7 @@ class TestEmitCsv:
         assert b"\r" not in path.read_bytes()
 
     def test_seven_lines_for_six_rows(self, tmp_path):
-        report = run(SweepConfig(chunk_sizes=[250, 500, 1000, 2000, 4000, 8000]))
+        report = run(AppConfig(chunk_sizes=[250, 500, 1000, 2000, 4000, 8000]))
         path = tmp_path / "report.csv"
         emit_csv(report, path)
         assert len(path.read_text().splitlines()) == 7
