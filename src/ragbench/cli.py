@@ -54,19 +54,14 @@ def _make_backends(app: AppConfig):
     one item at a time.
     """
     if app.embedder.kind == "offline":
-        base_generate = mock_generate
-        endpoint_tag = "mock"
-        concurrency = 1
+        generate_fn, endpoint_tag, concurrency = mock_generate, "mock", 1
     else:
         # a remote embedder always has an endpoint_url (EmbedderConfig checks)
         llm_cfg = LlmConfig(endpoint_url=app.llm_endpoint_url or app.embedder.endpoint_url)
-        base_generate = lambda req: generate(req, llm_cfg)
-        endpoint_tag = llm_cfg.endpoint_url
-        concurrency = llm_cfg.max_concurrency
-
-    generate_fn = base_generate
+        generate_fn = lambda req: generate(req, llm_cfg)
+        endpoint_tag, concurrency = llm_cfg.endpoint_url, llm_cfg.max_concurrency
     if app.cache_dir:
-        generate_fn = make_cached_fn(base_generate, app.cache_dir, endpoint=endpoint_tag)
+        generate_fn = make_cached_fn(generate_fn, app.cache_dir, endpoint=endpoint_tag)
 
     judge = (RemoteJudge(generate_fn, model=app.llm_model)
              if app.metric.judge == "remote" else None)
@@ -113,7 +108,7 @@ def cmd_ingest(fmt, in_path, out_path, do_dedup, strict):
 @click.option("--corpus", "corpus_path", required=True, type=click.Path())
 @click.option("--question", required=True)
 @click.option("--chunk-size", type=int, default=1000, show_default=True)
-@click.option("--overlap", type=int, default=0, show_default=True)
+@click.option("--overlap", type=int, default=None, help="default: the config's overlap")
 @click.option("--top-k", type=int, default=None)
 @click.option("--backend", type=click.Choice(["offline", "remote"]),
               default=None, help="default: the config's embedder.kind")
@@ -139,10 +134,9 @@ def cmd_ask(corpus_path, question, chunk_size, overlap, top_k, backend,
 
 def _parse_sizes(text: str) -> list[int]:
     try:
-        sizes = [int(s) for s in text.split(",") if s.strip()]
+        return [int(s) for s in text.split(",") if s.strip()]
     except ValueError as exc:
         raise InvalidConfig(f"bad --sizes value {text!r}") from exc
-    return sizes
 
 
 @cli.command("sweep")

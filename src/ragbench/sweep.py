@@ -3,12 +3,12 @@ score it, and emit per-size aggregates as CSV plus an SVG bar chart."""
 
 from __future__ import annotations
 
+import itertools
 import json
-import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -70,9 +70,9 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
     chunked and embedded; embed_fn, generate_fn and judge must then be
     thread-safe. Results and errors are those of one item at a time through
     every step: a size raises its earliest error in input order, tagged
-    with its item's id (errors.tag_qa). A failed item skips the items of
-    its size that have not started; without keep_going, every item that
-    has not started, and no later size is built. judge defaults to one
+    with its item's id (errors.tag_qa). A failed item skips the later items
+    of its size that have not started; without keep_going, every later
+    item that has not started, and no later size is built. judge defaults to one
     LexicalJudge per sweep at the configured threshold. With out_dir,
     every size's results.jsonl is deleted first.
     """
@@ -101,11 +101,11 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
         return vec
 
     # a stage maps each size to (its items' outcomes, its error before them);
-    # without keep_going, one halt flag per stage stops every size's items
+    # without keep_going, one _Stage per stage stops every size's later items
     pool = ThreadPoolExecutor(max_workers=concurrency) if concurrency > 1 else None
     try:
         answering, tail_rows = {}, {}
-        answers_halt = None if keep_going else threading.Event()
+        answers_stage = None if keep_going else _Stage()
         for size in app.chunk_sizes:
             try:
                 index = build_index(docs, size, app.overlap, embed_texts_fn, tail_rows)
@@ -114,8 +114,8 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
             except RagBenchError as exc:
                 hits, error = [], exc
             index = None  # hits carry their chunk texts, so the vectors can go now
-            answering[size] = _submit(pool, answer, qa_set, hits, halt=answers_halt), error
-            if answers_halt is not None and (error is not None or answers_halt.is_set()):
+            answering[size] = _submit(pool, answer, qa_set, hits, stage=answers_stage), error
+            if not keep_going and (error is not None or answers_stage.failed):
                 break
         records = {}
         for size, (outcomes, error) in answering.items():
@@ -123,8 +123,8 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
             if error is not None and not keep_going:
                 break
         prime([r.answer for done, _ in records.values() for r in done])
-        scores_halt = None if keep_going else threading.Event()
-        scoring = {size: (_submit(pool, score, qa_set, done, halt=scores_halt), error)
+        scores_stage = None if keep_going else _Stage()
+        scoring = {size: (_submit(pool, score, qa_set, done, stage=scores_stage), error)
                    for size, (done, error) in records.items()}
         rows, per_question = [], {}
         for size, (outcomes, error) in scoring.items():
@@ -167,30 +167,39 @@ def build_index(docs, size, overlap, embed_texts_fn,
                  [row_no[c.text] for c in chunks])
 
 
-def _submit(pool, fn, qa_set: list, *columns: list, halt=None) -> list:
+@dataclass
+class _Stage:
+    """Numbers the items submitted to it in queue order and lists the
+    numbers of those that failed."""
+    numbers: Iterator[int] = field(default_factory=itertools.count)
+    failed: list[int] = field(default_factory=list)
+
+
+def _submit(pool, fn, qa_set: list, *columns: list, stage=None) -> list:
     """Start fn(qa, *its values in columns) for each QA item in input order,
     on pool or else in this thread; a column shorter than qa_set ends the
     items. Returns each item's outcome, or a future of it: fn's result, the
-    RagBenchError it raised, or None if halt (the Event shared by the calls
-    that one failure stops, or None for a new one) was set when it started.
-    A failing item sets halt, and one that raises any other exception also
-    re-raises it. The pool starts items in queue order, so a skipped item
-    only follows a failed one.
+    RagBenchError it raised, or None if an item submitted earlier to stage
+    (shared by the calls that one failure stops, or None for a new one) had
+    failed when it started. A failing item records its failure in stage, and
+    one that raises any other exception also re-raises it. Threads may reach
+    items out of queue order, so a later item's failure skips no earlier one.
     """
-    halt = threading.Event() if halt is None else halt
+    stage = _Stage() if stage is None else stage
 
-    def run(*item):
+    def run(seq, *item):
         try:
-            return None if halt.is_set() else fn(*item)
+            return None if min(stage.failed, default=seq) < seq else fn(*item)
         except Exception as exc:
-            halt.set()
+            stage.failed.append(seq)
             if isinstance(exc, RagBenchError):
                 return exc
             raise
 
+    items = zip(stage.numbers, qa_set, *columns)
     if pool is None:  # a Future costs more than a cheap item
-        return [run(*item) for item in zip(qa_set, *columns)]
-    return [pool.submit(run, *item) for item in zip(qa_set, *columns)]
+        return [run(*item) for item in items]
+    return [pool.submit(run, *item) for item in items]
 
 
 def _collect(qa_set: list, outcomes: list, error=None):

@@ -430,6 +430,25 @@ class TestConfigFile:
         out = capsys.readouterr().out
         assert out.count("score=") == 2
 
+    @pytest.mark.parametrize("flags,overlap", [([], 50), (["--overlap", "10"], 10)])
+    def test_ask_takes_the_file_overlap_unless_flagged(self, tmp_path, monkeypatch,
+                                                       flags, overlap):
+        src = tmp_path / "export.jsonl"
+        write_reddit(src, n=3)
+        corpus = tmp_path / "corpus.jsonl"
+        main(["ingest", "--format", "reddit-jsonl",
+              "--in", str(src), "--out", str(corpus)])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"overlap": 50}')
+        seen = []
+        build = cli_mod.build_index
+        monkeypatch.setattr(cli_mod, "build_index",
+                            lambda docs, size, ov, *rest:
+                            seen.append(ov) or build(docs, size, ov, *rest))
+        assert main(["ask", "--corpus", str(corpus), "--question", "Body text",
+                     "--chunk-size", "100", "--config", str(cfg)] + flags) == 0
+        assert seen == [overlap]
+
 
 class TestHelp:
     @pytest.mark.parametrize("args", [["--help"], ["ingest", "--help"],

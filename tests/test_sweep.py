@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import asdict
 
 import numpy as np
@@ -25,8 +26,8 @@ from ragbench.rag import answer_question
 import ragbench.sweep as sweep_mod
 from ragbench.vectorstore import Index
 
-from ragbench.sweep import (SweepReport, SweepRow, emit_csv, emit_svg,
-                            run_sweep)
+from ragbench.sweep import (SweepReport, SweepRow, _collect, _submit, emit_csv,
+                            emit_svg, run_sweep)
 
 EMB = EmbedderConfig(kind="offline", dim=128)
 
@@ -316,7 +317,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("keep_going", [True, False])
     def test_sequential_results_under_frequent_thread_switches(self, keep_going):
-        # more threads than cores share the sweep's queue and halt flag
+        # more threads than cores share the sweep's queue and failure records
         def sweep(workers):
             try:
                 return run_sweep(make_corpus(), make_qa(16),
@@ -339,6 +340,74 @@ class TestPipeline:
             assert [r.error for r in expected.rows] == ["[qa q3] judge down"] * 3
         else:
             assert expected == "[qa q3] judge down"
+
+
+class LastFirstPool:
+    """Stands in for ThreadPoolExecutor: once a result is asked for, runs
+    every item queued so far, last first. Threads that took items in queue
+    order may reach them in that order."""
+
+    def __init__(self, max_workers):
+        self.queued = []
+
+    def submit(self, fn, *args):
+        future = LastFirstFuture(self)
+        self.queued.append((future, fn, args))
+        return future
+
+    def run_queued(self):
+        while self.queued:
+            future, fn, args = self.queued.pop()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+
+    def shutdown(self, cancel_futures=False):
+        self.queued.clear()
+
+
+class LastFirstFuture(Future):
+    def __init__(self, pool):
+        super().__init__()
+        self.pool = pool
+
+    def result(self, timeout=None):
+        self.pool.run_queued()
+        return super().result(timeout)
+
+
+class TestItemsStartedOutOfOrder:
+    @pytest.mark.parametrize("fail", [{2}, {1, 2}])
+    def test_later_failure_skips_no_earlier_item(self, fail):
+        # q3 runs first, then q2 fails before q1 and q0 start
+        def fn(qa):
+            if int(qa.id[1:]) in fail:
+                raise ProtocolError("backend down")
+            return qa.id
+
+        qa = make_qa(4)
+        results, error = _collect(qa, _submit(LastFirstPool(2), fn, qa))
+        first = min(fail)
+        assert results == [q.id for q in qa[:first]]
+        assert str(error) == f"[qa q{first}] backend down"
+
+    def test_later_size_failure_leaves_earlier_sizes_whole(self, monkeypatch):
+        # the last item of the last size is answered first, and fails
+        calls = []
+
+        def generate(req):
+            calls.append(req)
+            if len(calls) == 1:
+                raise ProtocolError("backend down")
+            return mock_generate(req)
+
+        monkeypatch.setattr(sweep_mod, "ThreadPoolExecutor", LastFirstPool)
+        with pytest.raises(ProtocolError, match=r"^\[qa q7\] backend down$"):
+            run_sweep(make_corpus(), make_qa(8), AppConfig(chunk_sizes=[100, 200]),
+                      embed_texts_fn=offline_batch, embed_fn=make_embed_fn(EMB),
+                      generate_fn=generate, judge=LexicalJudge(), concurrency=2)
+        assert len(calls) == 16
 
 
 class FailingJudge(LexicalJudge):
