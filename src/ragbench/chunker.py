@@ -32,30 +32,20 @@ class ChunkConfig:
 
 @dataclass(frozen=True)
 class Chunk:
+    """The window text[seq * stride:][:size] of its document's body."""
     doc_id: str
     seq: int
     text: str
-    char_start: int
-    char_end: int
 
 
 def chunk_text(text: str, cfg: ChunkConfig, doc_id: str = "") -> list[Chunk]:
     """Split text into chunks of cfg.size codepoints every cfg.stride
     codepoints; stops after the first chunk reaching the end of text."""
-    if not text:
-        return []
-    n = len(text)
     chunks = []
-    seq = 0
-    start = 0
-    while True:
-        end = min(start + cfg.size, n)
-        chunks.append(Chunk(doc_id=doc_id, seq=seq, text=text[start:end],
-                            char_start=start, char_end=end))
-        if end >= n:
+    for seq, start in enumerate(range(0, len(text), cfg.stride)):
+        chunks.append(Chunk(doc_id=doc_id, seq=seq, text=text[start:start + cfg.size]))
+        if start + cfg.size >= len(text):
             break
-        seq += 1
-        start += cfg.stride
     return chunks
 
 

@@ -18,7 +18,7 @@ from .config import AppConfig, load_app_config
 from .embed import embed_texts, make_embed_fn
 from .errors import InvalidConfig, RagBenchError
 from .llm import LlmConfig, generate, make_cached_fn, mock_generate
-from .metrics import RemoteJudge, load_qa_jsonl
+from .metrics import LexicalJudge, RemoteJudge, load_qa_jsonl
 from .rag import answer_question
 from .sweep import build_index, emit_csv, emit_svg, run_sweep
 
@@ -44,8 +44,7 @@ def _resolve_app(config_path: str | None, cache_dir: str | None, *,
 
 def _make_backends(app: AppConfig):
     """Return (embed_texts_fn, embed_fn, generate_fn, judge, concurrency)
-    for app's embedder.kind. judge is None for the lexical judge, which
-    run_sweep builds once per sweep.
+    for app's embedder.kind and metric.judge.
 
     concurrency is how many QA items a sweep answers at once. Remote calls
     mostly wait on the network, so they overlap up to the LLM's
@@ -63,8 +62,8 @@ def _make_backends(app: AppConfig):
     if app.cache_dir:
         generate_fn = make_cached_fn(generate_fn, app.cache_dir, endpoint=endpoint_tag)
 
-    judge = (RemoteJudge(generate_fn, model=app.llm_model)
-             if app.metric.judge == "remote" else None)
+    judge = (RemoteJudge(generate_fn, model=app.llm_model) if app.metric.judge == "remote"
+             else LexicalJudge(app.metric.jaccard_threshold))
 
     return ((lambda texts: embed_texts(texts, app.embedder, app.cache_dir)),
             make_embed_fn(app.embedder, app.cache_dir), generate_fn, judge, concurrency)
@@ -84,22 +83,18 @@ def cli():
 @click.option("--strict", is_flag=True, default=False)
 def cmd_ingest(fmt, in_path, out_path, do_dedup, strict):
     """Parse a source corpus into the document store JSONL."""
+    skipped = 0
     if fmt == "reddit-jsonl":
         with open(in_path, "rb") as f:
-            docs, stats = corpus_mod.parse_reddit_jsonl(f, lenient=not strict)
+            docs, skipped = corpus_mod.parse_reddit_jsonl(f, lenient=not strict)
     else:
         docs = corpus_mod.ingest_text_dir(in_path)
-        stats = corpus_mod.CorpusStats(documents_in=len(docs),
-                                       documents_kept=len(docs))
-    if do_dedup:
-        docs, dstats = corpus_mod.dedup(docs)
-        stats.documents_kept = dstats.documents_kept
-        stats.duplicates_removed = dstats.duplicates_removed
-    corpus_mod.save_corpus(docs, out_path)
+    kept = corpus_mod.dedup(docs) if do_dedup else docs
+    corpus_mod.save_corpus(kept, out_path)
     click.echo(
-        f"in={stats.documents_in} kept={stats.documents_kept} "
-        f"duplicates_removed={stats.duplicates_removed} "
-        f"lines_skipped={stats.lines_skipped}",
+        f"in={len(docs)} kept={len(kept)} "
+        f"duplicates_removed={len(docs) - len(kept)} "
+        f"lines_skipped={skipped}",
         err=True,
     )
 
@@ -155,6 +150,9 @@ def cmd_sweep(corpus_path, qa_path, sizes, out_dir, overlap, backend,
     """Run the chunk-size sweep and write report.csv / report.svg."""
     app = _resolve_app(config_path, cache_dir, backend=backend,
                        sizes=_parse_sizes(sizes) if sizes else None, overlap=overlap)
+    if app.metric.judge == "remote" and app.embedder.kind == "offline":
+        # the mock backend echoes prompts, so it cannot answer a judge prompt
+        raise InvalidConfig('metric.judge "remote" needs the remote backend')
     embed_texts_fn, embed_fn, generate_fn, judge, concurrency = _make_backends(app)
 
     out = Path(out_dir)

@@ -28,14 +28,6 @@ class Document:
     created_at: int = 0
 
 
-@dataclass
-class CorpusStats:
-    documents_in: int = 0
-    documents_kept: int = 0
-    duplicates_removed: int = 0
-    lines_skipped: int = 0
-
-
 def compose_body(title: str, selftext: str, top_comment: str) -> str:
     """Join title, post text and top answer into one retrievable unit,
     dropping empty segments."""
@@ -65,14 +57,15 @@ def _doc_from_reddit_obj(obj: dict) -> Document:
     )
 
 
-def parse_reddit_jsonl(stream: IO, lenient: bool = True) -> tuple[list[Document], CorpusStats]:
-    """Parse a Reddit-export JSONL stream into Documents, order preserved.
+def parse_reddit_jsonl(stream: IO, lenient: bool = True) -> tuple[list[Document], int]:
+    """Parse a Reddit-export JSONL stream into (its Documents in order, the
+    number of lines skipped).
 
     In lenient mode malformed lines, such as one that is not UTF-8, are
     skipped and counted; in strict mode the first raises MalformedLine.
     """
     docs: list[Document] = []
-    stats = CorpusStats()
+    skipped = 0
     for line_no, raw in enumerate(stream, start=1):
         try:
             if isinstance(raw, bytes):
@@ -84,14 +77,12 @@ def parse_reddit_jsonl(stream: IO, lenient: bool = True) -> tuple[list[Document]
         except (json.JSONDecodeError, ValueError, TypeError) as exc:
             if not lenient:
                 raise MalformedLine(line_no, str(exc)) from exc
-            stats.lines_skipped += 1
+            skipped += 1
             continue
         docs.append(doc)
-    stats.documents_in = len(docs)
-    stats.documents_kept = len(docs)
     if not docs:
         raise EmptyCorpus("no documents parsed from stream")
-    return docs, stats
+    return docs, skipped
 
 
 def ingest_text_dir(path: str | Path) -> list[Document]:
@@ -122,7 +113,7 @@ def _dedup_key(body: str) -> str:
     return " ".join(body.split()).casefold()
 
 
-def dedup(docs: list[Document]) -> tuple[list[Document], CorpusStats]:
+def dedup(docs: list[Document]) -> list[Document]:
     """Collapse documents with identical whitespace-normalized, case-folded
     bodies to the earliest occurrence; survivor order is input order."""
     seen: set[str] = set()
@@ -133,12 +124,7 @@ def dedup(docs: list[Document]) -> tuple[list[Document], CorpusStats]:
             continue
         seen.add(key)
         kept.append(doc)
-    stats = CorpusStats(
-        documents_in=len(docs),
-        documents_kept=len(kept),
-        duplicates_removed=len(docs) - len(kept),
-    )
-    return kept, stats
+    return kept
 
 
 def save_corpus(docs: Iterable[Document], path: str | Path) -> None:

@@ -198,11 +198,8 @@ def embed_remote(texts: list[str], cfg: EmbedderConfig,
                            lambda entry: _rows(entry.get("embeddings"), len(batch)),
                            lambda: request(batch))
 
-    if len(batches) == 1:
-        results = [run_batch(batches[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=max(1, cfg.max_concurrency)) as pool:
-            results = list(pool.map(run_batch, batches))
+    with ThreadPoolExecutor(max_workers=max(1, cfg.max_concurrency)) as pool:
+        results = list(pool.map(run_batch, batches))
     out = [v for batch in results for v in batch]
     dims = {len(v) for v in out}
     if len(dims) > 1:

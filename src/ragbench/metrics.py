@@ -33,8 +33,9 @@ class QAItem:
     ground_truth: str
 
     def __post_init__(self):
-        if not self.ground_truth:
-            raise InvalidConfig(f"QA item {self.id!r} has empty ground_truth")
+        for name in ("question", "ground_truth"):
+            if not getattr(self, name).strip():
+                raise InvalidConfig(f"QA item {self.id!r} has empty {name}")
 
 
 @dataclass
@@ -198,10 +199,9 @@ def f1(tp: int, fp: int, fn: int) -> float:
 
 def answer_correctness(answer: str, qa: QAItem,
                        embed_fn: Callable[[str], np.ndarray],
-                       cfg: MetricConfig, judge=None) -> EvalResult:
-    """Blend of statement-level F1 and clamped embedding cosine similarity."""
-    if judge is None:
-        judge = LexicalJudge(cfg.jaccard_threshold)
+                       cfg: MetricConfig, judge) -> EvalResult:
+    """Blend of statement-level F1, with judge's statements and verdicts,
+    and clamped embedding cosine similarity."""
     answer_stmts = judge.extract(answer)
     gt_stmts = judge.extract(qa.ground_truth)
     tp, fp, fn = judge.classify(answer_stmts, gt_stmts)
@@ -223,8 +223,6 @@ def aggregate(results: list[EvalResult]) -> dict:
     return {
         "mean": sum(scores) / len(scores),
         "n": len(scores),
-        "min": min(scores),
-        "max": max(scores),
     }
 
 

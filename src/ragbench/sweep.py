@@ -16,7 +16,7 @@ from .chunker import ChunkConfig, chunk_corpus
 from .config import AppConfig
 from .corpus import Document
 from .errors import DimMismatch, EmptyCorpus, EmptyResults, RagBenchError, tag_qa
-from .metrics import EvalResult, LexicalJudge, QAItem, aggregate, answer_correctness
+from .metrics import EvalResult, QAItem, aggregate, answer_correctness
 from .rag import answer_question
 from .vectorstore import Index
 
@@ -49,13 +49,13 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
               embed_texts_fn: Callable[[list[str]], list[np.ndarray]],
               embed_fn: Callable[[str], np.ndarray],
               generate_fn,
-              judge=None,
+              judge,
               keep_going: bool = False,
               out_dir: str | Path | None = None,
               concurrency: int = 1) -> SweepReport:
     """Run the experiment over every chunk size of app, with its overlap,
     rag and metric settings; its backend and cache settings are the
-    caller's to turn into the functions passed here.
+    caller's to turn into the functions and the judge passed here.
 
     embed_texts_fn batch-embeds chunk texts; embed_fn embeds single texts
     (questions, answers, ground truths) and should memoize. If it has a
@@ -72,8 +72,7 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
     every step: a size raises its earliest error in input order, tagged
     with its item's id (errors.tag_qa). A failed item skips the later items
     of its size that have not started; without keep_going, every later
-    item that has not started, and no later size is built. judge defaults to one
-    LexicalJudge per sweep at the configured threshold. With out_dir,
+    item that has not started, and no later size is built. With out_dir,
     every size's results.jsonl is deleted first.
     """
     if out_dir is not None:
@@ -83,8 +82,6 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
         raise EmptyCorpus("sweep needs a non-empty corpus")
     if not qa_set:
         raise EmptyResults("sweep needs a non-empty QA set")
-    if judge is None:
-        judge = LexicalJudge(app.metric.jaccard_threshold)
     prime = getattr(embed_fn, "prime", None) or (lambda texts: None)
     prime([qa.question for qa in qa_set] + [qa.ground_truth for qa in qa_set])
 

@@ -25,7 +25,6 @@ _SCORE_BLOCK_BYTES = 1 << 20
 class Hit:
     chunk_ref: ChunkRef
     score: float
-    rank: int
     text: str
 
 
@@ -102,8 +101,8 @@ class Index:
             cand = np.flatnonzero(row_keep)
             order = cand[np.lexsort((self._ref_rank[cand], row_neg[cand]))[:k]]
             out.append([
-                Hit(chunk_ref=self._chunks[i][0], score=float(row[i]), rank=r,
+                Hit(chunk_ref=self._chunks[i][0], score=float(row[i]),
                     text=self._chunks[i][1])
-                for r, i in enumerate(order.tolist())
+                for i in order.tolist()
             ])
         return out

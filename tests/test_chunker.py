@@ -24,9 +24,9 @@ def test_codepoint_not_byte_slicing():
 
 
 def test_offsets():
-    chunks = chunk_text("abcdefghij", ChunkConfig(4, 0), doc_id="d")
-    assert [(c.char_start, c.char_end, c.seq) for c in chunks] == \
-        [(0, 4, 0), (4, 8, 1), (8, 10, 2)]
+    # chunk seq is the window text[seq * stride:][:size]
+    chunks = chunk_text("abcdefghij", ChunkConfig(4, 1), doc_id="d")
+    assert [(c.seq, c.text) for c in chunks] == [(0, "abcd"), (1, "defg"), (2, "ghij")]
     assert all(c.doc_id == "d" for c in chunks)
 
 
@@ -73,17 +73,14 @@ def test_property_bounds_and_coverage(params):
     chunks = chunk_text(text, cfg)
     assert chunks, "non-empty text always yields at least one chunk"
     n = len(text)
-    for k, c in enumerate(chunks):
-        assert c.seq == k
-        assert c.char_start == k * cfg.stride
-        assert 0 < len(c.text) <= size
-        assert c.char_end - c.char_start == len(c.text)
-        assert text[c.char_start:c.char_end] == c.text
-        assert c.text.encode("utf-8").decode("utf-8") == c.text
-    assert chunks[-1].char_end == n
     covered = set()
-    for c in chunks:
-        covered.update(range(c.char_start, c.char_end))
+    for k, c in enumerate(chunks):
+        start = k * cfg.stride
+        assert c.seq == k
+        assert 0 < len(c.text) <= size
+        assert c.text == text[start:start + size]
+        assert c.text.encode("utf-8").decode("utf-8") == c.text
+        covered.update(range(start, start + len(c.text)))
     assert covered == set(range(n))
     # all but the last chunk are full-size
     for c in chunks[:-1]:

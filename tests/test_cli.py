@@ -9,8 +9,10 @@ import ragbench._http as http_mod
 import ragbench.cli as cli_mod
 from ragbench.corpus import Document, save_corpus
 from ragbench.cli import main
-from ragbench.config import load_app_config
+from ragbench.config import AppConfig, load_app_config
+from ragbench.embed import EmbedderConfig
 from ragbench.errors import ProtocolError
+from ragbench.metrics import LexicalJudge, MetricConfig, RemoteJudge
 
 
 def write_reddit(path, n=5, extra_lines=()):
@@ -47,21 +49,24 @@ class TestIngest:
         out = tmp_path / "corpus.jsonl"
         dup = json.dumps({"id": "dup", "subreddit": "s", "title": "Title 0",
                           "selftext": "Body text 0", "top_comment": "Answer 0"})
-        write_reddit(src, n=3, extra_lines=[dup])
+        write_reddit(src, n=3, extra_lines=[dup, "{broken"])
         assert main(["ingest", "--format", "reddit-jsonl",
                      "--in", str(src), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 3
-        assert "duplicates_removed=1" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "in=4 kept=3 duplicates_removed=1 lines_skipped=1\n"
 
-    def test_no_dedup_keeps_all(self, tmp_path):
+    def test_no_dedup_keeps_all(self, tmp_path, capsys):
         src = tmp_path / "export.jsonl"
         out = tmp_path / "corpus.jsonl"
         dup = json.dumps({"id": "dup", "subreddit": "s", "title": "Title 0",
                           "selftext": "Body text 0", "top_comment": "Answer 0"})
-        write_reddit(src, n=3, extra_lines=[dup])
+        write_reddit(src, n=3, extra_lines=[dup, "{broken"])
         assert main(["ingest", "--format", "reddit-jsonl", "--no-dedup",
                      "--in", str(src), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 4
+        assert capsys.readouterr().err == \
+            "in=4 kept=4 duplicates_removed=0 lines_skipped=1\n"
 
     def test_bogus_format_usage_error(self, tmp_path):
         assert main(["ingest", "--format", "bogus",
@@ -98,10 +103,13 @@ class TestIngest:
         src.mkdir()
         (src / "lesson1.md").write_text("Threat modeling basics.")
         (src / "lesson2.txt").write_text("Incident response steps.")
+        (src / "lesson3.txt").write_text("Threat  modeling\nbasics.")  # lesson1 again
         out = tmp_path / "corpus.jsonl"
         assert main(["ingest", "--format", "textdir",
                      "--in", str(src), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 2
+        assert capsys.readouterr().err == \
+            "in=3 kept=2 duplicates_removed=1 lines_skipped=0\n"
 
 
 class TestAsk:
@@ -127,6 +135,14 @@ class TestAsk:
         assert "ZEBRA-7" in out
         assert "retrieved:" in out
         assert "score=" in out
+
+    def test_remote_judge_config_is_not_used(self, corpus, tmp_path, capsys):
+        # ask never judges, so a judge only the remote backend can run is no error
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"metric": {"judge": "remote"}}')
+        assert main(["ask", "--corpus", str(corpus), "--question", "What is ZEBRA-7?",
+                     "--chunk-size", "200", "--config", str(cfg)]) == 0
+        assert "ZEBRA-7" in capsys.readouterr().out
 
     def test_missing_question_usage_error(self, corpus):
         assert main(["ask", "--corpus", str(corpus)]) == 1
@@ -221,6 +237,23 @@ class TestSweep:
                      "--sizes", "100", "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"malformed line {line_no}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,obj", [
+        ([], {"metric": {"judge": "remote"}}),
+        (["--backend", "offline"], {"metric": {"judge": "remote"},
+                                    "embedder": {"kind": "remote",
+                                                 "endpoint_url": "http://127.0.0.1:9"}}),
+    ])
+    def test_remote_judge_needs_remote_backend(self, tmp_path, capsys, flags, obj):
+        # the mock backend cannot answer a judge prompt; the sweep says so
+        # before it reads any input, so missing inputs are not the error
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(obj))
+        assert main(["sweep", "--corpus", str(tmp_path / "none.jsonl"),
+                     "--qa", str(tmp_path / "none.jsonl"), "--sizes", "100",
+                     "--out", str(tmp_path / "o"), "--config", str(cfg)] + flags) == 1
+        assert capsys.readouterr().err == \
+            'config error: metric.judge "remote" needs the remote backend\n'
 
     def test_non_increasing_sizes_exit_1(self, inputs, tmp_path):
         corpus, qa = inputs
@@ -448,6 +481,21 @@ class TestConfigFile:
         assert main(["ask", "--corpus", str(corpus), "--question", "Body text",
                      "--chunk-size", "100", "--config", str(cfg)] + flags) == 0
         assert seen == [overlap]
+
+
+class TestMakeBackends:
+    def test_lexical_judge_at_config_threshold(self):
+        judge = cli_mod._make_backends(AppConfig(metric=MetricConfig(jaccard_threshold=0.3)))[3]
+        assert type(judge) is LexicalJudge
+        assert judge.jaccard_threshold == 0.3
+
+    def test_remote_judge_with_llm_model(self):
+        app = AppConfig(embedder=EmbedderConfig(kind="remote", endpoint_url="http://127.0.0.1:9"),
+                        metric=MetricConfig(judge="remote"), llm_model="judge-model")
+        _, _, generate_fn, judge, _ = cli_mod._make_backends(app)
+        assert type(judge) is RemoteJudge
+        assert judge.model == "judge-model"
+        assert judge.generate_fn is generate_fn
 
 
 class TestHelp:

@@ -21,14 +21,14 @@ def as_stream(*lines):
 
 
 def test_parse_single_line():
-    docs, stats = parse_reddit_jsonl(as_stream(reddit_line()))
+    docs, skipped = parse_reddit_jsonl(as_stream(reddit_line()))
     assert len(docs) == 1
     d = docs[0]
     assert d.id == "a1"
     assert d.source == "cybersecurity"
     assert d.body == "T\n\nB\n\nC"
     assert d.score == 10
-    assert stats.documents_kept == 1
+    assert skipped == 0
 
 
 def test_parse_blank_segments_elided():
@@ -49,13 +49,12 @@ def test_parse_empty_stream_raises():
 
 
 def test_parse_lenient_skips_malformed():
-    docs, stats = parse_reddit_jsonl(
+    docs, skipped = parse_reddit_jsonl(
         as_stream(reddit_line(id="a"), "{not json", reddit_line(id="b")),
         lenient=True,
     )
     assert [d.id for d in docs] == ["a", "b"]
-    assert stats.lines_skipped == 1
-    assert stats.documents_kept == 2
+    assert skipped == 1
 
 
 def test_parse_strict_aborts_with_line_number():
@@ -84,17 +83,17 @@ def test_parse_strict_bytes_not_utf8_is_malformed_line():
 
 def test_parse_lenient_bytes_not_utf8_skipped():
     stream = io.BytesIO(reddit_line().encode() + b"\n\xff{\n" + reddit_line(id="b").encode())
-    docs, stats = parse_reddit_jsonl(stream, lenient=True)
+    docs, skipped = parse_reddit_jsonl(stream, lenient=True)
     assert [d.id for d in docs] == ["a1", "b"]
-    assert stats.lines_skipped == 1
+    assert skipped == 1
 
 
 def test_parse_lenient_string_not_utf8_skipped():
     # the same line that strict mode rejects: no U+FFFD text is kept
     stream = io.BytesIO(reddit_line().encode() + b'\n{"id":"x","title":"caf\xff"}\n')
-    docs, stats = parse_reddit_jsonl(stream, lenient=True)
+    docs, skipped = parse_reddit_jsonl(stream, lenient=True)
     assert [d.id for d in docs] == ["a1"]
-    assert stats.lines_skipped == 1
+    assert skipped == 1
     with pytest.raises(MalformedLine):
         parse_reddit_jsonl(io.BytesIO(stream.getvalue()), lenient=False)
 
@@ -135,35 +134,27 @@ def make_doc(i, body):
 
 def test_dedup_whitespace_normalized():
     docs = [make_doc(0, "a  b"), make_doc(1, "a b")]
-    kept, stats = dedup(docs)
-    assert [d.id for d in kept] == ["d0"]
-    assert stats.duplicates_removed == 1
+    assert [d.id for d in dedup(docs)] == ["d0"]
 
 
 def test_dedup_distinct_kept():
-    kept, stats = dedup([make_doc(0, "a"), make_doc(1, "b")])
-    assert len(kept) == 2
-    assert stats.duplicates_removed == 0
+    assert len(dedup([make_doc(0, "a"), make_doc(1, "b")])) == 2
 
 
 def test_dedup_case_folded():
     docs = [make_doc(0, "A b"), make_doc(1, "a B"), make_doc(2, "c")]
-    kept, _ = dedup(docs)
-    assert [d.id for d in kept] == ["d0", "d2"]
+    assert [d.id for d in dedup(docs)] == ["d0", "d2"]
 
 
 def test_dedup_idempotent():
     docs = [make_doc(i, b) for i, b in enumerate(["x", "X", "y", "x  ", "z"])]
-    once, _ = dedup(docs)
-    twice, stats = dedup(once)
-    assert twice == once
-    assert stats.duplicates_removed == 0
+    once = dedup(docs)
+    assert dedup(once) == once
 
 
 def test_dedup_stability():
     docs = [make_doc(i, b) for i, b in enumerate("abcabcdd")]
-    kept, _ = dedup(docs)
-    ids = [d.id for d in kept]
+    ids = [d.id for d in dedup(docs)]
     assert ids == sorted(ids, key=lambda x: int(x[1:]))
 
 

@@ -190,7 +190,7 @@ class TestAnswerCorrectness:
         vecs = {answer: np.array([1.0, 0.0]),
                 gt: np.array([0.9, sqrt(1 - 0.81)])}
         qa = QAItem(id="q", question="?", ground_truth=gt)
-        r = answer_correctness(answer, qa, vecs.__getitem__, MetricConfig())
+        r = answer_correctness(answer, qa, vecs.__getitem__, MetricConfig(), LEX)
         assert (r.tp, r.fp, r.fn) == (1, 1, 1)
         assert r.f1 == 0.5
         assert r.semantic_sim == pytest.approx(0.9, abs=1e-12)
@@ -199,14 +199,14 @@ class TestAnswerCorrectness:
     def test_identity_scores_one(self):
         qa = QAItem(id="q", question="?", ground_truth="Patch now. Reboot later.")
         r = answer_correctness("Patch now. Reboot later.", qa, offline_embed,
-                               MetricConfig())
+                               MetricConfig(), LEX)
         assert r.f1 == 1.0
         assert r.semantic_sim == pytest.approx(1.0, abs=1e-9)
         assert r.answer_correctness == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_answer(self):
         qa = QAItem(id="q", question="?", ground_truth="One fact. Two facts.")
-        r = answer_correctness("", qa, offline_embed, MetricConfig())
+        r = answer_correctness("", qa, offline_embed, MetricConfig(), LEX)
         assert (r.tp, r.fp, r.fn) == (0, 0, 2)
         assert r.f1 == 0.0
         assert r.semantic_sim == 0.0
@@ -222,7 +222,7 @@ class TestAnswerCorrectness:
             gt = ". ".join(" ".join(rng.choices(words, k=4))
                            for _ in range(rng.randint(1, 4))) + "."
             qa = QAItem(id="q", question="?", ground_truth=gt)
-            r = answer_correctness(answer, qa, offline_embed, MetricConfig())
+            r = answer_correctness(answer, qa, offline_embed, MetricConfig(), LEX)
             assert 0.0 <= r.answer_correctness <= 1.0
             assert 0.0 <= r.f1 <= 1.0
             assert 0.0 <= r.semantic_sim <= 1.0
@@ -232,9 +232,9 @@ class TestAnswerCorrectness:
                     ground_truth="patch the server. reboot the router.")
         answer = "patch the server. unrelated words entirely here."
         a = answer_correctness(answer, qa, offline_embed,
-                               MetricConfig(w_factual=0.75, w_semantic=0.25))
+                               MetricConfig(w_factual=0.75, w_semantic=0.25), LEX)
         b = answer_correctness(answer, qa, offline_embed,
-                               MetricConfig(w_factual=0.25, w_semantic=0.75))
+                               MetricConfig(w_factual=0.25, w_semantic=0.75), LEX)
         assert a.f1 != a.semantic_sim
         assert a.answer_correctness != b.answer_correctness
 
@@ -256,7 +256,7 @@ class TestAnswerCorrectness:
             assert str(exc.value) == "[qa q9] malformed line 5: bad vector"
             assert (exc.value.line_no, exc.value.qa_id) == (5, "q9")
         with pytest.raises(MalformedLine, match="^malformed line 5"):
-            answer_correctness("Patch now.", qa_set[1], embed_fn, MetricConfig())
+            answer_correctness("Patch now.", qa_set[1], embed_fn, MetricConfig(), LEX)
 
     def test_metric_undefined_tagged_in_sweep(self):
         # no statements in the answer or the ground truth: F1 is undefined,
@@ -288,14 +288,14 @@ class TestAggregate:
 
     def test_single(self):
         agg = aggregate([self.res(0.7)])
-        assert agg == {"mean": pytest.approx(0.7), "n": 1,
-                       "min": pytest.approx(0.7), "max": pytest.approx(0.7)}
+        assert agg == {"mean": pytest.approx(0.7), "n": 1}
 
     def test_thirty_results(self):
         rng = random.Random(1)
-        agg = aggregate([self.res(rng.random()) for _ in range(30)])
+        scores = [rng.random() for _ in range(30)]
+        agg = aggregate([self.res(s) for s in scores])
         assert agg["n"] == 30
-        assert agg["min"] <= agg["mean"] <= agg["max"]
+        assert min(scores) <= agg["mean"] <= max(scores)
 
     def test_empty(self):
         with pytest.raises(EmptyResults):
@@ -399,11 +399,15 @@ class TestQASetFile:
         assert exc.value.line_no == 1
 
     def test_empty_ground_truth_is_a_malformed_line(self, tmp_path):
+        # so is a blank one, and an empty or blank question
         path = tmp_path / "qa.jsonl"
-        path.write_text('{"id":"1","question":"Q","ground_truth":"G"}\n'
-                        '{"id":"2","question":"Q","ground_truth":""}\n')
-        with pytest.raises(MalformedLine) as exc:
-            load_qa_jsonl(path)
-        assert exc.value.line_no == 2
-        assert "empty ground_truth" in str(exc.value)
-        assert isinstance(exc.value.__cause__, InvalidConfig)
+        for field, value in (("ground_truth", ""), ("ground_truth", "   "),
+                             ("question", ""), ("question", " \t\n")):
+            obj = {"id": "2", "question": "Q", "ground_truth": "G", field: value}
+            path.write_text('{"id":"1","question":"Q","ground_truth":"G"}\n'
+                            + json.dumps(obj) + "\n")
+            with pytest.raises(MalformedLine) as exc:
+                load_qa_jsonl(path)
+            assert exc.value.line_no == 2
+            assert f"empty {field}" in str(exc.value)
+            assert isinstance(exc.value.__cause__, InvalidConfig)

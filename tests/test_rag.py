@@ -8,7 +8,7 @@ from ragbench.corpus import Document
 from ragbench.embed import embed_offline
 from ragbench.errors import InvalidConfig, MalformedLine, TemplateError
 from ragbench.llm import mock_generate
-from ragbench.metrics import QAItem
+from ragbench.metrics import LexicalJudge, QAItem
 from ragbench.rag import (NO_CONTEXT, RagConfig, AnswerRecord, assemble_prompt,
                           answer_question)
 from ragbench.sweep import run_sweep
@@ -167,7 +167,7 @@ class TestAnswerQuestion:
                 run_sweep(self.planted_docs(), qa_set, AppConfig(chunk_sizes=[200]),
                           embed_texts_fn=lambda texts: [offline_embed(t) for t in texts],
                           embed_fn=offline_embed, generate_fn=generate_fn,
-                          concurrency=workers)
+                          judge=LexicalJudge(), concurrency=workers)
             err = exc.value
             assert str(err) == "[qa q7] malformed line 3: unexpected reply"
             assert (err.line_no, err.reason, err.qa_id) == (3, "unexpected reply", "q7")

@@ -20,8 +20,7 @@ from ragbench.errors import (DimMismatch, EmptyText, InvalidConfig,
                              ProtocolError, RagBenchError)
 import ragbench.store as store_mod
 from ragbench.llm import make_cached_fn, mock_generate
-from ragbench.metrics import (LexicalJudge, MetricConfig, QAItem, aggregate,
-                              answer_correctness)
+from ragbench.metrics import LexicalJudge, QAItem, aggregate, answer_correctness
 from ragbench.rag import answer_question
 import ragbench.sweep as sweep_mod
 from ragbench.vectorstore import Index
@@ -170,21 +169,6 @@ class TestRunSweep:
         assert report.rows[1].failed
         assert (tmp_path / "100" / "results.jsonl").is_file()
         assert not (tmp_path / "400" / "results.jsonl").exists()
-
-    def test_default_judge_is_lexical_at_config_threshold(self):
-        reports = {}
-        for threshold in (0.3, 0.6):
-            cfg = AppConfig(chunk_sizes=[100, 200, 400],
-                              metric=MetricConfig(jaccard_threshold=threshold))
-            common = dict(embed_texts_fn=offline_batch, embed_fn=make_embed_fn(EMB),
-                          generate_fn=mock_generate)
-            reports[threshold] = run_sweep(make_corpus(), make_qa(), cfg,
-                                           judge=None, **common)
-            assert reports[threshold] == run_sweep(make_corpus(), make_qa(), cfg,
-                                                   judge=LexicalJudge(threshold),
-                                                   **common)
-        # the threshold matters on these inputs, so the default must use it
-        assert reports[0.3] != reports[0.6]
 
 
 def slow_early_generate(n, fail=()):

@@ -84,7 +84,6 @@ class TestQuery:
         assert len(hits) == 1
         assert hits[0].chunk_ref == ("e1", 0)
         assert hits[0].score == pytest.approx(1.0)
-        assert hits[0].rank == 0
         assert hits[0].text == "e1/0"
 
     def test_k_clamped(self):
@@ -139,7 +138,7 @@ class TestQuery:
             for k in (1, 3, n, n + 5):
                 hits = idx.query_topk(q, k)
                 assert [h.chunk_ref for h in hits] == [r for _, r in oracle_topk(entries, q, k)]
-                assert [h.rank for h in hits] == list(range(min(k, n)))
+                assert len(hits) == min(k, n)
 
     def test_nan_query_row_changes_only_its_own_hits(self):
         rng = random.Random(11)
@@ -204,7 +203,6 @@ def test_partitioned_topk_equals_oracle_on_ties(rows, q):
         hits = idx.query_topk(q, k)
         expected = oracle_topk(entries, q, k)
         assert [(h.score, h.chunk_ref) for h in hits] == expected
-        assert [h.rank for h in hits] == list(range(len(hits)))
 
 
 @settings(max_examples=200)
@@ -256,8 +254,7 @@ def test_stacked_queries_equal_one_at_a_time(rows, queries, block_rows):
             assert len(stacked) == len(stack)
             for q, hits in zip(stack, stacked):
                 alone = idx.query_topk(q, k)
-                assert [(h.chunk_ref, h.rank) for h in hits] == \
-                    [(h.chunk_ref, h.rank) for h in alone]
+                assert [h.chunk_ref for h in hits] == [h.chunk_ref for h in alone]
                 expected = oracle_topk(entries, q, k)
                 assert [h.chunk_ref for h in hits] == [r for _, r in expected]
                 for h, (score, _) in zip(hits, expected):
