@@ -9,13 +9,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
-from .errors import EmptyCorpus, MalformedLine, PathNotFound, RagBenchError
+from .errors import (EmptyCorpus, InvalidConfig, MalformedLine, PathNotFound,
+                     RagBenchError)
 
-# a stored document's fields, in their order on disk, and their types
-_FIELDS = {"id": str, "source": str, "title": str, "body": str,
-           "score": int, "created_at": int}
+# a stored document's fields and their types
+_FIELDS = {"id": (str,), "source": (str,), "title": (str,), "body": (str,),
+           "score": (int,), "created_at": (int,)}
+# a Reddit export line's id, and its text fields, each null or absent if empty
+_REDDIT_FIELDS = {"id": (str,), **dict.fromkeys(
+    ("title", "selftext", "top_comment", "subreddit"), (str, type(None)))}
 
 
 @dataclass(frozen=True)
@@ -35,21 +39,57 @@ def compose_body(title: str, selftext: str, top_comment: str) -> str:
     return "\n\n".join(s for s in segments if s)
 
 
-def _doc_from_reddit_obj(obj: dict) -> Document:
-    if not isinstance(obj, dict):
-        raise ValueError("not a JSON object")
-    doc_id = obj.get("id")
-    if not doc_id or not isinstance(doc_id, str):
-        raise ValueError("missing or invalid 'id'")
-    title = str(obj.get("title") or "")
-    selftext = str(obj.get("selftext") or "")
-    top_comment = str(obj.get("top_comment") or "")
+def read_jsonl(stream: IO[bytes], parse: Callable, lenient: bool = False) -> tuple[list, int]:
+    """(parse(obj) of each non-blank line of a binary JSONL stream, the
+    number of lines skipped). A line that is not UTF-8 or not JSON, that
+    parse rejects, or whose record's .id an earlier one has, raises
+    MalformedLine naming it; in lenient mode it is skipped and counted."""
+    records, seen, skipped = [], set(), 0
+    for line_no, raw in enumerate(stream, start=1):
+        try:
+            line = raw.decode("utf-8")
+            if not line.strip():
+                continue
+            record = parse(json.loads(line))
+            if record.id in seen:
+                raise ValueError(f"duplicate id {record.id!r}")
+        # decode and JSON errors are ValueErrors, int(inf) an OverflowError; a
+        # bad field is a data error here even where its check calls it config
+        except (ValueError, TypeError, OverflowError, InvalidConfig) as exc:
+            if not lenient:
+                raise MalformedLine(line_no, str(exc)) from exc
+            skipped += 1
+            continue
+        seen.add(record.id)
+        records.append(record)
+    return records, skipped
+
+
+def check_fields(obj, fields: dict[str, tuple[type, ...]]) -> None:
+    """Raise TypeError unless obj is a JSON object in which each named field
+    has one of its types (an absent field reads as None)."""
+    if type(obj) is not dict:
+        raise TypeError("not a JSON object")
+    for name, kinds in fields.items():
+        # type(), not isinstance: JSON true is a bool, and bool is an int
+        if type(obj.get(name)) not in kinds:
+            raise TypeError(f"field {name!r} missing or not a "
+                            + " or ".join(k.__name__ for k in kinds))
+
+
+def _doc_from_reddit_obj(obj) -> Document:
+    check_fields(obj, _REDDIT_FIELDS)
+    if not obj["id"]:
+        raise ValueError("empty 'id'")
+    title = obj.get("title") or ""
+    selftext = obj.get("selftext") or ""
+    top_comment = obj.get("top_comment") or ""
     body = compose_body(title, selftext, top_comment)
     if not body:
         raise ValueError("all text fields empty")
     return Document(
-        id=doc_id,
-        source=str(obj.get("subreddit") or ""),
+        id=obj["id"],
+        source=obj.get("subreddit") or "",
         title=title,
         body=body,
         score=int(obj.get("score") or 0),
@@ -57,29 +97,12 @@ def _doc_from_reddit_obj(obj: dict) -> Document:
     )
 
 
-def parse_reddit_jsonl(stream: IO, lenient: bool = True) -> tuple[list[Document], int]:
-    """Parse a Reddit-export JSONL stream into (its Documents in order, the
-    number of lines skipped).
-
-    In lenient mode malformed lines, such as one that is not UTF-8, are
-    skipped and counted; in strict mode the first raises MalformedLine.
-    """
-    docs: list[Document] = []
-    skipped = 0
-    for line_no, raw in enumerate(stream, start=1):
-        try:
-            if isinstance(raw, bytes):
-                raw = raw.decode("utf-8")  # UnicodeDecodeError is a ValueError
-            if not raw.strip():
-                continue
-            obj = json.loads(raw)
-            doc = _doc_from_reddit_obj(obj)
-        except (json.JSONDecodeError, ValueError, TypeError) as exc:
-            if not lenient:
-                raise MalformedLine(line_no, str(exc)) from exc
-            skipped += 1
-            continue
-        docs.append(doc)
+def parse_reddit_jsonl(stream: IO[bytes], lenient: bool = True) -> tuple[list[Document], int]:
+    """Parse a binary Reddit-export JSONL stream into (its Documents in
+    order, the number of lines skipped) with read_jsonl: in lenient mode
+    malformed lines are skipped and counted, in strict mode the first raises
+    MalformedLine."""
+    docs, skipped = read_jsonl(stream, _doc_from_reddit_obj, lenient)
     if not docs:
         raise EmptyCorpus("no documents parsed from stream")
     return docs, skipped
@@ -128,41 +151,27 @@ def dedup(docs: list[Document]) -> list[Document]:
 
 
 def save_corpus(docs: Iterable[Document], path: str | Path) -> None:
-    """Persist the document store as JSONL, UTF-8, LF, fixed field order."""
+    """Persist the document store as JSONL, UTF-8, LF, fields in Document's
+    order."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for doc in docs:
-            d = asdict(doc)
-            ordered = {k: d[k] for k in _FIELDS}
-            f.write(json.dumps(ordered, ensure_ascii=False) + "\n")
+            f.write(json.dumps(asdict(doc), ensure_ascii=False) + "\n")
 
 
 def _stored_document(obj) -> Document:
-    """The Document of one decoded store line; TypeError if a field is
-    missing or of another type."""
-    if not isinstance(obj, dict):
-        raise TypeError("not a JSON object")
-    for name, kind in _FIELDS.items():
-        # type(), not isinstance: JSON true is a bool, and bool is an int
-        if type(obj.get(name)) is not kind:
-            raise TypeError(f"field {name!r} missing or not a {kind.__name__}")
+    check_fields(obj, _FIELDS)
     return Document(**{name: obj[name] for name in _FIELDS})
 
 
 def load_corpus(path: str | Path) -> list[Document]:
     """Read a document store written by save_corpus. A line that is not
-    UTF-8, not JSON or not a document raises MalformedLine."""
+    UTF-8, not JSON or not a document, or that repeats an id, raises
+    MalformedLine."""
     p = Path(path)
     if not p.is_file():
         raise PathNotFound(str(path))
-    docs = []
     with open(p, "rb") as f:
-        for line_no, raw in enumerate(f, start=1):
-            try:
-                line = raw.decode("utf-8")
-                if line.strip():
-                    docs.append(_stored_document(json.loads(line)))
-            except (ValueError, TypeError) as exc:  # decode and JSON errors are ValueErrors
-                raise MalformedLine(line_no, str(exc)) from exc
+        docs, _ = read_jsonl(f, _stored_document)
     if not docs:
         raise EmptyCorpus(str(path))
     return docs

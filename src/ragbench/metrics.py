@@ -17,9 +17,9 @@ from typing import Callable
 
 import numpy as np
 
+from .corpus import check_fields, read_jsonl
 from .embed import cosine
-from .errors import (EmptyResults, EmptyText, InvalidConfig, MalformedLine,
-                     MetricUndefined, ProtocolError)
+from .errors import EmptyResults, EmptyText, InvalidConfig, MetricUndefined, ProtocolError
 from .llm import ChatRequest, ChatResponse
 
 _SENTENCE_SPLIT = re.compile(r"[.?!]+(?:\s+|$)")
@@ -226,31 +226,17 @@ def aggregate(results: list[EvalResult]) -> dict:
     }
 
 
+def _qa_item(obj) -> QAItem:
+    check_fields(obj, {"id": (str, int), "question": (str,), "ground_truth": (str,)})
+    return QAItem(id=str(obj["id"]), question=obj["question"],
+                  ground_truth=obj["ground_truth"])
+
+
 def load_qa_jsonl(path: str | Path) -> list[QAItem]:
-    """QA set file: JSONL, one {id, question, ground_truth} per line."""
-    items: list[QAItem] = []
-    seen: set[str] = set()
+    """QA set file: JSONL, one {id, question, ground_truth} per line, ids
+    unique. A line corpus.read_jsonl rejects raises MalformedLine."""
     with open(path, "rb") as f:
-        for line_no, raw in enumerate(f, start=1):
-            try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                for name, kinds in (("id", (str, int)), ("question", (str,)),
-                                    ("ground_truth", (str,))):
-                    if type(obj[name]) not in kinds:  # not isinstance: a bool is an int
-                        raise TypeError(f"field {name!r} is not a "
-                                        + " or ".join(k.__name__ for k in kinds))
-                item = QAItem(id=str(obj["id"]), question=obj["question"],
-                              ground_truth=obj["ground_truth"])
-            except (ValueError, KeyError, TypeError, InvalidConfig) as exc:
-                # a bad QA file is a data error, even where QAItem calls it config
-                raise MalformedLine(line_no, str(exc)) from exc
-            if item.id in seen:
-                raise MalformedLine(line_no, f"duplicate qa id {item.id!r}")
-            seen.add(item.id)
-            items.append(item)
+        items, _ = read_jsonl(f, _qa_item)
     if not items:
         raise EmptyResults(f"no QA items in {path}")
     return items

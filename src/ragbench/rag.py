@@ -64,8 +64,6 @@ def assemble_prompt(question: str, chunks: list[tuple[ChunkRef, str]],
     """Concatenate chunks in rank order, separated by "\\n---\\n", greedily
     while the context stays within cfg.max_context_chars codepoints. A chunk
     that would overflow is excluded whole (no mid-chunk truncation)."""
-    if not chunks:
-        return _fill(cfg.prompt_template, NO_CONTEXT, question), [], False
     parts: list[str] = []
     used: list[ChunkRef] = []
     total = 0

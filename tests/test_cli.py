@@ -89,6 +89,43 @@ class TestIngest:
         assert code == 2
         assert "malformed line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["score", "created_utc"])
+    def test_number_beyond_float_range_skipped(self, tmp_path, capsys, field):
+        src = tmp_path / "export.jsonl"
+        write_reddit(src, n=2, extra_lines=[f'{{"id": "x", "title": "t", "{field}": 1e400}}'])
+        assert main(["ingest", "--format", "reddit-jsonl",
+                     "--in", str(src), "--out", str(tmp_path / "o.jsonl")]) == 0
+        assert capsys.readouterr().err == \
+            "in=2 kept=2 duplicates_removed=0 lines_skipped=1\n"
+
+    @pytest.mark.parametrize("field", ["score", "created_utc"])
+    def test_strict_number_beyond_float_range_exit_2(self, tmp_path, capsys, field):
+        src = tmp_path / "export.jsonl"
+        write_reddit(src, n=2, extra_lines=[f'{{"id": "x", "title": "t", "{field}": 1e400}}'])
+        code = main(["ingest", "--format", "reddit-jsonl", "--strict",
+                     "--in", str(src), "--out", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert "malformed line 3" in capsys.readouterr().err
+
+    def test_repeated_id_skipped_first_kept(self, tmp_path, capsys):
+        src = tmp_path / "export.jsonl"
+        out = tmp_path / "corpus.jsonl"
+        write_reddit(src, n=2, extra_lines=[json.dumps({"id": "p0", "title": "Other"})])
+        assert main(["ingest", "--format", "reddit-jsonl",
+                     "--in", str(src), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == \
+            "in=2 kept=2 duplicates_removed=0 lines_skipped=1\n"
+        assert [json.loads(line)["title"] for line in out.read_text().splitlines()] == \
+            ["Title 0", "Title 1"]
+
+    def test_strict_repeated_id_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "export.jsonl"
+        write_reddit(src, n=2, extra_lines=[json.dumps({"id": "p0", "title": "Other"})])
+        code = main(["ingest", "--format", "reddit-jsonl", "--strict",
+                     "--in", str(src), "--out", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert "malformed line 3: duplicate id 'p0'" in capsys.readouterr().err
+
     def test_textdir_file_not_utf8_exit_2(self, tmp_path, capsys):
         src = tmp_path / "materials"
         src.mkdir()
@@ -214,8 +251,18 @@ class TestSweep:
         code = main(["sweep", "--corpus", str(corpus), "--qa", str(qa),
                      "--sizes", "100", "--out", str(out)])
         assert code == 2
-        assert "malformed line 4: field 'id' is not a str or int" in capsys.readouterr().err
+        assert "malformed line 4: field 'id' missing or not a str or int" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "ask"])
+    def test_store_repeated_id_is_a_data_error(self, inputs, tmp_path, capsys, command):
+        corpus, qa = inputs
+        save_corpus([Document(id="a", source="s", title="", body="one"),
+                     Document(id="a", source="s", title="", body="two")], corpus)
+        args = (["--qa", str(qa), "--sizes", "100", "--out", str(tmp_path / "o")]
+                if command == "sweep" else ["--question", "q"])
+        assert main([command, "--corpus", str(corpus), *args]) == 2
+        assert "malformed line 2: duplicate id 'a'" in capsys.readouterr().err
 
     def test_negative_overlap_is_a_config_error(self, inputs, tmp_path, capsys):
         corpus, qa = inputs

@@ -1,12 +1,15 @@
 import io
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ragbench.corpus import (Document, dedup, ingest_text_dir, load_corpus,
                              parse_reddit_jsonl, save_corpus)
-from ragbench.errors import (EmptyCorpus, MalformedLine, PathNotFound,
-                             RagBenchError)
+from ragbench.errors import (EmptyCorpus, EmptyResults, MalformedLine,
+                             PathNotFound, RagBenchError)
+from ragbench.metrics import load_qa_jsonl
 
 
 def reddit_line(**kw):
@@ -17,7 +20,7 @@ def reddit_line(**kw):
 
 
 def as_stream(*lines):
-    return io.StringIO("\n".join(lines) + "\n")
+    return io.BytesIO(("\n".join(lines) + "\n").encode())
 
 
 def test_parse_single_line():
@@ -43,9 +46,30 @@ def test_parse_missing_text_fields_treated_empty():
     assert docs[0].score == 0
 
 
+def test_parse_null_text_fields_treated_empty():
+    line = json.dumps({"id": "x", "subreddit": None, "title": "only title",
+                       "selftext": None, "top_comment": None})
+    docs, _ = parse_reddit_jsonl(as_stream(line))
+    assert docs[0].body == "only title"
+    assert docs[0].source == ""
+
+
+@pytest.mark.parametrize("field, value", [
+    ("title", {"x": 1}), ("selftext", 5), ("top_comment", ["a"]), ("subreddit", True)])
+def test_parse_text_field_of_wrong_type_is_malformed(field, value):
+    lines = (reddit_line(id="a"), reddit_line(id="b", **{field: value}))
+    docs, skipped = parse_reddit_jsonl(as_stream(*lines), lenient=True)
+    assert [d.id for d in docs] == ["a"]
+    assert skipped == 1
+    with pytest.raises(MalformedLine) as exc:
+        parse_reddit_jsonl(as_stream(*lines), lenient=False)
+    assert exc.value.line_no == 2
+    assert f"field {field!r} missing or not a str" in str(exc.value)
+
+
 def test_parse_empty_stream_raises():
     with pytest.raises(EmptyCorpus):
-        parse_reddit_jsonl(io.StringIO(""))
+        parse_reddit_jsonl(io.BytesIO(b""))
 
 
 def test_parse_lenient_skips_malformed():
@@ -212,3 +236,45 @@ def test_load_corpus_line_not_an_object_is_malformed_line(tmp_path):
     with pytest.raises(MalformedLine) as exc:
         load_corpus(path)
     assert exc.value.line_no == 3
+
+
+# values of every JSON kind, with ids that repeat and the floats NaN,
+# Infinity and ones beyond int range among them; lines are arbitrary bytes,
+# any such value, or an object whose fields the readers look up are each
+# absent, of their own kind or (in half the objects) any value
+_IDS = st.sampled_from(["a", "b", 1, True])
+_NUMBERS = st.integers() | st.floats() | st.sampled_from([math.inf, -math.inf, math.nan, 1e300])
+_VALUES = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=4) | _IDS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_OWN_KIND = {"id": _IDS, "score": _NUMBERS, "created_utc": _NUMBERS, "created_at": _NUMBERS,
+             **dict.fromkeys(["title", "selftext", "top_comment", "subreddit", "source",
+                              "body", "question", "ground_truth"], st.text(max_size=4))}
+_OBJECTS = (st.fixed_dictionaries({}, optional=_OWN_KIND)
+            | st.fixed_dictionaries({}, optional={k: v | _VALUES for k, v in _OWN_KIND.items()}))
+_LINES = st.one_of(st.binary(max_size=12), _VALUES.map(lambda v: json.dumps(v).encode()),
+                   _OBJECTS.map(lambda v: json.dumps(v).encode()))
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_LINES, max_size=5), lenient=st.booleans())
+@example(lines=[b'{"id": "a", "title": "t"}', b'{"id": "a", "title": "u"}',
+                b'{"id": "b", "title": "t", "score": 1e400}'], lenient=True)
+def test_readers_raise_only_data_errors(tmp_path, lines, lenient):
+    # each reader returns records or raises a data error, never another exception
+    data = b"\n".join(lines) + b"\n"
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(data)
+    try:
+        parse_reddit_jsonl(io.BytesIO(data), lenient=lenient)
+    except MalformedLine:
+        assert not lenient
+    except EmptyCorpus:
+        pass
+    for read in (load_corpus, load_qa_jsonl):
+        try:
+            read(path)
+        except (MalformedLine, EmptyCorpus, EmptyResults):
+            pass

@@ -361,7 +361,8 @@ class TestQASetFile:
     def test_missing_field(self, tmp_path):
         path = tmp_path / "qa.jsonl"
         path.write_text('{"id":"1","question":"Q"}\n')
-        with pytest.raises(MalformedLine):
+        with pytest.raises(MalformedLine,
+                           match="^malformed line 1: field 'ground_truth' missing or not a str$"):
             load_qa_jsonl(path)
 
     def test_line_not_utf8_is_a_malformed_line(self, tmp_path):
@@ -389,7 +390,7 @@ class TestQASetFile:
         with pytest.raises(MalformedLine) as exc:
             load_qa_jsonl(path)
         assert exc.value.line_no == 2
-        assert f"field {field!r} is not a {kind}" in str(exc.value)
+        assert f"field {field!r} missing or not a {kind}" in str(exc.value)
 
     def test_line_not_an_object_is_a_malformed_line(self, tmp_path):
         path = tmp_path / "qa.jsonl"
