@@ -20,7 +20,8 @@ from .errors import InvalidConfig, RagBenchError
 from .llm import LlmConfig, generate, make_cached_fn, mock_generate
 from .metrics import LexicalJudge, RemoteJudge, load_qa_jsonl
 from .rag import answer_question
-from .sweep import build_index, emit_csv, emit_svg, run_sweep
+from .report import clear, emit_csv, emit_svg, summary_lines
+from .sweep import build_index, run_sweep
 
 CACHE_DIR_ENV = "RAGBENCH_CACHE_DIR"
 
@@ -147,7 +148,7 @@ def _parse_sizes(text: str) -> list[int]:
 @click.option("--keep-going", is_flag=True, default=False)
 def cmd_sweep(corpus_path, qa_path, sizes, out_dir, overlap, backend,
               config_path, cache_dir, keep_going):
-    """Run the chunk-size sweep and write report.csv / report.svg."""
+    """Run the chunk-size sweep; write per-size results and reports to --out."""
     app = _resolve_app(config_path, cache_dir, backend=backend,
                        sizes=_parse_sizes(sizes) if sizes else None, overlap=overlap)
     if app.metric.judge == "remote" and app.embedder.kind == "offline":
@@ -156,9 +157,8 @@ def cmd_sweep(corpus_path, qa_path, sizes, out_dir, overlap, backend,
     embed_texts_fn, embed_fn, generate_fn, judge, concurrency = _make_backends(app)
 
     out = Path(out_dir)
-    # reports of an earlier run must not outlive a sweep that fails
-    for name in ("report.csv", "report.svg"):
-        (out / name).unlink(missing_ok=True)
+    # outputs of an earlier run must not outlive a sweep that fails
+    clear(out, app.chunk_sizes)
     docs = corpus_mod.load_corpus(corpus_path)
     qa_set = load_qa_jsonl(qa_path)
     out.mkdir(parents=True, exist_ok=True)
@@ -167,13 +167,10 @@ def cmd_sweep(corpus_path, qa_path, sizes, out_dir, overlap, backend,
                        generate_fn=generate_fn, judge=judge,
                        keep_going=keep_going, out_dir=out,
                        concurrency=concurrency)
-    emit_csv(report, out / "report.csv")
-    emit_svg(report, out / "report.svg")
-    for row in report.rows:
-        status = (f"FAILED: {row.error}" if row.failed
-                  else f"mean={row.mean_correctness:.6f} n={row.n}")
-        click.echo(f"chunk_size={row.chunk_size} {status}", err=True)
-    click.echo(f"argmax_sizes={report.argmax_sizes}", err=True)
+    emit_csv(report, out)
+    emit_svg(report, out)
+    for line in summary_lines(report):
+        click.echo(line, err=True)
 
 
 def main(argv=None) -> int:

@@ -17,9 +17,10 @@ from .errors import (EmptyCorpus, InvalidConfig, MalformedLine, PathNotFound,
 # a stored document's fields and their types
 _FIELDS = {"id": (str,), "source": (str,), "title": (str,), "body": (str,),
            "score": (int,), "created_at": (int,)}
-# a Reddit export line's id, and its text fields, each null or absent if empty
+# a Reddit export line's fields; text and numbers may be null or absent
 _REDDIT_FIELDS = {"id": (str,), **dict.fromkeys(
-    ("title", "selftext", "top_comment", "subreddit"), (str, type(None)))}
+    ("title", "selftext", "top_comment", "subreddit"), (str, type(None))),
+    **dict.fromkeys(("score", "created_utc"), (int, float, type(None)))}
 
 
 @dataclass(frozen=True)
@@ -53,9 +54,9 @@ def read_jsonl(stream: IO[bytes], parse: Callable, lenient: bool = False) -> tup
             record = parse(json.loads(line))
             if record.id in seen:
                 raise ValueError(f"duplicate id {record.id!r}")
-        # decode and JSON errors are ValueErrors, int(inf) an OverflowError; a
-        # bad field is a data error here even where its check calls it config
-        except (ValueError, TypeError, OverflowError, InvalidConfig) as exc:
+        # decode and JSON errors are ValueErrors, deep nesting a RecursionError;
+        # a bad field is a data error here even where its check calls it config
+        except (ValueError, TypeError, RecursionError, InvalidConfig) as exc:
             if not lenient:
                 raise MalformedLine(line_no, str(exc)) from exc
             skipped += 1
@@ -77,6 +78,15 @@ def check_fields(obj, fields: dict[str, tuple[type, ...]]) -> None:
                             + " or ".join(k.__name__ for k in kinds))
 
 
+def _whole_number(obj: dict, name: str) -> int:
+    """obj's int or float field name as an int, 0 if null or absent. Exports
+    often write 1600000000.0; a fractional float, NaN or an infinity raises."""
+    value = obj.get(name) or 0
+    if type(value) is float and not value.is_integer():
+        raise ValueError(f"field {name!r} not a whole number")
+    return int(value)
+
+
 def _doc_from_reddit_obj(obj) -> Document:
     check_fields(obj, _REDDIT_FIELDS)
     if not obj["id"]:
@@ -92,8 +102,8 @@ def _doc_from_reddit_obj(obj) -> Document:
         source=obj.get("subreddit") or "",
         title=title,
         body=body,
-        score=int(obj.get("score") or 0),
-        created_at=int(obj.get("created_utc") or 0),
+        score=_whole_number(obj, "score"),
+        created_at=_whole_number(obj, "created_utc"),
     )
 
 

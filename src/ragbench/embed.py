@@ -57,36 +57,14 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
-def embed_offline(text: str, dim: int = 256) -> np.ndarray:
-    """Hashed byte-trigram bag embedding, L2-normalized.
-
-    Case-folds the text, hashes every UTF-8 byte trigram with FNV-1a-64 into
-    dim buckets, then normalizes. Deterministic across runs and platforms.
-    This is the scalar reference; embed_offline_batch is the fast path.
-    """
-    if not text:
-        raise EmptyText("cannot embed empty text")
-    data = text.casefold().encode("utf-8")
-    acc = [0.0] * dim
-    if len(data) < 3:
-        acc[_fnv1a64(data) % dim] += 1.0
-    else:
-        for i in range(len(data) - 2):
-            acc[_fnv1a64(data[i:i + 3]) % dim] += 1.0
-    norm = sqrt(sum(v * v for v in acc))
-    if norm > 0:
-        acc = [v / norm for v in acc]
-    return np.array(acc)
-
-
 def _embed_block(datas: list[bytes], dim: int) -> np.ndarray:
-    """embed_offline over already case-folded UTF-8 texts, in one pass.
+    """embed_offline_batch over already case-folded UTF-8 texts, in one pass.
 
     FNV-1a-64 of every trigram of the concatenated bytes is computed with
     uint64 arrays, whose multiplication wraps mod 2**64 like _MASK64.
     Trigrams that cross a text boundary are dropped, the rest are counted
     per (text, bucket) with one bincount. Counts are integers, so the sum of
-    squares is exact and every value is bit-identical to embed_offline.
+    squares is exact and every value is bit-identical to a scalar loop's.
     """
     lengths = np.fromiter(map(len, datas), dtype=np.intp, count=len(datas))
     buf = np.frombuffer(b"".join(datas), dtype=np.uint8)
@@ -105,10 +83,11 @@ def _embed_block(datas: list[bytes], dim: int) -> np.ndarray:
 
 
 def embed_offline_batch(texts: list[str], dim: int = 256) -> list[np.ndarray]:
-    """embed_offline for many texts, bit-identical to it and much faster.
-
-    Texts are hashed in blocks of about _BLOCK_BYTES; a text longer than
-    that is a block of its own.
+    """Hashed byte-trigram bag embeddings, L2-normalized: each text is
+    case-folded, and each UTF-8 byte trigram (a text under 3 bytes whole)
+    hashed with FNV-1a-64 into dim buckets. Deterministic across runs and
+    platforms. Texts are hashed in blocks of about _BLOCK_BYTES; a text
+    longer than that is a block of its own.
     """
     out: list[np.ndarray] = []
     block: list[bytes] = []

@@ -1,6 +1,6 @@
 """Answer-correctness scoring: statement extraction, TP/FP/FN classification
 against ground truth, statement-level F1, semantic similarity, and the
-weighted blend, plus aggregation over a QA set.
+weighted blend.
 
 Two judges: a deterministic lexical judge (sentence split + Jaccard token
 overlap) for fully offline runs, and a remote judge that delegates
@@ -214,16 +214,6 @@ def answer_correctness(answer: str, qa: QAItem,
     score = cfg.w_factual * factual + cfg.w_semantic * sim
     return EvalResult(qa_id=qa.id, tp=tp, fp=fp, fn=fn, f1=factual,
                       semantic_sim=sim, answer_correctness=score)
-
-
-def aggregate(results: list[EvalResult]) -> dict:
-    if not results:
-        raise EmptyResults("no results to aggregate")
-    scores = [r.answer_correctness for r in results]
-    return {
-        "mean": sum(scores) / len(scores),
-        "n": len(scores),
-    }
 
 
 def _qa_item(obj) -> QAItem:

@@ -46,19 +46,6 @@ class AnswerRecord:
     context_truncated: bool
 
 
-def _fill(template: str, context: str, question: str) -> str:
-    # substitute right-to-left so inserted text is never rescanned
-    spans = sorted(
-        [(template.index("{context}"), "{context}", context),
-         (template.index("{question}"), "{question}", question)],
-        reverse=True,
-    )
-    out = template
-    for pos, ph, value in spans:
-        out = out[:pos] + value + out[pos + len(ph):]
-    return out
-
-
 def assemble_prompt(question: str, chunks: list[tuple[ChunkRef, str]],
                     cfg: RagConfig) -> tuple[str, list[ChunkRef], bool]:
     """Concatenate chunks in rank order, separated by "\\n---\\n", greedily
@@ -77,7 +64,11 @@ def assemble_prompt(question: str, chunks: list[tuple[ChunkRef, str]],
         used.append(ref)
         total += cost
     context = _SEPARATOR.join(parts) if parts else NO_CONTEXT
-    return _fill(cfg.prompt_template, context, question), used, truncated
+    # RagConfig checks each placeholder occurs once; no value is rescanned
+    head, tail = cfg.prompt_template.split("{context}")
+    q = "{question}"
+    prompt = head.replace(q, question) + context + tail.replace(q, question)
+    return prompt, used, truncated
 
 
 def answer_question(question: str, hits: list[Hit],

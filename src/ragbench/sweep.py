@@ -1,10 +1,9 @@
-"""Chunk-size sweep: for each size, rebuild the index, answer the QA set,
-score it, and emit per-size aggregates as CSV plus an SVG bar chart."""
+"""Chunk-size sweep: for each size, rebuild the index, answer the QA set
+and score it. report.py holds what a sweep returns and writes."""
 
 from __future__ import annotations
 
 import itertools
-import json
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,33 +15,10 @@ from .chunker import ChunkConfig, chunk_corpus
 from .config import AppConfig
 from .corpus import Document
 from .errors import DimMismatch, EmptyCorpus, EmptyResults, RagBenchError, tag_qa
-from .metrics import EvalResult, QAItem, aggregate, answer_correctness
+from .metrics import QAItem, answer_correctness
 from .rag import answer_question
+from .report import SweepReport, SweepRow, _dump_size_results
 from .vectorstore import Index
-
-
-@dataclass
-class SweepRow:
-    chunk_size: int
-    mean_correctness: float
-    n: int
-    failed: bool = False
-    error: str = ""
-
-
-@dataclass
-class SweepReport:
-    rows: list[SweepRow]
-    per_question: dict[int, list[EvalResult]]
-    argmax_sizes: list[int]
-
-
-def _argmax_sizes(rows: list[SweepRow]) -> list[int]:
-    ok = [r for r in rows if not r.failed]
-    if not ok:
-        return []
-    best = max(r.mean_correctness for r in ok)
-    return [r.chunk_size for r in ok if r.mean_correctness == best]
 
 
 def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
@@ -73,11 +49,8 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
     with its item's id (errors.tag_qa). A failed item skips the later items
     of its size that have not started; without keep_going, every later
     item that has not started, and no later size is built. With out_dir,
-    every size's results.jsonl is deleted first.
+    each size that succeeds writes its results there; nothing is deleted.
     """
-    if out_dir is not None:
-        for size in app.chunk_sizes:
-            (Path(out_dir) / str(size) / "results.jsonl").unlink(missing_ok=True)
     if not docs:
         raise EmptyCorpus("sweep needs a non-empty corpus")
     if not qa_set:
@@ -131,15 +104,15 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
                     raise error
                 rows.append(SweepRow(size, 0.0, 0, failed=True, error=str(error)))
                 continue
-            summary = aggregate(results)
-            rows.append(SweepRow(size, summary["mean"], summary["n"]))
+            scores = [r.answer_correctness for r in results]
+            rows.append(SweepRow(size, sum(scores) / len(scores), len(scores)))
             per_question[size] = results
             if out_dir is not None:
-                _dump_size_results(Path(out_dir) / str(size), results)
+                _dump_size_results(out_dir, size, results)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    return SweepReport(rows, per_question, _argmax_sizes(rows))
+    return SweepReport(rows, per_question)
 
 
 def build_index(docs, size, overlap, embed_texts_fn,
@@ -211,76 +184,3 @@ def _collect(qa_set: list, outcomes: list, error=None):
             return results, outcome
         results.append(outcome)
     return results, error
-
-
-def _dump_size_results(size_dir: Path, results: list[EvalResult]) -> None:
-    size_dir.mkdir(parents=True, exist_ok=True)
-    with open(size_dir / "results.jsonl", "w", encoding="utf-8", newline="\n") as f:
-        for r in results:
-            # vars, not asdict: the fields are scalars, so no deep copy is needed
-            f.write(json.dumps(vars(r), ensure_ascii=False) + "\n")
-
-
-def emit_csv(report: SweepReport, path: str | Path) -> None:
-    """UTF-8 CSV, LF endings, means to 6 decimal places."""
-    lines = ["chunk_size,mean_correctness,n"]
-    for row in report.rows:
-        lines.append(f"{row.chunk_size},{row.mean_correctness:.6f},{row.n}")
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-
-
-# SVG geometry; fixed so identical reports yield identical bytes
-_W, _H = 640, 400
-_MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 60, 20, 30, 50
-
-
-def emit_svg(report: SweepReport, path: str | Path) -> None:
-    """Standalone bar chart: x = chunk sizes ascending, y = mean correctness
-    on [0, 1] with gridlines every 0.25."""
-    plot_w = _W - _MARGIN_L - _MARGIN_R
-    plot_h = _H - _MARGIN_T - _MARGIN_B
-    rows = report.rows
-    n = len(rows)
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2:.2f}" y="18" text-anchor="middle" '
-        'font-family="sans-serif" font-size="14">'
-        "Mean answer correctness by chunk size</text>",
-    ]
-    for i in range(5):
-        level = i * 0.25
-        y = _MARGIN_T + plot_h * (1 - level)
-        out.append(
-            f'<line x1="{_MARGIN_L}" y1="{y:.2f}" x2="{_W - _MARGIN_R}" '
-            f'y2="{y:.2f}" stroke="#cccccc" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_MARGIN_L - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{level:.2f}</text>'
-        )
-    slot = plot_w / n if n else plot_w
-    bar_w = slot * 0.6
-    for i, row in enumerate(rows):
-        mean = 0.0 if row.failed else row.mean_correctness
-        bar_h = plot_h * mean
-        x = _MARGIN_L + slot * i + (slot - bar_w) / 2
-        y = _MARGIN_T + plot_h - bar_h
-        fill = "#bbbbbb" if row.failed else "#4477aa"
-        out.append(
-            f'<rect class="bar" x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" '
-            f'height="{bar_h:.2f}" fill="{fill}"/>'
-        )
-        cx = _MARGIN_L + slot * i + slot / 2
-        out.append(
-            f'<text x="{cx:.2f}" y="{_H - _MARGIN_B + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{row.chunk_size}</text>'
-        )
-    out.append(
-        f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T + plot_h}" '
-        f'x2="{_W - _MARGIN_R}" y2="{_MARGIN_T + plot_h}" '
-        'stroke="black" stroke-width="1"/>'
-    )
-    out.append("</svg>")
-    Path(path).write_bytes(("\n".join(out) + "\n").encode("utf-8"))

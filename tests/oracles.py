@@ -1,0 +1,53 @@
+"""Scalar references in plain Python that the tests check the program's
+fast paths against."""
+
+import math
+from collections import namedtuple
+
+import numpy as np
+
+from ragbench.embed import _fnv1a64
+from ragbench.errors import EmptyText
+
+# one chunk as the oracle sees it
+Entry = namedtuple("Entry", "chunk_ref vector text")
+
+
+def oracle_topk(entries, q, k):
+    """Linear scan over raw values: pure-Python cosine, full sort, score
+    descending and chunk_ref ascending."""
+    q = q.tolist()
+    qn = math.sqrt(sum(x * x for x in q))
+    scored = []
+    for e in entries:
+        v = e.vector.tolist()
+        vn = math.sqrt(sum(x * x for x in v))
+        if qn == 0 or vn == 0:
+            score = 0.0
+        else:
+            score = sum(a * b for a, b in zip(q, v)) / (qn * vn)
+        scored.append((score, e.chunk_ref))
+    scored.sort(key=lambda t: (-t[0], t[1]))
+    return scored[:k]
+
+
+def embed_offline(text: str, dim: int = 256) -> np.ndarray:
+    """Hashed byte-trigram bag embedding, L2-normalized, one text at a time:
+    the reference embed_offline_batch must equal bit for bit.
+
+    Case-folds the text, hashes every UTF-8 byte trigram with FNV-1a-64 into
+    dim buckets (a text under 3 bytes is hashed whole), then normalizes.
+    """
+    if not text:
+        raise EmptyText("cannot embed empty text")
+    data = text.casefold().encode("utf-8")
+    acc = [0.0] * dim
+    if len(data) < 3:
+        acc[_fnv1a64(data) % dim] += 1.0
+    else:
+        for i in range(len(data) - 2):
+            acc[_fnv1a64(data[i:i + 3]) % dim] += 1.0
+    norm = math.sqrt(sum(v * v for v in acc))
+    if norm > 0:
+        acc = [v / norm for v in acc]
+    return np.array(acc)

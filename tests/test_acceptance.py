@@ -2,24 +2,24 @@
 an in-process fake server). Each test prints one PASS/FAIL line."""
 
 import functools
-import math
 import random
 import time
-from collections import namedtuple
 
 import numpy as np
 
 from ragbench.chunker import ChunkConfig, chunk_text
 from ragbench.config import AppConfig
 from ragbench.corpus import Document
-from ragbench.embed import EmbedderConfig, embed_offline, embed_texts, make_embed_fn
+from ragbench.embed import EmbedderConfig, embed_texts, make_embed_fn
 from ragbench.llm import LlmConfig, generate, make_cached_fn, mock_generate
 from ragbench.metrics import (LexicalJudge, MetricConfig, QAItem,
                               answer_correctness, f1)
 from ragbench.rag import RagConfig
-from ragbench.sweep import (SweepReport, SweepRow, _argmax_sizes, emit_csv,
-                            emit_svg, run_sweep)
+from ragbench.report import SweepReport, SweepRow, emit_csv, emit_svg
+from ragbench.sweep import run_sweep
 from ragbench.vectorstore import Index
+
+from oracles import Entry, embed_offline, oracle_topk
 
 EMB = EmbedderConfig(kind="offline", dim=256)
 SIZES = [250, 500, 1000, 2000, 4000, 8000]
@@ -73,27 +73,6 @@ def test_criterion_1_chunker_properties():
         if overlap == 0:
             assert "".join(c.text for c in chunks) == text  # concat identity
     assert time.monotonic() - t0 < 10.0
-
-
-# one chunk as the oracle sees it
-Entry = namedtuple("Entry", "chunk_ref vector text")
-
-
-def oracle_topk(entries, q, k):
-    """Independently coded linear scan over raw values."""
-    q = q.tolist()
-    qn = math.sqrt(sum(x * x for x in q))
-    scored = []
-    for e in entries:
-        v = e.vector.tolist()
-        vn = math.sqrt(sum(x * x for x in v))
-        if qn == 0 or vn == 0:
-            score = 0.0
-        else:
-            score = sum(a * b for a, b in zip(q, v)) / (qn * vn)
-        scored.append((score, e.chunk_ref))
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    return scored[:k]
 
 
 @criterion(2, "vector store equals brute-force oracle (1000x100, k in {1,5,10}, < 5 s)")
@@ -203,8 +182,8 @@ def test_criterion_6_end_to_end_determinism(tmp_path):
                            generate_fn=generate_fn, judge=LexicalJudge())
         out = tmp_path / run_id
         out.mkdir()
-        emit_csv(report, out / "report.csv")
-        emit_svg(report, out / "report.svg")
+        emit_csv(report, out)
+        emit_svg(report, out)
         outputs.append(out)
     csv_a = (outputs[0] / "report.csv").read_bytes()
     csv_b = (outputs[1] / "report.csv").read_bytes()
@@ -237,8 +216,8 @@ def test_criterion_6_remote_warm_cache(tmp_path, fake_server):
         requests.append(len(fake_server.requests) - before)
         out = tmp_path / run_id
         out.mkdir()
-        emit_csv(report, out / "report.csv")
-        emit_svg(report, out / "report.svg")
+        emit_csv(report, out)
+        emit_svg(report, out)
         outputs.append(out)
     assert requests[0] > 0
     assert requests[1] == 0  # warm cache: no chat and no embedding requests
@@ -330,8 +309,8 @@ def test_criterion_9_report_shape(tmp_path):
     report = run_sweep(docs, qa, cfg, embed_texts_fn=offline_batch,
                        embed_fn=make_embed_fn(EMB),
                        generate_fn=mock_generate, judge=LexicalJudge())
-    emit_csv(report, tmp_path / "report.csv")
-    emit_svg(report, tmp_path / "report.svg")
+    emit_csv(report, tmp_path)
+    emit_svg(report, tmp_path)
     lines = (tmp_path / "report.csv").read_text().splitlines()
     assert lines[0] == "chunk_size,mean_correctness,n"
     row_sizes = [int(line.split(",")[0]) for line in lines[1:]]
@@ -340,5 +319,5 @@ def test_criterion_9_report_shape(tmp_path):
     assert svg.count('class="bar"') == len(report.rows)
     # argmax on hand-built reports
     hand = [SweepRow(250, 0.4, 3), SweepRow(500, 0.9, 3), SweepRow(1000, 0.9, 3)]
-    assert _argmax_sizes(hand) == [500, 1000]
-    assert _argmax_sizes([SweepRow(250, 0.2, 3)]) == [250]
+    assert SweepReport(hand, {}).argmax_sizes == [500, 1000]
+    assert SweepReport([SweepRow(250, 0.2, 3)], {}).argmax_sizes == [250]

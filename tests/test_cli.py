@@ -107,6 +107,22 @@ class TestIngest:
         assert code == 2
         assert "malformed line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_line_nested_too_deep_is_malformed(self, tmp_path, capsys, strict):
+        src = tmp_path / "export.jsonl"
+        write_reddit(src, n=2)
+        src.write_bytes(src.read_bytes() + b'{"id": "x", "title": "t", "x": '
+                        + b"[" * 100_000 + b"]" * 100_000 + b"}\n")
+        code = main(["ingest", "--format", "reddit-jsonl", *(["--strict"] if strict else []),
+                     "--in", str(src), "--out", str(tmp_path / "o.jsonl")])
+        err = capsys.readouterr().err
+        if strict:
+            assert code == 2
+            assert "malformed line 3" in err
+        else:
+            assert code == 0
+            assert err == "in=2 kept=2 duplicates_removed=0 lines_skipped=1\n"
+
     def test_repeated_id_skipped_first_kept(self, tmp_path, capsys):
         src = tmp_path / "export.jsonl"
         out = tmp_path / "corpus.jsonl"
@@ -364,7 +380,11 @@ class TestSweep:
         assert sweep("model-b", "o3") == []  # same model: every answer is cached
 
 
-    def test_failed_sweep_leaves_no_old_outputs(self, inputs, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("failure", ["backend-down", "malformed-qa"])
+    def test_failed_sweep_leaves_no_old_outputs(self, inputs, tmp_path, monkeypatch,
+                                                failure):
+        # whether the sweep fails in a backend or on its input, before the
+        # sweep starts, no file of the earlier run is left in --out
         corpus, qa = inputs
         out = tmp_path / "out"
         args = ["sweep", "--corpus", str(corpus), "--qa", str(qa),
@@ -374,7 +394,10 @@ class TestSweep:
         def generate_down(req):
             raise ProtocolError("backend down")
 
-        monkeypatch.setattr(cli_mod, "mock_generate", generate_down)
+        if failure == "backend-down":
+            monkeypatch.setattr(cli_mod, "mock_generate", generate_down)
+        else:
+            qa.write_text(json.dumps({"id": "q1", "question": "Why?"}) + "\n")
         assert main(args) == 2
         for name in ("report.csv", "report.svg", "100/results.jsonl",
                      "200/results.jsonl"):

@@ -67,6 +67,40 @@ def test_parse_text_field_of_wrong_type_is_malformed(field, value):
     assert f"field {field!r} missing or not a str" in str(exc.value)
 
 
+@pytest.mark.parametrize("field", ["score", "created_utc"])
+@pytest.mark.parametrize("value", [True, 1.9, "17", math.nan, math.inf, -math.inf])
+def test_parse_number_field_not_whole_is_malformed(field, value):
+    # checked before any conversion: none of these is stored as a number
+    lines = (reddit_line(id="a"), reddit_line(id="b", **{field: value}))
+    docs, skipped = parse_reddit_jsonl(as_stream(*lines), lenient=True)
+    assert [d.id for d in docs] == ["a"]
+    assert skipped == 1
+    with pytest.raises(MalformedLine) as exc:
+        parse_reddit_jsonl(as_stream(*lines), lenient=False)
+    assert exc.value.line_no == 2
+    assert repr(field) in str(exc.value)
+
+
+@pytest.mark.parametrize("value, stored", [
+    (17, 17), (-3, -3), (1600000000.0, 1600000000), (-0.0, 0), (None, 0)])
+def test_parse_number_field_whole_or_null_is_stored(value, stored):
+    docs, _ = parse_reddit_jsonl(as_stream(reddit_line(score=value, created_utc=value)),
+                                 lenient=False)
+    assert (docs[0].score, docs[0].created_at) == (stored, stored)
+    assert type(docs[0].score) is type(docs[0].created_at) is int
+
+
+def test_parse_deep_nesting_is_malformed():
+    nested = b'{"id": "a", "x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+    stream = io.BytesIO(reddit_line(id="b").encode() + b"\n" + nested + b"\n")
+    docs, skipped = parse_reddit_jsonl(stream, lenient=True)
+    assert [d.id for d in docs] == ["b"]
+    assert skipped == 1
+    with pytest.raises(MalformedLine) as exc:
+        parse_reddit_jsonl(io.BytesIO(stream.getvalue()), lenient=False)
+    assert exc.value.line_no == 2
+
+
 def test_parse_empty_stream_raises():
     with pytest.raises(EmptyCorpus):
         parse_reddit_jsonl(io.BytesIO(b""))
@@ -262,6 +296,9 @@ _LINES = st.one_of(st.binary(max_size=12), _VALUES.map(lambda v: json.dumps(v).e
 @given(lines=st.lists(_LINES, max_size=5), lenient=st.booleans())
 @example(lines=[b'{"id": "a", "title": "t"}', b'{"id": "a", "title": "u"}',
                 b'{"id": "b", "title": "t", "score": 1e400}'], lenient=True)
+@example(lines=[b'{"id": "b", "title": "t"}',
+                b'{"id": "a", "x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"], lenient=True)
+@example(lines=[b"[" * 100_000 + b"]" * 100_000], lenient=False)
 def test_readers_raise_only_data_errors(tmp_path, lines, lenient):
     # each reader returns records or raises a data error, never another exception
     data = b"\n".join(lines) + b"\n"

@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import ragbench.embed as embed_mod
 import ragbench.store as store_mod
-from ragbench.embed import (EmbedderConfig, cosine, embed_offline,
-                            embed_offline_batch, embed_remote, embed_texts,
-                            make_embed_fn)
+from ragbench.embed import (EmbedderConfig, cosine, embed_offline_batch,
+                            embed_remote, embed_texts, make_embed_fn)
 from ragbench.errors import (DimMismatch, EmptyText, ProtocolError,
                              RateLimitedExhausted)
+
+from oracles import embed_offline
 
 
 def vec(*values):

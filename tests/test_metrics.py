@@ -8,14 +8,13 @@ from hypothesis import given, strategies as st
 
 from ragbench.config import AppConfig
 from ragbench.corpus import Document
-from ragbench.embed import embed_offline
-from ragbench.errors import (EmptyResults, InvalidConfig, MalformedLine,
-                             MetricUndefined, ProtocolError)
+from ragbench.errors import InvalidConfig, MalformedLine, MetricUndefined, ProtocolError
 from ragbench.llm import ChatResponse, mock_generate
-from ragbench.metrics import (EvalResult, LexicalJudge, MetricConfig, QAItem,
-                              RemoteJudge, aggregate, answer_correctness, f1,
-                              load_qa_jsonl)
+from ragbench.metrics import (LexicalJudge, MetricConfig, QAItem, RemoteJudge,
+                              answer_correctness, f1, load_qa_jsonl)
 from ragbench.sweep import run_sweep
+
+from oracles import embed_offline
 
 
 def offline_embed(text):
@@ -274,32 +273,6 @@ class TestAnswerCorrectness:
                 sweep(qa_set, workers, generate_fn=generate_fn)
             assert str(exc.value) == "[qa q2] no statements on either side"
             assert exc.value.qa_id == "q2"
-
-
-class TestAggregate:
-    def res(self, score):
-        return EvalResult(qa_id="q", tp=1, fp=0, fn=0, f1=1.0,
-                          semantic_sim=1.0, answer_correctness=score)
-
-    def test_mean(self):
-        agg = aggregate([self.res(0.4), self.res(0.6)])
-        assert agg["mean"] == pytest.approx(0.5)
-        assert agg["n"] == 2
-
-    def test_single(self):
-        agg = aggregate([self.res(0.7)])
-        assert agg == {"mean": pytest.approx(0.7), "n": 1}
-
-    def test_thirty_results(self):
-        rng = random.Random(1)
-        scores = [rng.random() for _ in range(30)]
-        agg = aggregate([self.res(s) for s in scores])
-        assert agg["n"] == 30
-        assert min(scores) <= agg["mean"] <= max(scores)
-
-    def test_empty(self):
-        with pytest.raises(EmptyResults):
-            aggregate([])
 
 
 class ScriptedGenerator:

@@ -1,11 +1,11 @@
 import dataclasses
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from ragbench.chunker import ChunkConfig, chunk_corpus
 from ragbench.config import AppConfig
 from ragbench.corpus import Document
-from ragbench.embed import embed_offline
 from ragbench.errors import InvalidConfig, MalformedLine, TemplateError
 from ragbench.llm import mock_generate
 from ragbench.metrics import LexicalJudge, QAItem
@@ -13,6 +13,8 @@ from ragbench.rag import (NO_CONTEXT, RagConfig, AnswerRecord, assemble_prompt,
                           answer_question)
 from ragbench.sweep import run_sweep
 from ragbench.vectorstore import Index
+
+from oracles import embed_offline
 
 
 def offline_embed(text):
@@ -46,6 +48,12 @@ class TestConfig:
     def test_bad_top_k(self):
         with pytest.raises(InvalidConfig):
             RagConfig(top_k=0)
+
+
+# text that may hold either placeholder, whole or in part
+_PIECES = st.lists(st.sampled_from(["{context}", "{question}", "{", "}", "context",
+                                    "question", "x", " ", "\n"]),
+                   max_size=6).map("".join)
 
 
 class TestAssemblePrompt:
@@ -102,6 +110,20 @@ class TestAssemblePrompt:
         prompt, _, _ = assemble_prompt(
             "{context}", [(("d", 0), "CTX")], self.cfg())
         assert prompt == "C:CTX Q:{context}"
+
+    @given(parts=st.lists(_PIECES, min_size=3, max_size=3), context_first=st.booleans(),
+           question=_PIECES.filter(str.strip), context=_PIECES.filter(str.strip))
+    def test_prompt_is_template_parts_and_values_concatenated(self, parts, context_first,
+                                                              question, context):
+        a, b, c = parts
+        first, second = ("{context}", "{question}")[::1 if context_first else -1]
+        template = a + first + b + second + c
+        assume(template.count("{context}") == template.count("{question}") == 1)
+        values = {"{context}": context, "{question}": question}
+        prompt, _, _ = assemble_prompt(question, [(("d", 0), context)],
+                                       self.cfg(prompt_template=template,
+                                                max_context_chars=len(context)))
+        assert prompt == a + values[first] + b + values[second] + c
 
 
 class TestAnswerQuestion:

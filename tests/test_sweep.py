@@ -14,19 +14,20 @@ from ragbench.config import AppConfig
 from ragbench.corpus import Document
 import ragbench.embed as embed_mod
 from ragbench.chunker import ChunkConfig, chunk_corpus
-from ragbench.embed import (EmbedderConfig, embed_offline, embed_texts,
-                            make_embed_fn)
+from ragbench.embed import EmbedderConfig, embed_texts, make_embed_fn
 from ragbench.errors import (DimMismatch, EmptyText, InvalidConfig,
                              ProtocolError, RagBenchError)
 import ragbench.store as store_mod
 from ragbench.llm import make_cached_fn, mock_generate
-from ragbench.metrics import LexicalJudge, QAItem, aggregate, answer_correctness
+from ragbench.metrics import LexicalJudge, QAItem, answer_correctness
 from ragbench.rag import answer_question
+from ragbench.report import SweepReport, SweepRow, clear, emit_csv, emit_svg
 import ragbench.sweep as sweep_mod
 from ragbench.vectorstore import Index
 
-from ragbench.sweep import (SweepReport, SweepRow, _collect, _submit, emit_csv,
-                            emit_svg, run_sweep)
+from ragbench.sweep import _collect, _submit, run_sweep
+
+from oracles import embed_offline
 
 EMB = EmbedderConfig(kind="offline", dim=128)
 
@@ -109,9 +110,9 @@ class TestRunSweep:
     def test_report_conservation(self):
         report = run()
         for row in report.rows:
-            recomputed = aggregate(report.per_question[row.chunk_size])
-            assert row.mean_correctness == recomputed["mean"]
-            assert row.n == recomputed["n"]
+            scores = [r.answer_correctness for r in report.per_question[row.chunk_size]]
+            assert row.mean_correctness == sum(scores) / len(scores)
+            assert row.n == len(scores)
 
     def test_per_size_jsonl_dump(self, tmp_path):
         run(out_dir=tmp_path)
@@ -150,6 +151,7 @@ class TestRunSweep:
         # sizes it never reached are gone too
         cfg = AppConfig(chunk_sizes=[100, 400, 800])
         run(cfg, out_dir=tmp_path)
+        clear(tmp_path, cfg.chunk_sizes)
         with pytest.raises(RagBenchError):
             run_sweep(make_corpus(), make_qa(), cfg,
                       embed_texts_fn=embed_short_only, embed_fn=make_embed_fn(EMB),
@@ -162,6 +164,7 @@ class TestRunSweep:
         cfg = AppConfig(chunk_sizes=[100, 400])
         run(cfg, out_dir=tmp_path)
         assert (tmp_path / "400" / "results.jsonl").is_file()
+        clear(tmp_path, cfg.chunk_sizes)
         report = run_sweep(make_corpus(), make_qa(), cfg,
                            embed_texts_fn=embed_short_only, embed_fn=make_embed_fn(EMB),
                            generate_fn=mock_generate, judge=LexicalJudge(),
@@ -569,19 +572,15 @@ class TestStages:
 
 
 def hand_report(means):
-    rows = [SweepRow(chunk_size=s, mean_correctness=m, n=3)
-            for s, m in means]
-    per_q = {}
-    from ragbench.sweep import _argmax_sizes
-    return SweepReport(rows=rows, per_question=per_q,
-                       argmax_sizes=_argmax_sizes(rows))
+    return SweepReport(rows=[SweepRow(chunk_size=s, mean_correctness=m, n=3)
+                             for s, m in means], per_question={})
 
 
 class TestEmitCsv:
     def test_format(self, tmp_path):
         report = hand_report([(250, 0.5), (500, 0.25)])
+        emit_csv(report, tmp_path)
         path = tmp_path / "report.csv"
-        emit_csv(report, path)
         data = path.read_bytes().decode()
         assert data == ("chunk_size,mean_correctness,n\n"
                         "250,0.500000,3\n"
@@ -590,39 +589,39 @@ class TestEmitCsv:
 
     def test_seven_lines_for_six_rows(self, tmp_path):
         report = run(AppConfig(chunk_sizes=[250, 500, 1000, 2000, 4000, 8000]))
-        path = tmp_path / "report.csv"
-        emit_csv(report, path)
-        assert len(path.read_text().splitlines()) == 7
+        emit_csv(report, tmp_path)
+        assert len((tmp_path / "report.csv").read_text().splitlines()) == 7
 
 
 class TestEmitSvg:
     def test_bar_count_matches_rows(self, tmp_path):
         report = hand_report([(250, 0.1), (500, 0.9), (1000, 0.4)])
-        path = tmp_path / "r.svg"
-        emit_svg(report, path)
-        svg = path.read_text()
+        emit_svg(report, tmp_path)
+        svg = (tmp_path / "report.svg").read_text()
         assert svg.count('class="bar"') == 3
         assert svg.startswith("<svg")
         assert svg.count("#cccccc") == 5  # gridlines at 0, .25, .5, .75, 1
 
     def test_zero_means_zero_height_bars(self, tmp_path):
         report = hand_report([(250, 0.0), (500, 0.0)])
-        emit_svg(report, tmp_path / "r.svg")
-        svg = (tmp_path / "r.svg").read_text()
+        emit_svg(report, tmp_path)
+        svg = (tmp_path / "report.svg").read_text()
         assert svg.count('height="0.00"') == 2
 
     def test_full_height_for_mean_one(self, tmp_path):
         report = hand_report([(250, 1.0)])
-        emit_svg(report, tmp_path / "r.svg")
-        svg = (tmp_path / "r.svg").read_text()
+        emit_svg(report, tmp_path)
+        svg = (tmp_path / "report.svg").read_text()
         plot_h = 400 - 30 - 50
         assert f'height="{plot_h:.2f}"' in svg
 
     def test_deterministic_bytes(self, tmp_path):
         report = hand_report([(250, 0.123456), (500, 0.654321)])
-        emit_svg(report, tmp_path / "a.svg")
-        emit_svg(report, tmp_path / "b.svg")
-        assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
+        for run_id in ("a", "b"):
+            (tmp_path / run_id).mkdir()
+            emit_svg(report, tmp_path / run_id)
+        assert (tmp_path / "a" / "report.svg").read_bytes() == \
+            (tmp_path / "b" / "report.svg").read_bytes()
 
 
 class TestArgmax:
@@ -632,3 +631,8 @@ class TestArgmax:
     def test_tied_max(self):
         assert hand_report([(250, 0.7), (500, 0.2), (1000, 0.7)]).argmax_sizes == \
             [250, 1000]
+
+    def test_failed_rows_never_best(self):
+        failed = SweepRow(500, 0.0, 0, failed=True, error="boom")
+        assert SweepReport([SweepRow(250, 0.0, 3), failed], {}).argmax_sizes == [250]
+        assert SweepReport([failed], {}).argmax_sizes == []

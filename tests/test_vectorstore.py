@@ -1,6 +1,5 @@
 import math
 import random
-from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -11,6 +10,8 @@ import ragbench.vectorstore as vs_mod
 from ragbench.errors import DimMismatch, DuplicateRef, EmptyIndex
 from ragbench.vectorstore import Index
 
+from oracles import Entry, oracle_topk
+
 
 def vec(*values):
     return np.array(values, dtype=np.float64)
@@ -18,10 +19,6 @@ def vec(*values):
 
 def rand_vec(rng, dim):
     return np.array([rng.uniform(-1, 1) for _ in range(dim)])
-
-
-# one chunk as the oracle sees it
-Entry = namedtuple("Entry", "chunk_ref vector text")
 
 
 def entry(doc_id, seq, vector, text=""):
@@ -32,22 +29,6 @@ def index_of(entries):
     """An Index that gives chunk i its own row i."""
     return Index([(e.chunk_ref, e.text) for e in entries], [e.vector for e in entries],
                  range(len(entries)))
-
-
-def oracle_topk(entries, q, k):
-    """Independent linear scan: pure-python cosine, full sort."""
-    def cos(a, b):
-        a, b = a.tolist(), b.tolist()
-        dot = sum(x * y for x, y in zip(a, b))
-        na = math.sqrt(sum(x * x for x in a))
-        nb = math.sqrt(sum(y * y for y in b))
-        if na == 0 or nb == 0:
-            return 0.0
-        return dot / (na * nb)
-
-    scored = [(cos(q, e.vector), e.chunk_ref) for e in entries]
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    return scored[:k]
 
 
 class TestBuild:
