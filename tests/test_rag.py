@@ -1,7 +1,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from ragbench.chunker import ChunkConfig, chunk_corpus
 from ragbench.config import AppConfig
@@ -54,6 +54,12 @@ class TestConfig:
 _PIECES = st.lists(st.sampled_from(["{context}", "{question}", "{", "}", "context",
                                     "question", "x", " ", "\n"]),
                    max_size=6).map("".join)
+# a value that is not blank
+_VALUES = st.tuples(_PIECES, st.sampled_from(["x", "{context}", "{question}", "{", "}"]),
+                    _PIECES).map("".join)
+# template text around the placeholders: parts of them, but never one whole
+_TEMPLATE_PARTS = _PIECES.map(lambda s: s.replace("{context}", "{context }")
+                              .replace("{question}", "{question }"))
 
 
 class TestAssemblePrompt:
@@ -111,14 +117,14 @@ class TestAssemblePrompt:
             "{context}", [(("d", 0), "CTX")], self.cfg())
         assert prompt == "C:CTX Q:{context}"
 
-    @given(parts=st.lists(_PIECES, min_size=3, max_size=3), context_first=st.booleans(),
-           question=_PIECES.filter(str.strip), context=_PIECES.filter(str.strip))
+    @given(parts=st.lists(_TEMPLATE_PARTS, min_size=3, max_size=3),
+           context_first=st.booleans(), question=_VALUES, context=_VALUES)
     def test_prompt_is_template_parts_and_values_concatenated(self, parts, context_first,
                                                               question, context):
         a, b, c = parts
         first, second = ("{context}", "{question}")[::1 if context_first else -1]
         template = a + first + b + second + c
-        assume(template.count("{context}") == template.count("{question}") == 1)
+        assert template.count("{context}") == template.count("{question}") == 1
         values = {"{context}": context, "{question}": question}
         prompt, _, _ = assemble_prompt(question, [(("d", 0), context)],
                                        self.cfg(prompt_template=template,
