@@ -75,34 +75,55 @@ def emit_csv(report: SweepReport, out_dir: str | Path) -> None:
 # SVG geometry; fixed so identical reports yield identical bytes
 _W, _H = 640, 400
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 60, 20, 30, 50
-_FONT = 'font-family="sans-serif" font-size'
 
 
 def emit_svg(report: SweepReport, out_dir: str | Path) -> None:
-    """out_dir/report.svg, a standalone bar chart: x = chunk sizes
-    ascending, y = mean correctness on [0, 1] with gridlines every 0.25."""
-    plot_w, plot_h = _W - _MARGIN_L - _MARGIN_R, _H - _MARGIN_T - _MARGIN_B
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-           f'viewBox="0 0 {_W} {_H}">',
-           f'<rect width="{_W}" height="{_H}" fill="white"/>',
-           f'<text x="{_W / 2:.2f}" y="18" text-anchor="middle" {_FONT}="14">'
-           "Mean answer correctness by chunk size</text>"]
-    for level in (0.0, 0.25, 0.5, 0.75, 1.0):
+    """out_dir/report.svg, a standalone bar chart: x = chunk sizes ascending,
+    y = mean correctness on [0, 1] with gridlines every 0.25."""
+    plot_w = _W - _MARGIN_L - _MARGIN_R
+    plot_h = _H - _MARGIN_T - _MARGIN_B
+    rows = report.rows
+    n = len(rows)
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+        f'viewBox="0 0 {_W} {_H}">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<text x="{_W / 2:.2f}" y="18" text-anchor="middle" '
+        'font-family="sans-serif" font-size="14">'
+        "Mean answer correctness by chunk size</text>",
+    ]
+    for i in range(5):
+        level = i * 0.25
         y = _MARGIN_T + plot_h * (1 - level)
-        out += [f'<line x1="{_MARGIN_L}" y1="{y:.2f}" x2="{_W - _MARGIN_R}" '
-                f'y2="{y:.2f}" stroke="#cccccc" stroke-width="1"/>',
-                f'<text x="{_MARGIN_L - 8}" y="{y + 4:.2f}" text-anchor="end" '
-                f'{_FONT}="11">{level:.2f}</text>']
-    slot = plot_w / len(report.rows) if report.rows else plot_w
+        out.append(
+            f'<line x1="{_MARGIN_L}" y1="{y:.2f}" x2="{_W - _MARGIN_R}" '
+            f'y2="{y:.2f}" stroke="#cccccc" stroke-width="1"/>'
+        )
+        out.append(
+            f'<text x="{_MARGIN_L - 8}" y="{y + 4:.2f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="11">{level:.2f}</text>'
+        )
+    slot = plot_w / n if n else plot_w
     bar_w = slot * 0.6
-    for i, row in enumerate(report.rows):
-        bar_h = plot_h * (0.0 if row.failed else row.mean_correctness)
-        left = _MARGIN_L + slot * i
-        out += [f'<rect class="bar" x="{left + (slot - bar_w) / 2:.2f}" '
-                f'y="{_MARGIN_T + plot_h - bar_h:.2f}" width="{bar_w:.2f}" '
-                f'height="{bar_h:.2f}" fill="{"#bbbbbb" if row.failed else "#4477aa"}"/>',
-                f'<text x="{left + slot / 2:.2f}" y="{_H - _MARGIN_B + 18}" '
-                f'text-anchor="middle" {_FONT}="11">{row.chunk_size}</text>']
-    out += [f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T + plot_h}" x2="{_W - _MARGIN_R}" '
-            f'y2="{_MARGIN_T + plot_h}" stroke="black" stroke-width="1"/>', "</svg>"]
+    for i, row in enumerate(rows):
+        mean = 0.0 if row.failed else row.mean_correctness
+        bar_h = plot_h * mean
+        x = _MARGIN_L + slot * i + (slot - bar_w) / 2
+        y = _MARGIN_T + plot_h - bar_h
+        fill = "#bbbbbb" if row.failed else "#4477aa"
+        out.append(
+            f'<rect class="bar" x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" '
+            f'height="{bar_h:.2f}" fill="{fill}"/>'
+        )
+        cx = _MARGIN_L + slot * i + slot / 2
+        out.append(
+            f'<text x="{cx:.2f}" y="{_H - _MARGIN_B + 18}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="11">{row.chunk_size}</text>'
+        )
+    out.append(
+        f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T + plot_h}" '
+        f'x2="{_W - _MARGIN_R}" y2="{_MARGIN_T + plot_h}" '
+        'stroke="black" stroke-width="1"/>'
+    )
+    out.append("</svg>")
     (Path(out_dir) / _SVG).write_bytes(("\n".join(out) + "\n").encode("utf-8"))

@@ -147,8 +147,9 @@ class TestRunSweep:
         assert report.argmax_sizes == [100]
 
     def test_aborted_sweep_removes_old_results(self, tmp_path):
-        # without keep-going, the failed size's results and those of the
-        # sizes it never reached are gone too
+        # run_sweep deletes nothing; after the clear that cmd_sweep runs
+        # first, an aborted sweep writes results for the sizes that succeeded
+        # and none for the failed size or the sizes it never reached
         cfg = AppConfig(chunk_sizes=[100, 400, 800])
         run(cfg, out_dir=tmp_path)
         clear(tmp_path, cfg.chunk_sizes)
@@ -161,6 +162,9 @@ class TestRunSweep:
         assert not (tmp_path / "800" / "results.jsonl").exists()
 
     def test_keep_going_removes_old_results_of_failed_size(self, tmp_path):
+        # after the clear that cmd_sweep runs first, a keep-going sweep writes
+        # no results for its failed size; the clear itself is checked by
+        # test_cli.py's test_failed_sweep_leaves_no_old_outputs
         cfg = AppConfig(chunk_sizes=[100, 400])
         run(cfg, out_dir=tmp_path)
         assert (tmp_path / "400" / "results.jsonl").is_file()
