@@ -14,12 +14,9 @@ raises RequestTimeout, also without a retry.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import time
-import urllib.error
-import urllib.request
 
 from .errors import ProtocolError, RateLimitedExhausted, RequestTimeout
 
@@ -48,6 +45,11 @@ def _retry_after_s(value: str | None) -> int | None:
 
 def _post(url: str, data: bytes, timeout_s: float) -> tuple[int, str | None, bytes]:
     """One POST; returns (status, Retry-After header, body)."""
+    # imported here so that offline commands never load the HTTP and TLS stack
+    import http.client
+    import urllib.error
+    import urllib.request
+
     # urlopen would also read file:, ftp: and data: URLs
     if not url.lower().startswith(("http://", "https://")):
         raise ProtocolError(f"request to {url} failed: not an http(s) URL")

@@ -158,7 +158,7 @@ def cmd_sweep(corpus_path, qa_path, sizes, out_dir, overlap, backend,
 
     out = Path(out_dir)
     # outputs of an earlier run must not outlive a sweep that fails
-    clear(out, app.chunk_sizes)
+    clear(out)
     docs = corpus_mod.load_corpus(corpus_path)
     qa_set = load_qa_jsonl(qa_path)
     out.mkdir(parents=True, exist_ok=True)

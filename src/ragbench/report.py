@@ -40,11 +40,14 @@ def _results_path(out_dir: str | Path, size: int) -> Path:
     return Path(out_dir) / str(size) / "results.jsonl"
 
 
-def clear(out_dir: str | Path, sizes: list[int]) -> None:
-    """Delete the files a sweep over sizes writes into out_dir, so that an
-    earlier run's outputs do not outlive a sweep that fails."""
+def clear(out_dir: str | Path) -> None:
+    """Delete the files any sweep writes into out_dir, whatever its sizes, so
+    that an earlier run's outputs do not outlive a sweep that fails or sit
+    beside a report that does not list them."""
     out = Path(out_dir)
-    for path in (out / _CSV, out / _SVG, *(_results_path(out, s) for s in sizes)):
+    sized = (p for p in out.glob("*/results.jsonl")
+             if p.parent.name.isascii() and p.parent.name.isdecimal())
+    for path in (out / _CSV, out / _SVG, *sized):
         path.unlink(missing_ok=True)
 
 

@@ -4,7 +4,6 @@ request's canonical JSON."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
@@ -23,6 +22,8 @@ _FLIGHT = SingleFlight()
 
 def request_key(request: dict) -> str:
     """SHA-256 of the canonical JSON of a request."""
+    import hashlib  # here, so that a run without a cache dir never loads OpenSSL
+
     canonical = json.dumps(request, sort_keys=True, separators=(",", ":"),
                            ensure_ascii=False)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

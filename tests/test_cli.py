@@ -403,6 +403,26 @@ class TestSweep:
                      "200/results.jsonl"):
             assert not (out / name).exists()
 
+    def test_sweep_removes_results_of_sizes_it_does_not_run(self, inputs, tmp_path):
+        # a sweep over fewer sizes into the same --out leaves no results.jsonl
+        # of the earlier sizes beside a report that does not list them; files
+        # a sweep does not write stay
+        corpus, qa = inputs
+        out = tmp_path / "out"
+        args = ["sweep", "--corpus", str(corpus), "--qa", str(qa), "--out", str(out)]
+        assert main(args + ["--sizes", "100,200"]) == 0
+        kept = [out / "notes" / "results.jsonl", out / "200" / "notes.txt",
+                out / "notes.txt"]
+        for path in kept:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("mine\n")
+        assert main(args + ["--sizes", "100"]) == 0
+        assert not (out / "200" / "results.jsonl").exists()
+        assert (out / "100" / "results.jsonl").is_file()
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["100"]
+        assert [p.read_text() for p in kept] == ["mine\n"] * 3
+
     def test_keep_going_prints_why_a_size_failed(self, inputs, tmp_path, monkeypatch,
                                                  capsys):
         corpus, qa = inputs

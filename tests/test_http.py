@@ -1,3 +1,4 @@
+import json
 import os
 import socket
 import subprocess
@@ -87,12 +88,84 @@ class TestFailures:
             post_json_with_retries(url, {"a": 1}, timeout_ms=100, max_retries=0)
 
 
-def test_cli_import_leaves_out_requests():
-    code = ("import sys, ragbench.cli; "
-            "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))")
+def fresh_python(code, *args, cwd=None):
+    """Run code in a new interpreter that imports this checkout's ragbench,
+    with no cache dir set in its environment; return its stdout."""
     src = str(Path(ragbench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=60, env=env)
-    assert out.stdout.strip() == "[]"
+    env.pop("RAGBENCH_CACHE_DIR", None)
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                         text=True, check=True, timeout=60, env=env, cwd=cwd)
+    return out.stdout
+
+
+def test_cli_import_leaves_out_requests():
+    code = ("import sys, ragbench.cli; "
+            "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))")
+    assert fresh_python(code).strip() == "[]"
+
+
+# Only a remote request loads the HTTP and TLS stack, and only a cache key
+# loads hashlib. Each test counts a module as loaded only beyond what
+# `import numpy, click` loads, since some Python or numpy versions load one.
+WATCH_PRELUDE = """
+import json, sys
+import numpy, click
+WATCHED = ("http.client", "urllib.request", "urllib.error", "ssl", "email",
+           "socket", "hashlib", "_hashlib")
+BASE = {m for m in WATCHED if m in sys.modules}
+
+
+def loaded():
+    return sorted(m for m in WATCHED if m in sys.modules and m not in BASE)
+"""
+
+
+def test_offline_commands_load_no_http_tls_or_hashlib(tmp_path):
+    code = WATCH_PRELUDE + """
+from ragbench.cli import main
+sweep = ["sweep", "--corpus", "corpus.jsonl", "--qa", "qa.jsonl",
+         "--backend", "offline", "--sizes", "100,200"]
+codes = [main(["ingest", "--format", "reddit-jsonl", "--in", "export.jsonl",
+               "--out", "corpus.jsonl"]),
+         main(sweep + ["--out", "out"]),
+         main(["ask", "--corpus", "corpus.jsonl", "--question", "When are keys rotated?"])]
+offline = loaded()
+codes.append(main(sweep + ["--out", "cached-out", "--cache-dir", "cache"]))
+print(json.dumps({"codes": codes, "offline": offline, "cached": loaded()}))
+"""
+    (tmp_path / "export.jsonl").write_text(
+        '{"id": "a", "title": "Patch servers monthly."}\n'
+        '{"id": "b", "title": "Rotate keys after a breach."}\n')
+    (tmp_path / "qa.jsonl").write_text(
+        '{"id": "q1", "question": "When are keys rotated?", "ground_truth": "After a breach."}\n')
+    got = json.loads(fresh_python(code, cwd=tmp_path).splitlines()[-1])
+    assert got["codes"] == [0, 0, 0, 0]
+    assert got["offline"] == []  # ingest, sweep and ask loaded none of them
+    # the cache keys of a sweep with --cache-dir do load hashlib
+    assert "hashlib" in got["cached"]
+
+
+def test_first_requests_from_several_threads_at_once(fake_server):
+    # the first remote requests import the HTTP stack on each worker thread
+    # at once; every row and the reply must still come back right
+    code = WATCH_PRELUDE + """
+sys.setswitchinterval(1e-6)
+from ragbench.embed import _MAX_BATCH, EmbedderConfig, embed_remote
+from ragbench.llm import ChatRequest, LlmConfig, generate
+before = loaded()
+url = sys.argv[1]
+texts = ["x" * (1 + i % 97) for i in range(4 * _MAX_BATCH + 1)]
+vecs = embed_remote(texts, EmbedderConfig(kind="remote", endpoint_url=url,
+                                          max_concurrency=4))
+rows_ok = [list(v) for v in vecs] == [[float(len(t))] * 8 for t in texts]
+reply = generate(ChatRequest(model="m", messages=[{"role": "user", "content": "hi"}]),
+                 LlmConfig(endpoint_url=url)).content
+print(json.dumps({"before": before, "after": loaded(), "rows_ok": rows_ok, "reply": reply}))
+"""
+    got = json.loads(fresh_python(code, fake_server.url))
+    assert got["before"] == [] and "urllib.request" in got["after"]
+    assert got["rows_ok"] and got["reply"] == "canned reply"
+    embeds = [r for r in fake_server.requests if r[0] == "/v1/embeddings"]
+    assert len(embeds) == 5

@@ -152,7 +152,7 @@ class TestRunSweep:
         # and none for the failed size or the sizes it never reached
         cfg = AppConfig(chunk_sizes=[100, 400, 800])
         run(cfg, out_dir=tmp_path)
-        clear(tmp_path, cfg.chunk_sizes)
+        clear(tmp_path)
         with pytest.raises(RagBenchError):
             run_sweep(make_corpus(), make_qa(), cfg,
                       embed_texts_fn=embed_short_only, embed_fn=make_embed_fn(EMB),
@@ -168,7 +168,7 @@ class TestRunSweep:
         cfg = AppConfig(chunk_sizes=[100, 400])
         run(cfg, out_dir=tmp_path)
         assert (tmp_path / "400" / "results.jsonl").is_file()
-        clear(tmp_path, cfg.chunk_sizes)
+        clear(tmp_path)
         report = run_sweep(make_corpus(), make_qa(), cfg,
                            embed_texts_fn=embed_short_only, embed_fn=make_embed_fn(EMB),
                            generate_fn=mock_generate, judge=LexicalJudge(),
