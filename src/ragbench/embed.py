@@ -25,10 +25,12 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 _MAX_BATCH = 64
 
-# Byte budget of one block of the batch embedder. Hashing a block allocates
-# a few uint64 arrays of its size plus a count matrix of its texts x dim, so
-# a bounded block keeps peak memory flat however many texts come in.
+# Budgets of one block of the batch embedder. Hashing a block allocates a
+# few arrays of its byte length, and a count matrix and a float result of its
+# texts x dim cells, so bounding both keeps peak memory flat however many
+# texts come in.
 _BLOCK_BYTES = 64 * 1024
+_BLOCK_CELLS = 4 * _BLOCK_BYTES
 
 
 @dataclass
@@ -60,23 +62,36 @@ def _fnv1a64(data: bytes) -> int:
 def _embed_block(datas: list[bytes], dim: int) -> np.ndarray:
     """embed_offline_batch over already case-folded UTF-8 texts, in one pass.
 
-    FNV-1a-64 of every trigram of the concatenated bytes is computed with
-    uint64 arrays, whose multiplication wraps mod 2**64 like _MASK64.
-    Trigrams that cross a text boundary are dropped, the rest are counted
-    per (text, bucket) with one bincount. Counts are integers, so the sum of
-    squares is exact and every value is bit-identical to a scalar loop's.
+    FNV-1a of every trigram of the concatenated bytes runs on uint16 arrays
+    when dim divides 2**16 and on uint64 arrays otherwise, each wrapping at
+    its width as _MASK64 does. Both lanes pick FNV-1a-64's bucket: xor with
+    a byte and a wrapping multiply commute with truncation to the low 16
+    bits, and when dim divides 2**16, h % dim depends only on those bits.
+    Trigrams that cross a text boundary go to one spare bucket past the last
+    text's, the rest are counted per (text, bucket) with one bincount. Counts
+    are integers, so the sum of squares is exact and every value is
+    bit-identical to a scalar loop's.
     """
-    lengths = np.fromiter(map(len, datas), dtype=np.intp, count=len(datas))
+    n = len(datas)
+    lengths = np.fromiter(map(len, datas), dtype=np.intp, count=n)
     buf = np.frombuffer(b"".join(datas), dtype=np.uint8)
-    text_id = np.repeat(np.arange(len(datas)), lengths)
-    h = np.full(max(len(buf) - 2, 0), _FNV_OFFSET, dtype=np.uint64)
+    text_id = np.repeat(np.arange(n), lengths)
+    narrow = (1 << 16) % dim == 0
+    lane = np.uint16 if narrow else np.uint64
+    mask = np.iinfo(lane).max
+    h = np.full(max(len(buf) - 2, 0), _FNV_OFFSET & mask, dtype=lane)
     for j in range(3):
         h ^= buf[j:len(buf) - 2 + j]
-        h *= np.uint64(_FNV_PRIME)
-    trigram_text = text_id[:-2]
-    inside = trigram_text == text_id[2:]
-    keys = trigram_text[inside] * dim + (h[inside] % np.uint64(dim)).astype(np.intp)
-    counts = np.bincount(keys, minlength=len(datas) * dim).reshape(len(datas), dim)
+        h *= lane(_FNV_PRIME & mask)
+    # keys are built in text_id's buffer, which nothing reads after crossing,
+    # so no second array of 8 bytes per trigram is allocated
+    keys = text_id[:-2]
+    crossing = keys != text_id[2:]
+    keys *= dim
+    # uint16 adds into intp in place; uint64 and intp promote to float64
+    keys += h & lane(dim - 1) if narrow else (h % lane(dim)).astype(np.intp)
+    keys[crossing] = n * dim
+    counts = np.bincount(keys, minlength=n * dim + 1)[:-1].reshape(n, dim)
     for i in np.flatnonzero(lengths < 3):
         counts[i, _fnv1a64(datas[i]) % dim] += 1
     return counts / np.sqrt((counts * counts).sum(axis=1))[:, None]
@@ -86,8 +101,9 @@ def embed_offline_batch(texts: list[str], dim: int = 256) -> list[np.ndarray]:
     """Hashed byte-trigram bag embeddings, L2-normalized: each text is
     case-folded, and each UTF-8 byte trigram (a text under 3 bytes whole)
     hashed with FNV-1a-64 into dim buckets. Deterministic across runs and
-    platforms. Texts are hashed in blocks of about _BLOCK_BYTES; a text
-    longer than that is a block of its own.
+    platforms. Texts are hashed in blocks of about _BLOCK_BYTES bytes and at
+    most _BLOCK_CELLS texts x dim cells; a text over either budget is a
+    block of its own.
     """
     out: list[np.ndarray] = []
     block: list[bytes] = []
@@ -96,7 +112,8 @@ def embed_offline_batch(texts: list[str], dim: int = 256) -> list[np.ndarray]:
         if not text:
             raise EmptyText("cannot embed empty text")
         data = text.casefold().encode("utf-8")
-        if block and size + len(data) > _BLOCK_BYTES:
+        if block and (size + len(data) > _BLOCK_BYTES
+                      or (len(block) + 1) * dim > _BLOCK_CELLS):
             # extend, not +=: list += ndarray is numpy's elementwise add
             out.extend(_embed_block(block, dim))
             block, size = [], 0

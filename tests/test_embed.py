@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,8 +74,18 @@ _BATCH_TEXT = st.text(alphabet=st.sampled_from("aZ 1éß İﬁ日\U0001F600"),
 class TestOfflineBatch:
     @settings(max_examples=200)
     @given(st.lists(_BATCH_TEXT, min_size=1, max_size=20),
-           st.sampled_from([1, 7, 64, 256]))
+           st.sampled_from([1, 7, 64, 100, 256, 384, 1024]))
     def test_equals_scalar_reference(self, texts, dim):
+        # dims that divide 2**16 hash in uint16 lanes, the others in uint64
+        assert same_rows(embed_offline_batch(texts, dim),
+                         [embed_offline(t, dim) for t in texts])
+
+    @pytest.mark.parametrize("dim", [2**16, 2**17, 3 * 2**15])
+    def test_equals_scalar_reference_at_the_lane_edges(self, dim):
+        # the largest dim hashed in uint16 lanes, the smallest power of two
+        # hashed in uint64, and a multiple of 2**15 that does not divide 2**16
+        texts = ["Straße İstanbul ﬁle", "ab", "日本語のテキスト",
+                 "the quick brown fox jumps over the lazy dog " * 3]
         assert same_rows(embed_offline_batch(texts, dim),
                          [embed_offline(t, dim) for t in texts])
 
@@ -82,15 +93,29 @@ class TestOfflineBatch:
     @given(st.lists(st.one_of(_BATCH_TEXT, st.text(min_size=1, max_size=3)),
                     min_size=1, max_size=30))
     def test_equals_scalar_reference_across_blocks(self, texts):
-        # shrink the block budget so one batch spans many blocks, and a text
-        # longer than the budget gets a block of its own
-        old = embed_mod._BLOCK_BYTES
-        embed_mod._BLOCK_BYTES = 16
-        try:
+        # shrink both block budgets so one batch spans many blocks of at most
+        # three texts, and a text longer than the byte budget gets a block of
+        # its own
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embed_mod, "_BLOCK_BYTES", 16)
+            mp.setattr(embed_mod, "_BLOCK_CELLS", 3 * 32)
             assert same_rows(embed_offline_batch(texts, 32),
                              [embed_offline(t, 32) for t in texts])
+
+    def test_many_short_texts_keep_peak_memory_near_the_result(self):
+        # 30,000 texts of 2 bytes fit one byte budget, but each row is a view
+        # of its block's float matrix, and hashing a block also allocates an
+        # int64 count matrix of that size: one block would double the peak
+        texts = ["ab"] * 30000
+        result_bytes = len(texts) * 256 * 8
+        tracemalloc.start()
+        try:
+            rows = embed_offline_batch(texts, 256)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            embed_mod._BLOCK_BYTES = old
+            tracemalloc.stop()
+        assert len(rows) == len(texts)
+        assert peak - result_bytes < 16 * 2**20
 
     def test_long_batch_spans_blocks_at_default_budget(self):
         texts = [f"chunk {i} " + "Straße İstanbul ﬁle " * (i % 50 + 1) for i in range(400)]
