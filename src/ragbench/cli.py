@@ -1,17 +1,16 @@
-"""Command-line entry point: ingest corpora, ask one-shot questions, and run
-chunk-size sweeps.
+"""Corpus-evaluation harness for RAG chunk-size experiments: ingest corpora,
+ask one-shot questions, and run chunk-size sweeps.
 
 Exit codes: 0 success, 1 usage/config error, 2 data/runtime error.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import os
 import sys
 from pathlib import Path
-
-import click
 
 from . import corpus as corpus_mod
 from .config import AppConfig, load_app_config
@@ -70,18 +69,6 @@ def _make_backends(app: AppConfig):
             make_embed_fn(app.embedder, app.cache_dir), generate_fn, judge, concurrency)
 
 
-@click.group()
-def cli():
-    """Corpus-evaluation harness for RAG chunk-size experiments."""
-
-
-@cli.command("ingest")
-@click.option("--format", "fmt", type=click.Choice(["reddit-jsonl", "textdir"]),
-              required=True)
-@click.option("--in", "in_path", required=True, type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--dedup/--no-dedup", "do_dedup", default=True)
-@click.option("--strict", is_flag=True, default=False)
 def cmd_ingest(fmt, in_path, out_path, do_dedup, strict):
     """Parse a source corpus into the document store JSONL."""
     skipped = 0
@@ -92,24 +79,11 @@ def cmd_ingest(fmt, in_path, out_path, do_dedup, strict):
         docs = corpus_mod.ingest_text_dir(in_path)
     kept = corpus_mod.dedup(docs) if do_dedup else docs
     corpus_mod.save_corpus(kept, out_path)
-    click.echo(
-        f"in={len(docs)} kept={len(kept)} "
-        f"duplicates_removed={len(docs) - len(kept)} "
-        f"lines_skipped={skipped}",
-        err=True,
-    )
+    print(f"in={len(docs)} kept={len(kept)} "
+          f"duplicates_removed={len(docs) - len(kept)} "
+          f"lines_skipped={skipped}", file=sys.stderr)
 
 
-@cli.command("ask")
-@click.option("--corpus", "corpus_path", required=True, type=click.Path())
-@click.option("--question", required=True)
-@click.option("--chunk-size", type=int, default=1000, show_default=True)
-@click.option("--overlap", type=int, default=None, help="default: the config's overlap")
-@click.option("--top-k", type=int, default=None)
-@click.option("--backend", type=click.Choice(["offline", "remote"]),
-              default=None, help="default: the config's embedder.kind")
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--cache-dir", default=None)
 def cmd_ask(corpus_path, question, chunk_size, overlap, top_k, backend,
             config_path, cache_dir):
     """Answer one question against a corpus and print provenance."""
@@ -121,11 +95,11 @@ def cmd_ask(corpus_path, question, chunk_size, overlap, top_k, backend,
                         app.overlap, embed_texts_fn, {})
     hits = index.query_topk(embed_fn(question), app.rag.top_k)
     record = answer_question(question, hits, generate_fn, app.rag)
-    click.echo(record.answer)
-    click.echo("")
-    click.echo("retrieved:")
+    print(record.answer)
+    print()
+    print("retrieved:")
     for ref, score in record.retrieved:
-        click.echo(f"  {ref[0]}#{ref[1]}  score={score:.6f}")
+        print(f"  {ref[0]}#{ref[1]}  score={score:.6f}")
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -135,17 +109,6 @@ def _parse_sizes(text: str) -> list[int]:
         raise InvalidConfig(f"bad --sizes value {text!r}") from exc
 
 
-@cli.command("sweep")
-@click.option("--corpus", "corpus_path", required=True, type=click.Path())
-@click.option("--qa", "qa_path", required=True, type=click.Path())
-@click.option("--sizes", default=None, help="comma-separated chunk sizes")
-@click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--overlap", type=int, default=None)
-@click.option("--backend", type=click.Choice(["offline", "remote"]),
-              default=None, help="default: the config's embedder.kind")
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--cache-dir", default=None)
-@click.option("--keep-going", is_flag=True, default=False)
 def cmd_sweep(corpus_path, qa_path, sizes, out_dir, overlap, backend,
               config_path, cache_dir, keep_going):
     """Run the chunk-size sweep; write per-size results and reports to --out."""
@@ -170,29 +133,71 @@ def cmd_sweep(corpus_path, qa_path, sizes, out_dir, overlap, backend,
     emit_csv(report, out)
     emit_svg(report, out)
     for line in summary_lines(report):
-        click.echo(line, err=True)
+        print(line, file=sys.stderr)
+
+
+def _parser() -> argparse.ArgumentParser:
+    # --help but no -h, and no abbreviated flags, on every (sub)command
+    help_only = argparse.ArgumentParser(add_help=False)
+    help_only.add_argument("--help", action="help", help="show this message and exit")
+    common = dict(add_help=False, allow_abbrev=False, parents=[help_only])
+    parser = argparse.ArgumentParser(prog="ragbench", description=__doc__, **common)
+    commands = parser.add_subparsers(metavar="command", required=True)
+
+    def command(name, run):
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__, **common)
+        sub.set_defaults(run=run)
+        return sub
+
+    ingest = command("ingest", cmd_ingest)
+    ingest.add_argument("--format", dest="fmt", required=True,
+                        choices=["reddit-jsonl", "textdir"])
+    ingest.add_argument("--in", dest="in_path", required=True)
+    ingest.add_argument("--out", dest="out_path", required=True)
+    ingest.add_argument("--dedup", dest="do_dedup", default=True,
+                        action=argparse.BooleanOptionalAction)
+    ingest.add_argument("--strict", action="store_true")
+
+    ask, sweep = command("ask", cmd_ask), command("sweep", cmd_sweep)
+    for sub in (ask, sweep):
+        sub.add_argument("--corpus", dest="corpus_path", required=True)
+    ask.add_argument("--question", required=True)
+    ask.add_argument("--chunk-size", type=int, default=1000, help="default: %(default)s")
+    ask.add_argument("--top-k", type=int)
+    sweep.add_argument("--qa", dest="qa_path", required=True)
+    sweep.add_argument("--sizes", help="comma-separated chunk sizes")
+    sweep.add_argument("--out", dest="out_dir", required=True)
+    sweep.add_argument("--keep-going", action="store_true")
+
+    for sub in (ask, sweep):
+        sub.add_argument("--overlap", type=int, help="default: the config's overlap")
+        sub.add_argument("--backend", choices=["offline", "remote"],
+                         help="default: the config's embedder.kind")
+        sub.add_argument("--config", dest="config_path")
+        sub.add_argument("--cache-dir")
+    return parser
+
+
+# built once, at import: the first build costs milliseconds of gettext and regex setup
+_PARSER = _parser()
 
 
 def main(argv=None) -> int:
     try:
-        cli.main(args=argv, standalone_mode=False)
+        args = vars(_PARSER.parse_args(argv))
+    except SystemExit as exc:  # --help exits 0, a bad command line 2
+        return 0 if exc.code == 0 else 1
+    try:
+        args.pop("run")(**args)
         return 0
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except (click.UsageError, click.BadParameter) as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return 1
-    except click.ClickException as exc:
-        exc.show()
-        return 1
     except InvalidConfig as exc:
-        click.echo(f"config error: {exc}", err=True)
+        print(f"config error: {exc}", file=sys.stderr)
         return 1
     except RagBenchError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        click.echo(f"io error: {exc}", err=True)
+        print(f"io error: {exc}", file=sys.stderr)
         return 2
 
 

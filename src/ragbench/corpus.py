@@ -7,12 +7,12 @@ with an optional exact-after-normalization dedup pass.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import IO, Callable, Iterable
 
-from .errors import (EmptyCorpus, InvalidConfig, MalformedLine, PathNotFound,
-                     RagBenchError)
+from .errors import EmptyCorpus, InvalidConfig, MalformedLine, RagBenchError
 
 # a stored document's fields and their types
 _FIELDS = {"id": (str,), "source": (str,), "title": (str,), "body": (str,),
@@ -122,8 +122,7 @@ def ingest_text_dir(path: str | Path) -> list[Document]:
     """One Document per .txt/.md file under path (recursive), id = relative
     path, sorted by id. Empty files are skipped."""
     root = Path(path)
-    if not root.is_dir():
-        raise PathNotFound(str(path))
+    os.listdir(root)  # FileNotFoundError or NotADirectoryError, where rglob finds nothing
     docs = []
     for p in sorted(root.rglob("*")):
         if not p.is_file() or p.suffix.lower() not in (".txt", ".md"):
@@ -177,10 +176,7 @@ def load_corpus(path: str | Path) -> list[Document]:
     """Read a document store written by save_corpus. A line that is not
     UTF-8, not JSON or not a document, or that repeats an id, raises
     MalformedLine."""
-    p = Path(path)
-    if not p.is_file():
-        raise PathNotFound(str(path))
-    with open(p, "rb") as f:
+    with open(path, "rb") as f:
         docs, _ = read_jsonl(f, _stored_document)
     if not docs:
         raise EmptyCorpus(str(path))

@@ -50,6 +50,9 @@ class EmbedderConfig:
             raise InvalidConfig("remote embedder requires endpoint_url")
         if self.kind == "offline" and self.dim <= 0:
             raise InvalidConfig("offline embedder dim must be > 0")
+        for name, low in (("max_retries", 0), ("timeout_ms", 1), ("max_concurrency", 1)):
+            if getattr(self, name) < low:
+                raise InvalidConfig(f"embedder {name} must be >= {low}")
 
 
 def _fnv1a64(data: bytes) -> int:
@@ -194,7 +197,7 @@ def embed_remote(texts: list[str], cfg: EmbedderConfig,
                            lambda entry: _rows(entry.get("embeddings"), len(batch)),
                            lambda: request(batch))
 
-    with ThreadPoolExecutor(max_workers=max(1, cfg.max_concurrency)) as pool:
+    with ThreadPoolExecutor(max_workers=cfg.max_concurrency) as pool:
         results = list(pool.map(run_batch, batches))
     out = [v for batch in results for v in batch]
     dims = {len(v) for v in out}

@@ -33,10 +33,6 @@ class EmptyCorpus(RagBenchError):
     pass
 
 
-class PathNotFound(RagBenchError):
-    pass
-
-
 # -- configuration -------------------------------------------------------
 
 class InvalidConfig(RagBenchError):

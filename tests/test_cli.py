@@ -165,20 +165,21 @@ class TestIngest:
             "in=3 kept=2 duplicates_removed=1 lines_skipped=0\n"
 
 
-class TestAsk:
-    @pytest.fixture
-    def corpus(self, tmp_path):
-        src = tmp_path / "export.jsonl"
-        planted = json.dumps({"id": "planted", "subreddit": "s",
-                              "title": "ZEBRA-7 marker",
-                              "selftext": "The marker ZEBRA-7 appears here.",
-                              "top_comment": ""})
-        write_reddit(src, n=4, extra_lines=[planted])
-        out = tmp_path / "corpus.jsonl"
-        assert main(["ingest", "--format", "reddit-jsonl",
-                     "--in", str(src), "--out", str(out)]) == 0
-        return out
+@pytest.fixture
+def corpus(tmp_path):
+    src = tmp_path / "export.jsonl"
+    planted = json.dumps({"id": "planted", "subreddit": "s",
+                          "title": "ZEBRA-7 marker",
+                          "selftext": "The marker ZEBRA-7 appears here.",
+                          "top_comment": ""})
+    write_reddit(src, n=4, extra_lines=[planted])
+    out = tmp_path / "corpus.jsonl"
+    assert main(["ingest", "--format", "reddit-jsonl",
+                 "--in", str(src), "--out", str(out)]) == 0
+    return out
 
+
+class TestAsk:
     def test_planted_marker_answered(self, corpus, capsys):
         code = main(["ask", "--corpus", str(corpus),
                      "--question", "What is ZEBRA-7?",
@@ -317,6 +318,12 @@ class TestSweep:
                      "--out", str(tmp_path / "o"), "--config", str(cfg)] + flags) == 1
         assert capsys.readouterr().err == \
             'config error: metric.judge "remote" needs the remote backend\n'
+
+    def test_bad_sizes_value_is_a_config_error(self, inputs, tmp_path, capsys):
+        corpus, qa = inputs
+        assert main(["sweep", "--corpus", str(corpus), "--qa", str(qa),
+                     "--sizes", "100,x", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "config error: bad --sizes value '100,x'\n"
 
     def test_non_increasing_sizes_exit_1(self, inputs, tmp_path):
         corpus, qa = inputs
@@ -518,6 +525,9 @@ class TestConfigFile:
         {"llm_model": ["x"]}, {"chunk_sizes": [250, "500"]}, {"chunk_sizes": 250},
         {"rag": {"prompt_template": 5}}, {"rag": {"top_k": None}},
         {"metric": {"w_factual": "1"}}, {"embedder": {"dim": False}},
+        # and values with which no request could be sent
+        {"embedder": {"max_retries": -1}}, {"embedder": {"timeout_ms": 0}},
+        {"embedder": {"timeout_ms": -5}}, {"embedder": {"max_concurrency": 0}},
     ])
     def test_value_of_the_wrong_type_rejected(self, tmp_path, capsys, obj):
         cfg = tmp_path / "cfg.json"
@@ -593,4 +603,51 @@ class TestHelp:
                                       ["ask", "--help"], ["sweep", "--help"]])
     def test_help_exits_zero(self, args, capsys):
         assert main(args) == 0
-        assert "Usage" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith("usage: ragbench")
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("args", [
+        pytest.param([], id="no-command"),
+        pytest.param(["bogus"], id="unknown-command"),
+        pytest.param(["ask", "--corpus", "corpus.jsonl", "--question", "q", "extra"],
+                     id="extra-argument"),
+        pytest.param(["ask", "--corp", "corpus.jsonl", "--question", "q"],
+                     id="abbreviated-flag"),
+        pytest.param(["ask", "--corpus", "corpus.jsonl", "--question", "q",
+                      "--chunk-size", "x"], id="chunk-size-not-an-int"),
+        pytest.param(["ask", "--corpus", "corpus.jsonl", "--question", "-x"],
+                     id="value-with-a-leading-dash"),
+    ])
+    def test_bad_command_line_exits_1(self, corpus, monkeypatch, args):
+        # corpus.jsonl exists, so each fails only on how its command line is read
+        monkeypatch.chdir(corpus.parent)
+        assert main(args) == 1
+
+    def test_option_value_with_a_leading_dash_after_equals(self, corpus, capsys):
+        assert main(["ask", "--corpus", str(corpus), "--question=-x"]) == 0
+        assert "retrieved:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args,path,reason", [
+        pytest.param(["ask", "--corpus", "nope.jsonl", "--question", "q"], "nope.jsonl",
+                     "No such file or directory", id="ask-corpus-missing"),
+        pytest.param(["ask", "--corpus", ".", "--question", "q"], ".",
+                     "Is a directory", id="ask-corpus-a-directory"),
+        pytest.param(["sweep", "--corpus", "corpus.jsonl", "--qa", "nope.jsonl", "--out", "o"],
+                     "nope.jsonl", "No such file or directory", id="sweep-qa-missing"),
+        pytest.param(["ingest", "--format", "reddit-jsonl", "--in", "nope.jsonl",
+                      "--out", "o.jsonl"], "nope.jsonl", "No such file or directory",
+                     id="ingest-reddit-missing"),
+        pytest.param(["ingest", "--format", "textdir", "--in", "nope", "--out", "o.jsonl"],
+                     "nope", "No such file or directory", id="ingest-textdir-missing"),
+        pytest.param(["ingest", "--format", "textdir", "--in", "corpus.jsonl",
+                      "--out", "o.jsonl"], "corpus.jsonl", "Not a directory",
+                     id="ingest-textdir-a-file"),
+    ])
+    def test_unreadable_input_path_is_an_io_error(self, corpus, monkeypatch, capsys,
+                                                  args, path, reason):
+        # every input path that cannot be read is reported alike, with its reason
+        monkeypatch.chdir(corpus.parent)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("io error: [Errno ") and err.endswith(f"] {reason}: '{path}'\n")

@@ -7,8 +7,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ragbench.corpus import (Document, dedup, ingest_text_dir, load_corpus,
                              parse_reddit_jsonl, save_corpus)
-from ragbench.errors import (EmptyCorpus, EmptyResults, MalformedLine,
-                             PathNotFound, RagBenchError)
+from ragbench.errors import EmptyCorpus, EmptyResults, MalformedLine, RagBenchError
 from ragbench.metrics import load_qa_jsonl
 
 
@@ -182,7 +181,7 @@ def test_ingest_text_dir_not_utf8_names_file(tmp_path):
 
 
 def test_ingest_missing_path(tmp_path):
-    with pytest.raises(PathNotFound):
+    with pytest.raises(FileNotFoundError):
         ingest_text_dir(tmp_path / "nope")
 
 
@@ -231,7 +230,7 @@ def test_store_round_trip(tmp_path):
 
 
 def test_load_corpus_missing(tmp_path):
-    with pytest.raises(PathNotFound):
+    with pytest.raises(FileNotFoundError):
         load_corpus(tmp_path / "nope.jsonl")
 
 

@@ -102,16 +102,16 @@ def fresh_python(code, *args, cwd=None):
 
 def test_cli_import_leaves_out_requests():
     code = ("import sys, ragbench.cli; "
-            "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))")
+            "print(sorted(m for m in ('requests', 'urllib3', 'click') if m in sys.modules))")
     assert fresh_python(code).strip() == "[]"
 
 
 # Only a remote request loads the HTTP and TLS stack, and only a cache key
 # loads hashlib. Each test counts a module as loaded only beyond what
-# `import numpy, click` loads, since some Python or numpy versions load one.
+# `import numpy` loads, since some Python or numpy versions load one.
 WATCH_PRELUDE = """
 import json, sys
-import numpy, click
+import numpy
 WATCHED = ("http.client", "urllib.request", "urllib.error", "ssl", "email",
            "socket", "hashlib", "_hashlib")
 BASE = {m for m in WATCHED if m in sys.modules}
