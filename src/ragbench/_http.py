@@ -6,10 +6,10 @@ whose Retry-After header gives whole seconds waits that long instead,
 capped at _RETRY_AFTER_MAX_S; a header in the HTTP-date form, or one that
 is not a non-negative integer, falls back to the backoff.
 
-A refused or reset connection is not retried: it raises ProtocolError at
+A refused or reset connection is not retried: it raises RagBenchError at
 once. Unlike a 429 or 5xx it carries no sign that waiting helps, and a
-reset may come after the backend has received the request. A timeout
-raises RequestTimeout, also without a retry.
+reset may come after the backend has received the request. A timeout is
+not retried either.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import os
 import time
 
-from .errors import ProtocolError, RateLimitedExhausted, RequestTimeout
+from .errors import RagBenchError
 
 API_KEY_ENV = "RAGBENCH_API_KEY"
 _BACKOFF_BASE_S = 0.5
@@ -52,7 +52,7 @@ def _post(url: str, data: bytes, timeout_s: float) -> tuple[int, str | None, byt
 
     # urlopen would also read file:, ftp: and data: URLs
     if not url.lower().startswith(("http://", "https://")):
-        raise ProtocolError(f"request to {url} failed: not an http(s) URL")
+        raise RagBenchError(f"request to {url} failed: not an http(s) URL")
     try:
         req = urllib.request.Request(url, data=data, headers=_headers(), method="POST")
         with urllib.request.urlopen(req, timeout=timeout_s) as resp:
@@ -61,14 +61,14 @@ def _post(url: str, data: bytes, timeout_s: float) -> tuple[int, str | None, byt
         exc.close()
         return exc.code, exc.headers.get("Retry-After"), b""
     except TimeoutError as exc:
-        raise RequestTimeout(f"request to {url} timed out") from exc
+        raise RagBenchError(f"request to {url} timed out") from exc
     except urllib.error.URLError as exc:
         if isinstance(exc.reason, TimeoutError):
-            raise RequestTimeout(f"request to {url} timed out") from exc
-        raise ProtocolError(f"request to {url} failed: {exc.reason}") from exc
+            raise RagBenchError(f"request to {url} timed out") from exc
+        raise RagBenchError(f"request to {url} failed: {exc.reason}") from exc
     except (OSError, ValueError, http.client.HTTPException) as exc:
         # ValueError: a malformed URL, such as one with a bad port
-        raise ProtocolError(f"request to {url} failed: {exc}") from exc
+        raise RagBenchError(f"request to {url} failed: {exc}") from exc
 
 
 def post_json_with_retries(url: str, payload: dict, *, timeout_ms: int,
@@ -77,7 +77,7 @@ def post_json_with_retries(url: str, payload: dict, *, timeout_ms: int,
     try:
         data = json.dumps(payload, allow_nan=False).encode("utf-8")
     except ValueError as exc:  # NaN or infinity: not JSON
-        raise ProtocolError(f"request to {url} is not valid JSON: {exc}") from exc
+        raise RagBenchError(f"request to {url} is not valid JSON: {exc}") from exc
     last_status = None
     for attempt in range(max_retries + 1):
         status, retry_after, body = _post(url, data, timeout_ms / 1000.0)
@@ -85,7 +85,7 @@ def post_json_with_retries(url: str, payload: dict, *, timeout_ms: int,
             try:
                 return json.loads(body)
             except ValueError as exc:
-                raise ProtocolError(f"non-JSON response from {url}") from exc
+                raise RagBenchError(f"non-JSON response from {url}") from exc
         if status == 429 or status >= 500:
             last_status = status
             if attempt < max_retries:
@@ -93,7 +93,7 @@ def post_json_with_retries(url: str, payload: dict, *, timeout_ms: int,
                 _sleep(_BACKOFF_BASE_S * (2 ** attempt) if wait_s is None else wait_s)
                 continue
             break
-        raise ProtocolError(f"HTTP {status} from {url}")
+        raise RagBenchError(f"HTTP {status} from {url}")
     if last_status == 429:
-        raise RateLimitedExhausted(f"rate limited after {max_retries} retries: {url}")
-    raise ProtocolError(f"HTTP {last_status} from {url} after {max_retries} retries")
+        raise RagBenchError(f"rate limited after {max_retries} retries: {url}")
+    raise RagBenchError(f"HTTP {last_status} from {url} after {max_retries} retries")

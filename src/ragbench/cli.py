@@ -87,6 +87,8 @@ def cmd_ingest(fmt, in_path, out_path, do_dedup, strict):
 def cmd_ask(corpus_path, question, chunk_size, overlap, top_k, backend,
             config_path, cache_dir):
     """Answer one question against a corpus and print provenance."""
+    if not question.strip():
+        raise InvalidConfig("--question must not be blank")
     app = _resolve_app(config_path, cache_dir, backend=backend, sizes=[chunk_size],
                        overlap=overlap, top_k=top_k)
     embed_texts_fn, embed_fn, generate_fn, _, _ = _make_backends(app)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import IO, Callable, Iterable
 
-from .errors import EmptyCorpus, InvalidConfig, MalformedLine, RagBenchError
+from .errors import InvalidConfig, MalformedLine, RagBenchError
 
 # a stored document's fields and their types
 _FIELDS = {"id": (str,), "source": (str,), "title": (str,), "body": (str,),
@@ -114,7 +114,7 @@ def parse_reddit_jsonl(stream: IO[bytes], lenient: bool = True) -> tuple[list[Do
     MalformedLine."""
     docs, skipped = read_jsonl(stream, _doc_from_reddit_obj, lenient)
     if not docs:
-        raise EmptyCorpus("no documents parsed from stream")
+        raise RagBenchError("no documents parsed from stream")
     return docs, skipped
 
 
@@ -137,7 +137,7 @@ def ingest_text_dir(path: str | Path) -> list[Document]:
         docs.append(Document(id=rel, source=rel, title=p.stem, body=body))
     docs.sort(key=lambda d: d.id)
     if not docs:
-        raise EmptyCorpus(f"no .txt/.md files under {path}")
+        raise RagBenchError(f"no .txt/.md files under {path}")
     return docs
 
 
@@ -179,5 +179,5 @@ def load_corpus(path: str | Path) -> list[Document]:
     with open(path, "rb") as f:
         docs, _ = read_jsonl(f, _stored_document)
     if not docs:
-        raise EmptyCorpus(str(path))
+        raise RagBenchError(f"no documents in {path}")
     return docs

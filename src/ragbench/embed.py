@@ -16,8 +16,7 @@ import numpy as np
 from . import store
 from ._http import post_json_with_retries
 from ._singleflight import SingleFlight
-from .errors import (DimMismatch, EmptyText, InvalidConfig, ProtocolError,
-                     RagBenchError)
+from .errors import InvalidConfig, RagBenchError
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -113,7 +112,7 @@ def embed_offline_batch(texts: list[str], dim: int = 256) -> list[np.ndarray]:
     size = 0
     for text in texts:
         if not text:
-            raise EmptyText("cannot embed empty text")
+            raise RagBenchError("cannot embed empty text")
         data = text.casefold().encode("utf-8")
         if block and (size + len(data) > _BLOCK_BYTES
                       or (len(block) + 1) * dim > _BLOCK_CELLS):
@@ -135,7 +134,7 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     + 0.0 turns a -0.0 sum into the loop's 0.0. So a score is the same
     bits whatever BLAS or interpreter runs it."""
     if len(a) != len(b):
-        raise DimMismatch(f"dim {len(a)} != {len(b)}")
+        raise RagBenchError(f"dim {len(a)} != {len(b)}")
     dot, na, nb = np.cumsum(np.stack((a * b, a * a, b * b)), axis=1)[:, -1].tolist()
     if na == 0.0 or nb == 0.0:
         return 0.0
@@ -146,17 +145,17 @@ def _rows(rows, n: int) -> list[np.ndarray]:
     """n embeddings from a decoded JSON list of rows, each a non-empty list
     of numbers, all of one length."""
     if not isinstance(rows, list) or len(rows) != n:
-        raise ProtocolError(f"expected a list of {n} embeddings")
+        raise RagBenchError(f"expected a list of {n} embeddings")
     try:
         vecs = [np.array(row) for row in rows]
     except ValueError as exc:  # ragged nesting, such as [[1], [2, 3]]
-        raise ProtocolError(f"malformed embedding: {exc}") from exc
+        raise RagBenchError(f"malformed embedding: {exc}") from exc
     # a JSON value other than a list makes a 0-d array
     if any(v.ndim != 1 or not v.size or v.dtype.kind not in "iuf" for v in vecs):
-        raise ProtocolError("embedding is not a non-empty list of numbers")
+        raise RagBenchError("embedding is not a non-empty list of numbers")
     dims = {len(v) for v in vecs}
     if len(dims) > 1:
-        raise DimMismatch(f"embedding dims disagree within response: {sorted(dims)}")
+        raise RagBenchError(f"embedding dims disagree within response: {sorted(dims)}")
     return [v.astype(np.float64, copy=False) for v in vecs]
 
 
@@ -170,10 +169,10 @@ def embed_remote(texts: list[str], cfg: EmbedderConfig,
     and input list, and a repeated request is answered from there.
     """
     if not texts:
-        raise EmptyText("no texts to embed")
+        raise RagBenchError("no texts to embed")
     for t in texts:
         if not t:
-            raise EmptyText("cannot embed empty text")
+            raise RagBenchError("cannot embed empty text")
     url = cfg.endpoint_url.rstrip("/") + "/v1/embeddings"
     batches = [texts[i:i + _MAX_BATCH] for i in range(0, len(texts), _MAX_BATCH)]
 
@@ -186,7 +185,7 @@ def embed_remote(texts: list[str], cfg: EmbedderConfig,
         try:
             rows = [item["embedding"] for item in body["data"]]
         except (KeyError, TypeError) as exc:
-            raise ProtocolError(f"malformed embeddings response: {exc}") from exc
+            raise RagBenchError(f"malformed embeddings response: {exc}") from exc
         return _rows(rows, len(batch)), {"embeddings": rows}
 
     def run_batch(batch: list[str]) -> list[np.ndarray]:
@@ -202,7 +201,7 @@ def embed_remote(texts: list[str], cfg: EmbedderConfig,
     out = [v for batch in results for v in batch]
     dims = {len(v) for v in out}
     if len(dims) > 1:
-        raise DimMismatch(f"embedding dims disagree across batches: {sorted(dims)}")
+        raise RagBenchError(f"embedding dims disagree across batches: {sorted(dims)}")
     return out
 
 

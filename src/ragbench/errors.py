@@ -1,8 +1,24 @@
-"""Exception hierarchy shared across the package."""
+"""The package's errors: one class per exit code, and MalformedLine, which
+names the bad input line."""
 
 
 class RagBenchError(Exception):
-    """Base class for all errors raised by this package."""
+    """A data or runtime error (exit 2); base class of every error raised
+    by this package."""
+
+
+class InvalidConfig(RagBenchError):
+    """A usage or config error (exit 1)."""
+
+
+class MalformedLine(RagBenchError):
+    def __init__(self, line_no: int, reason: str = ""):
+        self.line_no = line_no
+        self.reason = reason
+        msg = f"malformed line {line_no}"
+        if reason:
+            msg += f": {reason}"
+        super().__init__(msg)
 
 
 def tag_qa(exc: RagBenchError, qa_id: str) -> None:
@@ -15,75 +31,3 @@ def tag_qa(exc: RagBenchError, qa_id: str) -> None:
     """
     exc.qa_id = qa_id
     exc.args = (f"[qa {qa_id}] {exc}",)
-
-
-# -- corpus --------------------------------------------------------------
-
-class MalformedLine(RagBenchError):
-    def __init__(self, line_no: int, reason: str = ""):
-        self.line_no = line_no
-        self.reason = reason
-        msg = f"malformed line {line_no}"
-        if reason:
-            msg += f": {reason}"
-        super().__init__(msg)
-
-
-class EmptyCorpus(RagBenchError):
-    pass
-
-
-# -- configuration -------------------------------------------------------
-
-class InvalidConfig(RagBenchError):
-    pass
-
-
-class TemplateError(InvalidConfig):
-    pass
-
-
-# -- embedding / vector store --------------------------------------------
-
-class EmptyText(RagBenchError):
-    pass
-
-
-class DimMismatch(RagBenchError):
-    pass
-
-
-class DuplicateRef(RagBenchError):
-    pass
-
-
-class EmptyIndex(RagBenchError):
-    pass
-
-
-# -- remote calls --------------------------------------------------------
-
-class RequestTimeout(RagBenchError):
-    pass
-
-
-class RateLimitedExhausted(RagBenchError):
-    pass
-
-
-class ProtocolError(RagBenchError):
-    pass
-
-
-class EmptyCompletion(RagBenchError):
-    pass
-
-
-# -- metrics -------------------------------------------------------------
-
-class MetricUndefined(RagBenchError):
-    pass
-
-
-class EmptyResults(RagBenchError):
-    pass

@@ -10,7 +10,7 @@ from typing import Callable
 
 from . import store
 from ._http import post_json_with_retries
-from .errors import EmptyCompletion, InvalidConfig, ProtocolError
+from .errors import InvalidConfig, RagBenchError
 
 _MOCK_PREFIX = "MOCK-ANSWER: "
 _MOCK_TRUNC = 2000
@@ -66,11 +66,11 @@ def generate(req: ChatRequest, cfg: LlmConfig) -> ChatResponse:
         choices = body["choices"]
         content = choices[0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
-        raise ProtocolError(f"malformed chat response: {exc}") from exc
+        raise RagBenchError(f"malformed chat response: {exc}") from exc
     if not isinstance(content, str):
-        raise ProtocolError("completion content is not a string")
+        raise RagBenchError("completion content is not a string")
     if content == "":
-        raise EmptyCompletion("empty completion content")
+        raise RagBenchError("empty completion content")
     latency = int((time.monotonic() - t0) * 1000)
     return ChatResponse(content=content, latency_ms=latency, cached=False)
 
@@ -96,7 +96,7 @@ def request_key(req: ChatRequest, endpoint: str = "") -> str:
 def _decode_entry(entry: dict) -> ChatResponse:
     content = entry.get("content")
     if not isinstance(content, str):
-        raise ProtocolError("cached content is not a string")
+        raise RagBenchError("cached content is not a string")
     return ChatResponse(content=content, latency_ms=0, cached=True)
 
 

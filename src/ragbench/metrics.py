@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import check_fields, read_jsonl
 from .embed import cosine
-from .errors import EmptyResults, EmptyText, InvalidConfig, MetricUndefined, ProtocolError
+from .errors import InvalidConfig, RagBenchError
 from .llm import ChatRequest, ChatResponse
 
 _SENTENCE_SPLIT = re.compile(r"[.?!]+(?:\s+|$)")
@@ -143,7 +143,7 @@ def _parse_json_reply(content: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ProtocolError(f"judge reply is not valid JSON: {exc}") from exc
+        raise RagBenchError(f"judge reply is not valid JSON: {exc}") from exc
 
 
 class RemoteJudge:
@@ -164,7 +164,7 @@ class RemoteJudge:
             return []
         reply = _parse_json_reply(self._ask(_EXTRACT_PROMPT.format(text=text)))
         if not isinstance(reply, list) or not all(isinstance(s, str) for s in reply):
-            raise ProtocolError("extraction reply is not a JSON array of strings")
+            raise RagBenchError("extraction reply is not a JSON array of strings")
         return [s.strip() for s in reply if s.strip()]
 
     def classify(self, answer_stmts: list[str], gt_stmts: list[str]) -> tuple[int, int, int]:
@@ -179,9 +179,9 @@ class RemoteJudge:
             ans_flags = [bool(v) for v in reply["answer_supported"]]
             gt_flags = [bool(v) for v in reply["ground_truth_supported"]]
         except (KeyError, TypeError) as exc:
-            raise ProtocolError(f"classification reply malformed: {exc}") from exc
+            raise RagBenchError(f"classification reply malformed: {exc}") from exc
         if len(ans_flags) != len(answer_stmts) or len(gt_flags) != len(gt_stmts):
-            raise ProtocolError("classification reply length mismatch")
+            raise RagBenchError("classification reply length mismatch")
         tp = sum(ans_flags)
         fp = len(ans_flags) - tp
         fn = sum(1 for v in gt_flags if not v)
@@ -193,7 +193,7 @@ def f1(tp: int, fp: int, fn: int) -> float:
     if tp < 0 or fp < 0 or fn < 0:
         raise InvalidConfig("counts must be >= 0")
     if tp == 0 and fp == 0 and fn == 0:
-        raise MetricUndefined("no statements on either side")
+        raise RagBenchError("no statements on either side")
     return tp / (tp + 0.5 * (fp + fn))
 
 
@@ -206,10 +206,8 @@ def answer_correctness(answer: str, qa: QAItem,
     gt_stmts = judge.extract(qa.ground_truth)
     tp, fp, fn = judge.classify(answer_stmts, gt_stmts)
     factual = f1(tp, fp, fn)
-    try:
-        sim = cosine(embed_fn(answer), embed_fn(qa.ground_truth))
-    except EmptyText:
-        sim = 0.0
+    # an empty answer cannot be embedded; QAItem rejects a blank ground truth
+    sim = cosine(embed_fn(answer), embed_fn(qa.ground_truth)) if answer else 0.0
     sim = min(1.0, max(0.0, sim))
     score = cfg.w_factual * factual + cfg.w_semantic * sim
     return EvalResult(qa_id=qa.id, tp=tp, fp=fp, fn=fn, f1=factual,
@@ -228,5 +226,5 @@ def load_qa_jsonl(path: str | Path) -> list[QAItem]:
     with open(path, "rb") as f:
         items, _ = read_jsonl(f, _qa_item)
     if not items:
-        raise EmptyResults(f"no QA items in {path}")
+        raise RagBenchError(f"no QA items in {path}")
     return items

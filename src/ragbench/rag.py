@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import InvalidConfig, TemplateError
+from .errors import InvalidConfig
 from .llm import ChatRequest, ChatResponse
 from .vectorstore import ChunkRef, Hit
 
@@ -32,9 +32,7 @@ class RagConfig:
             raise InvalidConfig("max_context_chars must be >= 1")
         for ph in ("{context}", "{question}"):
             if self.prompt_template.count(ph) != 1:
-                raise TemplateError(
-                    f"prompt template must contain {ph} exactly once"
-                )
+                raise InvalidConfig(f"prompt template must contain {ph} exactly once")
 
 
 @dataclass

@@ -14,7 +14,7 @@ import numpy as np
 from .chunker import ChunkConfig, chunk_corpus
 from .config import AppConfig
 from .corpus import Document
-from .errors import DimMismatch, EmptyCorpus, EmptyResults, RagBenchError, tag_qa
+from .errors import RagBenchError, tag_qa
 from .metrics import QAItem, answer_correctness
 from .rag import answer_question
 from .report import SweepReport, SweepRow, _dump_size_results
@@ -52,9 +52,9 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
     each size that succeeds writes its results there; nothing is deleted.
     """
     if not docs:
-        raise EmptyCorpus("sweep needs a non-empty corpus")
+        raise RagBenchError("sweep needs a non-empty corpus")
     if not qa_set:
-        raise EmptyResults("sweep needs a non-empty QA set")
+        raise RagBenchError("sweep needs a non-empty QA set")
     prime = getattr(embed_fn, "prime", None) or (lambda texts: None)
     prime([qa.question for qa in qa_set] + [qa.ground_truth for qa in qa_set])
 
@@ -67,7 +67,7 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
     def question_vector(qa):
         vec = embed_fn(qa.question)
         if len(vec) != index.dim:
-            raise DimMismatch(f"query dim {len(vec)} != index dim {index.dim}")
+            raise RagBenchError(f"query dim {len(vec)} != index dim {index.dim}")
         return vec
 
     # a stage maps each size to (its items' outcomes, its error before them);

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, DuplicateRef, EmptyIndex
+from .errors import RagBenchError
 
 ChunkRef = tuple[str, int]  # (doc_id, seq)
 
@@ -36,14 +36,14 @@ class Index:
     def __init__(self, chunks: list[tuple[ChunkRef, str]], rows: list[np.ndarray],
                  row_of: list[int]):
         if not chunks:
-            raise EmptyIndex("cannot build index from zero chunks")
+            raise RagBenchError("cannot build index from zero chunks")
         dims = {len(r) for r in rows}
         if len(dims) > 1:
-            raise DimMismatch(f"row dims disagree: {sorted(dims)}")
+            raise RagBenchError(f"row dims disagree: {sorted(dims)}")
         refs = [ref for ref, _ in chunks]
         if len(set(refs)) != len(refs):
             dup = next(r for r, n in Counter(refs).items() if n > 1)
-            raise DuplicateRef(f"duplicate chunk ref {dup}")
+            raise RagBenchError(f"duplicate chunk ref {dup}")
         self._chunks = list(chunks)
         self._row_of = np.asarray(row_of, dtype=np.intp)
         matrix = np.stack(rows)
@@ -71,7 +71,7 @@ class Index:
         """
         rows = np.atleast_2d(q)
         if rows.ndim != 2 or rows.shape[1] != self.dim:
-            raise DimMismatch(f"query dim {rows.shape[-1]} != index dim {self.dim}")
+            raise RagBenchError(f"query dim {rows.shape[-1]} != index dim {self.dim}")
         if k < 1:
             raise ValueError("k must be >= 1")
         step = max(1, _SCORE_BLOCK_BYTES // (8 * len(self._chunks)))

@@ -7,7 +7,7 @@ from collections import namedtuple
 import numpy as np
 
 from ragbench.embed import _fnv1a64
-from ragbench.errors import EmptyText
+from ragbench.errors import RagBenchError
 
 # one chunk as the oracle sees it
 Entry = namedtuple("Entry", "chunk_ref vector text")
@@ -39,7 +39,7 @@ def embed_offline(text: str, dim: int = 256) -> np.ndarray:
     dim buckets (a text under 3 bytes is hashed whole), then normalizes.
     """
     if not text:
-        raise EmptyText("cannot embed empty text")
+        raise RagBenchError("cannot embed empty text")
     data = text.casefold().encode("utf-8")
     acc = [0.0] * dim
     if len(data) < 3:

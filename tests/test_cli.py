@@ -11,7 +11,7 @@ from ragbench.corpus import Document, save_corpus
 from ragbench.cli import main
 from ragbench.config import AppConfig, load_app_config
 from ragbench.embed import EmbedderConfig
-from ragbench.errors import ProtocolError
+from ragbench.errors import RagBenchError
 from ragbench.metrics import LexicalJudge, MetricConfig, RemoteJudge
 
 
@@ -399,7 +399,7 @@ class TestSweep:
         assert main(args) == 0
 
         def generate_down(req):
-            raise ProtocolError("backend down")
+            raise RagBenchError("backend down")
 
         if failure == "backend-down":
             monkeypatch.setattr(cli_mod, "mock_generate", generate_down)
@@ -437,7 +437,7 @@ class TestSweep:
 
         def generate_down_for_q1(req):
             if "topic 1?" in req.messages[-1]["content"]:
-                raise ProtocolError("backend down")
+                raise RagBenchError("backend down")
             return mock_generate(req)
 
         monkeypatch.setattr(cli_mod, "mock_generate", generate_down_for_q1)
@@ -651,3 +651,27 @@ class TestCommandLine:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("io error: [Errno ") and err.endswith(f"] {reason}: '{path}'\n")
+
+    @pytest.mark.parametrize("args,message", [
+        pytest.param(["ask", "--corpus", "empty.jsonl", "--question", "q"],
+                     "no documents in empty.jsonl", id="ask-corpus-empty"),
+        pytest.param(["sweep", "--corpus", "empty.jsonl", "--qa", "qa.jsonl", "--out", "o"],
+                     "no documents in empty.jsonl", id="sweep-corpus-empty"),
+        pytest.param(["sweep", "--corpus", "corpus.jsonl", "--qa", "empty.jsonl", "--out", "o"],
+                     "no QA items in empty.jsonl", id="sweep-qa-empty"),
+    ])
+    def test_empty_input_file_is_a_data_error(self, corpus, monkeypatch, capsys,
+                                              args, message):
+        # an empty input file is named with what it lacks
+        monkeypatch.chdir(corpus.parent)
+        (corpus.parent / "empty.jsonl").write_bytes(b"")
+        write_qa(corpus.parent / "qa.jsonl")
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("question", ["", "   "], ids=["empty", "spaces"])
+    def test_blank_question_is_a_usage_error(self, tmp_path, capsys, question):
+        # rejected before the corpus is read: this one does not exist
+        assert main(["ask", "--corpus", str(tmp_path / "nope.jsonl"),
+                     f"--question={question}"]) == 1
+        assert capsys.readouterr() == ("", "config error: --question must not be blank\n")

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ragbench.corpus import (Document, dedup, ingest_text_dir, load_corpus,
                              parse_reddit_jsonl, save_corpus)
-from ragbench.errors import EmptyCorpus, EmptyResults, MalformedLine, RagBenchError
+from ragbench.errors import MalformedLine, RagBenchError
 from ragbench.metrics import load_qa_jsonl
 
 
@@ -101,7 +101,7 @@ def test_parse_deep_nesting_is_malformed():
 
 
 def test_parse_empty_stream_raises():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(RagBenchError, match=r"^no documents parsed from stream$"):
         parse_reddit_jsonl(io.BytesIO(b""))
 
 
@@ -169,7 +169,7 @@ def test_ingest_text_dir(tmp_path):
 
 
 def test_ingest_empty_dir(tmp_path):
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(RagBenchError, match=r"^no \.txt/\.md files under "):
         ingest_text_dir(tmp_path)
 
 
@@ -307,10 +307,13 @@ def test_readers_raise_only_data_errors(tmp_path, lines, lenient):
         parse_reddit_jsonl(io.BytesIO(data), lenient=lenient)
     except MalformedLine:
         assert not lenient
-    except EmptyCorpus:
-        pass
-    for read in (load_corpus, load_qa_jsonl):
+    except RagBenchError as exc:
+        assert str(exc) == "no documents parsed from stream"
+    for read, empty in ((load_corpus, f"no documents in {path}"),
+                        (load_qa_jsonl, f"no QA items in {path}")):
         try:
             read(path)
-        except (MalformedLine, EmptyCorpus, EmptyResults):
+        except MalformedLine:
             pass
+        except RagBenchError as exc:
+            assert str(exc) == empty

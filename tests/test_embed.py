@@ -11,8 +11,7 @@ import ragbench.embed as embed_mod
 import ragbench.store as store_mod
 from ragbench.embed import (EmbedderConfig, cosine, embed_offline_batch,
                             embed_remote, embed_texts, make_embed_fn)
-from ragbench.errors import (DimMismatch, EmptyText, ProtocolError,
-                             RateLimitedExhausted)
+from ragbench.errors import RagBenchError
 
 from oracles import embed_offline
 
@@ -37,7 +36,7 @@ class TestOffline:
         assert cosine(v, v) == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_text(self):
-        with pytest.raises(EmptyText):
+        with pytest.raises(RagBenchError, match=r"^cannot embed empty text$"):
             embed_offline("", 256)
 
     def test_unit_norm(self):
@@ -124,7 +123,7 @@ class TestOfflineBatch:
                          [embed_offline(t, 256) for t in texts])
 
     def test_empty_text_rejected(self):
-        with pytest.raises(EmptyText):
+        with pytest.raises(RagBenchError, match=r"^cannot embed empty text$"):
             embed_offline_batch(["ok", ""], 16)
 
 
@@ -145,7 +144,7 @@ class TestCosine:
         assert cosine(vec(0, 0), vec(1, 0)) == 0.0
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
+        with pytest.raises(RagBenchError, match=r"^dim 2 != 3$"):
             cosine(vec(1, 0), vec(1, 0, 0))
 
     def test_symmetry_exact(self):
@@ -196,7 +195,7 @@ class TestRemote:
     def test_dim_mismatch_in_response(self, fake_server):
         fake_server.script.append(
             (200, {"data": [{"embedding": [1.0] * 8}, {"embedding": [1.0] * 9}]}))
-        with pytest.raises(DimMismatch):
+        with pytest.raises(RagBenchError, match=r"^embedding dims disagree within response: \[8, 9\]$"):
             embed_remote(["a", "b"], self.cfg(fake_server))
 
     def test_retry_on_429_then_success(self, fake_server, no_backoff_sleep):
@@ -207,13 +206,13 @@ class TestRemote:
 
     def test_rate_limit_exhausted(self, fake_server, no_backoff_sleep):
         fake_server.script.extend([(429, {})] * 3)
-        with pytest.raises(RateLimitedExhausted):
+        with pytest.raises(RagBenchError, match=r"^rate limited after 2 retries: "):
             embed_remote(["a"], self.cfg(fake_server))
         assert no_backoff_sleep == [0.5, 1.0]
 
     def test_malformed_response(self, fake_server):
         fake_server.script.append((200, {"nope": []}))
-        with pytest.raises(ProtocolError):
+        with pytest.raises(RagBenchError, match=r"^malformed embeddings response: "):
             embed_remote(["a"], self.cfg(fake_server))
 
     def test_batching_max_64(self, fake_server):
@@ -237,9 +236,9 @@ class TestRemote:
         assert headers.get("Authorization") == "Bearer sekret"
 
     def test_empty_input_rejected(self, fake_server):
-        with pytest.raises(EmptyText):
+        with pytest.raises(RagBenchError, match=r"^no texts to embed$"):
             embed_remote([], self.cfg(fake_server))
-        with pytest.raises(EmptyText):
+        with pytest.raises(RagBenchError, match=r"^cannot embed empty text$"):
             embed_remote(["ok", ""], self.cfg(fake_server))
 
     @pytest.mark.parametrize("row", [[None], [1.0, None], [[1.0, 2.0]],
@@ -247,7 +246,8 @@ class TestRemote:
                                      "1.0", 1.0, {"x": 1.0}, None])
     def test_malformed_values_rejected(self, fake_server, row):
         fake_server.script.append((200, {"data": [{"embedding": row}]}))
-        with pytest.raises(ProtocolError):
+        with pytest.raises(RagBenchError, match=r"^(malformed embedding: |embedding is not a "
+                                                r"non-empty list of numbers$)"):
             embed_remote(["a"], self.cfg(fake_server))
 
     def test_integer_values_become_float64(self, fake_server):
@@ -278,7 +278,7 @@ class TestRemoteCache:
 
     def test_invalid_response_not_stored(self, fake_server, tmp_path):
         fake_server.script.append((200, {"data": [{"embedding": [None]}]}))
-        with pytest.raises(ProtocolError):
+        with pytest.raises(RagBenchError, match=r"^embedding is not a non-empty list of numbers$"):
             embed_remote(["a"], self.cfg(fake_server), tmp_path)
         assert list(tmp_path.iterdir()) == []
         (v,) = embed_remote(["a"], self.cfg(fake_server), tmp_path)
@@ -347,16 +347,16 @@ def test_make_embed_fn_waiter_retries_after_failure(monkeypatch, in_threads):
         calls.append(list(texts))
         time.sleep(0.05)
         if len(calls) == 1:
-            raise ProtocolError("first call fails")
+            raise RagBenchError("first call fails")
         return embed_offline_batch(texts, cfg.dim)
 
     monkeypatch.setattr(embed_mod, "embed_texts", fail_first)
     fn = make_embed_fn(EmbedderConfig(kind="offline", dim=16))
     out = in_threads(8, lambda i: fn("q"))
     assert len(calls) == 2
-    assert sum(isinstance(r, ProtocolError) for r in out) == 1
+    assert sum(isinstance(r, RagBenchError) for r in out) == 1
     assert sum(same_rows([r], [embed_offline("q", 16)]) for r in out
-               if not isinstance(r, ProtocolError)) == 7
+               if not isinstance(r, RagBenchError)) == 7
     assert fn.flight.waiting == {}
 
 
@@ -381,7 +381,7 @@ def test_make_embed_fn_failed_prime_leaves_memo(monkeypatch):
     def fail_batches(texts, cfg, cache_dir=None):
         calls.append(list(texts))
         if len(texts) > 1:
-            raise ProtocolError("batch refused")
+            raise RagBenchError("batch refused")
         return embed_offline_batch(texts, cfg.dim)
 
     monkeypatch.setattr(embed_mod, "embed_texts", fail_batches)

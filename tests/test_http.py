@@ -10,7 +10,7 @@ import pytest
 import ragbench
 import ragbench._http as _http
 from ragbench._http import post_json_with_retries
-from ragbench.errors import ProtocolError, RateLimitedExhausted, RequestTimeout
+from ragbench.errors import RagBenchError
 
 OK = (200, {"ok": True})
 
@@ -48,7 +48,7 @@ class TestRetryAfter:
 
     def test_exhausted_after_honouring(self, fake_server, no_backoff_sleep):
         fake_server.script.extend([(429, {}, {"Retry-After": "2"})] * 3)
-        with pytest.raises(RateLimitedExhausted):
+        with pytest.raises(RagBenchError, match=r"^rate limited after 2 retries: "):
             post(fake_server)
         assert no_backoff_sleep == [2, 2]
 
@@ -56,12 +56,12 @@ class TestRetryAfter:
 class TestFailures:
     def test_timeout(self, fake_server, no_backoff_sleep):
         fake_server.script.append((200, {"ok": True}, {}, 0.5))
-        with pytest.raises(RequestTimeout, match="timed out"):
+        with pytest.raises(RagBenchError, match="timed out"):
             post(fake_server, timeout_ms=50)
         assert no_backoff_sleep == []
 
     def test_nan_payload_not_sent(self, fake_server):
-        with pytest.raises(ProtocolError, match="not valid JSON"):
+        with pytest.raises(RagBenchError, match="not valid JSON"):
             post(fake_server, {"input": [float("nan")]})
         assert fake_server.requests == []
 
@@ -69,14 +69,14 @@ class TestFailures:
         with socket.socket() as s:
             s.bind(("127.0.0.1", 0))
             port = s.getsockname()[1]
-        with pytest.raises(ProtocolError, match="failed"):
+        with pytest.raises(RagBenchError, match="failed"):
             post_json_with_retries(f"http://127.0.0.1:{port}/v1/x", {"a": 1},
                                    timeout_ms=2000, max_retries=2)
         assert no_backoff_sleep == []
 
     def test_client_error_not_retried(self, fake_server, no_backoff_sleep):
         fake_server.script.append((400, {"error": "bad"}))
-        with pytest.raises(ProtocolError, match="HTTP 400"):
+        with pytest.raises(RagBenchError, match="HTTP 400"):
             post(fake_server)
         assert no_backoff_sleep == []
         assert len(fake_server.requests) == 1
@@ -84,7 +84,7 @@ class TestFailures:
     @pytest.mark.parametrize("url", ["localhost/v1/x", "file:///dev/null",
                                      "ftp://127.0.0.1:1/x", "http://127.0.0.1:x/v1"])
     def test_url_not_http(self, url):
-        with pytest.raises(ProtocolError, match="failed"):
+        with pytest.raises(RagBenchError, match="failed"):
             post_json_with_retries(url, {"a": 1}, timeout_ms=100, max_retries=0)
 
 

@@ -5,8 +5,7 @@ import time
 
 import pytest
 
-from ragbench.errors import (EmptyCompletion, InvalidConfig, ProtocolError,
-                             RateLimitedExhausted)
+from ragbench.errors import InvalidConfig, RagBenchError
 import ragbench.store as store_mod
 from ragbench.llm import (ChatRequest, LlmConfig, cached, generate,
                           make_cached_fn, mock_generate, request_key)
@@ -51,18 +50,18 @@ class TestGenerate:
 
     def test_empty_choices(self, fake_server):
         fake_server.script.append((200, {"choices": []}))
-        with pytest.raises(ProtocolError):
+        with pytest.raises(RagBenchError, match=r"^malformed chat response: "):
             generate(req(), self.cfg(fake_server))
 
     def test_empty_content(self, fake_server):
         fake_server.script.append(
             (200, {"choices": [{"message": {"content": ""}}]}))
-        with pytest.raises(EmptyCompletion):
+        with pytest.raises(RagBenchError, match=r"^empty completion content$"):
             generate(req(), self.cfg(fake_server))
 
     def test_retries_exhausted(self, fake_server, no_backoff_sleep):
         fake_server.script.extend([(429, {})] * 3)
-        with pytest.raises(RateLimitedExhausted):
+        with pytest.raises(RagBenchError, match=r"^rate limited after 2 retries: "):
             generate(req(), self.cfg(fake_server))
         assert len(no_backoff_sleep) == 2
 

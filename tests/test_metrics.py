@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from ragbench.config import AppConfig
 from ragbench.corpus import Document
-from ragbench.errors import InvalidConfig, MalformedLine, MetricUndefined, ProtocolError
+from ragbench.errors import InvalidConfig, MalformedLine, RagBenchError
 from ragbench.llm import ChatResponse, mock_generate
 from ragbench.metrics import (LexicalJudge, MetricConfig, QAItem, RemoteJudge,
                               answer_correctness, f1, load_qa_jsonl)
@@ -157,7 +157,7 @@ class TestF1:
         assert f1(0, 2, 3) == 0.0
 
     def test_all_zero_undefined(self):
-        with pytest.raises(MetricUndefined):
+        with pytest.raises(RagBenchError, match=r"^no statements on either side$"):
             f1(0, 0, 0)
 
 
@@ -269,7 +269,7 @@ class TestAnswerCorrectness:
             return mock_generate(req)
 
         for workers in (1, 4):
-            with pytest.raises(MetricUndefined) as exc:
+            with pytest.raises(RagBenchError, match=r"no statements on either side") as exc:
                 sweep(qa_set, workers, generate_fn=generate_fn)
             assert str(exc.value) == "[qa q2] no statements on either side"
             assert exc.value.qa_id == "q2"
@@ -298,7 +298,7 @@ class TestRemoteJudge:
 
     def test_extract_unparseable(self):
         gen = ScriptedGenerator(["not json at all"])
-        with pytest.raises(ProtocolError):
+        with pytest.raises(RagBenchError, match=r"^judge reply is not valid JSON: "):
             RemoteJudge(gen).extract("t")
 
     def test_classify_counts(self):
@@ -311,7 +311,7 @@ class TestRemoteJudge:
         reply = json.dumps({"answer_supported": [True],
                             "ground_truth_supported": [True]})
         gen = ScriptedGenerator([reply])
-        with pytest.raises(ProtocolError):
+        with pytest.raises(RagBenchError, match=r"^classification reply length mismatch$"):
             RemoteJudge(gen).classify(["s1", "s2"], ["g1"])
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from ragbench.chunker import ChunkConfig, chunk_corpus
 from ragbench.config import AppConfig
 from ragbench.corpus import Document
-from ragbench.errors import InvalidConfig, MalformedLine, TemplateError
+from ragbench.errors import InvalidConfig, MalformedLine
 from ragbench.llm import mock_generate
 from ragbench.metrics import LexicalJudge, QAItem
 from ragbench.rag import (NO_CONTEXT, RagConfig, AnswerRecord, assemble_prompt,
@@ -38,11 +38,11 @@ class TestConfig:
         assert cfg.max_context_chars == 8000
 
     def test_template_missing_placeholder(self):
-        with pytest.raises(TemplateError):
+        with pytest.raises(InvalidConfig, match=r"^prompt template must contain \{context\} exactly once$"):
             RagConfig(prompt_template="no placeholders here")
 
     def test_template_duplicate_placeholder(self):
-        with pytest.raises(TemplateError):
+        with pytest.raises(InvalidConfig, match=r"^prompt template must contain \{context\} exactly once$"):
             RagConfig(prompt_template="{context}{context}{question}")
 
     def test_bad_top_k(self):

@@ -15,8 +15,7 @@ from ragbench.corpus import Document
 import ragbench.embed as embed_mod
 from ragbench.chunker import ChunkConfig, chunk_corpus
 from ragbench.embed import EmbedderConfig, embed_texts, make_embed_fn
-from ragbench.errors import (DimMismatch, EmptyText, InvalidConfig,
-                             ProtocolError, RagBenchError)
+from ragbench.errors import InvalidConfig, RagBenchError
 import ragbench.store as store_mod
 from ragbench.llm import make_cached_fn, mock_generate
 from ragbench.metrics import LexicalJudge, QAItem, answer_correctness
@@ -57,7 +56,7 @@ def make_qa(n=4):
 def embed_short_only(texts):
     """offline_batch that fails for any text over 150 characters."""
     if any(len(t) > 150 for t in texts):
-        raise EmptyText("boom")
+        raise RagBenchError("boom")
     return offline_batch(texts)
 
 
@@ -186,7 +185,7 @@ def slow_early_generate(n, fail=()):
         i = int(re.search(r"threat number (\d+)", req.messages[-1]["content"])[1])
         time.sleep(0.003 * (n - i))
         if i in fail:
-            raise ProtocolError(f"backend down for question {i}")
+            raise RagBenchError(f"backend down for question {i}")
         return mock_generate(req)
     return fn
 
@@ -220,7 +219,7 @@ class TestConcurrency:
             assert rows == sweep(1).rows
             assert rows[0].error == "[qa q2] backend down for question 2"
         else:
-            with pytest.raises(ProtocolError, match=r"^\[qa q2\] "):
+            with pytest.raises(RagBenchError, match=r"^\[qa q2\] backend down for question 2$"):
                 sweep(4)
 
     def test_no_waiters_left_after_sweep(self, tmp_path):
@@ -248,7 +247,7 @@ class TestPipeline:
 
         def generate(req):
             if not second_size.wait(timeout=5):
-                raise ProtocolError("the next size was not indexed while answering")
+                raise RagBenchError("the next size was not indexed while answering")
             return mock_generate(req)
 
         cfg = AppConfig(chunk_sizes=[100, 200])
@@ -267,7 +266,7 @@ class TestPipeline:
             calls.append(req)
             first = "threat number 0?" in req.messages[-1]["content"]
             time.sleep(0.01 if first else 0.05)
-            raise ProtocolError("backend down")
+            raise RagBenchError("backend down")
 
         def sweep():
             return run_sweep(make_corpus(), make_qa(8),
@@ -280,7 +279,7 @@ class TestPipeline:
             assert [r.error for r in sweep().rows] == ["[qa q0] backend down"] * 3
             assert len(calls) <= 4 * 3
         else:
-            with pytest.raises(ProtocolError, match=r"^\[qa q0\] backend down$"):
+            with pytest.raises(RagBenchError, match=r"^\[qa q0\] backend down$"):
                 sweep()
             assert len(calls) <= 4
 
@@ -317,7 +316,7 @@ class TestPipeline:
                                  generate_fn=slow_early_generate(16, fail={5, 11}),
                                  judge=FailingJudge({3}), keep_going=keep_going,
                                  concurrency=workers)
-            except ProtocolError as exc:
+            except RagBenchError as exc:
                 return str(exc)
 
         expected = sweep(1)
@@ -374,7 +373,7 @@ class TestItemsStartedOutOfOrder:
         # q3 runs first, then q2 fails before q1 and q0 start
         def fn(qa):
             if int(qa.id[1:]) in fail:
-                raise ProtocolError("backend down")
+                raise RagBenchError("backend down")
             return qa.id
 
         qa = make_qa(4)
@@ -390,11 +389,11 @@ class TestItemsStartedOutOfOrder:
         def generate(req):
             calls.append(req)
             if len(calls) == 1:
-                raise ProtocolError("backend down")
+                raise RagBenchError("backend down")
             return mock_generate(req)
 
         monkeypatch.setattr(sweep_mod, "ThreadPoolExecutor", LastFirstPool)
-        with pytest.raises(ProtocolError, match=r"^\[qa q7\] backend down$"):
+        with pytest.raises(RagBenchError, match=r"^\[qa q7\] backend down$"):
             run_sweep(make_corpus(), make_qa(8), AppConfig(chunk_sizes=[100, 200]),
                       embed_texts_fn=offline_batch, embed_fn=make_embed_fn(EMB),
                       generate_fn=generate, judge=LexicalJudge(), concurrency=2)
@@ -411,7 +410,7 @@ class FailingJudge(LexicalJudge):
 
     def extract(self, text):
         if any(f"number {i}" in text for i in self.fail):
-            raise ProtocolError("judge down")
+            raise RagBenchError("judge down")
         return super().extract(text)
 
 
@@ -468,7 +467,7 @@ class TestStages:
     @pytest.mark.parametrize("keep_going", [True, False])
     def test_wrong_dim_question_fails_as_its_own_item(self, monkeypatch, workers,
                                                       keep_going):
-        # q2's vector is too short: q2 fails with its own DimMismatch, and
+        # q2's vector is too short: q2 fails with its own dim error, and
         # q0 and q1 are still answered and scored at every size run
         memo = make_embed_fn(EMB)
 
@@ -496,7 +495,7 @@ class TestStages:
                 [f"[qa q2] query dim 64 != index dim {EMB.dim}"] * 2
             sizes_run = 2
         else:
-            with pytest.raises(DimMismatch, match=r"^\[qa q2\] query dim 64 "):
+            with pytest.raises(RagBenchError, match=r"^\[qa q2\] query dim 64 "):
                 sweep()
             sizes_run = 1
         assert sorted(answered) == sorted(scored) == ["q0"] * sizes_run + ["q1"] * sizes_run
@@ -540,12 +539,12 @@ class TestStages:
         if keep_going:
             assert [r.error for r in sweep().rows] == ["[qa q2] judge down"] * 2
         else:
-            with pytest.raises(ProtocolError, match=r"^\[qa q2\] judge down$"):
+            with pytest.raises(RagBenchError, match=r"^\[qa q2\] judge down$"):
                 sweep()
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_answer_error_before_score_error(self, workers):
-        with pytest.raises(ProtocolError, match=r"^\[qa q2\] backend down"):
+        with pytest.raises(RagBenchError, match=r"^\[qa q2\] backend down"):
             run_sweep(make_corpus(), make_qa(8), AppConfig(chunk_sizes=[100]),
                       embed_texts_fn=offline_batch, embed_fn=make_embed_fn(EMB),
                       generate_fn=slow_early_generate(8, fail={2}),
@@ -558,7 +557,7 @@ class TestStages:
         def down_for_q1(texts, cfg, cache_dir=None):
             calls.append(list(texts))
             if "What about threat number 1?" in texts:
-                raise ProtocolError("embedder down")
+                raise RagBenchError("embedder down")
             return embed_texts(texts, cfg)
 
         monkeypatch.setattr(embed_mod, "embed_texts", down_for_q1)
@@ -569,7 +568,7 @@ class TestStages:
             report = run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100]), **kw)
             assert report.rows[0].error == "[qa q1] embedder down"
         else:
-            with pytest.raises(ProtocolError, match=r"^\[qa q1\] embedder down$"):
+            with pytest.raises(RagBenchError, match=r"^\[qa q1\] embedder down$"):
                 run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100]), **kw)
         assert len(calls[0]) == 8  # the batch was tried first
         assert ["What about threat number 1?"] in calls

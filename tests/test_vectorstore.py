@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ragbench.vectorstore as vs_mod
-from ragbench.errors import DimMismatch, DuplicateRef, EmptyIndex
+from ragbench.errors import RagBenchError
 from ragbench.vectorstore import Index
 
 from oracles import Entry, oracle_topk
@@ -46,15 +46,15 @@ class TestBuild:
             [(("a", 0), 1.0, "x"), (("b", 0), 1.0, "x"), (("a", 1), 0.0, "y")]
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
+        with pytest.raises(RagBenchError, match=r"^row dims disagree: \[2, 3\]$"):
             index_of([entry("a", 0, vec(1, 0)), entry("b", 0, vec(1, 0, 0))])
 
     def test_duplicate_ref(self):
-        with pytest.raises(DuplicateRef):
+        with pytest.raises(RagBenchError, match=r"^duplicate chunk ref \('a', 0\)$"):
             index_of([entry("a", 0, vec(1, 0)), entry("a", 0, vec(0, 1))])
 
     def test_empty(self):
-        with pytest.raises(EmptyIndex):
+        with pytest.raises(RagBenchError, match=r"^cannot build index from zero chunks$"):
             Index([], [], [])
 
 
@@ -73,9 +73,9 @@ class TestQuery:
 
     def test_query_dim_mismatch(self):
         idx = index_of([entry("a", 0, vec(1, 0))])
-        with pytest.raises(DimMismatch):
+        with pytest.raises(RagBenchError, match=r"^query dim 3 != index dim 2$"):
             idx.query_topk(vec(1, 0, 0), 1)
-        with pytest.raises(DimMismatch):
+        with pytest.raises(RagBenchError, match=r"^query dim 3 != index dim 2$"):
             idx.query_topk(np.zeros((3, 3)), 1)
 
     def test_tie_break_by_ref(self):
