@@ -1,11 +1,14 @@
 """The default outputs, pinned. A sweep of the benchmark's synthetic
 workloads must reproduce its seed-0 digests (PINNED in perfbench/run.py)
-and the sha256 of every output file at the held-out seed 13. Reordering
-the input lines, or renaming the documents with their order kept, must not
-change the report or any question's result."""
+and the sha256 of every output file at the held-out seed 13. The remote
+workload runs against perfbench/fake_server.py, cold and then warm from the
+same cache, and the warm run must send no request and write the same
+bytes. Reordering the input lines, or renaming the documents with their
+order kept, must not change the report or any question's result."""
 
 import hashlib
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -20,6 +23,7 @@ import gen  # noqa: E402
 import run as perfbench  # noqa: E402
 
 OFFLINE = ["offline-sweep", "offline-qa-heavy"]
+REMOTE = "remote-rerun"
 HELD_OUT_SEED = 13
 
 # sha256 of every file a sweep writes at HELD_OUT_SEED
@@ -39,23 +43,37 @@ SEED_13 = {
         "report.csv": "a653bbeacdc5552bebf4a0b9add94f63fbe0795da0a9c5080d54b55665cc4699",
         "report.svg": "8922d96fa07ebc82d59158085c3502ff6075a2e1fc43cb4e9676f11a9da10433",
     },
+    REMOTE: {
+        "250/results.jsonl": "489f3c416a7b34ac5fc14bfb09e089cd5998d8be7c9ddebac71db77b2f388d02",
+        "500/results.jsonl": "704a8072bab4c15705bf06c77e0be2f278050a5cdb9ff5a64bde5ba69bd4ed8f",
+        "1000/results.jsonl": "b8e0db87e9145f514aa4dffd993f115c3769855341ed3b9d486337ec929cc5ad",
+        "2000/results.jsonl": "5875d7b8cde2fe752e118103ccc32422d09bd9538c37c9a4c9a589dfb3a1bea9",
+        "4000/results.jsonl": "d72564e5bd5ff24f1bc7abeded4fb2f87db9407e43d29649c158d145d3a27afc",
+        "8000/results.jsonl": "d72564e5bd5ff24f1bc7abeded4fb2f87db9407e43d29649c158d145d3a27afc",
+        "report.csv": "7026a90452ac3c1099814103a2d31ed4f3f6c80df2f71bd27ae0940f14946ab9",
+        "report.svg": "5b930659c866ac32720a951128099e3d666a72c112c4a94d3003dfd14d25353f",
+    },
 }
 
 
 @pytest.fixture(autouse=True)
-def no_cache_dir(monkeypatch):
-    monkeypatch.delenv("RAGBENCH_CACHE_DIR", raising=False)
+def no_ragbench_env(monkeypatch):
+    # as perfbench's child_env: no chat cache or bearer token from outside
+    for name in [k for k in os.environ if k.startswith("RAGBENCH_")]:
+        monkeypatch.delenv(name)
 
 
-def sweep(work: Path, docs: list[dict], qa: list[dict], sizes: list[int]) -> Path:
-    """Run the offline sweep CLI on docs and qa; return its output directory."""
-    work.mkdir(parents=True)
+def sweep(work: Path, docs: list[dict], qa: list[dict], sizes: list[int],
+          flags=("--backend", "offline")) -> Path:
+    """Run the sweep CLI with flags on docs and qa; return its output
+    directory."""
+    work.mkdir(parents=True, exist_ok=True)
     gen.write_jsonl(docs, work / "corpus.jsonl")
     gen.write_jsonl(qa, work / "qa.jsonl")
     out = work / "out"
     assert main(["sweep", "--corpus", str(work / "corpus.jsonl"),
                  "--qa", str(work / "qa.jsonl"), "--sizes", ",".join(map(str, sizes)),
-                 "--backend", "offline", "--out", str(out)]) == 0
+                 *flags, "--out", str(out)]) == 0
     return out
 
 
@@ -72,6 +90,45 @@ def baseline(tmp_path_factory):
             work = tmp_path_factory.mktemp(f"{name}-{seed}")
             done[name, seed] = docs, qa, sweep(work / "base", docs, qa, wl.sizes)
         return done[name, seed]
+    return get
+
+
+@pytest.fixture(scope="module")
+def server(request):
+    root = Path(__file__).resolve().parents[1]
+    srv = perfbench.FakeServer(root, perfbench.child_env(root))
+    request.addfinalizer(srv.stop)
+    return srv
+
+
+@pytest.fixture(scope="module")
+def remote(tmp_path_factory, server):
+    """At a seed, the QA items, the cold and the warm sweep's output
+    directories, and the requests each sent, from one shared cache; swept
+    once per module."""
+    done = {}
+
+    def get(seed: int):
+        if seed not in done:
+            wl = perfbench.WORKLOADS[REMOTE]
+            docs, qa = gen.generate(seed, wl.n_docs, wl.n_qa)
+            work = tmp_path_factory.mktemp(f"{REMOTE}-{seed}")
+            # the config perfbench/run.py writes for the workload
+            config = work / "config.json"
+            config.write_text(json.dumps({
+                "embedder": {"kind": "remote", "endpoint_url": server.url,
+                             "model": "bench-embed"},
+                "llm_endpoint_url": server.url, "llm_model": "bench-chat",
+                "metric": {"judge": "remote"}}))
+            flags = ["--backend", "remote", "--config", str(config),
+                     "--cache-dir", str(work / "cache")]
+            outs, deltas = [], []
+            for run in ("cold", "warm"):
+                before = server.stats()
+                outs.append(sweep(work / run, docs, qa, wl.sizes, flags))
+                deltas.append(perfbench.request_delta(before, server.stats()))
+            done[seed] = qa, outs, deltas
+        return done[seed]
     return get
 
 
@@ -102,6 +159,28 @@ def test_default_seed_reproduces_the_benchmark_pins(baseline, name):
 def test_held_out_seed_reproduces_every_output_file(baseline, name):
     _, _, out = baseline(name, HELD_OUT_SEED)
     assert file_hashes(out) == SEED_13[name]
+
+
+def test_remote_default_seed_reproduces_the_benchmark_pins(remote):
+    qa, outs, _ = remote(perfbench.DEFAULT_SEED)
+    for out in outs:
+        digests, missing, problems = perfbench._read_outputs(
+            out, perfbench.WORKLOADS[REMOTE].sizes, [q["id"] for q in qa])
+        assert (digests, missing, problems) == (perfbench.PINNED[REMOTE], 0, [])
+
+
+def test_remote_held_out_seed_reproduces_every_output_file(remote):
+    _, outs, _ = remote(HELD_OUT_SEED)
+    assert file_hashes(outs[0]) == SEED_13[REMOTE]
+
+
+@pytest.mark.parametrize("seed", [perfbench.DEFAULT_SEED, HELD_OUT_SEED])
+def test_remote_warm_rerun_sends_nothing_and_writes_the_same_bytes(remote, seed):
+    _, (cold, warm), (cold_delta, warm_delta) = remote(seed)
+    assert cold_delta[0] > 0 and cold_delta[1] == 0
+    assert warm_delta == (0, 0)
+    hashes = file_hashes(cold)
+    assert file_hashes(warm) == hashes and len(hashes) == len(SEED_13[REMOTE])
 
 
 def shuffled(rows: list[dict], seed: int) -> list[dict]:
