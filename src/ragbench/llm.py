@@ -3,7 +3,6 @@ mock backend, and chat completions cached in the response store."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -33,7 +32,6 @@ class ChatRequest:
 @dataclass
 class ChatResponse:
     content: str
-    latency_ms: int = 0
     cached: bool = False
 
 
@@ -50,7 +48,6 @@ GenerateFn = Callable[[ChatRequest], ChatResponse]
 
 def generate(req: ChatRequest, cfg: LlmConfig) -> ChatResponse:
     """POST {endpoint}/v1/chat/completions; content = first choice message."""
-    t0 = time.monotonic()
     body = post_json_with_retries(
         cfg.endpoint_url.rstrip("/") + "/v1/chat/completions",
         {
@@ -71,15 +68,14 @@ def generate(req: ChatRequest, cfg: LlmConfig) -> ChatResponse:
         raise RagBenchError("completion content is not a string")
     if content == "":
         raise RagBenchError("empty completion content")
-    latency = int((time.monotonic() - t0) * 1000)
-    return ChatResponse(content=content, latency_ms=latency, cached=False)
+    return ChatResponse(content=content, cached=False)
 
 
 def mock_generate(req: ChatRequest) -> ChatResponse:
     """Deterministic offline backend: echoes the last user message."""
     last_user = [m for m in req.messages if m.get("role") == "user"][-1]
     content = _MOCK_PREFIX + str(last_user.get("content", ""))[:_MOCK_TRUNC]
-    return ChatResponse(content=content, latency_ms=0, cached=False)
+    return ChatResponse(content=content, cached=False)
 
 
 def request_key(req: ChatRequest, endpoint: str = "") -> str:
@@ -97,7 +93,7 @@ def _decode_entry(entry: dict) -> ChatResponse:
     content = entry.get("content")
     if not isinstance(content, str):
         raise RagBenchError("cached content is not a string")
-    return ChatResponse(content=content, latency_ms=0, cached=True)
+    return ChatResponse(content=content, cached=True)
 
 
 def cached(op: GenerateFn, req: ChatRequest, cache_dir: str | Path,

@@ -39,34 +39,31 @@ class RagConfig:
 class AnswerRecord:
     answer: str
     retrieved: list[tuple[ChunkRef, float]]
+    n_used: int  # the prompt holds the texts of the first n_used retrieved
     prompt_chars: int
-    latency_ms: int
-    context_truncated: bool
 
 
-def assemble_prompt(question: str, chunks: list[tuple[ChunkRef, str]],
-                    cfg: RagConfig) -> tuple[str, list[ChunkRef], bool]:
-    """Concatenate chunks in rank order, separated by "\\n---\\n", greedily
-    while the context stays within cfg.max_context_chars codepoints. A chunk
-    that would overflow is excluded whole (no mid-chunk truncation)."""
+def assemble_prompt(question: str, hits: list[Hit],
+                    cfg: RagConfig) -> tuple[str, int]:
+    """Concatenate hit texts in rank order, separated by "\\n---\\n", greedily
+    while the context stays within cfg.max_context_chars codepoints; return
+    the prompt and the count n of hits it holds. Filling stops at the first
+    hit that would overflow, excluded whole (no mid-chunk truncation), so
+    the context is exactly the texts of hits[:n]."""
     parts: list[str] = []
-    used: list[ChunkRef] = []
     total = 0
-    truncated = False
-    for ref, text in chunks:
-        cost = len(text) + (len(_SEPARATOR) if parts else 0)
+    for hit in hits:
+        cost = len(hit.text) + (len(_SEPARATOR) if parts else 0)
         if total + cost > cfg.max_context_chars:
-            truncated = True
             break
-        parts.append(text)
-        used.append(ref)
+        parts.append(hit.text)
         total += cost
     context = _SEPARATOR.join(parts) if parts else NO_CONTEXT
     # RagConfig checks each placeholder occurs once; no value is rescanned
     head, tail = cfg.prompt_template.split("{context}")
     q = "{question}"
     prompt = head.replace(q, question) + context + tail.replace(q, question)
-    return prompt, used, truncated
+    return prompt, len(parts)
 
 
 def answer_question(question: str, hits: list[Hit],
@@ -74,8 +71,7 @@ def answer_question(question: str, hits: list[Hit],
                     cfg: RagConfig) -> AnswerRecord:
     """Run one question through assemble -> generate, from hits, its
     query_topk result."""
-    prompt, _, truncated = assemble_prompt(
-        question, [(h.chunk_ref, h.text) for h in hits], cfg)
+    prompt, n_used = assemble_prompt(question, hits, cfg)
     messages = []
     if cfg.system_prompt:
         messages.append({"role": "system", "content": cfg.system_prompt})
@@ -85,7 +81,6 @@ def answer_question(question: str, hits: list[Hit],
     return AnswerRecord(
         answer=resp.content,
         retrieved=[(h.chunk_ref, h.score) for h in hits],
+        n_used=n_used,
         prompt_chars=len(prompt),
-        latency_ms=resp.latency_ms,
-        context_truncated=truncated,
     )

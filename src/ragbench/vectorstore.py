@@ -56,9 +56,6 @@ class Index:
         self._ref_rank = np.empty(len(refs), dtype=np.intp)
         self._ref_rank[sorted(range(len(refs)), key=refs.__getitem__)] = np.arange(len(refs))
 
-    def __len__(self) -> int:
-        return len(self._chunks)
-
     def query_topk(self, q: np.ndarray, k: int) -> list[Hit] | list[list[Hit]]:
         """Top-k chunks by cosine(q, chunk's row), score descending, ties
         broken by chunk_ref ascending. Returns all chunks when k > count.
@@ -90,12 +87,10 @@ class Index:
         # per chunk, in row-major order: scores[:, row_of] is column-major
         scores = np.take(scores, self._row_of, axis=1)
         neg = -scores
-        if k < neg.shape[1]:
-            # keep every chunk that scores at least as well as the k-th best,
-            # ties included, and sort only those; a NaN k-th keeps them all
-            keep = ~(neg > np.partition(neg, k - 1, axis=1)[:, k - 1:k])
-        else:
-            keep = np.ones(neg.shape, dtype=bool)
+        # keep, and sort, only the chunks scoring at least as well as the
+        # k-th best (all when k > count), ties included; a NaN k-th keeps all
+        kth = min(k, neg.shape[1]) - 1
+        keep = ~(neg > np.partition(neg, kth, axis=1)[:, kth:kth + 1])
         out = []
         for row, row_neg, row_keep in zip(scores, neg, keep):
             cand = np.flatnonzero(row_keep)

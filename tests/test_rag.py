@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +10,7 @@ from ragbench.metrics import LexicalJudge, QAItem
 from ragbench.rag import (NO_CONTEXT, RagConfig, AnswerRecord, assemble_prompt,
                           answer_question)
 from ragbench.sweep import run_sweep
-from ragbench.vectorstore import Index
+from ragbench.vectorstore import Hit, Index
 
 from oracles import embed_offline
 
@@ -62,6 +60,10 @@ _TEMPLATE_PARTS = _PIECES.map(lambda s: s.replace("{context}", "{context }")
                               .replace("{question}", "{question }"))
 
 
+def hit(doc_id, text):
+    return Hit(chunk_ref=(doc_id, 0), score=0.0, text=text)
+
+
 class TestAssemblePrompt:
     def cfg(self, **kw):
         defaults = dict(prompt_template="C:{context} Q:{question}")
@@ -69,52 +71,49 @@ class TestAssemblePrompt:
         return RagConfig(**defaults)
 
     def test_substitution(self):
-        prompt, used, truncated = assemble_prompt(
-            "q", [(("d", 0), "x")], self.cfg())
+        prompt, n = assemble_prompt("q", [hit("d", "x")], self.cfg())
         assert prompt == "C:x Q:q"
-        assert used == [("d", 0)]
-        assert truncated is False
+        assert n == 1
 
     def test_zero_hits_fallback(self):
-        prompt, used, truncated = assemble_prompt("q", [], self.cfg())
+        prompt, n = assemble_prompt("q", [], self.cfg())
         assert NO_CONTEXT in prompt
-        assert used == []
-        assert truncated is False
+        assert n == 0
 
     def test_budget_exact_fit_excludes_second_chunk(self):
-        chunks = [(("a", 0), "x" * 50), (("b", 0), "y" * 10)]
-        prompt, used, truncated = assemble_prompt(
-            "q", chunks, self.cfg(max_context_chars=50))
-        assert used == [("a", 0)]
-        assert truncated is True
+        hits = [hit("a", "x" * 50), hit("b", "y" * 10)]
+        prompt, n = assemble_prompt("q", hits, self.cfg(max_context_chars=50))
+        assert n == 1
         assert "y" not in prompt
 
     def test_separator_between_chunks(self):
-        chunks = [(("a", 0), "aaa"), (("b", 0), "bbb")]
-        prompt, used, _ = assemble_prompt("q", chunks, self.cfg())
+        hits = [hit("a", "aaa"), hit("b", "bbb")]
+        prompt, n = assemble_prompt("q", hits, self.cfg())
         assert "aaa\n---\nbbb" in prompt
-        assert used == [("a", 0), ("b", 0)]
+        assert n == 2
 
     def test_separator_counts_toward_budget(self):
         # 3 + 5 + 3 = 11 codepoints; budget 10 admits only the first chunk
-        chunks = [(("a", 0), "aaa"), (("b", 0), "bbb")]
-        _, used, truncated = assemble_prompt(
-            "q", chunks, self.cfg(max_context_chars=10))
-        assert used == [("a", 0)]
-        assert truncated is True
+        hits = [hit("a", "aaa"), hit("b", "bbb")]
+        _, n = assemble_prompt("q", hits, self.cfg(max_context_chars=10))
+        assert n == 1
 
     def test_budget_respected_property(self):
-        chunks = [((f"d{i}", 0), "z" * (i * 7 + 1)) for i in range(20)]
+        # the context is exactly the first n texts, within the budget, and
+        # the next hit, if there is one, would overflow it
+        hits = [hit(f"d{i}", "z" * (i * 7 + 1)) for i in range(20)]
         for budget in (1, 5, 17, 100, 1000):
-            prompt, used, _ = assemble_prompt(
-                "q", chunks, self.cfg(max_context_chars=budget))
+            prompt, n = assemble_prompt("q", hits, self.cfg(max_context_chars=budget))
             context = prompt[len("C:"):prompt.rindex(" Q:q")]
-            if used:
-                assert len(context) <= budget
+            sep = "\n---\n"
+            used = sep.join(h.text for h in hits[:n])
+            assert context == (used if n else NO_CONTEXT)
+            assert len(used) <= budget
+            if n < len(hits):
+                assert len(used) + (len(sep) if n else 0) + len(hits[n].text) > budget
 
     def test_question_containing_placeholder_is_not_rescanned(self):
-        prompt, _, _ = assemble_prompt(
-            "{context}", [(("d", 0), "CTX")], self.cfg())
+        prompt, _ = assemble_prompt("{context}", [hit("d", "CTX")], self.cfg())
         assert prompt == "C:CTX Q:{context}"
 
     @given(parts=st.lists(_TEMPLATE_PARTS, min_size=3, max_size=3),
@@ -126,9 +125,9 @@ class TestAssemblePrompt:
         template = a + first + b + second + c
         assert template.count("{context}") == template.count("{question}") == 1
         values = {"{context}": context, "{question}": question}
-        prompt, _, _ = assemble_prompt(question, [(("d", 0), context)],
-                                       self.cfg(prompt_template=template,
-                                                max_context_chars=len(context)))
+        prompt, _ = assemble_prompt(question, [hit("d", context)],
+                                    self.cfg(prompt_template=template,
+                                             max_context_chars=len(context)))
         assert prompt == a + values[first] + b + values[second] + c
 
 
@@ -152,19 +151,28 @@ class TestAnswerQuestion:
         assert "ZEBRA-7" in record.answer
 
     def test_retrieved_length_clamped(self):
-        index = build_index(self.planted_docs()[:3])
+        docs = self.planted_docs()[:3]
+        index = build_index(docs)
         qa = QAItem(id="q", question="anything", ground_truth="g")
         record = answer_question(qa.question, hits_for(qa, index, 50), mock_generate,
                                  RagConfig(top_k=50))
-        assert len(record.retrieved) == min(50, len(index))
+        assert len(record.retrieved) == min(50, len(chunk_corpus(docs, ChunkConfig(200))))
+
+    def test_n_used_counts_the_hits_in_the_prompt(self):
+        index = build_index(self.planted_docs())
+        qa = QAItem(id="q", question="gardening weather", ground_truth="g")
+        hits = hits_for(qa, index, 6)
+        cfg = RagConfig(top_k=6, max_context_chars=200)
+        record = answer_question(qa.question, hits, mock_generate, cfg)
+        prompt, n = assemble_prompt(qa.question, hits, cfg)
+        assert 0 < record.n_used == n < len(record.retrieved)
+        assert record.prompt_chars == len(prompt)
 
     def test_deterministic_records(self):
         index = build_index(self.planted_docs())
         qa = QAItem(id="q", question="ZEBRA-7?", ground_truth="g")
         args = (qa.question, hits_for(qa, index), mock_generate, RagConfig())
-        a, b = answer_question(*args), answer_question(*args)
-        assert dataclasses.replace(a, latency_ms=0) == \
-            dataclasses.replace(b, latency_ms=0)
+        assert answer_question(*args) == answer_question(*args)
 
     def test_scores_non_increasing_and_refs_in_index(self):
         docs = self.planted_docs()

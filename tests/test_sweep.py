@@ -444,9 +444,10 @@ class TestStages:
         embedded = []
         index = sweep_mod.build_index(
             docs, 100, 0, lambda texts: embedded.extend(texts) or offline_batch(texts), {})
-        assert sorted(embedded) == sorted({c.text for c in chunk_corpus(docs, ChunkConfig(100))})
+        chunks = chunk_corpus(docs, ChunkConfig(100))
+        assert sorted(embedded) == sorted({c.text for c in chunks})
         queries = np.stack([embed_offline(q.question, EMB.dim) for q in make_qa(64)])
-        for hits in index.query_topk(queries, len(index)):
+        for hits in index.query_topk(queries, len(chunks)):
             by_text = {}
             for h in hits:
                 by_text.setdefault(h.text, []).append(h)
