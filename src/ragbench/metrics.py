@@ -57,9 +57,10 @@ class MetricConfig:
     jaccard_threshold: float = 0.6
 
     def __post_init__(self):
-        if self.w_factual < 0 or self.w_semantic < 0:
+        # written so that a NaN, which fails every comparison, fails them
+        if not (self.w_factual >= 0 and self.w_semantic >= 0):
             raise InvalidConfig("metric weights must be >= 0")
-        if abs(self.w_factual + self.w_semantic - 1.0) > 1e-9:
+        if not abs(self.w_factual + self.w_semantic - 1.0) <= 1e-9:
             raise InvalidConfig("metric weights must sum to 1")
         if self.judge not in ("lexical", "remote"):
             raise InvalidConfig(f"unknown judge {self.judge!r}")
@@ -176,10 +177,15 @@ class RemoteJudge:
         )
         reply = _parse_json_reply(self._ask(prompt))
         try:
-            ans_flags = [bool(v) for v in reply["answer_supported"]]
-            gt_flags = [bool(v) for v in reply["ground_truth_supported"]]
+            ans_flags = reply["answer_supported"]
+            gt_flags = reply["ground_truth_supported"]
         except (KeyError, TypeError) as exc:
             raise RagBenchError(f"classification reply malformed: {exc}") from exc
+        # JSON booleans only: bool() would read "false" or [0] as support
+        for flags in (ans_flags, gt_flags):
+            if type(flags) is not list or any(type(v) is not bool for v in flags):
+                raise RagBenchError(f"classification reply malformed: {flags!r} "
+                                    "is not a list of booleans")
         if len(ans_flags) != len(answer_stmts) or len(gt_flags) != len(gt_stmts):
             raise RagBenchError("classification reply length mismatch")
         tp = sum(ans_flags)

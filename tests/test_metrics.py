@@ -170,6 +170,13 @@ class TestMetricConfig:
         with pytest.raises(InvalidConfig):
             MetricConfig(w_factual=1.5, w_semantic=-0.5)
 
+    @pytest.mark.parametrize("w_factual, w_semantic", [
+        (float("nan"), 0.25), (0.75, float("nan")), (float("nan"), float("nan")),
+        (float("inf"), 0.25), (float("inf"), float("-inf"))])
+    def test_non_finite_weight_rejected(self, w_factual, w_semantic):
+        with pytest.raises(InvalidConfig, match=r"^metric weights must "):
+            MetricConfig(w_factual=w_factual, w_semantic=w_semantic)
+
     @pytest.mark.parametrize("threshold", [0.0, -0.1, 1.01, float("nan")])
     def test_jaccard_threshold_outside_unit_interval(self, threshold):
         with pytest.raises(InvalidConfig, match="jaccard_threshold"):
@@ -313,6 +320,15 @@ class TestRemoteJudge:
         gen = ScriptedGenerator([reply])
         with pytest.raises(RagBenchError, match=r"^classification reply length mismatch$"):
             RemoteJudge(gen).classify(["s1", "s2"], ["g1"])
+
+    @pytest.mark.parametrize("key", ["answer_supported", "ground_truth_supported"])
+    @pytest.mark.parametrize("flags", [["false"], [0], [None], "true"])
+    def test_classify_needs_lists_of_json_booleans(self, key, flags):
+        # bool("false") is True: a string verdict must not count as support
+        reply = {"answer_supported": [True], "ground_truth_supported": [True], key: flags}
+        gen = ScriptedGenerator([json.dumps(reply)])
+        with pytest.raises(RagBenchError, match=r"^classification reply malformed: "):
+            RemoteJudge(gen).classify(["s1"], ["g1"])
 
 
 class TestQASetFile:
