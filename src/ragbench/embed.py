@@ -143,16 +143,18 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 def _rows(rows, n: int) -> list[np.ndarray]:
     """n embeddings from a decoded JSON list of rows, each a non-empty list
-    of numbers, all of one length."""
+    of finite numbers, all of one length."""
     if not isinstance(rows, list) or len(rows) != n:
         raise RagBenchError(f"expected a list of {n} embeddings")
     try:
         vecs = [np.array(row) for row in rows]
     except ValueError as exc:  # ragged nesting, such as [[1], [2, 3]]
         raise RagBenchError(f"malformed embedding: {exc}") from exc
-    # a JSON value other than a list makes a 0-d array
-    if any(v.ndim != 1 or not v.size or v.dtype.kind not in "iuf" for v in vecs):
-        raise RagBenchError("embedding is not a non-empty list of numbers")
+    # a JSON value other than a list makes a 0-d array; Python's json reads
+    # NaN and Infinity
+    if any(v.ndim != 1 or not v.size or v.dtype.kind not in "iuf"
+           or not np.isfinite(v).all() for v in vecs):
+        raise RagBenchError("embedding is not a non-empty list of finite numbers")
     dims = {len(v) for v in vecs}
     if len(dims) > 1:
         raise RagBenchError(f"embedding dims disagree within response: {sorted(dims)}")

@@ -243,11 +243,12 @@ class TestRemote:
 
     @pytest.mark.parametrize("row", [[None], [1.0, None], [[1.0, 2.0]],
                                      [[1.0], [2.0, 3.0]], [], [True], [1.0, "2"],
-                                     "1.0", 1.0, {"x": 1.0}, None])
+                                     "1.0", 1.0, {"x": 1.0}, None, [float("nan"), 1.0],
+                                     [1.0, float("inf")], [float("-inf")]])
     def test_malformed_values_rejected(self, fake_server, row):
         fake_server.script.append((200, {"data": [{"embedding": row}]}))
         with pytest.raises(RagBenchError, match=r"^(malformed embedding: |embedding is not a "
-                                                r"non-empty list of numbers$)"):
+                                                r"non-empty list of finite numbers$)"):
             embed_remote(["a"], self.cfg(fake_server))
 
     def test_integer_values_become_float64(self, fake_server):
@@ -278,14 +279,17 @@ class TestRemoteCache:
 
     def test_invalid_response_not_stored(self, fake_server, tmp_path):
         fake_server.script.append((200, {"data": [{"embedding": [None]}]}))
-        with pytest.raises(RagBenchError, match=r"^embedding is not a non-empty list of numbers$"):
+        with pytest.raises(RagBenchError,
+                           match=r"^embedding is not a non-empty list of finite numbers$"):
             embed_remote(["a"], self.cfg(fake_server), tmp_path)
         assert list(tmp_path.iterdir()) == []
         (v,) = embed_remote(["a"], self.cfg(fake_server), tmp_path)
         assert same_rows([v], [np.full(8, 1.0)])
 
     @pytest.mark.parametrize("embeddings", [None, "x", [], [[None]], [[1.0]],
-                                            [[1.0] * 8, [1.0] * 9]])
+                                            [[1.0] * 8, [1.0] * 9],
+                                            [[float("nan")] * 8, [2.0] * 8],
+                                            [[1.0] * 8, [2.0] * 7 + [float("inf")]]])
     def test_entry_of_wrong_shape_is_a_miss(self, fake_server, tmp_path, embeddings):
         cfg = self.cfg(fake_server)
         embed_remote(["a", "bb"], cfg, tmp_path)
