@@ -115,7 +115,7 @@ def cmd_sweep(corpus_path, qa_path, sizes, out_dir, overlap, backend,
               config_path, cache_dir, keep_going):
     """Run the chunk-size sweep; write per-size results and reports to --out."""
     app = _resolve_app(config_path, cache_dir, backend=backend,
-                       sizes=_parse_sizes(sizes) if sizes else None, overlap=overlap)
+                       sizes=None if sizes is None else _parse_sizes(sizes), overlap=overlap)
     if app.metric.judge == "remote" and app.embedder.kind == "offline":
         # the mock backend echoes prompts, so it cannot answer a judge prompt
         raise InvalidConfig('metric.judge "remote" needs the remote backend')

@@ -325,6 +325,30 @@ class TestSweep:
                      "--sizes", "100,x", "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "config error: bad --sizes value '100,x'\n"
 
+    @pytest.mark.parametrize("flags", [["--sizes="], ["--sizes", ""], ["--sizes", " "]])
+    def test_empty_sizes_value_is_a_config_error(self, inputs, tmp_path, capsys, flags):
+        # an empty value is given, not absent: it must not run the default sizes
+        corpus, qa = inputs
+        assert main(["sweep", "--corpus", str(corpus), "--qa", str(qa), *flags,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "config error: chunk_sizes must be non-empty\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("weights", ['"w_factual": NaN, "w_semantic": 0.25',
+                                         '"w_factual": 0.75, "w_semantic": NaN',
+                                         '"w_factual": Infinity, "w_semantic": 0.25'],
+                             ids=["nan-factual", "nan-semantic", "infinite-factual"])
+    def test_non_finite_weight_rejected(self, inputs, tmp_path, capsys, weights):
+        # Python's json reads NaN and Infinity; the sweep must not run on them
+        corpus, qa = inputs
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"metric": {%s}}' % weights)
+        out = tmp_path / "o"
+        assert main(["sweep", "--corpus", str(corpus), "--qa", str(qa), "--sizes", "100",
+                     "--backend", "offline", "--out", str(out), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {cfg}:metric: metric weights")
+        assert not (out / "report.csv").exists()
+
     def test_non_increasing_sizes_exit_1(self, inputs, tmp_path):
         corpus, qa = inputs
         assert main(["sweep", "--corpus", str(corpus), "--qa", str(qa),
