@@ -13,8 +13,9 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
+from . import embed as embed_mod
 from .config import AppConfig, load_app_config
-from .embed import embed_texts, make_embed_fn
+from .embed import embed_texts
 from .errors import InvalidConfig, RagBenchError
 from .llm import LlmConfig, generate, make_cached_fn, mock_generate
 from .metrics import LexicalJudge, RemoteJudge, load_qa_jsonl
@@ -43,8 +44,10 @@ def _resolve_app(config_path: str | None, cache_dir: str | None, *,
 
 
 def _make_backends(app: AppConfig):
-    """Return (embed_texts_fn, embed_fn, generate_fn, judge, concurrency)
-    for app's embedder.kind and metric.judge.
+    """Return (embed_texts_fn, embed_single_fn, generate_fn, judge,
+    concurrency) for app's embedder.kind and metric.judge. Chunk texts go
+    through this module's embed_texts, single texts through the embed
+    module's, so that perfbench's tracer times the two apart.
 
     concurrency is how many QA items a sweep answers at once. Remote calls
     mostly wait on the network, so they overlap up to the LLM's
@@ -66,7 +69,8 @@ def _make_backends(app: AppConfig):
              else LexicalJudge(app.metric.jaccard_threshold))
 
     return ((lambda texts: embed_texts(texts, app.embedder, app.cache_dir)),
-            make_embed_fn(app.embedder, app.cache_dir), generate_fn, judge, concurrency)
+            (lambda texts: embed_mod.embed_texts(texts, app.embedder, app.cache_dir)),
+            generate_fn, judge, concurrency)
 
 
 def cmd_ingest(fmt, in_path, out_path, do_dedup, strict):
@@ -91,11 +95,11 @@ def cmd_ask(corpus_path, question, chunk_size, overlap, top_k, backend,
         raise InvalidConfig("--question must not be blank")
     app = _resolve_app(config_path, cache_dir, backend=backend, sizes=[chunk_size],
                        overlap=overlap, top_k=top_k)
-    embed_texts_fn, embed_fn, generate_fn, _, _ = _make_backends(app)
+    embed_texts_fn, embed_single_fn, generate_fn, _, _ = _make_backends(app)
 
     index = build_index(corpus_mod.load_corpus(corpus_path), app.chunk_sizes[0],
                         app.overlap, embed_texts_fn, {})
-    hits = index.query_topk(embed_fn(question), app.rag.top_k)
+    hits = index.query_topk(embed_single_fn([question])[0], app.rag.top_k)
     record = answer_question(question, hits, generate_fn, app.rag)
     print(record.answer)
     print()
@@ -119,7 +123,7 @@ def cmd_sweep(corpus_path, qa_path, sizes, out_dir, overlap, backend,
     if app.metric.judge == "remote" and app.embedder.kind == "offline":
         # the mock backend echoes prompts, so it cannot answer a judge prompt
         raise InvalidConfig('metric.judge "remote" needs the remote backend')
-    embed_texts_fn, embed_fn, generate_fn, judge, concurrency = _make_backends(app)
+    embed_texts_fn, embed_single_fn, generate_fn, judge, concurrency = _make_backends(app)
 
     out = Path(out_dir)
     # outputs of an earlier run must not outlive a sweep that fails
@@ -128,7 +132,7 @@ def cmd_sweep(corpus_path, qa_path, sizes, out_dir, overlap, backend,
     qa_set = load_qa_jsonl(qa_path)
     out.mkdir(parents=True, exist_ok=True)
     report = run_sweep(docs, qa_set, app,
-                       embed_texts_fn=embed_texts_fn, embed_fn=embed_fn,
+                       embed_texts_fn=embed_texts_fn, embed_single_fn=embed_single_fn,
                        generate_fn=generate_fn, judge=judge,
                        keep_going=keep_going, out_dir=out,
                        concurrency=concurrency)

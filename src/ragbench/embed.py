@@ -9,13 +9,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from . import store
 from ._http import post_json_with_retries
-from ._singleflight import SingleFlight
 from .errors import InvalidConfig, RagBenchError
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -215,39 +213,3 @@ def embed_texts(texts: list[str], cfg: EmbedderConfig,
         return embed_offline_batch(texts, cfg.dim)
     return embed_remote(texts, cfg, cache_dir)
 
-
-def make_embed_fn(cfg: EmbedderConfig,
-                  cache_dir: str | Path | None = None) -> Callable[[str], np.ndarray]:
-    """Single-text embed function with a memo, so repeated texts (questions
-    reused across sweep sizes) are embedded once, also when several threads
-    ask for one text at once. Its single-flight table is ``fn.flight``.
-    Remote embeddings are also kept in cache_dir, as embed_texts does.
-
-    ``fn.prime(texts)`` embeds the non-empty texts that the memo lacks in
-    one embed_texts call and stores their rows, so later calls of fn find
-    them. Priming only saves calls: if the batch raises a RagBenchError,
-    the memo is left as it was and each text's own call raises its error.
-    """
-    memo: dict[str, np.ndarray] = {}
-    flight = SingleFlight()
-
-    def compute(text: str) -> np.ndarray:
-        memo[text] = vec = embed_texts([text], cfg, cache_dir)[0]
-        return vec
-
-    def fn(text: str) -> np.ndarray:
-        return flight.run(text, lambda: memo.get(text), lambda: compute(text))
-
-    def prime(texts: list[str]) -> None:
-        missing = list(dict.fromkeys(t for t in texts if t and t not in memo))
-        if not missing:
-            return
-        try:
-            vecs = embed_texts(missing, cfg, cache_dir)
-        except RagBenchError:
-            return
-        memo.update(zip(missing, vecs))
-
-    fn.flight = flight
-    fn.prime = prime
-    return fn

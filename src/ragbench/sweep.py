@@ -23,7 +23,7 @@ from .vectorstore import Index
 
 def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
               embed_texts_fn: Callable[[list[str]], list[np.ndarray]],
-              embed_fn: Callable[[str], np.ndarray],
+              embed_single_fn: Callable[[list[str]], list[np.ndarray]],
               generate_fn,
               judge,
               keep_going: bool = False,
@@ -33,39 +33,56 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
     rag and metric settings; its backend and cache settings are the
     caller's to turn into the functions and the judge passed here.
 
-    embed_texts_fn batch-embeds chunk texts; embed_fn embeds single texts
-    (questions, answers, ground truths) and should memoize. If it has a
-    prime(texts) method, as make_embed_fn's has, the sweep embeds single
-    texts in two batches: the questions and ground truths, then the answers.
+    embed_texts_fn batch-embeds chunk texts, embed_single_fn the single
+    texts: questions, ground truths and answers. The sweep embeds each
+    single text once, in two batches: the questions and ground truths, then
+    the answers it has not seen. If a batch raises a RagBenchError, each
+    item embeds its own texts as it needs them, one text per call, so an
+    item still raises its own error.
 
     For each size in turn the sweep chunks and embeds the chunks (a text
     embedded at one size is not embedded again), retrieves every QA item's
     chunks with one query_topk call and starts answering the items. Then it
     scores every item of every size. With concurrency > 1, items run on one
     pool of that many threads, so a size is answered while the next is
-    chunked and embedded; embed_fn, generate_fn and judge must then be
-    thread-safe. Results and errors are those of one item at a time through
-    every step: a size raises its earliest error in input order, tagged
-    with its item's id (errors.tag_qa). A failed item skips the later items
-    of its size that have not started; without keep_going, every later
-    item that has not started, and no later size is built. With out_dir,
-    each size that succeeds writes its results there; nothing is deleted.
+    chunked and embedded; embed_single_fn, generate_fn and judge must then
+    be thread-safe. Results and errors are those of one item at a time
+    through every step: a size raises its earliest error in input order,
+    tagged with its item's id (errors.tag_qa). A failed item skips the later
+    items of its size that have not started; without keep_going, every
+    later item that has not started, and no later size is built. With
+    out_dir, each size that succeeds writes its results there; nothing is
+    deleted.
     """
     if not docs:
         raise RagBenchError("sweep needs a non-empty corpus")
     if not qa_set:
         raise RagBenchError("sweep needs a non-empty QA set")
-    prime = getattr(embed_fn, "prime", None) or (lambda texts: None)
-    prime([qa.question for qa in qa_set] + [qa.ground_truth for qa in qa_set])
+    memo: dict[str, np.ndarray] = {}
+
+    def embed_batch(texts):
+        missing = list(dict.fromkeys(t for t in texts if t and t not in memo))
+        try:
+            memo.update(zip(missing, embed_single_fn(missing) if missing else ()))
+        except RagBenchError:
+            pass  # vector() then embeds each text for the item that needs it
+
+    def vector(text):
+        vec = memo.get(text)
+        if vec is None:
+            memo[text] = vec = embed_single_fn([text])[0]
+        return vec
+
+    embed_batch([qa.question for qa in qa_set] + [qa.ground_truth for qa in qa_set])
 
     def answer(qa, hits):
         return answer_question(qa.question, hits, generate_fn, app.rag)
 
     def score(qa, record):
-        return answer_correctness(record.answer, qa, embed_fn, app.metric, judge)
+        return answer_correctness(record.answer, qa, vector, app.metric, judge)
 
     def question_vector(qa):
-        vec = embed_fn(qa.question)
+        vec = vector(qa.question)
         if len(vec) != index.dim:
             raise RagBenchError(f"query dim {len(vec)} != index dim {index.dim}")
         return vec
@@ -92,7 +109,7 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
             done, error = records[size] = _collect(qa_set, outcomes, error)
             if error is not None and not keep_going:
                 break
-        prime([r.answer for done, _ in records.values() for r in done])
+        embed_batch([r.answer for done, _ in records.values() for r in done])
         scores_stage = None if keep_going else _Stage()
         scoring = {size: (_submit(pool, score, qa_set, done, stage=scores_stage), error)
                    for size, (done, error) in records.items()}

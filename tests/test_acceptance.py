@@ -10,7 +10,7 @@ import numpy as np
 from ragbench.chunker import ChunkConfig, chunk_text
 from ragbench.config import AppConfig
 from ragbench.corpus import Document
-from ragbench.embed import EmbedderConfig, embed_texts, make_embed_fn
+from ragbench.embed import EmbedderConfig, embed_texts
 from ragbench.llm import LlmConfig, generate, make_cached_fn, mock_generate
 from ragbench.metrics import (LexicalJudge, MetricConfig, QAItem,
                               answer_correctness, f1)
@@ -123,7 +123,10 @@ def test_criterion_5_perfect_answer_fixpoint():
     rng = random.Random(505)
     words = ["patch", "server", "router", "threat", "audit", "firewall",
              "backup", "incident", "log", "scan", "segment", "token"]
-    embed_fn = make_embed_fn(EMB)
+
+    def embed_fn(text):
+        return embed_texts([text], EMB)[0]
+
     for _ in range(50):
         gt = " ".join(
             " ".join(rng.choices(words, k=rng.randint(3, 8))).capitalize() + "."
@@ -178,7 +181,7 @@ def test_criterion_6_end_to_end_determinism(tmp_path):
         counters.append(counter)
         generate_fn = make_cached_fn(counter, cache_dir, endpoint="mock")
         report = run_sweep(docs, qa, cfg, embed_texts_fn=offline_batch,
-                           embed_fn=make_embed_fn(EMB),
+                           embed_single_fn=offline_batch,
                            generate_fn=generate_fn, judge=LexicalJudge())
         out = tmp_path / run_id
         out.mkdir()
@@ -211,7 +214,7 @@ def test_criterion_6_remote_warm_cache(tmp_path, fake_server):
         before = len(fake_server.requests)
         report = run_sweep(docs, qa, cfg,
                            embed_texts_fn=lambda texts: embed_texts(texts, emb, cache_dir),
-                           embed_fn=make_embed_fn(emb, cache_dir),
+                           embed_single_fn=lambda texts: embed_texts(texts, emb, cache_dir),
                            generate_fn=remote_generate, judge=LexicalJudge())
         requests.append(len(fake_server.requests) - before)
         out = tmp_path / run_id
@@ -237,7 +240,7 @@ PLANTED_RAG = dict(top_k=1, prompt_template="{context}\nQ: {question}")
 def run_means(docs, qa, sizes=SIZES, rag_kw=PLANTED_RAG):
     cfg = AppConfig(chunk_sizes=list(sizes), rag=RagConfig(**rag_kw))
     report = run_sweep(docs, qa, cfg, embed_texts_fn=offline_batch,
-                       embed_fn=make_embed_fn(EMB),
+                       embed_single_fn=offline_batch,
                        generate_fn=mock_generate, judge=LexicalJudge())
     return {row.chunk_size: row.mean_correctness for row in report.rows}
 
@@ -307,7 +310,7 @@ def test_criterion_9_report_shape(tmp_path):
     qa = synthetic_qa(n=3)
     cfg = AppConfig(chunk_sizes=list(SIZES))
     report = run_sweep(docs, qa, cfg, embed_texts_fn=offline_batch,
-                       embed_fn=make_embed_fn(EMB),
+                       embed_single_fn=offline_batch,
                        generate_fn=mock_generate, judge=LexicalJudge())
     emit_csv(report, tmp_path)
     emit_svg(report, tmp_path)

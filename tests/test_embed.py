@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import ragbench.embed as embed_mod
 import ragbench.store as store_mod
 from ragbench.embed import (EmbedderConfig, cosine, embed_offline_batch,
-                            embed_remote, embed_texts, make_embed_fn)
+                            embed_remote, embed_texts)
 from ragbench.errors import RagBenchError
 
 from oracles import embed_offline
@@ -317,79 +317,21 @@ def test_embed_texts_offline_dispatch():
     assert [len(v) for v in vecs] == [32, 32]
 
 
-def test_make_embed_fn_memoizes(monkeypatch):
-    calls = []
-    real = embed_mod.embed_offline_batch
-    monkeypatch.setattr(embed_mod, "embed_offline_batch",
-                        lambda ts, d: calls.append(list(ts)) or real(ts, d))
-    fn = make_embed_fn(EmbedderConfig(kind="offline", dim=16))
-    fn("q")
-    fn("q")
-    assert calls == [["q"]]
-
-
-def test_make_embed_fn_single_flight(monkeypatch, in_threads):
+def test_store_fetch_waiter_retries_after_failure(tmp_path, in_threads):
+    # 8 threads miss one entry at once: the owner's compute fails, and one
+    # waiter then computes again and stores what the other six read
     calls = []
 
-    def slow(texts, cfg, cache_dir=None):
-        calls.append(list(texts))
-        time.sleep(0.05)
-        return embed_offline_batch(texts, cfg.dim)
-
-    monkeypatch.setattr(embed_mod, "embed_texts", slow)
-    fn = make_embed_fn(EmbedderConfig(kind="offline", dim=16))
-    out = in_threads(8, lambda i: fn("same question"))
-    assert calls == [["same question"]]
-    assert same_rows(out, [embed_offline("same question", 16)] * 8)
-    assert fn.flight.waiting == {}
-
-
-def test_make_embed_fn_waiter_retries_after_failure(monkeypatch, in_threads):
-    calls = []
-
-    def fail_first(texts, cfg, cache_dir=None):
-        calls.append(list(texts))
+    def fail_first():
+        calls.append(1)
         time.sleep(0.05)
         if len(calls) == 1:
             raise RagBenchError("first call fails")
-        return embed_offline_batch(texts, cfg.dim)
+        return "value", {"value": "value"}
 
-    monkeypatch.setattr(embed_mod, "embed_texts", fail_first)
-    fn = make_embed_fn(EmbedderConfig(kind="offline", dim=16))
-    out = in_threads(8, lambda i: fn("q"))
+    out = in_threads(8, lambda i: store_mod.fetch(tmp_path, "k", lambda e: e["value"],
+                                                  fail_first))
     assert len(calls) == 2
     assert sum(isinstance(r, RagBenchError) for r in out) == 1
-    assert sum(same_rows([r], [embed_offline("q", 16)]) for r in out
-               if not isinstance(r, RagBenchError)) == 7
-    assert fn.flight.waiting == {}
-
-
-def test_make_embed_fn_prime_one_batch(monkeypatch):
-    calls = []
-    real = embed_mod.embed_texts
-    monkeypatch.setattr(embed_mod, "embed_texts",
-                        lambda ts, cfg, cache_dir=None: calls.append(list(ts))
-                        or real(ts, cfg, cache_dir))
-    fn = make_embed_fn(EmbedderConfig(kind="offline", dim=16))
-    fn("known")
-    fn.prime(["a", "", "known", "b", "a"])
-    assert calls == [["known"], ["a", "b"]]
-    assert same_rows([fn("a"), fn("b")], [embed_offline("a", 16), embed_offline("b", 16)])
-    fn.prime(["a", "b", ""])
-    assert len(calls) == 2
-
-
-def test_make_embed_fn_failed_prime_leaves_memo(monkeypatch):
-    calls = []
-
-    def fail_batches(texts, cfg, cache_dir=None):
-        calls.append(list(texts))
-        if len(texts) > 1:
-            raise RagBenchError("batch refused")
-        return embed_offline_batch(texts, cfg.dim)
-
-    monkeypatch.setattr(embed_mod, "embed_texts", fail_batches)
-    fn = make_embed_fn(EmbedderConfig(kind="offline", dim=16))
-    fn.prime(["a", "b"])
-    assert same_rows([fn("a")], [embed_offline("a", 16)])
-    assert calls == [["a", "b"], ["a"]]
+    assert out.count("value") == 7
+    assert store_mod._FLIGHT.waiting == {}

@@ -24,12 +24,16 @@ def offline_embed(text):
 LEX = LexicalJudge()
 
 
-def sweep(qa_set, workers, embed_fn=offline_embed, generate_fn=mock_generate):
+def offline_batch(texts):
+    return [offline_embed(t) for t in texts]
+
+
+def sweep(qa_set, workers, embed_single_fn=offline_batch, generate_fn=mock_generate):
     """A one-size sweep of qa_set over a two-sentence corpus."""
     docs = [Document(id="d", source="s", title="", body="Patch now. Reboot later.")]
     return run_sweep(docs, qa_set, AppConfig(chunk_sizes=[100]),
-                     embed_texts_fn=lambda texts: [offline_embed(t) for t in texts],
-                     embed_fn=embed_fn, generate_fn=generate_fn,
+                     embed_texts_fn=offline_batch,
+                     embed_single_fn=embed_single_fn, generate_fn=generate_fn,
                      judge=LEX, concurrency=workers)
 
 
@@ -251,18 +255,19 @@ class TestAnswerCorrectness:
         qa_set = [QAItem(id="q8", question="When?", ground_truth="Reboot later."),
                   QAItem(id="q9", question="What?", ground_truth="Patch now.")]
 
-        def embed_fn(text):
-            if text == "Patch now.":
+        def embed_texts(texts):
+            if "Patch now." in texts:
                 raise MalformedLine(5, "bad vector")
-            return offline_embed(text)
+            return offline_batch(texts)
 
         for workers in (1, 4):
             with pytest.raises(MalformedLine) as exc:
-                sweep(qa_set, workers, embed_fn=embed_fn)
+                sweep(qa_set, workers, embed_single_fn=embed_texts)
             assert str(exc.value) == "[qa q9] malformed line 5: bad vector"
             assert (exc.value.line_no, exc.value.qa_id) == (5, "q9")
         with pytest.raises(MalformedLine, match="^malformed line 5"):
-            answer_correctness("Patch now.", qa_set[1], embed_fn, MetricConfig(), LEX)
+            answer_correctness("Patch now.", qa_set[1], lambda t: embed_texts([t])[0],
+                               MetricConfig(), LEX)
 
     def test_metric_undefined_tagged_in_sweep(self):
         # no statements in the answer or the ground truth: F1 is undefined,

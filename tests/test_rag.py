@@ -202,7 +202,8 @@ class TestAnswerQuestion:
             with pytest.raises(MalformedLine) as exc:
                 run_sweep(self.planted_docs(), qa_set, AppConfig(chunk_sizes=[200]),
                           embed_texts_fn=lambda texts: [offline_embed(t) for t in texts],
-                          embed_fn=offline_embed, generate_fn=generate_fn,
+                          embed_single_fn=lambda texts: [offline_embed(t) for t in texts],
+                          generate_fn=generate_fn,
                           judge=LexicalJudge(), concurrency=workers)
             err = exc.value
             assert str(err) == "[qa q7] malformed line 3: unexpected reply"

@@ -14,10 +14,10 @@ from ragbench.config import AppConfig
 from ragbench.corpus import Document
 import ragbench.embed as embed_mod
 from ragbench.chunker import ChunkConfig, chunk_corpus
-from ragbench.embed import EmbedderConfig, embed_texts, make_embed_fn
+from ragbench.embed import EmbedderConfig, embed_texts
 from ragbench.errors import InvalidConfig, RagBenchError
 import ragbench.store as store_mod
-from ragbench.llm import make_cached_fn, mock_generate
+from ragbench.llm import ChatResponse, make_cached_fn, mock_generate
 from ragbench.metrics import LexicalJudge, QAItem, answer_correctness
 from ragbench.rag import answer_question
 from ragbench.report import SweepReport, SweepRow, clear, emit_csv, emit_svg
@@ -33,6 +33,17 @@ EMB = EmbedderConfig(kind="offline", dim=128)
 
 def offline_batch(texts):
     return embed_texts(texts, EMB)
+
+
+def single_batch(texts):
+    """offline_batch through the embed module's name, as the CLI embeds
+    single texts, so that a test can patch it there."""
+    return embed_mod.embed_texts(texts, EMB)
+
+
+def recording(calls):
+    """single_batch that first appends the list of texts it gets to calls."""
+    return lambda texts: calls.append(texts) or single_batch(texts)
 
 
 def make_corpus(n=12, seed=4):
@@ -63,7 +74,7 @@ def embed_short_only(texts):
 def run(cfg=None, docs=None, qa=None, **kw):
     cfg = cfg or AppConfig(chunk_sizes=[100, 200, 400])
     return run_sweep(docs or make_corpus(), qa or make_qa(), cfg,
-                     embed_texts_fn=offline_batch, embed_fn=make_embed_fn(EMB),
+                     embed_texts_fn=offline_batch, embed_single_fn=single_batch,
                      generate_fn=mock_generate, judge=LexicalJudge(), **kw)
 
 
@@ -129,14 +140,14 @@ class TestRunSweep:
         with pytest.raises(RagBenchError):
             run_sweep(make_corpus(), make_qa(),
                       AppConfig(chunk_sizes=[100, 400]),
-                      embed_texts_fn=embed_short_only, embed_fn=make_embed_fn(EMB),
+                      embed_texts_fn=embed_short_only, embed_single_fn=single_batch,
                       generate_fn=mock_generate, judge=LexicalJudge())
 
     def test_keep_going_records_failed_row(self):
         report = run_sweep(make_corpus(), make_qa(),
                            AppConfig(chunk_sizes=[100, 400]),
                            embed_texts_fn=embed_short_only,
-                           embed_fn=make_embed_fn(EMB),
+                           embed_single_fn=single_batch,
                            generate_fn=mock_generate, judge=LexicalJudge(),
                            keep_going=True)
         assert [r.chunk_size for r in report.rows] == [100, 400]
@@ -154,7 +165,7 @@ class TestRunSweep:
         clear(tmp_path)
         with pytest.raises(RagBenchError):
             run_sweep(make_corpus(), make_qa(), cfg,
-                      embed_texts_fn=embed_short_only, embed_fn=make_embed_fn(EMB),
+                      embed_texts_fn=embed_short_only, embed_single_fn=single_batch,
                       generate_fn=mock_generate, judge=LexicalJudge(), out_dir=tmp_path)
         assert (tmp_path / "100" / "results.jsonl").is_file()
         assert not (tmp_path / "400" / "results.jsonl").exists()
@@ -169,7 +180,7 @@ class TestRunSweep:
         assert (tmp_path / "400" / "results.jsonl").is_file()
         clear(tmp_path)
         report = run_sweep(make_corpus(), make_qa(), cfg,
-                           embed_texts_fn=embed_short_only, embed_fn=make_embed_fn(EMB),
+                           embed_texts_fn=embed_short_only, embed_single_fn=single_batch,
                            generate_fn=mock_generate, judge=LexicalJudge(),
                            keep_going=True, out_dir=tmp_path)
         assert report.rows[1].failed
@@ -209,7 +220,7 @@ class TestConcurrency:
             return run_sweep(make_corpus(), make_qa(8),
                              AppConfig(chunk_sizes=[100, 200]),
                              embed_texts_fn=offline_batch,
-                             embed_fn=make_embed_fn(EMB),
+                             embed_single_fn=single_batch,
                              generate_fn=slow_early_generate(8, fail={2, 5}),
                              judge=LexicalJudge(), keep_going=keep_going,
                              concurrency=workers)
@@ -223,12 +234,10 @@ class TestConcurrency:
                 sweep(4)
 
     def test_no_waiters_left_after_sweep(self, tmp_path):
-        embed_fn = make_embed_fn(EMB)
         run_sweep(make_corpus(), make_qa(8), AppConfig(chunk_sizes=[100, 200]),
-                  embed_texts_fn=offline_batch, embed_fn=embed_fn,
+                  embed_texts_fn=offline_batch, embed_single_fn=single_batch,
                   generate_fn=make_cached_fn(slow_early_generate(8), tmp_path),
                   judge=LexicalJudge(), concurrency=4)
-        assert embed_fn.flight.waiting == {}
         assert store_mod._FLIGHT.waiting == {}
 
 
@@ -252,7 +261,7 @@ class TestPipeline:
 
         cfg = AppConfig(chunk_sizes=[100, 200])
         report = run_sweep(make_corpus(), make_qa(8), cfg, embed_texts_fn=embed_chunks,
-                           embed_fn=make_embed_fn(EMB), generate_fn=generate,
+                           embed_single_fn=single_batch, generate_fn=generate,
                            judge=LexicalJudge(), concurrency=4)
         assert report == run(cfg, qa=make_qa(8))
 
@@ -271,7 +280,7 @@ class TestPipeline:
         def sweep():
             return run_sweep(make_corpus(), make_qa(8),
                              AppConfig(chunk_sizes=[100, 200, 400]),
-                             embed_texts_fn=offline_batch, embed_fn=make_embed_fn(EMB),
+                             embed_texts_fn=offline_batch, embed_single_fn=single_batch,
                              generate_fn=generate, judge=LexicalJudge(),
                              keep_going=keep_going, concurrency=4)
 
@@ -312,7 +321,7 @@ class TestPipeline:
             try:
                 return run_sweep(make_corpus(), make_qa(16),
                                  AppConfig(chunk_sizes=[100, 200, 400]),
-                                 embed_texts_fn=offline_batch, embed_fn=make_embed_fn(EMB),
+                                 embed_texts_fn=offline_batch, embed_single_fn=single_batch,
                                  generate_fn=slow_early_generate(16, fail={5, 11}),
                                  judge=FailingJudge({3}), keep_going=keep_going,
                                  concurrency=workers)
@@ -395,7 +404,7 @@ class TestItemsStartedOutOfOrder:
         monkeypatch.setattr(sweep_mod, "ThreadPoolExecutor", LastFirstPool)
         with pytest.raises(RagBenchError, match=r"^\[qa q7\] backend down$"):
             run_sweep(make_corpus(), make_qa(8), AppConfig(chunk_sizes=[100, 200]),
-                      embed_texts_fn=offline_batch, embed_fn=make_embed_fn(EMB),
+                      embed_texts_fn=offline_batch, embed_single_fn=single_batch,
                       generate_fn=generate, judge=LexicalJudge(), concurrency=2)
         assert len(calls) == 16
 
@@ -419,7 +428,10 @@ class TestStages:
         # reference: the unstaged loop, every chunk embedded at every size
         cfg = AppConfig(chunk_sizes=[100, 200, 400])
         docs, qa = make_corpus(), make_qa(6)
-        embed_fn = make_embed_fn(EMB)
+
+        def embed_fn(text):
+            return offline_batch([text])[0]
+
         expected = {}
         for size in cfg.chunk_sizes:
             chunks = chunk_corpus(docs, ChunkConfig(size=size))
@@ -470,13 +482,10 @@ class TestStages:
                                                       keep_going):
         # q2's vector is too short: q2 fails with its own dim error, and
         # q0 and q1 are still answered and scored at every size run
-        memo = make_embed_fn(EMB)
+        def embed_single(texts):
+            return [vec[:64] if text == "What about threat number 2?" else vec
+                    for text, vec in zip(texts, offline_batch(texts))]
 
-        def embed_fn(text):
-            vec = memo(text)
-            return vec[:64] if text == "What about threat number 2?" else vec
-
-        embed_fn.prime = memo.prime
         answered, scored = [], []
         ids = {qa.question: qa.id for qa in make_qa()}
         answer, score = sweep_mod.answer_question, sweep_mod.answer_correctness
@@ -487,7 +496,7 @@ class TestStages:
 
         def sweep():
             return run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100, 200]),
-                             embed_texts_fn=offline_batch, embed_fn=embed_fn,
+                             embed_texts_fn=offline_batch, embed_single_fn=embed_single,
                              generate_fn=mock_generate, judge=LexicalJudge(),
                              keep_going=keep_going, concurrency=workers)
 
@@ -501,13 +510,6 @@ class TestStages:
             sizes_run = 1
         assert sorted(answered) == sorted(scored) == ["q0"] * sizes_run + ["q1"] * sizes_run
 
-    def test_plain_embed_fn_without_prime(self):
-        report = run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100, 200]),
-                           embed_texts_fn=offline_batch,
-                           embed_fn=lambda text: embed_offline(text, EMB.dim),
-                           generate_fn=mock_generate, judge=LexicalJudge())
-        assert report == run(AppConfig(chunk_sizes=[100, 200]))
-
     def test_single_texts_batched_chunk_texts_embedded_once(self, monkeypatch):
         single, chunk = [], []
         monkeypatch.setattr(embed_mod, "embed_texts",
@@ -517,7 +519,7 @@ class TestStages:
         docs, qa = make_corpus(), make_qa(5)
         run_sweep(docs, qa, AppConfig(chunk_sizes=sizes),
                   embed_texts_fn=lambda texts: chunk.extend(texts) or offline_batch(texts),
-                  embed_fn=make_embed_fn(EMB), generate_fn=mock_generate,
+                  embed_single_fn=single_batch, generate_fn=mock_generate,
                   judge=LexicalJudge())
         assert single[0] == [q.question for q in qa] + [q.ground_truth for q in qa]
         assert len(single) <= 1 + len(sizes)
@@ -532,7 +534,7 @@ class TestStages:
         # q2 fails to be scored, q5 fails to be answered: q2 comes first
         def sweep():
             return run_sweep(make_corpus(), make_qa(8), AppConfig(chunk_sizes=[100, 200]),
-                             embed_texts_fn=offline_batch, embed_fn=make_embed_fn(EMB),
+                             embed_texts_fn=offline_batch, embed_single_fn=single_batch,
                              generate_fn=slow_early_generate(8, fail={5}),
                              judge=FailingJudge({2}), keep_going=keep_going,
                              concurrency=workers)
@@ -547,7 +549,7 @@ class TestStages:
     def test_answer_error_before_score_error(self, workers):
         with pytest.raises(RagBenchError, match=r"^\[qa q2\] backend down"):
             run_sweep(make_corpus(), make_qa(8), AppConfig(chunk_sizes=[100]),
-                      embed_texts_fn=offline_batch, embed_fn=make_embed_fn(EMB),
+                      embed_texts_fn=offline_batch, embed_single_fn=single_batch,
                       generate_fn=slow_early_generate(8, fail={2}),
                       judge=FailingJudge({5}), concurrency=workers)
 
@@ -562,7 +564,7 @@ class TestStages:
             return embed_texts(texts, cfg)
 
         monkeypatch.setattr(embed_mod, "embed_texts", down_for_q1)
-        kw = dict(embed_texts_fn=offline_batch, embed_fn=make_embed_fn(EMB),
+        kw = dict(embed_texts_fn=offline_batch, embed_single_fn=single_batch,
                   generate_fn=mock_generate, judge=LexicalJudge(),
                   keep_going=keep_going)
         if keep_going:
@@ -573,6 +575,65 @@ class TestStages:
                 run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100]), **kw)
         assert len(calls[0]) == 8  # the batch was tried first
         assert ["What about threat number 1?"] in calls
+
+    def test_text_both_question_and_ground_truth_embedded_once(self):
+        shared = "Threat number 0 requires a patch."
+        qa = [QAItem(id="q0", question="What does threat number 0 need?", ground_truth=shared),
+              QAItem(id="q1", question=shared, ground_truth="A patch for threat number 1.")]
+        calls = []
+        report = run_sweep(make_corpus(), qa, AppConfig(chunk_sizes=[100, 200]),
+                           embed_texts_fn=offline_batch,
+                           embed_single_fn=recording(calls),
+                           generate_fn=mock_generate, judge=LexicalJudge())
+        assert calls[0] == [qa[0].question, shared, qa[1].ground_truth]
+        embedded = [t for texts in calls for t in texts]
+        assert len(embedded) == len(set(embedded))
+        assert [r.n for r in report.rows] == [2, 2]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_empty_answer_never_embedded(self, workers):
+        calls = []
+
+        def generate(req):
+            if "threat number 1?" in req.messages[-1]["content"]:
+                return ChatResponse(content="")
+            return mock_generate(req)
+
+        report = run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100, 200]),
+                           embed_texts_fn=offline_batch,
+                           embed_single_fn=recording(calls),
+                           generate_fn=generate, judge=LexicalJudge(), concurrency=workers)
+        assert len(calls) == 2
+        assert "" not in calls[1]
+        assert [r.qa_id for r in report.per_question[100]] == ["q0", "q1", "q2", "q3"]
+        assert report.per_question[100][1].semantic_sim == 0.0
+
+    @pytest.mark.parametrize("keep_going", [True, False])
+    def test_failed_first_batch_gives_item_errors(self, keep_going):
+        # the first batch holds q2's ground truth, which cannot be embedded:
+        # every other item embeds its own texts, and q2 fails when scored
+        ground_truth = make_qa()[2].ground_truth
+
+        def down_for_q2(texts):
+            if ground_truth in texts:
+                raise RagBenchError("embedder down")
+            return single_batch(texts)
+
+        def sweep(workers):
+            try:
+                return run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100, 200]),
+                                 embed_texts_fn=offline_batch, embed_single_fn=down_for_q2,
+                                 generate_fn=mock_generate, judge=LexicalJudge(),
+                                 keep_going=keep_going, concurrency=workers)
+            except RagBenchError as exc:
+                return str(exc)
+
+        expected = sweep(1)
+        assert sweep(4) == expected
+        if keep_going:
+            assert [r.error for r in expected.rows] == ["[qa q2] embedder down"] * 2
+        else:
+            assert expected == "[qa q2] embedder down"
 
 
 def hand_report(means):
