@@ -3,7 +3,7 @@ mock backend, and chat completions cached in the response store."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -21,6 +21,11 @@ class ChatRequest:
     messages: list[dict]  # [{"role": "system"|"user", "content": str}, ...]
     temperature: float = 0.0
     max_tokens: int = 512
+    # not part of the request: the caller's check of a reply's content,
+    # raising a RagBenchError for one it cannot use; cached runs it before
+    # it stores a reply and when it reads one
+    check: Callable[[str], object] = field(default=lambda content: None,
+                                           compare=False, repr=False)
 
     def __post_init__(self):
         if self.temperature < 0:
@@ -89,27 +94,29 @@ def request_key(req: ChatRequest, endpoint: str = "") -> str:
     })
 
 
-def _decode_entry(entry: dict) -> ChatResponse:
-    content = entry.get("content")
-    if not isinstance(content, str):
-        raise RagBenchError("cached content is not a string")
-    return ChatResponse(content=content, cached=True)
-
-
 def cached(op: GenerateFn, req: ChatRequest, cache_dir: str | Path,
            endpoint: str = "") -> ChatResponse:
     """Content-addressed cache around a generate function.
 
     Hit: stored content, cached=True, zero calls to op. Miss: call through
-    and persist atomically. Corrupt entries are treated as misses and
-    overwritten. Threads that miss on one entry at once make one call to op;
+    and persist atomically. Corrupt entries, and replies that req.check
+    rejects, are treated as misses and overwritten; a rejected reply from op
+    raises and is not stored. Threads that miss on one entry at once make one call to op;
     the others wait for it and get the stored content with cached=True.
     """
+    def decode(entry: dict) -> ChatResponse:
+        content = entry.get("content")
+        if not isinstance(content, str):
+            raise RagBenchError("cached content is not a string")
+        req.check(content)
+        return ChatResponse(content=content, cached=True)
+
     def compute() -> tuple[ChatResponse, dict]:
         resp = op(req)
+        req.check(resp.content)
         return resp, {"content": resp.content}
 
-    return store.fetch(cache_dir, request_key(req, endpoint), _decode_entry, compute)
+    return store.fetch(cache_dir, request_key(req, endpoint), decode, compute)
 
 
 def make_cached_fn(op: GenerateFn, cache_dir: str | Path,

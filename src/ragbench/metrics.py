@@ -147,26 +147,50 @@ def _parse_json_reply(content: str):
         raise RagBenchError(f"judge reply is not valid JSON: {exc}") from exc
 
 
+def _statements(content: str) -> list[str]:
+    reply = _parse_json_reply(content)
+    if not isinstance(reply, list) or not all(isinstance(s, str) for s in reply):
+        raise RagBenchError("extraction reply is not a JSON array of strings")
+    return [s.strip() for s in reply if s.strip()]
+
+
+def _counts(content: str, n_answer: int, n_gt: int) -> tuple[int, int, int]:
+    reply = _parse_json_reply(content)
+    try:
+        ans_flags = reply["answer_supported"]
+        gt_flags = reply["ground_truth_supported"]
+    except (KeyError, TypeError) as exc:
+        raise RagBenchError(f"classification reply malformed: {exc}") from exc
+    # JSON booleans only: bool() would read "false" or [0] as support
+    for flags in (ans_flags, gt_flags):
+        if type(flags) is not list or any(type(v) is not bool for v in flags):
+            raise RagBenchError(f"classification reply malformed: {flags!r} "
+                                "is not a list of booleans")
+    if len(ans_flags) != n_answer or len(gt_flags) != n_gt:
+        raise RagBenchError("classification reply length mismatch")
+    tp = sum(ans_flags)
+    return tp, len(ans_flags) - tp, sum(1 for v in gt_flags if not v)
+
+
 class RemoteJudge:
-    """Judge backed by a chat model via a generate function."""
+    """Judge backed by a chat model via a generate function. A reply is
+    parsed inside the request too, as its check, so a cached generate
+    function neither stores nor replays one that does not parse."""
 
     def __init__(self, generate_fn: Callable[[ChatRequest], ChatResponse],
                  model: str = ""):
         self.generate_fn = generate_fn
         self.model = model
 
-    def _ask(self, prompt: str) -> str:
+    def _ask(self, prompt: str, parse: Callable[[str], object]):
         req = ChatRequest(model=self.model,
-                          messages=[{"role": "user", "content": prompt}])
-        return self.generate_fn(req).content
+                          messages=[{"role": "user", "content": prompt}], check=parse)
+        return parse(self.generate_fn(req).content)
 
     def extract(self, text: str) -> list[str]:
         if not text.strip():
             return []
-        reply = _parse_json_reply(self._ask(_EXTRACT_PROMPT.format(text=text)))
-        if not isinstance(reply, list) or not all(isinstance(s, str) for s in reply):
-            raise RagBenchError("extraction reply is not a JSON array of strings")
-        return [s.strip() for s in reply if s.strip()]
+        return self._ask(_EXTRACT_PROMPT.format(text=text), _statements)
 
     def classify(self, answer_stmts: list[str], gt_stmts: list[str]) -> tuple[int, int, int]:
         if not answer_stmts and not gt_stmts:
@@ -175,23 +199,8 @@ class RemoteJudge:
             answer="\n".join(f"{i}. {s}" for i, s in enumerate(answer_stmts)) or "(none)",
             gt="\n".join(f"{i}. {s}" for i, s in enumerate(gt_stmts)) or "(none)",
         )
-        reply = _parse_json_reply(self._ask(prompt))
-        try:
-            ans_flags = reply["answer_supported"]
-            gt_flags = reply["ground_truth_supported"]
-        except (KeyError, TypeError) as exc:
-            raise RagBenchError(f"classification reply malformed: {exc}") from exc
-        # JSON booleans only: bool() would read "false" or [0] as support
-        for flags in (ans_flags, gt_flags):
-            if type(flags) is not list or any(type(v) is not bool for v in flags):
-                raise RagBenchError(f"classification reply malformed: {flags!r} "
-                                    "is not a list of booleans")
-        if len(ans_flags) != len(answer_stmts) or len(gt_flags) != len(gt_stmts):
-            raise RagBenchError("classification reply length mismatch")
-        tp = sum(ans_flags)
-        fp = len(ans_flags) - tp
-        fn = sum(1 for v in gt_flags if not v)
-        return tp, fp, fn
+        return self._ask(prompt, lambda content: _counts(content, len(answer_stmts),
+                                                         len(gt_stmts)))
 
 
 def f1(tp: int, fp: int, fn: int) -> float:

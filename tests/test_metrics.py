@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from ragbench.config import AppConfig
 from ragbench.corpus import Document
 from ragbench.errors import InvalidConfig, MalformedLine, RagBenchError
-from ragbench.llm import ChatResponse, mock_generate
+from ragbench.llm import ChatResponse, make_cached_fn, mock_generate
 from ragbench.metrics import (LexicalJudge, MetricConfig, QAItem, RemoteJudge,
                               answer_correctness, f1, load_qa_jsonl)
 from ragbench.sweep import run_sweep
@@ -334,6 +334,33 @@ class TestRemoteJudge:
         gen = ScriptedGenerator([json.dumps(reply)])
         with pytest.raises(RagBenchError, match=r"^classification reply malformed: "):
             RemoteJudge(gen).classify(["s1"], ["g1"])
+
+    @pytest.mark.parametrize("call, bad, good, expected", [
+        ("classify",
+         json.dumps({"answer_supported": ["false"], "ground_truth_supported": [True]}),
+         json.dumps({"answer_supported": [False], "ground_truth_supported": [True]}),
+         (0, 1, 0)),
+        ("extract", "not json at all", '["Fact"]', ["Fact"]),
+    ])
+    def test_invalid_reply_neither_cached_nor_replayed(self, tmp_path, call, bad, good,
+                                                       expected):
+        def ask(gen):
+            judge = RemoteJudge(make_cached_fn(gen, tmp_path))
+            return judge.classify(["s1"], ["g1"]) if call == "classify" else judge.extract("t")
+
+        gen = ScriptedGenerator([bad, good])
+        with pytest.raises(RagBenchError):
+            ask(gen)
+        assert list(tmp_path.iterdir()) == []
+        assert ask(gen) == expected
+        assert len(gen.requests) == 2
+        # a stored reply that does not parse is a miss, and is overwritten
+        (entry,) = tmp_path.iterdir()
+        entry.write_text(json.dumps({**json.loads(entry.read_text()), "content": bad}))
+        again = ScriptedGenerator([good])
+        assert ask(again) == expected
+        assert ask(again) == expected
+        assert len(again.requests) == 1
 
 
 class TestQASetFile:
