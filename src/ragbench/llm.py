@@ -19,7 +19,6 @@ _MOCK_TRUNC = 2000
 class ChatRequest:
     model: str
     messages: list[dict]  # [{"role": "system"|"user", "content": str}, ...]
-    temperature: float = 0.0
     max_tokens: int = 512
     # not part of the request: the caller's check of a reply's content,
     # raising a RagBenchError for one it cannot use; cached runs it before
@@ -28,8 +27,6 @@ class ChatRequest:
                                            compare=False, repr=False)
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise InvalidConfig("temperature must be >= 0")
         if not any(m.get("role") == "user" for m in self.messages):
             raise InvalidConfig("at least one user message required")
 
@@ -58,7 +55,7 @@ def generate(req: ChatRequest, cfg: LlmConfig) -> ChatResponse:
         {
             "model": req.model,
             "messages": req.messages,
-            "temperature": req.temperature,
+            "temperature": 0.0,
             "max_tokens": req.max_tokens,
         },
         timeout_ms=cfg.timeout_ms,
@@ -89,7 +86,7 @@ def request_key(req: ChatRequest, endpoint: str = "") -> str:
         "endpoint": endpoint,
         "model": req.model,
         "messages": req.messages,
-        "temperature": req.temperature,
+        "temperature": 0.0,
         "max_tokens": req.max_tokens,
     })
 

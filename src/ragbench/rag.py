@@ -77,7 +77,7 @@ def answer_question(question: str, hits: list[Hit],
         messages.append({"role": "system", "content": cfg.system_prompt})
     messages.append({"role": "user", "content": prompt})
     resp = generate_fn(ChatRequest(model=cfg.model, messages=messages,
-                                   temperature=0.0, max_tokens=cfg.max_tokens))
+                                   max_tokens=cfg.max_tokens))
     return AnswerRecord(
         answer=resp.content,
         retrieved=[(h.chunk_ref, h.score) for h in hits],

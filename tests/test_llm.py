@@ -22,10 +22,6 @@ class TestRequestValidation:
         with pytest.raises(InvalidConfig):
             ChatRequest(model="m", messages=[{"role": "system", "content": "s"}])
 
-    def test_negative_temperature(self):
-        with pytest.raises(InvalidConfig):
-            req(temperature=-0.1)
-
 
 class TestGenerate:
     def cfg(self, server):
@@ -39,11 +35,11 @@ class TestGenerate:
         assert resp.cached is False
 
     def test_wire_shape(self, fake_server):
-        generate(req("hello", temperature=0.5, max_tokens=99), self.cfg(fake_server))
+        generate(req("hello", max_tokens=99), self.cfg(fake_server))
         path, payload, _ = fake_server.requests[0]
         assert path == "/v1/chat/completions"
         assert payload["model"] == "m"
-        assert payload["temperature"] == 0.5
+        assert payload["temperature"] == 0.0
         assert payload["max_tokens"] == 99
         assert payload["messages"][-1] == {"role": "user", "content": "hello"}
 
@@ -107,9 +103,15 @@ class TestCache:
         assert second.cached is True
         assert second.content == first.content
 
-    def test_distinct_keys_by_temperature(self, tmp_path):
-        assert request_key(req("Q", temperature=0.0)) != \
-            request_key(req("Q", temperature=0.7))
+    def test_key_pinned(self):
+        # these keys name the entries of existing caches, so they must not move
+        assert request_key(req("Q", max_tokens=99)) == \
+            "616705d65d06bfb2f2e32dfe9ef47fc73754af45ae270887d969fa72f4b35885"
+        assert request_key(req("Q", max_tokens=99), endpoint="http://127.0.0.1:8080") == \
+            "4a5abf97b1a8b06400798e2caa1f17745508b38be318f8f97c5b2b2428d3bc0b"
+        # a request's reply check is not part of its key
+        assert request_key(req("Q", max_tokens=99, check=json.loads)) == \
+            request_key(req("Q", max_tokens=99))
 
     def test_distinct_keys_by_endpoint_and_model(self):
         assert request_key(req("Q"), endpoint="a") != request_key(req("Q"), endpoint="b")
