@@ -97,9 +97,10 @@ def cached(op: GenerateFn, req: ChatRequest, cache_dir: str | Path,
 
     Hit: stored content, cached=True, zero calls to op. Miss: call through
     and persist atomically. Corrupt entries, and replies that req.check
-    rejects, are treated as misses and overwritten; a rejected reply from op
-    raises and is not stored. Threads that miss on one entry at once make one call to op;
-    the others wait for it and get the stored content with cached=True.
+    rejects, are treated as misses and overwritten; a reply from op that
+    req.check rejects raises and is not stored. Threads that miss on one
+    entry at once make one call to op; the others wait for it and get the
+    stored content with cached=True.
     """
     def decode(entry: dict) -> ChatResponse:
         content = entry.get("content")
