@@ -341,7 +341,7 @@ class TestRemoteJudge:
          json.dumps({"answer_supported": [False], "ground_truth_supported": [True]}),
          (0, 1, 0)),
         ("extract", "not json at all", '["Fact"]', ["Fact"]),
-    ])
+    ], ids=["classify", "extract"])
     def test_invalid_reply_neither_cached_nor_replayed(self, tmp_path, call, bad, good,
                                                        expected):
         def ask(gen):
