@@ -37,8 +37,8 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
     texts: questions, ground truths and answers. The sweep embeds each
     single text once, in two batches: the questions and ground truths, then
     the answers it has not seen. If a batch raises a RagBenchError, each
-    item embeds its own texts as it needs them, one text per call, so an
-    item still raises its own error.
+    item embeds its own texts as it needs them, so an item still raises its
+    own error, and items on two threads may each embed a text they share.
 
     For each size in turn the sweep chunks and embeds the chunks (a text
     embedded at one size is not embedded again), retrieves every QA item's
