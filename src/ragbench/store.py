@@ -8,55 +8,16 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Callable, Hashable, TypeVar
+from typing import Callable, TypeVar
 
 from .errors import RagBenchError
 
 T = TypeVar("T")
 
-
-class SingleFlight:
-    """Table of the keys being computed right now: however many threads ask
-    for one key at once, one of them computes its value and the others wait,
-    then read what it stored. It holds one Event per key in flight and no
-    value."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.waiting: dict[Hashable, threading.Event] = {}
-
-    def run(self, key: Hashable, lookup: Callable[[], T | None],
-            compute: Callable[[], T]) -> T:
-        """Return lookup() if it finds a value, else compute() in one thread.
-
-        compute must store its value where lookup finds it. A thread that
-        waited on a failed compute takes its own turn, so each thread raises
-        its own error, as it would in a sequential loop.
-        """
-        value = lookup()
-        while value is None:
-            with self._lock:
-                done = self.waiting.get(key)
-                owner = done is None
-                if owner:
-                    done = self.waiting[key] = threading.Event()
-            if owner:
-                try:
-                    # the previous owner may have stored it since our lookup
-                    value = lookup()
-                    return compute() if value is None else value
-                finally:
-                    with self._lock:
-                        del self.waiting[key]
-                    done.set()
-            done.wait()
-            value = lookup()
-        return value
-
-
-# Entries are files that every caller in the process shares, so calls are
-# single-flighted on the entry path rather than per caller.
-_FLIGHT = SingleFlight()
+# Entry paths being filled right now. Entries are files that every caller in
+# the process shares, so fills are single-flighted on the path, not per caller.
+_FILLING: set[Path] = set()
+_FILLED = threading.Condition()
 
 
 def request_key(request: dict) -> str:
@@ -97,15 +58,28 @@ def fetch(cache_dir: str | Path, key: str, decode: Callable[[dict], T],
     holding the key, is a miss and is overwritten. compute calls the
     backend, validates the response and returns (value, fields to store).
     Threads that miss on one entry at once make one call to compute; the
-    others wait for it and then decode the stored entry.
+    others wait for it and then decode the stored entry, one at a time.
+    Different entries fill at once.
     """
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / key
 
-    def miss() -> T:
-        value, fields = compute()
-        _write_entry(path, key, fields)
+    value = _read_entry(path, key, decode)
+    if value is not None:
         return value
-
-    return _FLIGHT.run(path, lambda: _read_entry(path, key, decode), miss)
+    with _FILLED:
+        _FILLED.wait_for(lambda: path not in _FILLING)
+        _FILLING.add(path)
+    try:
+        # the previous filler may have stored it since our read; if it
+        # failed, this thread calls compute and raises its own error
+        value = _read_entry(path, key, decode)
+        if value is None:
+            value, fields = compute()
+            _write_entry(path, key, fields)
+        return value
+    finally:
+        with _FILLED:
+            _FILLING.remove(path)
+            _FILLED.notify_all()

@@ -308,7 +308,7 @@ class TestRemoteCache:
         out = in_threads(2, lambda i: embed_remote(["same"], cfg, tmp_path))
         assert len(fake_server.requests) == 1
         assert same_rows([v for (v,) in out], [np.full(8, 4.0)] * 2)
-        assert store_mod._FLIGHT.waiting == {}
+        assert store_mod._FILLING == set()
 
 
 def test_embed_texts_offline_dispatch():
@@ -334,4 +334,4 @@ def test_store_fetch_waiter_retries_after_failure(tmp_path, in_threads):
     assert len(calls) == 2
     assert sum(isinstance(r, RagBenchError) for r in out) == 1
     assert out.count("value") == 7
-    assert store_mod._FLIGHT.waiting == {}
+    assert store_mod._FILLING == set()

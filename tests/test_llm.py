@@ -181,7 +181,7 @@ class TestCacheThreads:
         assert len(calls) == 1
         assert sorted(r.cached for r in out) == [False] + [True] * 7
         assert {r.content for r in out} == {"MOCK-ANSWER: Q"}
-        assert store_mod._FLIGHT.waiting == {}
+        assert store_mod._FILLING == set()
 
     def test_two_threads_write_one_key(self, tmp_path, monkeypatch, in_threads):
         # both temp files are written before either is renamed over the entry

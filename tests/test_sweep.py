@@ -238,7 +238,7 @@ class TestConcurrency:
                   embed_texts_fn=offline_batch, embed_single_fn=single_batch,
                   generate_fn=make_cached_fn(slow_early_generate(8), tmp_path),
                   judge=LexicalJudge(), concurrency=4)
-        assert store_mod._FLIGHT.waiting == {}
+        assert store_mod._FILLING == set()
 
 
 class TestPipeline:
