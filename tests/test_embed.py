@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import time
 import tracemalloc
 
@@ -317,7 +318,9 @@ def test_embed_texts_offline_dispatch():
     assert [len(v) for v in vecs] == [32, 32]
 
 
-def test_store_fetch_waiter_retries_after_failure(tmp_path, in_threads):
+@pytest.mark.parametrize("error", [RagBenchError, RuntimeError],
+                         ids=lambda e: e.__name__)
+def test_store_fetch_waiter_retries_after_failure(tmp_path, in_threads, error):
     # 8 threads miss one entry at once: the owner's compute fails, and one
     # waiter then computes again and stores what the other six read
     calls = []
@@ -326,12 +329,27 @@ def test_store_fetch_waiter_retries_after_failure(tmp_path, in_threads):
         calls.append(1)
         time.sleep(0.05)
         if len(calls) == 1:
-            raise RagBenchError("first call fails")
+            raise error("first call fails")
         return "value", {"value": "value"}
 
     out = in_threads(8, lambda i: store_mod.fetch(tmp_path, "k", lambda e: e["value"],
                                                   fail_first))
     assert len(calls) == 2
-    assert sum(isinstance(r, RagBenchError) for r in out) == 1
+    assert sum(isinstance(r, error) for r in out) == 1
     assert out.count("value") == 7
+    assert store_mod._FILLING == set()
+
+
+def test_store_fetch_two_threads_fill_two_entries_at_once(tmp_path, in_threads):
+    # each compute waits for the other's: fills of different entries that
+    # ran one after another would break the barrier
+    barrier = threading.Barrier(2, timeout=5)
+
+    def compute(i):
+        barrier.wait()
+        return i, {"value": i}
+
+    out = in_threads(2, lambda i: store_mod.fetch(tmp_path, f"k{i}", lambda e: e["value"],
+                                                  lambda: compute(i)))
+    assert out == [0, 1]
     assert store_mod._FILLING == set()
