@@ -21,6 +21,11 @@ import time
 from .errors import RagBenchError
 
 API_KEY_ENV = "RAGBENCH_API_KEY"
+# remote transport defaults: the chat backend always uses them, an embedder
+# config may set its own
+TIMEOUT_MS = 30000
+MAX_RETRIES = 3
+MAX_CONCURRENCY = 4
 _BACKOFF_BASE_S = 0.5
 _RETRY_AFTER_MAX_S = 30
 
@@ -71,8 +76,8 @@ def _post(url: str, data: bytes, timeout_s: float) -> tuple[int, str | None, byt
         raise RagBenchError(f"request to {url} failed: {exc}") from exc
 
 
-def post_json_with_retries(url: str, payload: dict, *, timeout_ms: int,
-                           max_retries: int) -> dict:
+def post_json_with_retries(url: str, payload: dict, *, timeout_ms: int = TIMEOUT_MS,
+                           max_retries: int = MAX_RETRIES) -> dict:
     """POST payload as JSON; return the decoded JSON response body."""
     try:
         data = json.dumps(payload, allow_nan=False).encode("utf-8")

@@ -14,10 +14,11 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import embed as embed_mod
+from ._http import MAX_CONCURRENCY
 from .config import AppConfig, load_app_config
 from .embed import embed_texts
 from .errors import InvalidConfig, RagBenchError
-from .llm import LlmConfig, generate, make_cached_fn, mock_generate
+from .llm import generate, make_cached_fn, mock_generate
 from .metrics import LexicalJudge, RemoteJudge, load_qa_jsonl
 from .rag import answer_question
 from .report import clear, emit_csv, emit_svg, summary_lines
@@ -50,18 +51,18 @@ def _make_backends(app: AppConfig):
     module's, so that perfbench's tracer times the two apart.
 
     concurrency is how many QA items a sweep answers at once. Remote calls
-    mostly wait on the network, so they overlap up to the LLM's
-    max_concurrency; the offline backend computes in Python under the
-    interpreter lock, where threads would only add switching, so it runs
-    one item at a time.
+    mostly wait on the network, so they overlap up to MAX_CONCURRENCY, the
+    chat requests in flight; the offline backend computes in Python under
+    the interpreter lock, where threads would only add switching, so it
+    runs one item at a time.
     """
     if app.embedder.kind == "offline":
         generate_fn, endpoint_tag, concurrency = mock_generate, "mock", 1
     else:
         # a remote embedder always has an endpoint_url (EmbedderConfig checks)
-        llm_cfg = LlmConfig(endpoint_url=app.llm_endpoint_url or app.embedder.endpoint_url)
-        generate_fn = lambda req: generate(req, llm_cfg)
-        endpoint_tag, concurrency = llm_cfg.endpoint_url, llm_cfg.max_concurrency
+        endpoint_tag = app.llm_endpoint_url or app.embedder.endpoint_url
+        generate_fn = lambda req: generate(req, endpoint_tag)
+        concurrency = MAX_CONCURRENCY
     if app.cache_dir:
         generate_fn = make_cached_fn(generate_fn, app.cache_dir, endpoint=endpoint_tag)
 

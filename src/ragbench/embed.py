@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import store
-from ._http import post_json_with_retries
+from ._http import MAX_CONCURRENCY, MAX_RETRIES, TIMEOUT_MS, post_json_with_retries
 from .errors import InvalidConfig, RagBenchError
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -36,9 +36,9 @@ class EmbedderConfig:
     dim: int = 256
     endpoint_url: str = ""
     model: str = ""
-    max_concurrency: int = 4
-    timeout_ms: int = 30000
-    max_retries: int = 3
+    max_concurrency: int = MAX_CONCURRENCY
+    timeout_ms: int = TIMEOUT_MS
+    max_retries: int = MAX_RETRIES
 
     def __post_init__(self):
         if self.kind not in ("offline", "remote"):

@@ -37,29 +37,19 @@ class ChatResponse:
     cached: bool = False
 
 
-@dataclass
-class LlmConfig:
-    endpoint_url: str = ""
-    max_concurrency: int = 4
-    timeout_ms: int = 30000
-    max_retries: int = 3
-
-
 GenerateFn = Callable[[ChatRequest], ChatResponse]
 
 
-def generate(req: ChatRequest, cfg: LlmConfig) -> ChatResponse:
-    """POST {endpoint}/v1/chat/completions; content = first choice message."""
+def generate(req: ChatRequest, endpoint_url: str) -> ChatResponse:
+    """POST {endpoint_url}/v1/chat/completions; content = first choice message."""
     body = post_json_with_retries(
-        cfg.endpoint_url.rstrip("/") + "/v1/chat/completions",
+        endpoint_url.rstrip("/") + "/v1/chat/completions",
         {
             "model": req.model,
             "messages": req.messages,
             "temperature": 0.0,
             "max_tokens": req.max_tokens,
         },
-        timeout_ms=cfg.timeout_ms,
-        max_retries=cfg.max_retries,
     )
     try:
         choices = body["choices"]

@@ -153,15 +153,14 @@ def test_first_requests_from_several_threads_at_once(fake_server):
     code = WATCH_PRELUDE + """
 sys.setswitchinterval(1e-6)
 from ragbench.embed import _MAX_BATCH, EmbedderConfig, embed_remote
-from ragbench.llm import ChatRequest, LlmConfig, generate
+from ragbench.llm import ChatRequest, generate
 before = loaded()
 url = sys.argv[1]
 texts = ["x" * (1 + i % 97) for i in range(4 * _MAX_BATCH + 1)]
 vecs = embed_remote(texts, EmbedderConfig(kind="remote", endpoint_url=url,
                                           max_concurrency=4))
 rows_ok = [list(v) for v in vecs] == [[float(len(t))] * 8 for t in texts]
-reply = generate(ChatRequest(model="m", messages=[{"role": "user", "content": "hi"}]),
-                 LlmConfig(endpoint_url=url)).content
+reply = generate(ChatRequest(model="m", messages=[{"role": "user", "content": "hi"}]), url).content
 print(json.dumps({"before": before, "after": loaded(), "rows_ok": rows_ok, "reply": reply}))
 """
     got = json.loads(fresh_python(code, fake_server.url))

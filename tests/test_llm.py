@@ -7,8 +7,8 @@ import pytest
 
 from ragbench.errors import InvalidConfig, RagBenchError
 import ragbench.store as store_mod
-from ragbench.llm import (ChatRequest, LlmConfig, cached, generate,
-                          make_cached_fn, mock_generate, request_key)
+from ragbench.llm import (ChatRequest, cached, generate, make_cached_fn,
+                          mock_generate, request_key)
 
 
 def req(content="Q", model="m", **kw):
@@ -24,18 +24,15 @@ class TestRequestValidation:
 
 
 class TestGenerate:
-    def cfg(self, server):
-        return LlmConfig(endpoint_url=server.url, max_retries=2)
-
     def test_maps_first_choice(self, fake_server):
         fake_server.script.append(
             (200, {"choices": [{"message": {"content": "X"}}]}))
-        resp = generate(req(), self.cfg(fake_server))
+        resp = generate(req(), fake_server.url)
         assert resp.content == "X"
         assert resp.cached is False
 
     def test_wire_shape(self, fake_server):
-        generate(req("hello", max_tokens=99), self.cfg(fake_server))
+        generate(req("hello", max_tokens=99), fake_server.url)
         path, payload, _ = fake_server.requests[0]
         assert path == "/v1/chat/completions"
         assert payload["model"] == "m"
@@ -46,25 +43,25 @@ class TestGenerate:
     def test_empty_choices(self, fake_server):
         fake_server.script.append((200, {"choices": []}))
         with pytest.raises(RagBenchError, match=r"^malformed chat response: "):
-            generate(req(), self.cfg(fake_server))
+            generate(req(), fake_server.url)
 
     def test_empty_content(self, fake_server):
         fake_server.script.append(
             (200, {"choices": [{"message": {"content": ""}}]}))
         with pytest.raises(RagBenchError, match=r"^empty completion content$"):
-            generate(req(), self.cfg(fake_server))
+            generate(req(), fake_server.url)
 
     def test_retries_exhausted(self, fake_server, no_backoff_sleep):
-        fake_server.script.extend([(429, {})] * 3)
-        with pytest.raises(RagBenchError, match=r"^rate limited after 2 retries: "):
-            generate(req(), self.cfg(fake_server))
-        assert len(no_backoff_sleep) == 2
+        fake_server.script.extend([(429, {})] * 4)
+        with pytest.raises(RagBenchError, match=r"^rate limited after 3 retries: "):
+            generate(req(), fake_server.url)
+        assert len(no_backoff_sleep) == 3
 
     def test_5xx_then_success(self, fake_server, no_backoff_sleep):
         fake_server.script.append((503, {}))
         fake_server.script.append(
             (200, {"choices": [{"message": {"content": "ok"}}]}))
-        assert generate(req(), self.cfg(fake_server)).content == "ok"
+        assert generate(req(), fake_server.url).content == "ok"
         assert no_backoff_sleep == [0.5]
 
 
