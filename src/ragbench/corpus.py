@@ -42,13 +42,15 @@ def compose_body(title: str, selftext: str, top_comment: str) -> str:
 
 def read_jsonl(stream: IO[bytes], parse: Callable, lenient: bool = False) -> tuple[list, int]:
     """(parse(obj) of each non-blank line of a binary JSONL stream, the
-    number of lines skipped). A line that is not UTF-8 or not JSON, that
-    parse rejects, or whose record's .id an earlier one has, raises
-    MalformedLine naming it; in lenient mode it is skipped and counted."""
+    number of lines skipped). A UTF-8 byte-order mark that starts a line,
+    as Windows tools write at the start of a file, is dropped. A line that
+    is not UTF-8 or not JSON, that parse rejects, or whose record's .id an
+    earlier one has, raises MalformedLine naming it; in lenient mode it is
+    skipped and counted."""
     records, seen, skipped = [], set(), 0
     for line_no, raw in enumerate(stream, start=1):
         try:
-            line = raw.decode("utf-8")
+            line = raw.decode("utf-8-sig")
             if not line.strip():
                 continue
             record = parse(json.loads(line))
@@ -120,7 +122,8 @@ def parse_reddit_jsonl(stream: IO[bytes], lenient: bool = True) -> tuple[list[Do
 
 def ingest_text_dir(path: str | Path) -> list[Document]:
     """One Document per .txt/.md file under path (recursive), id = relative
-    path, sorted by id. Empty files are skipped."""
+    path, sorted by id. Empty files are skipped, and a leading UTF-8
+    byte-order mark is dropped."""
     root = Path(path)
     os.listdir(root)  # FileNotFoundError or NotADirectoryError, where rglob finds nothing
     docs = []
@@ -128,7 +131,7 @@ def ingest_text_dir(path: str | Path) -> list[Document]:
         if not p.is_file() or p.suffix.lower() not in (".txt", ".md"):
             continue
         try:
-            body = p.read_text(encoding="utf-8")
+            body = p.read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise RagBenchError(f"{p} is not UTF-8 text: {exc.reason}") from exc
         if not body.strip():

@@ -145,6 +145,14 @@ def test_parse_lenient_bytes_not_utf8_skipped():
     assert skipped == 1
 
 
+def test_parse_leading_bom_keeps_first_post():
+    stream = io.BytesIO(b"\xef\xbb\xbf" + reddit_line().encode() + b"\n"
+                        + reddit_line(id="b").encode())
+    docs, skipped = parse_reddit_jsonl(stream, lenient=True)
+    assert [d.id for d in docs] == ["a1", "b"]
+    assert skipped == 0
+
+
 def test_parse_lenient_string_not_utf8_skipped():
     # the same line that strict mode rejects: no U+FFFD text is kept
     stream = io.BytesIO(reddit_line().encode() + b'\n{"id":"x","title":"caf\xff"}\n')
@@ -166,6 +174,15 @@ def test_ingest_text_dir(tmp_path):
     assert docs[0].body == "x"
     assert docs[0].title == "notes"
     assert docs[1].source == "unit1/lec.txt"
+
+
+def test_ingest_text_dir_drops_bom(tmp_path):
+    # a copy saved with a byte-order mark has the plain copy's body
+    (tmp_path / "plain.md").write_bytes("Café notes".encode())
+    (tmp_path / "windows.md").write_bytes("\ufeffCafé notes".encode())
+    docs = ingest_text_dir(tmp_path)
+    assert [d.body for d in docs] == ["Café notes"] * 2
+    assert [d.id for d in dedup(docs)] == ["plain.md"]
 
 
 def test_ingest_empty_dir(tmp_path):

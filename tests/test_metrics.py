@@ -395,6 +395,11 @@ class TestQASetFile:
         assert exc.value.line_no == 2
         assert isinstance(exc.value.__cause__, UnicodeDecodeError)
 
+    def test_leading_bom_ignored(self, tmp_path):
+        path = tmp_path / "qa.jsonl"
+        path.write_bytes(b'\xef\xbb\xbf{"id":"1","question":"Q","ground_truth":"G"}\n')
+        assert load_qa_jsonl(path) == [QAItem(id="1", question="Q", ground_truth="G")]
+
     def test_int_id_kept_as_text(self, tmp_path):
         path = tmp_path / "qa.jsonl"
         path.write_text('{"id":7,"question":"Q","ground_truth":"G"}\n')
