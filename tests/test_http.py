@@ -160,7 +160,8 @@ texts = ["x" * (1 + i % 97) for i in range(4 * _MAX_BATCH + 1)]
 vecs = embed_remote(texts, EmbedderConfig(kind="remote", endpoint_url=url,
                                           max_concurrency=4))
 rows_ok = [list(v) for v in vecs] == [[float(len(t))] * 8 for t in texts]
-reply = generate(ChatRequest(model="m", messages=[{"role": "user", "content": "hi"}]), url).content
+reply = generate(ChatRequest(model="m", messages=[{"role": "user", "content": "hi"}]),
+                 url).content
 print(json.dumps({"before": before, "after": loaded(), "rows_ok": rows_ok, "reply": reply}))
 """
     got = json.loads(fresh_python(code, fake_server.url))
