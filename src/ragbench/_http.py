@@ -21,8 +21,8 @@ import time
 from .errors import RagBenchError
 
 API_KEY_ENV = "RAGBENCH_API_KEY"
-# remote transport defaults: the chat backend always uses them, an embedder
-# config may set its own
+# the remote transport: both the chat and the embeddings backend use these,
+# and no config key changes them
 TIMEOUT_MS = 30000
 MAX_RETRIES = 3
 MAX_CONCURRENCY = 4

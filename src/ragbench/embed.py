@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import store
-from ._http import MAX_CONCURRENCY, MAX_RETRIES, TIMEOUT_MS, post_json_with_retries
+from ._http import MAX_CONCURRENCY, post_json_with_retries
 from .errors import InvalidConfig, RagBenchError
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -36,9 +36,6 @@ class EmbedderConfig:
     dim: int = 256
     endpoint_url: str = ""
     model: str = ""
-    max_concurrency: int = MAX_CONCURRENCY
-    timeout_ms: int = TIMEOUT_MS
-    max_retries: int = MAX_RETRIES
 
     def __post_init__(self):
         if self.kind not in ("offline", "remote"):
@@ -47,9 +44,6 @@ class EmbedderConfig:
             raise InvalidConfig("remote embedder requires endpoint_url")
         if self.kind == "offline" and self.dim <= 0:
             raise InvalidConfig("offline embedder dim must be > 0")
-        for name, low in (("max_retries", 0), ("timeout_ms", 1), ("max_concurrency", 1)):
-            if getattr(self, name) < low:
-                raise InvalidConfig(f"embedder {name} must be >= {low}")
 
 
 def _fnv1a64(data: bytes) -> int:
@@ -163,10 +157,10 @@ def embed_remote(texts: list[str], cfg: EmbedderConfig,
                  cache_dir: str | Path | None = None) -> list[np.ndarray]:
     """Embed texts via POST {endpoint_url}/v1/embeddings, in input order.
 
-    Requests carry at most 64 texts each; 429/5xx responses are retried with
-    exponential backoff per cfg.max_retries. With a cache_dir, each request's
-    validated embeddings are kept in the response store, keyed on URL, model
-    and input list, and a repeated request is answered from there.
+    Requests carry at most 64 texts each, MAX_CONCURRENCY at once, under
+    _http's timeout and retries, as chat's do. With a cache_dir, validated
+    embeddings are kept in the response store, keyed on URL, model and
+    input list, and a repeated request is answered from there.
     """
     if not texts:
         raise RagBenchError("no texts to embed")
@@ -177,11 +171,7 @@ def embed_remote(texts: list[str], cfg: EmbedderConfig,
     batches = [texts[i:i + _MAX_BATCH] for i in range(0, len(texts), _MAX_BATCH)]
 
     def request(batch: list[str]) -> tuple[list[np.ndarray], dict]:
-        body = post_json_with_retries(
-            url, {"model": cfg.model, "input": batch},
-            timeout_ms=cfg.timeout_ms,
-            max_retries=cfg.max_retries,
-        )
+        body = post_json_with_retries(url, {"model": cfg.model, "input": batch})
         try:
             rows = [item["embedding"] for item in body["data"]]
         except (KeyError, TypeError) as exc:
@@ -196,7 +186,7 @@ def embed_remote(texts: list[str], cfg: EmbedderConfig,
                            lambda entry: _rows(entry.get("embeddings"), len(batch)),
                            lambda: request(batch))
 
-    with ThreadPoolExecutor(max_workers=cfg.max_concurrency) as pool:
+    with ThreadPoolExecutor(max_workers=MAX_CONCURRENCY) as pool:
         results = list(pool.map(run_batch, batches))
     out = [v for batch in results for v in batch]
     dims = {len(v) for v in out}

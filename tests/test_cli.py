@@ -549,9 +549,6 @@ class TestConfigFile:
         {"llm_model": ["x"]}, {"chunk_sizes": [250, "500"]}, {"chunk_sizes": 250},
         {"rag": {"prompt_template": 5}}, {"rag": {"top_k": None}},
         {"metric": {"w_factual": "1"}}, {"embedder": {"dim": False}},
-        # and values with which no request could be sent
-        {"embedder": {"max_retries": -1}}, {"embedder": {"timeout_ms": 0}},
-        {"embedder": {"timeout_ms": -5}}, {"embedder": {"max_concurrency": 0}},
     ])
     def test_value_of_the_wrong_type_rejected(self, tmp_path, capsys, obj):
         cfg = tmp_path / "cfg.json"
@@ -559,6 +556,16 @@ class TestConfigFile:
         assert main(["ask", "--corpus", "x", "--question", "q",
                      "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {cfg}:")
+
+    @pytest.mark.parametrize("key", ["timeout_ms", "max_retries", "max_concurrency"])
+    def test_embedder_transport_is_not_a_config_key(self, tmp_path, capsys, key):
+        # both backends use the _http constants; no key changes them
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"embedder": {key: 1}}))
+        assert main(["ask", "--corpus", "x", "--question", "q",
+                     "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == \
+            f"config error: {cfg}:embedder: unknown keys ['{key}']\n"
 
     def test_int_accepted_for_a_float(self, tmp_path):
         cfg = tmp_path / "cfg.json"

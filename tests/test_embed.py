@@ -180,11 +180,8 @@ class TestCosine:
 
 
 class TestRemote:
-    def cfg(self, server, **kw):
-        defaults = dict(kind="remote", endpoint_url=server.url, model="m",
-                        max_retries=2)
-        defaults.update(kw)
-        return EmbedderConfig(**defaults)
+    def cfg(self, server):
+        return EmbedderConfig(kind="remote", endpoint_url=server.url, model="m")
 
     def test_maps_in_order(self, fake_server):
         fake_server.script.append(
@@ -206,10 +203,10 @@ class TestRemote:
         assert no_backoff_sleep == [0.5]
 
     def test_rate_limit_exhausted(self, fake_server, no_backoff_sleep):
-        fake_server.script.extend([(429, {})] * 3)
-        with pytest.raises(RagBenchError, match=r"^rate limited after 2 retries: "):
+        fake_server.script.extend([(429, {})] * 4)
+        with pytest.raises(RagBenchError, match=r"^rate limited after 3 retries: "):
             embed_remote(["a"], self.cfg(fake_server))
-        assert no_backoff_sleep == [0.5, 1.0]
+        assert no_backoff_sleep == [0.5, 1.0, 2.0]
 
     def test_malformed_response(self, fake_server):
         fake_server.script.append((200, {"nope": []}))

@@ -157,8 +157,7 @@ from ragbench.llm import ChatRequest, generate
 before = loaded()
 url = sys.argv[1]
 texts = ["x" * (1 + i % 97) for i in range(4 * _MAX_BATCH + 1)]
-vecs = embed_remote(texts, EmbedderConfig(kind="remote", endpoint_url=url,
-                                          max_concurrency=4))
+vecs = embed_remote(texts, EmbedderConfig(kind="remote", endpoint_url=url))
 rows_ok = [list(v) for v in vecs] == [[float(len(t))] * 8 for t in texts]
 reply = generate(ChatRequest(model="m", messages=[{"role": "user", "content": "hi"}]),
                  url).content
