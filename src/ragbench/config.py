@@ -74,7 +74,7 @@ def _build(cls, obj, where: str):
 
 def load_app_config(path: str | Path) -> AppConfig:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidConfig(f"cannot read config {path}: {exc}") from exc
     return _build(AppConfig, obj, str(path))

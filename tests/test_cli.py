@@ -567,6 +567,11 @@ class TestConfigFile:
         assert capsys.readouterr().err == \
             f"config error: {cfg}:embedder: unknown keys ['{key}']\n"
 
+    def test_leading_bom_ignored(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'\xef\xbb\xbf{"chunk_sizes": [100]}')
+        assert load_app_config(cfg).chunk_sizes == [100]
+
     def test_int_accepted_for_a_float(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"metric": {"w_factual": 1, "w_semantic": 0}}')
