@@ -32,7 +32,7 @@ def _resolve_app(config_path: str | None, cache_dir: str | None, *,
                  overlap: int | None = None, top_k: int | None = None) -> AppConfig:
     """The command's settings: the config file's, or the defaults, with the
     flags given (not None) applied. backend sets embedder.kind; the cache dir
-    comes from the environment, then the flag, then the file; rag.model
+    comes from the flag, then the environment, then the file; rag.model
     defaults to llm_model."""
     app = load_app_config(config_path) if config_path else AppConfig()
     return dataclasses.replace(
@@ -41,7 +41,7 @@ def _resolve_app(config_path: str | None, cache_dir: str | None, *,
         embedder=dataclasses.replace(app.embedder, kind=backend or app.embedder.kind),
         rag=dataclasses.replace(app.rag, top_k=app.rag.top_k if top_k is None else top_k,
                                 model=app.rag.model or app.llm_model),
-        cache_dir=os.environ.get(CACHE_DIR_ENV) or cache_dir or app.cache_dir)
+        cache_dir=cache_dir or os.environ.get(CACHE_DIR_ENV) or app.cache_dir)
 
 
 def _make_backends(app: AppConfig):

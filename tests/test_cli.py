@@ -572,6 +572,21 @@ class TestConfigFile:
         cfg.write_bytes(b'\xef\xbb\xbf{"chunk_sizes": [100]}')
         assert load_app_config(cfg).chunk_sizes == [100]
 
+    @pytest.mark.parametrize("flag,env,expected", [
+        pytest.param("from-flag", "from-env", "from-flag", id="flag-over-env"),
+        pytest.param(None, "from-env", "from-env", id="env-over-file"),
+        pytest.param(None, None, "from-file", id="file"),
+    ])
+    def test_cache_dir_from_flag_then_env_then_file(self, tmp_path, monkeypatch,
+                                                   flag, env, expected):
+        if env is None:
+            monkeypatch.delenv(cli_mod.CACHE_DIR_ENV, raising=False)
+        else:
+            monkeypatch.setenv(cli_mod.CACHE_DIR_ENV, env)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"cache_dir": "from-file"}')
+        assert cli_mod._resolve_app(str(cfg), flag).cache_dir == expected
+
     def test_int_accepted_for_a_float(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"metric": {"w_factual": 1, "w_semantic": 0}}')
