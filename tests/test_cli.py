@@ -551,6 +551,9 @@ class TestConfigFile:
         {"llm_model": ["x"]}, {"chunk_sizes": [250, "500"]}, {"chunk_sizes": 250},
         {"rag": {"prompt_template": 5}}, {"rag": {"top_k": None}},
         {"metric": {"w_factual": "1"}}, {"embedder": {"dim": False}},
+        # and values with which no embedding could be made
+        {"embedder": {"dim": 0}}, {"embedder": {"dim": -5}},
+        {"embedder": {"kind": "remote"}},
     ])
     def test_value_of_the_wrong_type_rejected(self, tmp_path, capsys, obj):
         cfg = tmp_path / "cfg.json"
