@@ -7,9 +7,11 @@ Exit codes: 0 success, 1 usage/config error, 2 data/runtime error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -41,37 +43,39 @@ def _resolve_app(config_path: str | None, cache_dir: str | None, *,
         embedder=dataclasses.replace(app.embedder, kind=backend or app.embedder.kind),
         rag=dataclasses.replace(app.rag, top_k=app.rag.top_k if top_k is None else top_k,
                                 model=app.rag.model or app.llm_model),
-        cache_dir=cache_dir or os.environ.get(CACHE_DIR_ENV) or app.cache_dir)
+        cache_dir=(os.environ.get(CACHE_DIR_ENV) or app.cache_dir) if cache_dir is None
+        else cache_dir)
 
 
+@contextlib.contextmanager
 def _make_backends(app: AppConfig):
-    """Return (embed_texts_fn, embed_single_fn, generate_fn, judge,
+    """Yield (embed_texts_fn, embed_single_fn, generate_fn, judge,
     concurrency) for app's embedder.kind and metric.judge. Chunk texts go
     through this module's embed_texts, single texts through the embed
-    module's, so that perfbench's tracer times the two apart.
+    module's, so that perfbench's tracer times the two apart. Every remote
+    reply goes through the response store in app.cache_dir, or without one
+    in a temporary directory removed on exit; the offline backend is never
+    cached.
 
-    concurrency is how many QA items a sweep answers at once. Remote calls
-    mostly wait on the network, so they overlap up to MAX_CONCURRENCY, the
-    chat requests in flight; the offline backend computes in Python under
-    the interpreter lock, where threads would only add switching, so it
-    runs one item at a time.
+    concurrency is how many QA items a sweep answers at once: remote calls
+    mostly wait on the network, so MAX_CONCURRENCY of them overlap; offline,
+    threads computing under the interpreter lock would only add switching.
     """
-    if app.embedder.kind == "offline":
-        generate_fn, endpoint_tag, concurrency = mock_generate, "mock", 1
-    else:
-        # a remote embedder always has an endpoint_url (EmbedderConfig checks)
-        endpoint_tag = app.llm_endpoint_url or app.embedder.endpoint_url
-        generate_fn = lambda req: generate(req, endpoint_tag)
-        concurrency = MAX_CONCURRENCY
-    if app.cache_dir:
-        generate_fn = make_cached_fn(generate_fn, app.cache_dir, endpoint=endpoint_tag)
-
-    judge = (RemoteJudge(generate_fn, model=app.llm_model) if app.metric.judge == "remote"
-             else LexicalJudge(app.metric.jaccard_threshold))
-
-    return ((lambda texts: embed_texts(texts, app.embedder, app.cache_dir)),
-            (lambda texts: embed_mod.embed_texts(texts, app.embedder, app.cache_dir)),
-            generate_fn, judge, concurrency)
+    with contextlib.ExitStack() as stack:
+        if app.embedder.kind == "offline":
+            cache_dir, generate_fn, concurrency = None, mock_generate, 1
+        else:
+            cache_dir = app.cache_dir or stack.enter_context(tempfile.TemporaryDirectory())
+            # a remote embedder always has an endpoint_url (EmbedderConfig checks)
+            endpoint = app.llm_endpoint_url or app.embedder.endpoint_url
+            generate_fn = make_cached_fn(lambda req: generate(req, endpoint), cache_dir,
+                                         endpoint=endpoint)
+            concurrency = MAX_CONCURRENCY
+        judge = (RemoteJudge(generate_fn, model=app.llm_model) if app.metric.judge == "remote"
+                 else LexicalJudge(app.metric.jaccard_threshold))
+        yield ((lambda texts: embed_texts(texts, app.embedder, cache_dir)),
+               (lambda texts: embed_mod.embed_texts(texts, app.embedder, cache_dir)),
+               generate_fn, judge, concurrency)
 
 
 def cmd_ingest(fmt, in_path, out_path, do_dedup, strict):
@@ -96,12 +100,11 @@ def cmd_ask(corpus_path, question, chunk_size, overlap, top_k, backend,
         raise InvalidConfig("--question must not be blank")
     app = _resolve_app(config_path, cache_dir, backend=backend, sizes=[chunk_size],
                        overlap=overlap, top_k=top_k)
-    embed_texts_fn, embed_single_fn, generate_fn, _, _ = _make_backends(app)
-
-    index = build_index(corpus_mod.load_corpus(corpus_path), app.chunk_sizes[0],
-                        app.overlap, embed_texts_fn, {})
-    hits = index.query_topk(embed_single_fn([question])[0], app.rag.top_k)
-    record = answer_question(question, hits, generate_fn, app.rag)
+    with _make_backends(app) as (embed_texts_fn, embed_single_fn, generate_fn, _, _):
+        index = build_index(corpus_mod.load_corpus(corpus_path), app.chunk_sizes[0],
+                            app.overlap, embed_texts_fn, {})
+        hits = index.query_topk(embed_single_fn([question])[0], app.rag.top_k)
+        record = answer_question(question, hits, generate_fn, app.rag)
     print(record.answer)
     print()
     print("retrieved:")
@@ -124,19 +127,19 @@ def cmd_sweep(corpus_path, qa_path, sizes, out_dir, overlap, backend,
     if app.metric.judge == "remote" and app.embedder.kind == "offline":
         # the mock backend echoes prompts, so it cannot answer a judge prompt
         raise InvalidConfig('metric.judge "remote" needs the remote backend')
-    embed_texts_fn, embed_single_fn, generate_fn, judge, concurrency = _make_backends(app)
-
     out = Path(out_dir)
-    # outputs of an earlier run must not outlive a sweep that fails
-    clear(out)
-    docs = corpus_mod.load_corpus(corpus_path)
-    qa_set = load_qa_jsonl(qa_path)
-    out.mkdir(parents=True, exist_ok=True)
-    report = run_sweep(docs, qa_set, app,
-                       embed_texts_fn=embed_texts_fn, embed_single_fn=embed_single_fn,
-                       generate_fn=generate_fn, judge=judge,
-                       keep_going=keep_going, out_dir=out,
-                       concurrency=concurrency)
+    with _make_backends(app) as (embed_texts_fn, embed_single_fn, generate_fn, judge,
+                                 concurrency):
+        # outputs of an earlier run must not outlive a sweep that fails
+        clear(out)
+        docs = corpus_mod.load_corpus(corpus_path)
+        qa_set = load_qa_jsonl(qa_path)
+        out.mkdir(parents=True, exist_ok=True)
+        report = run_sweep(docs, qa_set, app,
+                           embed_texts_fn=embed_texts_fn, embed_single_fn=embed_single_fn,
+                           generate_fn=generate_fn, judge=judge,
+                           keep_going=keep_going, out_dir=out,
+                           concurrency=concurrency)
     emit_csv(report, out)
     emit_svg(report, out)
     for line in summary_lines(report):

@@ -154,13 +154,12 @@ def _rows(rows, n: int) -> list[np.ndarray]:
 
 
 def embed_remote(texts: list[str], cfg: EmbedderConfig,
-                 cache_dir: str | Path | None = None) -> list[np.ndarray]:
+                 cache_dir: str | Path) -> list[np.ndarray]:
     """Embed texts via POST {endpoint_url}/v1/embeddings, in input order.
 
     Requests carry at most 64 texts each, MAX_CONCURRENCY at once, under
-    _http's timeout and retries, as chat's do. With a cache_dir, validated
-    embeddings are kept in the response store, keyed on URL, model and
-    input list, and a repeated request is answered from there.
+    _http's timeout and retries, as chat's do, and go through the response
+    store in cache_dir, keyed on URL, model and input list.
     """
     if not texts:
         raise RagBenchError("no texts to embed")
@@ -179,8 +178,6 @@ def embed_remote(texts: list[str], cfg: EmbedderConfig,
         return _rows(rows, len(batch)), {"embeddings": rows}
 
     def run_batch(batch: list[str]) -> list[np.ndarray]:
-        if not cache_dir:
-            return request(batch)[0]
         key = store.request_key({"url": url, "model": cfg.model, "input": batch})
         return store.fetch(cache_dir, key,
                            lambda entry: _rows(entry.get("embeddings"), len(batch)),
@@ -197,8 +194,8 @@ def embed_remote(texts: list[str], cfg: EmbedderConfig,
 
 def embed_texts(texts: list[str], cfg: EmbedderConfig,
                 cache_dir: str | Path | None = None) -> list[np.ndarray]:
-    """Dispatch to the configured embedder. Only remote embeddings are
-    cached in cache_dir: offline ones make no backend call."""
+    """Dispatch to the configured embedder. A remote one needs cache_dir,
+    its response store; the offline one makes no backend call and ignores it."""
     if cfg.kind == "offline":
         return embed_offline_batch(texts, cfg.dim)
     return embed_remote(texts, cfg, cache_dir)

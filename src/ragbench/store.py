@@ -22,7 +22,7 @@ _FILLED = threading.Condition()
 
 def request_key(request: dict) -> str:
     """SHA-256 of the canonical JSON of a request."""
-    import hashlib  # here, so that a run without a cache dir never loads OpenSSL
+    import hashlib  # here, so that an offline run never loads OpenSSL
 
     canonical = json.dumps(request, sort_keys=True, separators=(",", ":"),
                            ensure_ascii=False)

@@ -1,5 +1,6 @@
 import json
 import re
+import tempfile
 import threading
 import time
 from collections import Counter
@@ -357,6 +358,8 @@ class TestSweep:
                      "--sizes", "100,50", "--out", str(tmp_path / "o")]) == 1
 
     def test_warm_cache_identical_csv(self, inputs, tmp_path):
+        # the offline backend is never cached: a sweep with --cache-dir
+        # creates no store, and its rerun writes the same reports
         corpus, qa = inputs
         out1 = tmp_path / "o1"
         out2 = tmp_path / "o2"
@@ -365,8 +368,9 @@ class TestSweep:
                   "--sizes", "100,200", "--backend", "offline",
                   "--cache-dir", str(cache)]
         assert main(common + ["--out", str(out1)]) == 0
-        assert any(cache.iterdir())
+        assert not cache.exists()
         assert main(common + ["--out", str(out2)]) == 0
+        assert not cache.exists()
         assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
         assert (out1 / "report.svg").read_bytes() == (out2 / "report.svg").read_bytes()
 
@@ -588,6 +592,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("flag,env,expected", [
         pytest.param("from-flag", "from-env", "from-flag", id="flag-over-env"),
+        pytest.param("", "from-env", "", id="empty-flag-over-env"),
         pytest.param(None, "from-env", "from-env", id="env-over-file"),
         pytest.param(None, None, "from-file", id="file"),
     ])
@@ -650,17 +655,32 @@ class TestConfigFile:
 
 class TestMakeBackends:
     def test_lexical_judge_at_config_threshold(self):
-        judge = cli_mod._make_backends(AppConfig(metric=MetricConfig(jaccard_threshold=0.3)))[3]
-        assert type(judge) is LexicalJudge
-        assert judge.jaccard_threshold == 0.3
+        with cli_mod._make_backends(AppConfig(metric=MetricConfig(jaccard_threshold=0.3))) \
+                as (_, _, _, judge, _):
+            assert type(judge) is LexicalJudge
+            assert judge.jaccard_threshold == 0.3
 
     def test_remote_judge_with_llm_model(self):
         app = AppConfig(embedder=EmbedderConfig(kind="remote", endpoint_url="http://127.0.0.1:9"),
                         metric=MetricConfig(judge="remote"), llm_model="judge-model")
-        _, _, generate_fn, judge, _ = cli_mod._make_backends(app)
-        assert type(judge) is RemoteJudge
-        assert judge.model == "judge-model"
-        assert judge.generate_fn is generate_fn
+        with cli_mod._make_backends(app) as (_, _, generate_fn, judge, _):
+            assert type(judge) is RemoteJudge
+            assert judge.model == "judge-model"
+            assert judge.generate_fn is generate_fn
+
+    def test_two_threads_embed_a_text_once_without_a_cache_dir(self, fake_server, in_threads,
+                                                              tmp_path, monkeypatch):
+        # a run without a cache dir still answers repeats from a store, one
+        # it removes on exit: two threads that embed one text at once, as
+        # two questions may after a failed batch, send one request
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        fake_server.script.append((200, {"data": [{"embedding": [1.0] * 8}]}, {}, 0.2))
+        app = AppConfig(embedder=EmbedderConfig(kind="remote", endpoint_url=fake_server.url))
+        with cli_mod._make_backends(app) as (_, embed_single_fn, _, _, _):
+            out = in_threads(2, lambda i: embed_single_fn(["same"]))
+        assert len(fake_server.requests) == 1
+        assert [v.tolist() for (v,) in out] == [[1.0] * 8] * 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHelp:

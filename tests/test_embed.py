@@ -183,75 +183,75 @@ class TestRemote:
     def cfg(self, server):
         return EmbedderConfig(kind="remote", endpoint_url=server.url, model="m")
 
-    def test_maps_in_order(self, fake_server):
+    def test_maps_in_order(self, fake_server, tmp_path):
         fake_server.script.append(
             (200, {"data": [{"embedding": [1.0] * 8}, {"embedding": [2.0] * 8}]}))
-        vecs = embed_remote(["a", "b"], self.cfg(fake_server))
+        vecs = embed_remote(["a", "b"], self.cfg(fake_server), tmp_path)
         assert [len(v) for v in vecs] == [8, 8]
         assert vecs[0][0] == 1.0 and vecs[1][0] == 2.0
 
-    def test_dim_mismatch_in_response(self, fake_server):
+    def test_dim_mismatch_in_response(self, fake_server, tmp_path):
         fake_server.script.append(
             (200, {"data": [{"embedding": [1.0] * 8}, {"embedding": [1.0] * 9}]}))
         with pytest.raises(RagBenchError, match=r"^embedding dims disagree within response: \[8, 9\]$"):
-            embed_remote(["a", "b"], self.cfg(fake_server))
+            embed_remote(["a", "b"], self.cfg(fake_server), tmp_path)
 
-    def test_retry_on_429_then_success(self, fake_server, no_backoff_sleep):
+    def test_retry_on_429_then_success(self, fake_server, no_backoff_sleep, tmp_path):
         fake_server.script.append((429, {"error": "slow down"}))
-        vecs = embed_remote(["a"], self.cfg(fake_server))
+        vecs = embed_remote(["a"], self.cfg(fake_server), tmp_path)
         assert len(vecs) == 1
         assert no_backoff_sleep == [0.5]
 
-    def test_rate_limit_exhausted(self, fake_server, no_backoff_sleep):
+    def test_rate_limit_exhausted(self, fake_server, no_backoff_sleep, tmp_path):
         fake_server.script.extend([(429, {})] * 4)
         with pytest.raises(RagBenchError, match=r"^rate limited after 3 retries: "):
-            embed_remote(["a"], self.cfg(fake_server))
+            embed_remote(["a"], self.cfg(fake_server), tmp_path)
         assert no_backoff_sleep == [0.5, 1.0, 2.0]
 
-    def test_malformed_response(self, fake_server):
+    def test_malformed_response(self, fake_server, tmp_path):
         fake_server.script.append((200, {"nope": []}))
         with pytest.raises(RagBenchError, match=r"^malformed embeddings response: "):
-            embed_remote(["a"], self.cfg(fake_server))
+            embed_remote(["a"], self.cfg(fake_server), tmp_path)
 
-    def test_batching_max_64(self, fake_server):
+    def test_batching_max_64(self, fake_server, tmp_path):
         texts = [f"t{i}" for i in range(130)]
-        vecs = embed_remote(texts, self.cfg(fake_server))
+        vecs = embed_remote(texts, self.cfg(fake_server), tmp_path)
         assert len(vecs) == 130
         sizes = [len(p["input"]) for _, p, _ in fake_server.requests]
         assert all(s <= 64 for s in sizes)
         assert sum(sizes) == 130
 
-    def test_wire_shape(self, fake_server):
-        embed_remote(["hello"], self.cfg(fake_server))
+    def test_wire_shape(self, fake_server, tmp_path):
+        embed_remote(["hello"], self.cfg(fake_server), tmp_path)
         path, payload, _ = fake_server.requests[0]
         assert path == "/v1/embeddings"
         assert payload == {"model": "m", "input": ["hello"]}
 
-    def test_bearer_token_from_env(self, fake_server, monkeypatch):
+    def test_bearer_token_from_env(self, fake_server, monkeypatch, tmp_path):
         monkeypatch.setenv("RAGBENCH_API_KEY", "sekret")
-        embed_remote(["hello"], self.cfg(fake_server))
+        embed_remote(["hello"], self.cfg(fake_server), tmp_path)
         headers = fake_server.requests[0][2]
         assert headers.get("Authorization") == "Bearer sekret"
 
-    def test_empty_input_rejected(self, fake_server):
+    def test_empty_input_rejected(self, fake_server, tmp_path):
         with pytest.raises(RagBenchError, match=r"^no texts to embed$"):
-            embed_remote([], self.cfg(fake_server))
+            embed_remote([], self.cfg(fake_server), tmp_path)
         with pytest.raises(RagBenchError, match=r"^cannot embed empty text$"):
-            embed_remote(["ok", ""], self.cfg(fake_server))
+            embed_remote(["ok", ""], self.cfg(fake_server), tmp_path)
 
     @pytest.mark.parametrize("row", [[None], [1.0, None], [[1.0, 2.0]],
                                      [[1.0], [2.0, 3.0]], [], [True], [1.0, "2"],
                                      "1.0", 1.0, {"x": 1.0}, None, [float("nan"), 1.0],
                                      [1.0, float("inf")], [float("-inf")]])
-    def test_malformed_values_rejected(self, fake_server, row):
+    def test_malformed_values_rejected(self, fake_server, row, tmp_path):
         fake_server.script.append((200, {"data": [{"embedding": row}]}))
         with pytest.raises(RagBenchError, match=r"^(malformed embedding: |embedding is not a "
                                                 r"non-empty list of finite numbers$)"):
-            embed_remote(["a"], self.cfg(fake_server))
+            embed_remote(["a"], self.cfg(fake_server), tmp_path)
 
-    def test_integer_values_become_float64(self, fake_server):
+    def test_integer_values_become_float64(self, fake_server, tmp_path):
         fake_server.script.append((200, {"data": [{"embedding": [1, 2, 3]}]}))
-        (v,) = embed_remote(["a"], self.cfg(fake_server))
+        (v,) = embed_remote(["a"], self.cfg(fake_server), tmp_path)
         assert same_rows([v], [vec(1, 2, 3)])
 
 

@@ -3,14 +3,18 @@ workloads must reproduce its seed-0 digests (PINNED in perfbench/run.py)
 and the sha256 of every output file at the held-out seed 13. The remote
 workload runs against perfbench/fake_server.py, cold and then warm from the
 same cache, and the warm run must send no request and write the same
-bytes. Reordering the input lines, or renaming the documents with their
-order kept, must not change the report or any question's result."""
+bytes. Without a cache dir it must send what the cold run sends, write the
+same bytes and leave no temporary store, even when it fails. Reordering
+the input lines, or renaming the documents with their order kept, must not
+change the report or any question's result."""
 
 import hashlib
 import json
 import os
 import random
+import socket
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -101,6 +105,18 @@ def server(request):
     return srv
 
 
+def remote_flags(work: Path, url: str) -> list[str]:
+    """Flags for a remote sweep with the config perfbench/run.py writes for
+    the remote workload, its endpoints at url; the config goes in work."""
+    work.mkdir(parents=True, exist_ok=True)
+    config = work / "config.json"
+    config.write_text(json.dumps({
+        "embedder": {"kind": "remote", "endpoint_url": url, "model": "bench-embed"},
+        "llm_endpoint_url": url, "llm_model": "bench-chat",
+        "metric": {"judge": "remote"}}))
+    return ["--backend", "remote", "--config", str(config)]
+
+
 @pytest.fixture(scope="module")
 def remote(tmp_path_factory, server):
     """At a seed, the QA items, the cold and the warm sweep's output
@@ -113,15 +129,7 @@ def remote(tmp_path_factory, server):
             wl = perfbench.WORKLOADS[REMOTE]
             docs, qa = gen.generate(seed, wl.n_docs, wl.n_qa)
             work = tmp_path_factory.mktemp(f"{REMOTE}-{seed}")
-            # the config perfbench/run.py writes for the workload
-            config = work / "config.json"
-            config.write_text(json.dumps({
-                "embedder": {"kind": "remote", "endpoint_url": server.url,
-                             "model": "bench-embed"},
-                "llm_endpoint_url": server.url, "llm_model": "bench-chat",
-                "metric": {"judge": "remote"}}))
-            flags = ["--backend", "remote", "--config", str(config),
-                     "--cache-dir", str(work / "cache")]
+            flags = [*remote_flags(work, server.url), "--cache-dir", str(work / "cache")]
             outs, deltas = [], []
             for run in ("cold", "warm"):
                 before = server.stats()
@@ -181,6 +189,49 @@ def test_remote_warm_rerun_sends_nothing_and_writes_the_same_bytes(remote, seed)
     assert warm_delta == (0, 0)
     hashes = file_hashes(cold)
     assert file_hashes(warm) == hashes and len(hashes) == len(SEED_13[REMOTE])
+
+
+def test_remote_sweep_without_a_cache_dir_sends_and_writes_as_a_cold_cached_one(
+        remote, server, tmp_path, monkeypatch):
+    # without --cache-dir, repeats are answered from a temporary store that
+    # is removed when the sweep ends
+    seed, wl = perfbench.DEFAULT_SEED, perfbench.WORKLOADS[REMOTE]
+    _, (cold, _), (cold_delta, _) = remote(seed)
+    docs, qa = gen.generate(seed, wl.n_docs, wl.n_qa)
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    before = server.stats()
+    out = sweep(tmp_path / "uncached", docs, qa, wl.sizes,
+                remote_flags(tmp_path / "uncached", server.url))
+    after = server.stats()
+    sent = {endpoint: n - before["by_endpoint"].get(endpoint, 0)
+            for endpoint, n in after["by_endpoint"].items()}
+    assert sent == {"/v1/chat/completions": 228, "/v1/embeddings": 23}
+    assert perfbench.request_delta(before, after) == cold_delta == (251, 0)
+    assert file_hashes(out) == file_hashes(cold)
+    assert list(temp.iterdir()) == []
+
+
+def test_failed_remote_sweep_without_a_cache_dir_leaves_no_temporary_store(
+        tmp_path, monkeypatch, capsys):
+    wl = perfbench.WORKLOADS[REMOTE]
+    docs, qa = gen.generate(perfbench.DEFAULT_SEED, wl.n_docs, wl.n_qa)
+    gen.write_jsonl(docs, tmp_path / "corpus.jsonl")
+    gen.write_jsonl(qa, tmp_path / "qa.jsonl")
+    with socket.socket() as s:  # a port that nothing listens on once closed
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    assert main(["sweep", "--corpus", str(tmp_path / "corpus.jsonl"),
+                 "--qa", str(tmp_path / "qa.jsonl"), "--sizes", "250",
+                 *remote_flags(tmp_path, f"http://127.0.0.1:{port}"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"request to http://127.0.0.1:{port}/v1/embeddings failed" in \
+        capsys.readouterr().err
+    assert list(temp.iterdir()) == []
 
 
 def shuffled(rows: list[dict], seed: int) -> list[dict]:

@@ -106,11 +106,12 @@ def test_cli_import_leaves_out_requests():
     assert fresh_python(code).strip() == "[]"
 
 
-# Only a remote request loads the HTTP and TLS stack, and only a cache key
-# loads hashlib. Each test counts a module as loaded only beyond what
-# `import numpy` loads, since some Python or numpy versions load one.
+# Only a remote request loads the HTTP and TLS stack, and hashlib, which keys
+# its reply in the response store. Each test counts a module as loaded only
+# beyond what `import numpy` loads, since some Python or numpy versions load
+# one.
 WATCH_PRELUDE = """
-import json, sys
+import json, os, sys
 import numpy
 WATCHED = ("http.client", "urllib.request", "urllib.error", "ssl", "email",
            "socket", "hashlib", "_hashlib")
@@ -133,7 +134,8 @@ codes = [main(["ingest", "--format", "reddit-jsonl", "--in", "export.jsonl",
          main(["ask", "--corpus", "corpus.jsonl", "--question", "When are keys rotated?"])]
 offline = loaded()
 codes.append(main(sweep + ["--out", "cached-out", "--cache-dir", "cache"]))
-print(json.dumps({"codes": codes, "offline": offline, "cached": loaded()}))
+print(json.dumps({"codes": codes, "offline": offline, "cached": loaded(),
+                  "cache_made": os.path.exists("cache")}))
 """
     (tmp_path / "export.jsonl").write_text(
         '{"id": "a", "title": "Patch servers monthly."}\n'
@@ -143,11 +145,12 @@ print(json.dumps({"codes": codes, "offline": offline, "cached": loaded()}))
     got = json.loads(fresh_python(code, cwd=tmp_path).splitlines()[-1])
     assert got["codes"] == [0, 0, 0, 0]
     assert got["offline"] == []  # ingest, sweep and ask loaded none of them
-    # the cache keys of a sweep with --cache-dir do load hashlib
-    assert "hashlib" in got["cached"]
+    # the offline backend is never cached, so --cache-dir adds none of them
+    # and creates no store
+    assert got["cached"] == [] and not got["cache_made"]
 
 
-def test_first_requests_from_several_threads_at_once(fake_server):
+def test_first_requests_from_several_threads_at_once(fake_server, tmp_path):
     # the first remote requests import the HTTP stack on each worker thread
     # at once; every row and the reply must still come back right
     code = WATCH_PRELUDE + """
@@ -157,13 +160,13 @@ from ragbench.llm import ChatRequest, generate
 before = loaded()
 url = sys.argv[1]
 texts = ["x" * (1 + i % 97) for i in range(4 * _MAX_BATCH + 1)]
-vecs = embed_remote(texts, EmbedderConfig(kind="remote", endpoint_url=url))
+vecs = embed_remote(texts, EmbedderConfig(kind="remote", endpoint_url=url), sys.argv[2])
 rows_ok = [list(v) for v in vecs] == [[float(len(t))] * 8 for t in texts]
 reply = generate(ChatRequest(model="m", messages=[{"role": "user", "content": "hi"}]),
                  url).content
 print(json.dumps({"before": before, "after": loaded(), "rows_ok": rows_ok, "reply": reply}))
 """
-    got = json.loads(fresh_python(code, fake_server.url))
+    got = json.loads(fresh_python(code, fake_server.url, str(tmp_path)))
     assert got["before"] == [] and "urllib.request" in got["after"]
     assert got["rows_ok"] and got["reply"] == "canned reply"
     embeds = [r for r in fake_server.requests if r[0] == "/v1/embeddings"]
