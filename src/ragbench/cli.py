@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -26,16 +25,13 @@ from .rag import answer_question
 from .report import clear, emit_csv, emit_svg, summary_lines
 from .sweep import build_index, run_sweep
 
-CACHE_DIR_ENV = "RAGBENCH_CACHE_DIR"
-
 
 def _resolve_app(config_path: str | None, cache_dir: str | None, *,
                  backend: str | None = None, sizes: list[int] | None = None,
                  overlap: int | None = None, top_k: int | None = None) -> AppConfig:
     """The command's settings: the config file's, or the defaults, with the
     flags given (not None) applied. backend sets embedder.kind; the cache dir
-    comes from the flag, then the environment, then the file; rag.model
-    defaults to llm_model."""
+    comes from the flag, then the file; rag.model defaults to llm_model."""
     app = load_app_config(config_path) if config_path else AppConfig()
     return dataclasses.replace(
         app, chunk_sizes=app.chunk_sizes if sizes is None else sizes,
@@ -43,8 +39,7 @@ def _resolve_app(config_path: str | None, cache_dir: str | None, *,
         embedder=dataclasses.replace(app.embedder, kind=backend or app.embedder.kind),
         rag=dataclasses.replace(app.rag, top_k=app.rag.top_k if top_k is None else top_k,
                                 model=app.rag.model or app.llm_model),
-        cache_dir=(os.environ.get(CACHE_DIR_ENV) or app.cache_dir) if cache_dir is None
-        else cache_dir)
+        cache_dir=app.cache_dir if cache_dir is None else cache_dir)
 
 
 @contextlib.contextmanager

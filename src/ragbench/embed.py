@@ -193,7 +193,7 @@ def embed_remote(texts: list[str], cfg: EmbedderConfig,
 
 
 def embed_texts(texts: list[str], cfg: EmbedderConfig,
-                cache_dir: str | Path | None = None) -> list[np.ndarray]:
+                cache_dir: str | Path | None) -> list[np.ndarray]:
     """Dispatch to the configured embedder. A remote one needs cache_dir,
     its response store; the offline one makes no backend call and ignores it."""
     if cfg.kind == "offline":

@@ -13,13 +13,13 @@ from .errors import InvalidConfig, RagBenchError
 
 _MOCK_PREFIX = "MOCK-ANSWER: "
 _MOCK_TRUNC = 2000
+MAX_TOKENS = 512  # every chat request's completion budget
 
 
 @dataclass
 class ChatRequest:
     model: str
     messages: list[dict]  # [{"role": "system"|"user", "content": str}, ...]
-    max_tokens: int = 512
     # not part of the request: the caller's check of a reply's content,
     # raising a RagBenchError for one it cannot use; cached runs it before
     # it stores a reply and when it reads one
@@ -40,17 +40,16 @@ class ChatResponse:
 GenerateFn = Callable[[ChatRequest], ChatResponse]
 
 
+def _payload(req: ChatRequest) -> dict:
+    """The JSON body that generate posts for req."""
+    return {"model": req.model, "messages": req.messages, "temperature": 0.0,
+            "max_tokens": MAX_TOKENS}
+
+
 def generate(req: ChatRequest, endpoint_url: str) -> ChatResponse:
     """POST {endpoint_url}/v1/chat/completions; content = first choice message."""
-    body = post_json_with_retries(
-        endpoint_url.rstrip("/") + "/v1/chat/completions",
-        {
-            "model": req.model,
-            "messages": req.messages,
-            "temperature": 0.0,
-            "max_tokens": req.max_tokens,
-        },
-    )
+    body = post_json_with_retries(endpoint_url.rstrip("/") + "/v1/chat/completions",
+                                  _payload(req))
     try:
         choices = body["choices"]
         content = choices[0]["message"]["content"]
@@ -72,13 +71,7 @@ def mock_generate(req: ChatRequest) -> ChatResponse:
 
 def request_key(req: ChatRequest, endpoint: str = "") -> str:
     """SHA-256 of the canonical JSON of the full request semantics."""
-    return store.request_key({
-        "endpoint": endpoint,
-        "model": req.model,
-        "messages": req.messages,
-        "temperature": 0.0,
-        "max_tokens": req.max_tokens,
-    })
+    return store.request_key({"endpoint": endpoint, **_payload(req)})
 
 
 def cached(op: GenerateFn, req: ChatRequest, cache_dir: str | Path,

@@ -51,17 +51,14 @@ class EvalResult:
 
 @dataclass
 class MetricConfig:
-    w_factual: float = 0.75
-    w_semantic: float = 0.25
+    w_factual: float = 0.75  # the semantic similarity's weight is 1 - w_factual
     judge: str = "lexical"  # "lexical" | "remote"
     jaccard_threshold: float = 0.6
 
     def __post_init__(self):
-        # written so that a NaN, which fails every comparison, fails them
-        if not (self.w_factual >= 0 and self.w_semantic >= 0):
-            raise InvalidConfig("metric weights must be >= 0")
-        if not abs(self.w_factual + self.w_semantic - 1.0) <= 1e-9:
-            raise InvalidConfig("metric weights must sum to 1")
+        # written so that a NaN, which fails every comparison, fails it
+        if not 0 <= self.w_factual <= 1:
+            raise InvalidConfig("w_factual must be in [0, 1]")
         if self.judge not in ("lexical", "remote"):
             raise InvalidConfig(f"unknown judge {self.judge!r}")
         # 0 would count every pair of non-empty statements as support
@@ -224,7 +221,7 @@ def answer_correctness(answer: str, qa: QAItem,
     # an empty answer cannot be embedded; QAItem rejects a blank ground truth
     sim = cosine(embed_fn(answer), embed_fn(qa.ground_truth)) if answer else 0.0
     sim = min(1.0, max(0.0, sim))
-    score = cfg.w_factual * factual + cfg.w_semantic * sim
+    score = cfg.w_factual * factual + (1 - cfg.w_factual) * sim
     return EvalResult(qa_id=qa.id, tp=tp, fp=fp, fn=fn, f1=factual,
                       semantic_sim=sim, answer_correctness=score)
 

@@ -10,7 +10,7 @@ from .errors import InvalidConfig
 from .llm import ChatRequest, ChatResponse
 from .vectorstore import ChunkRef, Hit
 
-DEFAULT_SYSTEM_PROMPT = "Answer the question using only the provided context."
+SYSTEM_PROMPT = "Answer the question using only the provided context."
 DEFAULT_TEMPLATE = "Context:\n{context}\n\nQuestion: {question}\nAnswer:"
 NO_CONTEXT = "(no relevant context found)"
 _SEPARATOR = "\n---\n"
@@ -21,9 +21,7 @@ class RagConfig:
     top_k: int = 4
     max_context_chars: int = 8000
     prompt_template: str = DEFAULT_TEMPLATE
-    system_prompt: str = DEFAULT_SYSTEM_PROMPT
     model: str = ""
-    max_tokens: int = 512
 
     def __post_init__(self):
         if self.top_k < 1:
@@ -72,12 +70,9 @@ def answer_question(question: str, hits: list[Hit],
     """Run one question through assemble -> generate, from hits, its
     query_topk result."""
     prompt, n_used = assemble_prompt(question, hits, cfg)
-    messages = []
-    if cfg.system_prompt:
-        messages.append({"role": "system", "content": cfg.system_prompt})
-    messages.append({"role": "user", "content": prompt})
-    resp = generate_fn(ChatRequest(model=cfg.model, messages=messages,
-                                   max_tokens=cfg.max_tokens))
+    resp = generate_fn(ChatRequest(model=cfg.model, messages=[
+        {"role": "system", "content": SYSTEM_PROMPT},
+        {"role": "user", "content": prompt}]))
     return AnswerRecord(
         answer=resp.content,
         retrieved=[(h.chunk_ref, h.score) for h in hits],

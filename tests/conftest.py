@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 import threading
 import time
@@ -73,6 +74,16 @@ def fake_server():
     server = FakeApiServer()
     yield server
     server.close()
+
+
+@pytest.fixture(autouse=True, scope="session")
+def no_ragbench_env():
+    """As perfbench's child_env: no test, and no module fixture, reads a
+    RAGBENCH_* variable, such as a bearer token, from outside."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in [k for k in os.environ if k.startswith("RAGBENCH_")]:
+            mp.delenv(name)
+        yield
 
 
 @pytest.fixture(autouse=True)

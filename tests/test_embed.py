@@ -311,7 +311,7 @@ class TestRemoteCache:
 
 def test_embed_texts_offline_dispatch():
     cfg = EmbedderConfig(kind="offline", dim=32)
-    vecs = embed_texts(["a", "b"], cfg)
+    vecs = embed_texts(["a", "b"], cfg, None)
     assert [len(v) for v in vecs] == [32, 32]
 
 

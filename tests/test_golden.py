@@ -10,7 +10,6 @@ change the report or any question's result."""
 
 import hashlib
 import json
-import os
 import random
 import socket
 import sys
@@ -58,13 +57,6 @@ SEED_13 = {
         "report.svg": "5b930659c866ac32720a951128099e3d666a72c112c4a94d3003dfd14d25353f",
     },
 }
-
-
-@pytest.fixture(autouse=True)
-def no_ragbench_env(monkeypatch):
-    # as perfbench's child_env: no chat cache or bearer token from outside
-    for name in [k for k in os.environ if k.startswith("RAGBENCH_")]:
-        monkeypatch.delenv(name)
 
 
 def sweep(work: Path, docs: list[dict], qa: list[dict], sizes: list[int],

@@ -89,12 +89,11 @@ class TestFailures:
 
 
 def fresh_python(code, *args, cwd=None):
-    """Run code in a new interpreter that imports this checkout's ragbench,
-    with no cache dir set in its environment; return its stdout."""
+    """Run code in a new interpreter that imports this checkout's ragbench;
+    return its stdout."""
     src = str(Path(ragbench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    env.pop("RAGBENCH_CACHE_DIR", None)
     out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
                          text=True, check=True, timeout=60, env=env, cwd=cwd)
     return out.stdout

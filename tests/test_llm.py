@@ -32,13 +32,12 @@ class TestGenerate:
         assert resp.cached is False
 
     def test_wire_shape(self, fake_server):
-        generate(req("hello", max_tokens=99), fake_server.url)
+        generate(req("hello"), fake_server.url)
         path, payload, _ = fake_server.requests[0]
         assert path == "/v1/chat/completions"
-        assert payload["model"] == "m"
-        assert payload["temperature"] == 0.0
-        assert payload["max_tokens"] == 99
-        assert payload["messages"][-1] == {"role": "user", "content": "hello"}
+        assert payload == {"model": "m", "temperature": 0.0, "max_tokens": 512,
+                           "messages": [{"role": "system", "content": "sys"},
+                                        {"role": "user", "content": "hello"}]}
 
     def test_empty_choices(self, fake_server):
         fake_server.script.append((200, {"choices": []}))
@@ -102,13 +101,12 @@ class TestCache:
 
     def test_key_pinned(self):
         # these keys name the entries of existing caches, so they must not move
-        assert request_key(req("Q", max_tokens=99)) == \
-            "616705d65d06bfb2f2e32dfe9ef47fc73754af45ae270887d969fa72f4b35885"
-        assert request_key(req("Q", max_tokens=99), endpoint="http://127.0.0.1:8080") == \
-            "4a5abf97b1a8b06400798e2caa1f17745508b38be318f8f97c5b2b2428d3bc0b"
+        assert request_key(req("Q")) == \
+            "2497647519dcd7d1dbf2a2ace1d03235dcdd0475ac019ee2b40d28f913178009"
+        assert request_key(req("Q"), endpoint="http://127.0.0.1:8080") == \
+            "11c2cbc098f7f516078dfd602834ea3ab921ba30eeee5f9b19123126b56ab341"
         # a request's reply check is not part of its key
-        assert request_key(req("Q", max_tokens=99, check=json.loads)) == \
-            request_key(req("Q", max_tokens=99))
+        assert request_key(req("Q", check=json.loads)) == request_key(req("Q"))
 
     def test_distinct_keys_by_endpoint_and_model(self):
         assert request_key(req("Q"), endpoint="a") != request_key(req("Q"), endpoint="b")

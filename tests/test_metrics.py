@@ -166,20 +166,20 @@ class TestF1:
 
 
 class TestMetricConfig:
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(InvalidConfig):
-            MetricConfig(w_factual=0.6, w_semantic=0.6)
-
     def test_negative_weight(self):
-        with pytest.raises(InvalidConfig):
-            MetricConfig(w_factual=1.5, w_semantic=-0.5)
+        # the factual weight, and then the semantic one, 1 - w_factual
+        for w_factual in (-0.5, 1.5):
+            with pytest.raises(InvalidConfig, match=r"^w_factual must be in \[0, 1\]$"):
+                MetricConfig(w_factual=w_factual)
 
-    @pytest.mark.parametrize("w_factual, w_semantic", [
-        (float("nan"), 0.25), (0.75, float("nan")), (float("nan"), float("nan")),
-        (float("inf"), 0.25), (float("inf"), float("-inf"))])
-    def test_non_finite_weight_rejected(self, w_factual, w_semantic):
-        with pytest.raises(InvalidConfig, match=r"^metric weights must "):
-            MetricConfig(w_factual=w_factual, w_semantic=w_semantic)
+    @pytest.mark.parametrize("w_factual", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected(self, w_factual):
+        with pytest.raises(InvalidConfig, match=r"^w_factual must be in \[0, 1\]$"):
+            MetricConfig(w_factual=w_factual)
+
+    @pytest.mark.parametrize("w_factual", [0.0, 1.0])
+    def test_end_weights_accepted(self, w_factual):
+        assert MetricConfig(w_factual=w_factual).w_factual == w_factual
 
     @pytest.mark.parametrize("threshold", [0.0, -0.1, 1.01, float("nan")])
     def test_jaccard_threshold_outside_unit_interval(self, threshold):
@@ -241,12 +241,12 @@ class TestAnswerCorrectness:
         qa = QAItem(id="q", question="?",
                     ground_truth="patch the server. reboot the router.")
         answer = "patch the server. unrelated words entirely here."
-        a = answer_correctness(answer, qa, offline_embed,
-                               MetricConfig(w_factual=0.75, w_semantic=0.25), LEX)
-        b = answer_correctness(answer, qa, offline_embed,
-                               MetricConfig(w_factual=0.25, w_semantic=0.75), LEX)
+        a = answer_correctness(answer, qa, offline_embed, MetricConfig(w_factual=0.75), LEX)
+        b = answer_correctness(answer, qa, offline_embed, MetricConfig(w_factual=0.25), LEX)
         assert a.f1 != a.semantic_sim
         assert a.answer_correctness != b.answer_correctness
+        # the semantic similarity's weight is 1 - w_factual
+        assert b.answer_correctness == 0.25 * b.f1 + 0.75 * b.semantic_sim
 
 
     def test_error_tagged_in_place(self):

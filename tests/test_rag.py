@@ -7,8 +7,8 @@ from ragbench.corpus import Document
 from ragbench.errors import InvalidConfig, MalformedLine
 from ragbench.llm import mock_generate
 from ragbench.metrics import LexicalJudge, QAItem
-from ragbench.rag import (NO_CONTEXT, RagConfig, AnswerRecord, assemble_prompt,
-                          answer_question)
+from ragbench.rag import (NO_CONTEXT, SYSTEM_PROMPT, RagConfig, AnswerRecord,
+                          assemble_prompt, answer_question)
 from ragbench.sweep import run_sweep
 from ragbench.vectorstore import Hit, Index
 
@@ -167,6 +167,19 @@ class TestAnswerQuestion:
         prompt, n = assemble_prompt(qa.question, hits, cfg)
         assert 0 < record.n_used == n < len(record.retrieved)
         assert record.prompt_chars == len(prompt)
+
+    def test_request_is_the_system_message_then_the_prompt(self):
+        index = build_index(self.planted_docs())
+        qa = QAItem(id="q", question="ZEBRA-7?", ground_truth="g")
+        hits, cfg = hits_for(qa, index), RagConfig(model="m")
+        sent = []
+        answer_question(qa.question, hits, lambda req: sent.append(req) or mock_generate(req),
+                        cfg)
+        (req,) = sent
+        assert req.model == "m"
+        assert req.messages == [
+            {"role": "system", "content": SYSTEM_PROMPT},
+            {"role": "user", "content": assemble_prompt(qa.question, hits, cfg)[0]}]
 
     def test_deterministic_records(self):
         index = build_index(self.planted_docs())

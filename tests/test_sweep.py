@@ -32,13 +32,13 @@ EMB = EmbedderConfig(kind="offline", dim=128)
 
 
 def offline_batch(texts):
-    return embed_texts(texts, EMB)
+    return embed_texts(texts, EMB, None)
 
 
 def single_batch(texts):
     """offline_batch through the embed module's name, as the CLI embeds
     single texts, so that a test can patch it there."""
-    return embed_mod.embed_texts(texts, EMB)
+    return embed_mod.embed_texts(texts, EMB, None)
 
 
 def recording(calls):
@@ -295,8 +295,8 @@ class TestPipeline:
     def test_answers_embedded_in_one_batch_per_sweep(self, monkeypatch):
         single, answers = [], set()
         monkeypatch.setattr(embed_mod, "embed_texts",
-                            lambda texts, cfg, cache_dir=None:
-                            single.append(list(texts)) or embed_texts(texts, cfg))
+                            lambda texts, cfg, cache_dir:
+                            single.append(list(texts)) or embed_texts(texts, cfg, cache_dir))
         answer = sweep_mod.answer_question
 
         def recording(*args):
@@ -513,8 +513,8 @@ class TestStages:
     def test_single_texts_batched_chunk_texts_embedded_once(self, monkeypatch):
         single, chunk = [], []
         monkeypatch.setattr(embed_mod, "embed_texts",
-                            lambda texts, cfg, cache_dir=None:
-                            single.append(list(texts)) or embed_texts(texts, cfg))
+                            lambda texts, cfg, cache_dir:
+                            single.append(list(texts)) or embed_texts(texts, cfg, cache_dir))
         sizes = [250, 500, 1000, 2000, 4000, 8000]
         docs, qa = make_corpus(), make_qa(5)
         run_sweep(docs, qa, AppConfig(chunk_sizes=sizes),
@@ -557,11 +557,11 @@ class TestStages:
     def test_failed_priming_leaves_per_item_error(self, monkeypatch, keep_going):
         calls = []
 
-        def down_for_q1(texts, cfg, cache_dir=None):
+        def down_for_q1(texts, cfg, cache_dir):
             calls.append(list(texts))
             if "What about threat number 1?" in texts:
                 raise RagBenchError("embedder down")
-            return embed_texts(texts, cfg)
+            return embed_texts(texts, cfg, cache_dir)
 
         monkeypatch.setattr(embed_mod, "embed_texts", down_for_q1)
         kw = dict(embed_texts_fn=offline_batch, embed_single_fn=single_batch,
