@@ -75,6 +75,6 @@ def _build(cls, obj, where: str):
 def load_app_config(path: str | Path) -> AppConfig:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8 or JSON, too deep
         raise InvalidConfig(f"cannot read config {path}: {exc}") from exc
     return _build(AppConfig, obj, str(path))

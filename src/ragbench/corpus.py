@@ -69,15 +69,20 @@ def read_jsonl(stream: IO[bytes], parse: Callable, lenient: bool = False) -> tup
 
 
 def check_fields(obj, fields: dict[str, tuple[type, ...]]) -> None:
-    """Raise TypeError unless obj is a JSON object in which each named field
-    has one of its types (an absent field reads as None)."""
+    """Raise TypeError unless obj is a JSON object whose named fields each have
+    one of their types (absent reads as None); ValueError if one is not UTF-8."""
     if type(obj) is not dict:
         raise TypeError("not a JSON object")
     for name, kinds in fields.items():
         # type(), not isinstance: JSON true is a bool, and bool is an int
-        if type(obj.get(name)) not in kinds:
+        if type(value := obj.get(name)) not in kinds:
             raise TypeError(f"field {name!r} missing or not a "
                             + " or ".join(k.__name__ for k in kinds))
+        if type(value) is str:
+            try:  # a lone surrogate escape, as from a cut emoji, does not encode
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ValueError(f"field {name!r} is not UTF-8 text: {exc.reason}") from exc
 
 
 def _whole_number(obj: dict, name: str) -> int:

@@ -161,11 +161,8 @@ def embed_remote(texts: list[str], cfg: EmbedderConfig,
     _http's timeout and retries, as chat's do, and go through the response
     store in cache_dir, keyed on URL, model and input list.
     """
-    if not texts:
-        raise RagBenchError("no texts to embed")
-    for t in texts:
-        if not t:
-            raise RagBenchError("cannot embed empty text")
+    if not all(texts):
+        raise RagBenchError("cannot embed empty text")
     url = cfg.endpoint_url.rstrip("/") + "/v1/embeddings"
     batches = [texts[i:i + _MAX_BATCH] for i in range(0, len(texts), _MAX_BATCH)]
 

@@ -9,7 +9,7 @@ from typing import Callable
 
 from . import store
 from ._http import post_json_with_retries
-from .errors import InvalidConfig, RagBenchError
+from .errors import RagBenchError
 
 _MOCK_PREFIX = "MOCK-ANSWER: "
 _MOCK_TRUNC = 2000
@@ -25,10 +25,6 @@ class ChatRequest:
     # it stores a reply and when it reads one
     check: Callable[[str], object] = field(default=lambda content: None,
                                            compare=False, repr=False)
-
-    def __post_init__(self):
-        if not any(m.get("role") == "user" for m in self.messages):
-            raise InvalidConfig("at least one user message required")
 
 
 @dataclass

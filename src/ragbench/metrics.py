@@ -202,8 +202,6 @@ class RemoteJudge:
 
 def f1(tp: int, fp: int, fn: int) -> float:
     """Balanced F1 over statement counts: tp / (tp + 0.5*(fp + fn))."""
-    if tp < 0 or fp < 0 or fn < 0:
-        raise InvalidConfig("counts must be >= 0")
     if tp == 0 and fp == 0 and fn == 0:
         raise RagBenchError("no statements on either side")
     return tp / (tp + 0.5 * (fp + fn))

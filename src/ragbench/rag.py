@@ -11,7 +11,7 @@ from .llm import ChatRequest, ChatResponse
 from .vectorstore import ChunkRef, Hit
 
 SYSTEM_PROMPT = "Answer the question using only the provided context."
-DEFAULT_TEMPLATE = "Context:\n{context}\n\nQuestion: {question}\nAnswer:"
+PROMPT_TEMPLATE = "Context:\n{context}\n\nQuestion: {question}\nAnswer:"
 NO_CONTEXT = "(no relevant context found)"
 _SEPARATOR = "\n---\n"
 
@@ -20,7 +20,6 @@ _SEPARATOR = "\n---\n"
 class RagConfig:
     top_k: int = 4
     max_context_chars: int = 8000
-    prompt_template: str = DEFAULT_TEMPLATE
     model: str = ""
 
     def __post_init__(self):
@@ -28,9 +27,6 @@ class RagConfig:
             raise InvalidConfig("top_k must be >= 1")
         if self.max_context_chars < 1:
             raise InvalidConfig("max_context_chars must be >= 1")
-        for ph in ("{context}", "{question}"):
-            if self.prompt_template.count(ph) != 1:
-                raise InvalidConfig(f"prompt template must contain {ph} exactly once")
 
 
 @dataclass
@@ -57,11 +53,7 @@ def assemble_prompt(question: str, hits: list[Hit],
         parts.append(hit.text)
         total += cost
     context = _SEPARATOR.join(parts) if parts else NO_CONTEXT
-    # RagConfig checks each placeholder occurs once; no value is rescanned
-    head, tail = cfg.prompt_template.split("{context}")
-    q = "{question}"
-    prompt = head.replace(q, question) + context + tail.replace(q, question)
-    return prompt, len(parts)
+    return PROMPT_TEMPLATE.format(context=context, question=question), len(parts)
 
 
 def answer_question(question: str, hits: list[Hit],

@@ -6,7 +6,6 @@ retrieval recall out of the experiment as a confound.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +40,6 @@ class Index:
         if len(dims) > 1:
             raise RagBenchError(f"row dims disagree: {sorted(dims)}")
         refs = [ref for ref, _ in chunks]
-        if len(set(refs)) != len(refs):
-            dup = next(r for r, n in Counter(refs).items() if n > 1)
-            raise RagBenchError(f"duplicate chunk ref {dup}")
         self._chunks = list(chunks)
         self._row_of = np.asarray(row_of, dtype=np.intp)
         matrix = np.stack(rows)
@@ -69,8 +65,6 @@ class Index:
         rows = np.atleast_2d(q)
         if rows.ndim != 2 or rows.shape[1] != self.dim:
             raise RagBenchError(f"query dim {rows.shape[-1]} != index dim {self.dim}")
-        if k < 1:
-            raise ValueError("k must be >= 1")
         step = max(1, _SCORE_BLOCK_BYTES // (8 * len(self._chunks)))
         hits: list[list[Hit]] = []
         for start in range(0, len(rows), step):

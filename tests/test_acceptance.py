@@ -217,7 +217,7 @@ VOCAB_PLANTED = ["quartz", "lattice", "osmium", "tundra", "falcon", "ember",
 VOCAB_NOISE = ["wobble", "jelly", "trampoline", "kazoo", "noodle", "pickle",
                "banjo", "walrus", "yodel", "muffin", "slinky", "gnome"]
 
-PLANTED_RAG = dict(top_k=1, prompt_template="{context}\nQ: {question}")
+PLANTED_RAG = dict(top_k=1)
 
 
 def run_means(docs, qa, sizes=SIZES, rag_kw=PLANTED_RAG):

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -125,6 +128,25 @@ class TestIngest:
         else:
             assert code == 0
             assert err == "in=2 kept=2 duplicates_removed=0 lines_skipped=1\n"
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_lone_surrogate_is_malformed(self, tmp_path, capsys, strict):
+        # the JSON escape of half an emoji, as a dump cut mid-character holds,
+        # is no UTF-8 text: the line is skipped, or strict mode stops on it
+        src, out = tmp_path / "export.jsonl", tmp_path / "o.jsonl"
+        write_reddit(src, n=2, extra_lines=['{"id": "x", "title": "Half an emoji \\ud83d."}'])
+        code = main(["ingest", "--format", "reddit-jsonl", *(["--strict"] if strict else []),
+                     "--in", str(src), "--out", str(out)])
+        err = capsys.readouterr().err
+        if strict:
+            assert code == 2
+            assert err == ("error: malformed line 3: field 'title' is not UTF-8 text: "
+                           "surrogates not allowed\n")
+        else:
+            assert code == 0
+            assert err == "in=2 kept=2 duplicates_removed=0 lines_skipped=1\n"
+            assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == \
+                ["p0", "p1"]
 
     def test_repeated_id_skipped_first_kept(self, tmp_path, capsys):
         src = tmp_path / "export.jsonl"
@@ -283,6 +305,28 @@ class TestSweep:
                 if command == "sweep" else ["--question", "q"])
         assert main([command, "--corpus", str(corpus), *args]) == 2
         assert "malformed line 2: duplicate id 'a'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "ask"])
+    def test_store_lone_surrogate_is_a_data_error(self, inputs, tmp_path, capsys, command):
+        corpus, qa = inputs
+        doc = Document(id="x", source="s", title="", body="Half an emoji \ud83d.")
+        corpus.write_text(corpus.read_text() + json.dumps(vars(doc)) + "\n")
+        args = (["--qa", str(qa), "--sizes", "100", "--out", str(tmp_path / "o")]
+                if command == "sweep" else ["--question", "q"])
+        assert main([command, "--corpus", str(corpus), *args]) == 2
+        assert capsys.readouterr().err == ("error: malformed line 7: field 'body' is not "
+                                           "UTF-8 text: surrogates not allowed\n")
+
+    def test_qa_lone_surrogate_is_a_data_error(self, inputs, tmp_path, capsys):
+        corpus, qa = inputs
+        qa.write_text(qa.read_text() + json.dumps(
+            {"id": "q9", "question": "Half an emoji \ud83d?", "ground_truth": "G."}) + "\n")
+        out = tmp_path / "o"
+        assert main(["sweep", "--corpus", str(corpus), "--qa", str(qa),
+                     "--sizes", "100", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: malformed line 4: field 'question' is "
+                                           "not UTF-8 text: surrogates not allowed\n")
+        assert not (out / "report.csv").exists()
 
     def test_negative_overlap_is_a_config_error(self, inputs, tmp_path, capsys):
         corpus, qa = inputs
@@ -552,7 +596,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("obj", [
         {"overlap": "5"}, {"overlap": True}, {"overlap": 5.0}, {"cache_dir": 5},
         {"llm_model": ["x"]}, {"chunk_sizes": [250, "500"]}, {"chunk_sizes": 250},
-        {"rag": {"prompt_template": 5}}, {"rag": {"top_k": None}},
+        {"rag": {"model": 5}}, {"rag": {"top_k": None}},
         {"metric": {"w_factual": "1"}}, {"embedder": {"dim": False}},
         # and values with which no embedding could be made
         {"embedder": {"dim": 0}}, {"embedder": {"dim": -5}},
@@ -569,8 +613,9 @@ class TestConfigFile:
         # both backends use the _http constants; no key changes them
         ("embedder", "timeout_ms"), ("embedder", "max_retries"),
         ("embedder", "max_concurrency"),
-        # every answer request carries rag.SYSTEM_PROMPT and llm.MAX_TOKENS
-        ("rag", "system_prompt"), ("rag", "max_tokens"),
+        # every answer request carries rag.SYSTEM_PROMPT, the prompt
+        # rag.PROMPT_TEMPLATE makes and llm.MAX_TOKENS
+        ("rag", "system_prompt"), ("rag", "prompt_template"), ("rag", "max_tokens"),
         # the semantic weight is 1 - w_factual
         ("metric", "w_semantic"),
     ])
@@ -581,6 +626,17 @@ class TestConfigFile:
                      "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == \
             f"config error: {cfg}:{section}: unknown keys ['{key}']\n"
+
+    @pytest.mark.parametrize("data", [
+        pytest.param(b'{"llm_model": "caf\xe9"}', id="latin-1"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-too-deep"),
+    ])
+    def test_unparsable_file_is_a_config_error(self, tmp_path, capsys, data):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(data)
+        assert main(["ask", "--corpus", "x", "--question", "q",
+                     "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {cfg}: ")
 
     def test_leading_bom_ignored(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -760,3 +816,14 @@ class TestCommandLine:
         assert main(["ask", "--corpus", str(tmp_path / "nope.jsonl"),
                      f"--question={question}"]) == 1
         assert capsys.readouterr() == ("", "config error: --question must not be blank\n")
+
+    def test_question_not_utf8_is_a_usage_error(self, corpus):
+        # argv bytes that are not UTF-8 reach Python as lone surrogates
+        src = str(Path(cli_mod.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONUTF8": "1", "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        run = subprocess.run([sys.executable, "-m", "ragbench.cli", "ask", "--corpus",
+                              str(corpus), b"--question=What is \xff?"],
+                             capture_output=True, timeout=60, env=env)
+        assert (run.returncode, run.stdout, run.stderr) == \
+            (1, b"", b"config error: --question is not UTF-8 text\n")

@@ -234,10 +234,15 @@ class TestRemote:
         assert headers.get("Authorization") == "Bearer sekret"
 
     def test_empty_input_rejected(self, fake_server, tmp_path):
-        with pytest.raises(RagBenchError, match=r"^no texts to embed$"):
-            embed_remote([], self.cfg(fake_server), tmp_path)
         with pytest.raises(RagBenchError, match=r"^cannot embed empty text$"):
             embed_remote(["ok", ""], self.cfg(fake_server), tmp_path)
+        assert fake_server.requests == []
+
+    def test_no_texts_send_no_request(self, fake_server, tmp_path):
+        # as embed_offline_batch returns [] for []
+        assert embed_remote([], self.cfg(fake_server), tmp_path) == []
+        assert fake_server.requests == []
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("row", [[None], [1.0, None], [[1.0, 2.0]],
                                      [[1.0], [2.0, 3.0]], [], [True], [1.0, "2"],

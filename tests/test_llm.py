@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from ragbench.errors import InvalidConfig, RagBenchError
+from ragbench.errors import RagBenchError
 import ragbench.store as store_mod
 from ragbench.llm import (ChatRequest, cached, generate, make_cached_fn,
                           mock_generate, request_key)
@@ -15,12 +15,6 @@ def req(content="Q", model="m", **kw):
     return ChatRequest(model=model,
                        messages=[{"role": "system", "content": "sys"},
                                  {"role": "user", "content": content}], **kw)
-
-
-class TestRequestValidation:
-    def test_needs_user_message(self):
-        with pytest.raises(InvalidConfig):
-            ChatRequest(model="m", messages=[{"role": "system", "content": "s"}])
 
 
 class TestGenerate:

@@ -35,14 +35,6 @@ class TestConfig:
         assert cfg.top_k == 4
         assert cfg.max_context_chars == 8000
 
-    def test_template_missing_placeholder(self):
-        with pytest.raises(InvalidConfig, match=r"^prompt template must contain \{context\} exactly once$"):
-            RagConfig(prompt_template="no placeholders here")
-
-    def test_template_duplicate_placeholder(self):
-        with pytest.raises(InvalidConfig, match=r"^prompt template must contain \{context\} exactly once$"):
-            RagConfig(prompt_template="{context}{context}{question}")
-
     def test_bad_top_k(self):
         with pytest.raises(InvalidConfig):
             RagConfig(top_k=0)
@@ -55,9 +47,6 @@ _PIECES = st.lists(st.sampled_from(["{context}", "{question}", "{", "}", "contex
 # a value that is not blank
 _VALUES = st.tuples(_PIECES, st.sampled_from(["x", "{context}", "{question}", "{", "}"]),
                     _PIECES).map("".join)
-# template text around the placeholders: parts of them, but never one whole
-_TEMPLATE_PARTS = _PIECES.map(lambda s: s.replace("{context}", "{context }")
-                              .replace("{question}", "{question }"))
 
 
 def hit(doc_id, text):
@@ -65,37 +54,32 @@ def hit(doc_id, text):
 
 
 class TestAssemblePrompt:
-    def cfg(self, **kw):
-        defaults = dict(prompt_template="C:{context} Q:{question}")
-        defaults.update(kw)
-        return RagConfig(**defaults)
-
     def test_substitution(self):
-        prompt, n = assemble_prompt("q", [hit("d", "x")], self.cfg())
-        assert prompt == "C:x Q:q"
+        prompt, n = assemble_prompt("q", [hit("d", "x")], RagConfig())
+        assert prompt == "Context:\nx\n\nQuestion: q\nAnswer:"
         assert n == 1
 
     def test_zero_hits_fallback(self):
-        prompt, n = assemble_prompt("q", [], self.cfg())
+        prompt, n = assemble_prompt("q", [], RagConfig())
         assert NO_CONTEXT in prompt
         assert n == 0
 
     def test_budget_exact_fit_excludes_second_chunk(self):
         hits = [hit("a", "x" * 50), hit("b", "y" * 10)]
-        prompt, n = assemble_prompt("q", hits, self.cfg(max_context_chars=50))
+        prompt, n = assemble_prompt("q", hits, RagConfig(max_context_chars=50))
         assert n == 1
         assert "y" not in prompt
 
     def test_separator_between_chunks(self):
         hits = [hit("a", "aaa"), hit("b", "bbb")]
-        prompt, n = assemble_prompt("q", hits, self.cfg())
+        prompt, n = assemble_prompt("q", hits, RagConfig())
         assert "aaa\n---\nbbb" in prompt
         assert n == 2
 
     def test_separator_counts_toward_budget(self):
         # 3 + 5 + 3 = 11 codepoints; budget 10 admits only the first chunk
         hits = [hit("a", "aaa"), hit("b", "bbb")]
-        _, n = assemble_prompt("q", hits, self.cfg(max_context_chars=10))
+        _, n = assemble_prompt("q", hits, RagConfig(max_context_chars=10))
         assert n == 1
 
     def test_budget_respected_property(self):
@@ -103,8 +87,8 @@ class TestAssemblePrompt:
         # the next hit, if there is one, would overflow it
         hits = [hit(f"d{i}", "z" * (i * 7 + 1)) for i in range(20)]
         for budget in (1, 5, 17, 100, 1000):
-            prompt, n = assemble_prompt("q", hits, self.cfg(max_context_chars=budget))
-            context = prompt[len("C:"):prompt.rindex(" Q:q")]
+            prompt, n = assemble_prompt("q", hits, RagConfig(max_context_chars=budget))
+            context = prompt[len("Context:\n"):prompt.rindex("\n\nQuestion: q\nAnswer:")]
             sep = "\n---\n"
             used = sep.join(h.text for h in hits[:n])
             assert context == (used if n else NO_CONTEXT)
@@ -113,22 +97,15 @@ class TestAssemblePrompt:
                 assert len(used) + (len(sep) if n else 0) + len(hits[n].text) > budget
 
     def test_question_containing_placeholder_is_not_rescanned(self):
-        prompt, _ = assemble_prompt("{context}", [hit("d", "CTX")], self.cfg())
-        assert prompt == "C:CTX Q:{context}"
+        prompt, _ = assemble_prompt("{context}", [hit("d", "CTX")], RagConfig())
+        assert prompt == "Context:\nCTX\n\nQuestion: {context}\nAnswer:"
 
-    @given(parts=st.lists(_TEMPLATE_PARTS, min_size=3, max_size=3),
-           context_first=st.booleans(), question=_VALUES, context=_VALUES)
-    def test_prompt_is_template_parts_and_values_concatenated(self, parts, context_first,
-                                                              question, context):
-        a, b, c = parts
-        first, second = ("{context}", "{question}")[::1 if context_first else -1]
-        template = a + first + b + second + c
-        assert template.count("{context}") == template.count("{question}") == 1
-        values = {"{context}": context, "{question}": question}
+    @given(question=_VALUES, context=_VALUES)
+    def test_prompt_is_template_parts_and_values_concatenated(self, question, context):
+        # neither value is rescanned, whatever placeholders or braces it holds
         prompt, _ = assemble_prompt(question, [hit("d", context)],
-                                    self.cfg(prompt_template=template,
-                                             max_context_chars=len(context)))
-        assert prompt == a + values[first] + b + values[second] + c
+                                    RagConfig(max_context_chars=len(context)))
+        assert prompt == "Context:\n" + context + "\n\nQuestion: " + question + "\nAnswer:"
 
 
 class TestAnswerQuestion:

@@ -48,10 +48,6 @@ class TestBuild:
         with pytest.raises(RagBenchError, match=r"^row dims disagree: \[2, 3\]$"):
             index_of([entry("a", 0, vec(1, 0)), entry("b", 0, vec(1, 0, 0))])
 
-    def test_duplicate_ref(self):
-        with pytest.raises(RagBenchError, match=r"^duplicate chunk ref \('a', 0\)$"):
-            index_of([entry("a", 0, vec(1, 0)), entry("a", 0, vec(0, 1))])
-
     def test_empty(self):
         with pytest.raises(RagBenchError, match=r"^cannot build index from zero chunks$"):
             Index([], [], [])
