@@ -105,8 +105,9 @@ def cmd_ask(corpus_path, question, chunk_size, overlap, top_k, backend,
     print(record.answer)
     print()
     print("retrieved:")
-    for ref, score in record.retrieved:
-        print(f"  {ref[0]}#{ref[1]}  score={score:.6f}")
+    for hit in hits:  # a text's other refs follow its smallest
+        also = "".join(f"  also={d}#{s}" for d, s in hit.also)
+        print(f"  {hit.chunk_ref[0]}#{hit.chunk_ref[1]}  score={hit.score:.6f}{also}")
 
 
 def _parse_sizes(text: str) -> list[int]:

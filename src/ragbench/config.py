@@ -9,6 +9,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .chunker import ChunkConfig
+from .corpus import check_fields
 from .embed import EmbedderConfig
 from .errors import InvalidConfig
 from .metrics import MetricConfig
@@ -66,9 +67,10 @@ def _build(cls, obj, where: str):
             raise InvalidConfig(f"{where}:{name}: expected {kind}, "
                                 f"got {type(value).__name__}")
         values[name] = value
-    try:
+    try:  # a string that is not UTF-8 text is rejected as in a corpus line
+        check_fields(values, {n: (str,) for n, v in values.items() if type(v) is str})
         return cls(**values)
-    except InvalidConfig as exc:  # name the file, and the section it is in
+    except (InvalidConfig, ValueError) as exc:  # name the file, and the section it is in
         raise InvalidConfig(f"{where}: {exc}") from exc
 
 

@@ -14,23 +14,24 @@ from .errors import RagBenchError
 
 ChunkRef = tuple[str, int]  # (doc_id, seq)
 
-# Byte budget of one block of query_topk's score matrix (rows x chunks,
+# Byte budget of one block of query_topk's score matrix (rows x texts,
 # float64). One matrix product per block reads the index once for many
 # queries, and a bounded block keeps peak memory flat however many come in.
 _SCORE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
-class Hit:
+class Hit:  # one distinct text, at its smallest ref
     chunk_ref: ChunkRef
     score: float
     text: str
+    also: tuple[ChunkRef, ...] = ()  # the text's other refs, ascending
 
 
 class Index:
     """Immutable exact-cosine index over chunks, each a (chunk_ref, text), with
     one 1-D row per distinct text in rows and each chunk's row number in
-    row_of. Chunks that share a row get equal score bits; chunk_ref orders them."""
+    row_of. It ranks the texts: chunks that share a row are one hit."""
 
     def __init__(self, chunks: list[tuple[ChunkRef, str]], rows: list[np.ndarray],
                  row_of: list[int]):
@@ -39,33 +40,34 @@ class Index:
         dims = {len(r) for r in rows}
         if len(dims) > 1:
             raise RagBenchError(f"row dims disagree: {sorted(dims)}")
-        refs = [ref for ref, _ in chunks]
-        self._chunks = list(chunks)
-        self._row_of = np.asarray(row_of, dtype=np.intp)
-        matrix = np.stack(rows)
+        # row number: [text, its refs ascending], first seen at the smallest
+        # ref, so the column order of the rows is the tie-break order
+        groups: dict[int, list] = {}
+        for (ref, text), r in sorted(zip(chunks, row_of)):
+            groups.setdefault(r, [text]).append(ref)
+        self._texts = [g[0] for g in groups.values()]
+        self._refs = [tuple(g[1:]) for g in groups.values()]
+        matrix = np.stack([rows[r] for r in groups])
         self.dim = matrix.shape[1]
         norms = np.linalg.norm(matrix, axis=1)
         self._zero_mask = norms == 0.0
         norms[self._zero_mask] = 1.0  # zero-norm rows score 0 by convention
         self._unit = matrix / norms[:, None]
-        # each chunk's position in chunk_ref order, the tie-break key of query_topk
-        self._ref_rank = np.empty(len(refs), dtype=np.intp)
-        self._ref_rank[sorted(range(len(refs)), key=refs.__getitem__)] = np.arange(len(refs))
 
     def query_topk(self, q: np.ndarray, k: int) -> list[Hit] | list[list[Hit]]:
-        """Top-k chunks by cosine(q, chunk's row), score descending, ties
-        broken by chunk_ref ascending. Returns all chunks when k > count.
+        """Top-k distinct texts by cosine(q, text's row), score descending,
+        ties broken by smallest chunk_ref ascending. Returns all texts when
+        k exceeds their count.
 
         q is one query row, or a 2-D stack of rows, for which one hit list
-        per row is returned. Rows are scored against the distinct rows in
-        blocks of at most about _SCORE_BLOCK_BYTES of per-chunk scores, one
-        matrix product per block. A zero query row scores 0 everywhere, and
-        a NaN row changes only its own hits.
+        per row is returned. Rows are scored in blocks of at most about
+        _SCORE_BLOCK_BYTES of scores, one matrix product per block. A zero
+        query row scores 0 everywhere, and a NaN row changes only its own hits.
         """
         rows = np.atleast_2d(q)
         if rows.ndim != 2 or rows.shape[1] != self.dim:
             raise RagBenchError(f"query dim {rows.shape[-1]} != index dim {self.dim}")
-        step = max(1, _SCORE_BLOCK_BYTES // (8 * len(self._chunks)))
+        step = max(1, _SCORE_BLOCK_BYTES // (8 * len(self._texts)))
         hits: list[list[Hit]] = []
         for start in range(0, len(rows), step):
             hits.extend(self._topk_block(rows[start:start + step], k))
@@ -78,20 +80,15 @@ class Index:
         scores = (rows / norms[:, None]) @ self._unit.T
         scores[zero] = 0.0
         scores[:, self._zero_mask] = 0.0
-        # per chunk, in row-major order: scores[:, row_of] is column-major
-        scores = np.take(scores, self._row_of, axis=1)
         neg = -scores
-        # keep, and sort, only the chunks scoring at least as well as the
+        # keep, and sort, only the texts scoring at least as well as the
         # k-th best (all when k > count), ties included; a NaN k-th keeps all
         kth = min(k, neg.shape[1]) - 1
         keep = ~(neg > np.partition(neg, kth, axis=1)[:, kth:kth + 1])
         out = []
         for row, row_neg, row_keep in zip(scores, neg, keep):
             cand = np.flatnonzero(row_keep)
-            order = cand[np.lexsort((self._ref_rank[cand], row_neg[cand]))[:k]]
-            out.append([
-                Hit(chunk_ref=self._chunks[i][0], score=float(row[i]),
-                    text=self._chunks[i][1])
-                for i in order.tolist()
-            ])
+            order = cand[np.argsort(row_neg[cand], kind="stable")[:k]]
+            out.append([Hit(self._refs[i][0], float(row[i]), self._texts[i], self._refs[i][1:])
+                        for i in order.tolist()])
         return out

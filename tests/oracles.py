@@ -31,6 +31,18 @@ def oracle_topk(entries, q, k):
     return scored[:k]
 
 
+def oracle_text_topk(entries, q, k):
+    """oracle_topk over one entry per distinct text, its smallest ref's:
+    (score, chunk_ref, the text's other refs ascending)."""
+    refs_of, firsts = {}, {}
+    for e in sorted(entries, key=lambda e: e.chunk_ref):
+        refs_of.setdefault(e.text, []).append(e.chunk_ref)
+        firsts.setdefault(e.text, e)
+    others = {refs[0]: tuple(refs[1:]) for refs in refs_of.values()}
+    return [(score, ref, others[ref])
+            for score, ref in oracle_topk(list(firsts.values()), q, k)]
+
+
 def embed_offline(text: str, dim: int = 256) -> np.ndarray:
     """Hashed byte-trigram bag embedding, L2-normalized, one text at a time:
     the reference embed_offline_batch must equal bit for bit.

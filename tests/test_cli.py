@@ -638,6 +638,27 @@ class TestConfigFile:
                      "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith(f"config error: cannot read config {cfg}: ")
 
+    @pytest.mark.parametrize("section, key, value", [
+        pytest.param("", "cache_dir", "x\ud83d", id="cache_dir"),
+        pytest.param("rag", "model", "m\ud83d", id="rag.model"),
+        pytest.param("embedder", "endpoint_url", "{url}/\ud83d", id="embedder.endpoint_url"),
+    ])
+    def test_lone_surrogate_is_a_config_error(self, tmp_path, corpus, capsys, fake_server,
+                                              section, key, value):
+        # a cache dir, model or endpoint that no path or request key can
+        # encode is rejected by the rule corpus fields follow, and no request
+        # is sent
+        obj = {"embedder": {"kind": "remote", "endpoint_url": fake_server.url}}
+        (obj.setdefault(section, {}) if section else obj)[key] = value.format(url=fake_server.url)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(obj))
+        assert main(["ask", "--corpus", str(corpus), "--question", "q",
+                     "--config", str(cfg)]) == 1
+        where = f"{cfg}:{section}" if section else cfg
+        assert capsys.readouterr().err == (f"config error: {where}: field {key!r} "
+                                           "is not UTF-8 text: surrogates not allowed\n")
+        assert fake_server.requests == []
+
     def test_leading_bom_ignored(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b'\xef\xbb\xbf{"chunk_sizes": [100]}')

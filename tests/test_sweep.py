@@ -448,8 +448,8 @@ class TestStages:
 
     def test_equal_chunk_texts_share_one_row(self):
         # every document 20 times under other ids, about 2,000 chunks: each
-        # chunk text is embedded once, and chunks of one text tie exactly,
-        # in chunk_ref order
+        # chunk text is embedded once and is one hit, at its smallest ref
+        # with its other refs ascending, so the top k holds k distinct texts
         originals = make_corpus(20)
         docs = [Document(id=f"copy{j:02d}-{d.id}", source="synthetic", title="", body=d.body)
                 for j in random.Random(1).sample(range(20), 20) for d in originals]
@@ -458,15 +458,16 @@ class TestStages:
             docs, 100, 0, lambda texts: embedded.extend(texts) or offline_batch(texts), {})
         chunks = chunk_corpus(docs, ChunkConfig(100))
         assert sorted(embedded) == sorted({c.text for c in chunks})
+        refs_of = {}
+        for ref, text in sorted(((c.doc_id, c.seq), c.text) for c in chunks):
+            refs_of.setdefault(text, []).append(ref)
         queries = np.stack([embed_offline(q.question, EMB.dim) for q in make_qa(64)])
         for hits in index.query_topk(queries, len(chunks)):
-            by_text = {}
+            assert sorted(h.text for h in hits) == sorted(refs_of)
             for h in hits:
-                by_text.setdefault(h.text, []).append(h)
-            for group in by_text.values():
-                assert len(group) == 20
-                assert len({h.score for h in group}) == 1
-                assert [h.chunk_ref for h in group] == sorted(h.chunk_ref for h in group)
+                assert [h.chunk_ref, *h.also] == refs_of[h.text]
+        for hits in index.query_topk(queries, 4):
+            assert len({h.text for h in hits}) == 4
 
     def test_one_query_per_size(self, monkeypatch):
         shapes = []

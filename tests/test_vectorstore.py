@@ -10,7 +10,7 @@ import ragbench.vectorstore as vs_mod
 from ragbench.errors import RagBenchError
 from ragbench.vectorstore import Index
 
-from oracles import Entry, oracle_topk
+from oracles import Entry, oracle_text_topk, oracle_topk
 
 
 def vec(*values):
@@ -38,11 +38,14 @@ class TestBuild:
         assert idx.dim == 2
 
     def test_chunks_share_rows(self):
-        idx = Index([(("a", 0), "x"), (("a", 1), "y"), (("b", 0), "x")],
-                    [vec(1, 0), vec(0, 1)], [0, 1, 0])
+        # chunks that share a row are one hit, at the smallest ref, with the
+        # other refs ascending; k counts texts, not chunks
+        idx = Index([(("c", 0), "x"), (("a", 1), "y"), (("a", 0), "x"), (("b", 0), "x")],
+                    [vec(1, 0), vec(0, 1)], [0, 1, 0, 0])
         hits = idx.query_topk(vec(1, 0), 4)
-        assert [(h.chunk_ref, h.score, h.text) for h in hits] == \
-            [(("a", 0), 1.0, "x"), (("b", 0), 1.0, "x"), (("a", 1), 0.0, "y")]
+        assert [(h.chunk_ref, h.score, h.text, h.also) for h in hits] == \
+            [(("a", 0), 1.0, "x", (("b", 0), ("c", 0))), (("a", 1), 0.0, "y", ())]
+        assert [h.chunk_ref for h in idx.query_topk(vec(1, 0), 2)] == [("a", 0), ("a", 1)]
 
     def test_dim_mismatch(self):
         with pytest.raises(RagBenchError, match=r"^row dims disagree: \[2, 3\]$"):
@@ -239,44 +242,42 @@ def test_stacked_queries_equal_one_at_a_time(rows, queries, block_rows):
         vs_mod._SCORE_BLOCK_BYTES = old
 
 
-def assert_equal_text_ties_exact(hits, chunks):
-    """Every text's hits share one score and are that text's lowest refs,
-    in chunk_ref order."""
-    refs_by_text: dict[str, list] = {}
-    for ref, text in sorted(chunks):
-        refs_by_text.setdefault(text, []).append(ref)
-    by_text: dict[str, list] = {}
-    for h in hits:
-        by_text.setdefault(h.text, []).append(h)
-    for text, group in by_text.items():
-        assert len({h.score for h in group}) == 1, text
-        assert [h.chunk_ref for h in group] == refs_by_text[text][:len(group)], text
+def assert_one_hit_per_text(index, entries, queries, ks):
+    """Each query's top k are the oracle's, over one entry per distinct
+    text at its smallest ref, with the text's other refs in also."""
+    for k in ks:
+        for q, hits in zip(queries, index.query_topk(queries, k)):
+            expected = oracle_text_topk(entries, q, k)
+            assert [(h.chunk_ref, h.also) for h in hits] == [(r, a) for _, r, a in expected]
+            for h, (score, _, _) in zip(hits, expected):
+                assert h.score == pytest.approx(score, abs=1e-12)
 
 
 def test_equal_text_ties_exact_in_shuffled_columns():
-    # 50 distinct rows repeated over 1,914 chunks in shuffled columns: a
-    # matrix product over every chunk's own copy scores some copies of one
-    # row differently in the last bit, so their order would rest on rounding
+    # 50 distinct rows repeated over 1,914 chunks in shuffled columns: each
+    # text is one hit however many chunks hold it, so the top k holds k texts
     rng = np.random.default_rng(20)
     rows = list(rng.standard_normal((50, 256)))
     row_of = rng.permutation(np.arange(1914) % 50)
     refs = [(f"d{i % 97:02d}", i // 97) for i in rng.permutation(1914)]
-    chunks = [(ref, f"text {r}") for ref, r in zip(refs, row_of)]
-    idx = Index(chunks, rows, row_of)
-    for hits in idx.query_topk(rng.standard_normal((64, 256)), len(chunks)):
-        assert_equal_text_ties_exact(hits, chunks)
+    idx = Index([(ref, f"text {r}") for ref, r in zip(refs, row_of)], rows, row_of)
+    entries = [Entry(ref, rows[r], f"text {r}") for ref, r in zip(refs, row_of)]
+    assert_one_hit_per_text(idx, entries, rng.standard_normal((8, 256)), (1, 4, 50, 1914))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 12).flatmap(lambda d: st.tuples(
-    arrays(np.float64, (d, DIM), elements=st.floats(-1, 1, width=64)),
+    st.lists(_EXACT_ROW, min_size=d, max_size=d),
     st.lists(st.integers(0, d - 1), min_size=1, max_size=200).flatmap(
         lambda row_of: st.tuples(st.just(row_of), st.permutations(range(len(row_of))))),
-    arrays(np.float64, (3, DIM), elements=st.floats(-1, 1, width=64)))))
+    st.lists(_EXACT_ROW, min_size=3, max_size=3))))
 def test_equal_text_ties_exact(data):
+    # exact rows, so equal scores tie exactly, and across texts as well as
+    # within one: the smallest ref of each text orders them
     rows, (row_of, order), queries = data
-    chunks = [((f"d{j % 7}", j), f"text {r}") for j, r in zip(order, row_of)]
-    idx = Index(chunks, list(rows), row_of)
-    for k in _ks(len(chunks)):
-        for hits in idx.query_topk(queries, k):
-            assert_equal_text_ties_exact(hits, chunks)
+    rows = [np.array(r, dtype=np.float64) for r in rows]
+    refs = [(f"d{j % 7}", j) for j in order]
+    idx = Index([(ref, f"text {r}") for ref, r in zip(refs, row_of)], rows, row_of)
+    entries = [Entry(ref, rows[r], f"text {r}") for ref, r in zip(refs, row_of)]
+    assert_one_hit_per_text(idx, entries, np.array(queries, dtype=np.float64),
+                            _ks(len(set(row_of))))
