@@ -76,16 +76,16 @@ def _post(url: str, data: bytes, timeout_s: float) -> tuple[int, str | None, byt
         raise RagBenchError(f"request to {url} failed: {exc}") from exc
 
 
-def post_json_with_retries(url: str, payload: dict, *, timeout_ms: int = TIMEOUT_MS,
-                           max_retries: int = MAX_RETRIES) -> dict:
-    """POST payload as JSON; return the decoded JSON response body."""
+def post_json_with_retries(url: str, payload: dict) -> dict:
+    """POST payload as JSON, with TIMEOUT_MS and MAX_RETRIES as they are at
+    call time; return the decoded JSON response body."""
     try:
         data = json.dumps(payload, allow_nan=False).encode("utf-8")
     except ValueError as exc:  # NaN or infinity: not JSON
         raise RagBenchError(f"request to {url} is not valid JSON: {exc}") from exc
     last_status = None
-    for attempt in range(max_retries + 1):
-        status, retry_after, body = _post(url, data, timeout_ms / 1000.0)
+    for attempt in range(MAX_RETRIES + 1):
+        status, retry_after, body = _post(url, data, TIMEOUT_MS / 1000.0)
         if status == 200:
             try:
                 return json.loads(body)
@@ -93,12 +93,12 @@ def post_json_with_retries(url: str, payload: dict, *, timeout_ms: int = TIMEOUT
                 raise RagBenchError(f"non-JSON response from {url}") from exc
         if status == 429 or status >= 500:
             last_status = status
-            if attempt < max_retries:
+            if attempt < MAX_RETRIES:
                 wait_s = _retry_after_s(retry_after) if status == 429 else None
                 _sleep(_BACKOFF_BASE_S * (2 ** attempt) if wait_s is None else wait_s)
                 continue
             break
         raise RagBenchError(f"HTTP {status} from {url}")
     if last_status == 429:
-        raise RagBenchError(f"rate limited after {max_retries} retries: {url}")
-    raise RagBenchError(f"HTTP {last_status} from {url} after {max_retries} retries")
+        raise RagBenchError(f"rate limited after {MAX_RETRIES} retries: {url}")
+    raise RagBenchError(f"HTTP {last_status} from {url} after {MAX_RETRIES} retries")

@@ -93,8 +93,8 @@ def cmd_ask(corpus_path, question, chunk_size, overlap, top_k, backend,
     """Answer one question against a corpus and print provenance."""
     if not question.strip():
         raise InvalidConfig("--question must not be blank")
-    if any("\ud800" <= c <= "\udfff" for c in question):  # from argv bytes not UTF-8
-        raise InvalidConfig("--question is not UTF-8 text")
+    # argv bytes that are not UTF-8 decode to lone surrogates
+    corpus_mod.check_fields({"--question": question}, {"--question": (str,)})
     app = _resolve_app(config_path, cache_dir, backend=backend, sizes=[chunk_size],
                        overlap=overlap, top_k=top_k)
     with _make_backends(app) as (embed_texts_fn, embed_single_fn, generate_fn, _, _):

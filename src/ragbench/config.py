@@ -70,7 +70,7 @@ def _build(cls, obj, where: str):
     try:  # a string that is not UTF-8 text is rejected as in a corpus line
         check_fields(values, {n: (str,) for n, v in values.items() if type(v) is str})
         return cls(**values)
-    except (InvalidConfig, ValueError) as exc:  # name the file, and the section it is in
+    except InvalidConfig as exc:  # name the file, and the section it is in
         raise InvalidConfig(f"{where}: {exc}") from exc
 
 

@@ -68,9 +68,18 @@ def read_jsonl(stream: IO[bytes], parse: Callable, lenient: bool = False) -> tup
     return records, skipped
 
 
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """Write each record as one JSON line, keys in dict order, to path:
+    UTF-8 with non-ASCII text kept raw, LF line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for record in records:
+            f.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
 def check_fields(obj, fields: dict[str, tuple[type, ...]]) -> None:
     """Raise TypeError unless obj is a JSON object whose named fields each have
-    one of their types (absent reads as None); ValueError if one is not UTF-8."""
+    one of their types (absent reads as None); InvalidConfig if one is not
+    UTF-8, which read_jsonl reports as a malformed line."""
     if type(obj) is not dict:
         raise TypeError("not a JSON object")
     for name, kinds in fields.items():
@@ -82,7 +91,7 @@ def check_fields(obj, fields: dict[str, tuple[type, ...]]) -> None:
             try:  # a lone surrogate escape, as from a cut emoji, does not encode
                 value.encode("utf-8")
             except UnicodeEncodeError as exc:
-                raise ValueError(f"field {name!r} is not UTF-8 text: {exc.reason}") from exc
+                raise InvalidConfig(f"field {name!r} is not UTF-8 text: {exc.reason}") from exc
 
 
 def _whole_number(obj: dict, name: str) -> int:
@@ -168,11 +177,8 @@ def dedup(docs: list[Document]) -> list[Document]:
 
 
 def save_corpus(docs: Iterable[Document], path: str | Path) -> None:
-    """Persist the document store as JSONL, UTF-8, LF, fields in Document's
-    order."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for doc in docs:
-            f.write(json.dumps(asdict(doc), ensure_ascii=False) + "\n")
+    """Persist the document store with write_jsonl, fields in Document's order."""
+    write_jsonl(path, map(asdict, docs))
 
 
 def _stored_document(obj) -> Document:

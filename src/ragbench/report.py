@@ -4,14 +4,15 @@ This module alone names those files, writes them and clears them."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .corpus import write_jsonl
 from .metrics import EvalResult
 
 _CSV = "report.csv"
 _SVG = "report.svg"
+_RESULTS = "results.jsonl"  # in each size's directory
 
 
 @dataclass
@@ -36,28 +37,22 @@ class SweepReport:
         return [r.chunk_size for r in ok if r.mean_correctness == best]
 
 
-def _results_path(out_dir: str | Path, size: int) -> Path:
-    return Path(out_dir) / str(size) / "results.jsonl"
-
-
 def clear(out_dir: str | Path) -> None:
     """Delete the files any sweep writes into out_dir, whatever its sizes, so
     that an earlier run's outputs do not outlive a sweep that fails or sit
     beside a report that does not list them."""
     out = Path(out_dir)
-    sized = (p for p in out.glob("*/results.jsonl")
+    sized = (p for p in out.glob(f"*/{_RESULTS}")
              if p.parent.name.isascii() and p.parent.name.isdecimal())
     for path in (out / _CSV, out / _SVG, *sized):
         path.unlink(missing_ok=True)
 
 
 def _dump_size_results(out_dir: str | Path, size: int, results: list[EvalResult]) -> None:
-    path = _results_path(out_dir, size)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for r in results:
-            # vars, not asdict: the fields are scalars, so no deep copy is needed
-            f.write(json.dumps(vars(r), ensure_ascii=False) + "\n")
+    size_dir = Path(out_dir) / str(size)
+    size_dir.mkdir(parents=True, exist_ok=True)
+    # vars, not asdict: the fields are scalars, so no deep copy is needed
+    write_jsonl(size_dir / _RESULTS, map(vars, results))
 
 
 def summary_lines(report: SweepReport) -> list[str]:

@@ -4,6 +4,7 @@ and score it. report.py holds what a sweep returns and writes."""
 from __future__ import annotations
 
 import itertools
+from collections import ChainMap
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -140,18 +141,15 @@ def build_index(docs, size, overlap, embed_texts_fn,
     tail_rows maps the text of every chunk that ends its document to a copy
     of its row. Windows are fixed, so only such a chunk can recur at another
     size; a copy lets the embedder's block arrays be freed with the index.
-    """
+    Index reads new rows and tail_rows through a ChainMap, which copies neither."""
     chunks = chunk_corpus(docs, ChunkConfig(size=size, overlap=overlap))
-    row_no = {t: i for i, t in enumerate(dict.fromkeys(c.text for c in chunks))}
-    missing = [t for t in row_no if t not in tail_rows]
+    missing = [t for t in dict.fromkeys(c.text for c in chunks) if t not in tail_rows]
     fresh = dict(zip(missing, embed_texts_fn(missing))) if missing else {}
-    rows = [fresh[t] if t in fresh else tail_rows[t] for t in row_no]
     # a chunk ends its document when the next one starts another (seq 0)
     for c, nxt in zip(chunks, chunks[1:] + [None]):
         if (nxt is None or nxt.seq == 0) and c.text not in tail_rows:
-            tail_rows[c.text] = rows[row_no[c.text]].copy()
-    return Index([((c.doc_id, c.seq), c.text) for c in chunks], rows,
-                 [row_no[c.text] for c in chunks])
+            tail_rows[c.text] = fresh[c.text].copy()
+    return Index([((c.doc_id, c.seq), c.text) for c in chunks], ChainMap(fresh, tail_rows))
 
 
 @dataclass

@@ -6,6 +6,7 @@ retrieval recall out of the experiment as a confound.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,25 +30,24 @@ class Hit:  # one distinct text, at its smallest ref
 
 
 class Index:
-    """Immutable exact-cosine index over chunks, each a (chunk_ref, text), with
-    one 1-D row per distinct text in rows and each chunk's row number in
-    row_of. It ranks the texts: chunks that share a row are one hit."""
+    """Immutable exact-cosine index over chunks, each a (chunk_ref, text),
+    with rows mapping each distinct text to its 1-D row. It ranks the texts:
+    chunks of one text are one hit."""
 
-    def __init__(self, chunks: list[tuple[ChunkRef, str]], rows: list[np.ndarray],
-                 row_of: list[int]):
+    def __init__(self, chunks: list[tuple[ChunkRef, str]], rows: Mapping[str, np.ndarray]):
         if not chunks:
             raise RagBenchError("cannot build index from zero chunks")
-        dims = {len(r) for r in rows}
+        # text: its refs ascending, first seen at its smallest ref, so the
+        # column order of the rows is the tie-break order
+        refs: dict[str, list[ChunkRef]] = {}
+        for ref, text in sorted(chunks):
+            refs.setdefault(text, []).append(ref)
+        dims = {len(rows[t]) for t in refs}
         if len(dims) > 1:
             raise RagBenchError(f"row dims disagree: {sorted(dims)}")
-        # row number: [text, its refs ascending], first seen at the smallest
-        # ref, so the column order of the rows is the tie-break order
-        groups: dict[int, list] = {}
-        for (ref, text), r in sorted(zip(chunks, row_of)):
-            groups.setdefault(r, [text]).append(ref)
-        self._texts = [g[0] for g in groups.values()]
-        self._refs = [tuple(g[1:]) for g in groups.values()]
-        matrix = np.stack([rows[r] for r in groups])
+        self._texts = list(refs)
+        self._refs = [tuple(r) for r in refs.values()]
+        matrix = np.stack([rows[t] for t in refs])
         self.dim = matrix.shape[1]
         norms = np.linalg.norm(matrix, axis=1)
         self._zero_mask = norms == 0.0

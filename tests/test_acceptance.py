@@ -82,12 +82,11 @@ def test_criterion_2_vectorstore_oracle():
     entries = [
         Entry(chunk_ref=(f"doc{i // 20}", i % 20),
               vector=np.array([rng.uniform(-1, 1) for _ in range(32)]),
-              text="")
+              text=f"text {i}")
         for i in range(1000)
     ]
-    # chunk i has its own row i
-    index = Index([(e.chunk_ref, e.text) for e in entries], [e.vector for e in entries],
-                  range(len(entries)))
+    # chunk i has its own text, and so its own row
+    index = Index([(e.chunk_ref, e.text) for e in entries], {e.text: e.vector for e in entries})
     for _ in range(100):
         q = np.array([rng.uniform(-1, 1) for _ in range(32)])
         expected_all = oracle_topk(entries, q, 10)

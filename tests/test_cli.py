@@ -847,4 +847,5 @@ class TestCommandLine:
                               str(corpus), b"--question=What is \xff?"],
                              capture_output=True, timeout=60, env=env)
         assert (run.returncode, run.stdout, run.stderr) == \
-            (1, b"", b"config error: --question is not UTF-8 text\n")
+            (1, b"", b"config error: field '--question' is not UTF-8 text: "
+                     b"surrogates not allowed\n")

@@ -1,12 +1,13 @@
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ragbench.corpus import (Document, dedup, ingest_text_dir, load_corpus,
-                             parse_reddit_jsonl, save_corpus)
+                             parse_reddit_jsonl, read_jsonl, save_corpus, write_jsonl)
 from ragbench.errors import MalformedLine, RagBenchError
 from ragbench.metrics import load_qa_jsonl
 
@@ -244,6 +245,20 @@ def test_store_round_trip(tmp_path):
     # field order on disk is fixed
     first = json.loads(path.read_text().splitlines()[0])
     assert list(first) == ["id", "source", "title", "body", "score", "created_at"]
+
+
+def test_write_jsonl_round_trip(tmp_path):
+    # non-ASCII text stays raw UTF-8, keys keep dict order, lines end in LF only
+    records = [{"z": "café 🙂", "a": 1, "m": None}, {"id": "line\nbreak", "x": [1.5]}]
+    path = tmp_path / "out.jsonl"
+    write_jsonl(path, iter(records))
+    data = path.read_bytes()
+    assert data == ('{"z": "café 🙂", "a": 1, "m": null}\n'
+                    '{"id": "line\\nbreak", "x": [1.5]}\n').encode("utf-8")
+    assert b"\r" not in data and data.count(b"\n") == 2
+    with open(path, "rb") as f:  # read_jsonl wants an id; each line is its own
+        parsed, skipped = read_jsonl(f, lambda obj: SimpleNamespace(id=repr(obj), obj=obj))
+    assert ([r.obj for r in parsed], skipped) == (records, 0)
 
 
 def test_load_corpus_missing(tmp_path):

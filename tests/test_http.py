@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import socket
@@ -15,9 +16,18 @@ from ragbench.errors import RagBenchError
 OK = (200, {"ok": True})
 
 
+@contextlib.contextmanager
+def transport(timeout_ms, max_retries):
+    """Set the transport policy's constants for the calls in the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_http, "TIMEOUT_MS", timeout_ms)
+        mp.setattr(_http, "MAX_RETRIES", max_retries)
+        yield
+
+
 def post(server, payload=None, timeout_ms=5000, max_retries=2):
-    return post_json_with_retries(server.url + "/v1/x", payload or {"a": 1},
-                                  timeout_ms=timeout_ms, max_retries=max_retries)
+    with transport(timeout_ms, max_retries):
+        return post_json_with_retries(server.url + "/v1/x", payload or {"a": 1})
 
 
 class TestRetryAfter:
@@ -70,8 +80,8 @@ class TestFailures:
             s.bind(("127.0.0.1", 0))
             port = s.getsockname()[1]
         with pytest.raises(RagBenchError, match="failed"):
-            post_json_with_retries(f"http://127.0.0.1:{port}/v1/x", {"a": 1},
-                                   timeout_ms=2000, max_retries=2)
+            with transport(timeout_ms=2000, max_retries=2):
+                post_json_with_retries(f"http://127.0.0.1:{port}/v1/x", {"a": 1})
         assert no_backoff_sleep == []
 
     def test_client_error_not_retried(self, fake_server, no_backoff_sleep):
@@ -85,7 +95,8 @@ class TestFailures:
                                      "ftp://127.0.0.1:1/x", "http://127.0.0.1:x/v1"])
     def test_url_not_http(self, url):
         with pytest.raises(RagBenchError, match="failed"):
-            post_json_with_retries(url, {"a": 1}, timeout_ms=100, max_retries=0)
+            with transport(timeout_ms=100, max_retries=0):
+                post_json_with_retries(url, {"a": 1})
 
 
 def fresh_python(code, *args, cwd=None):

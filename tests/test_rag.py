@@ -26,7 +26,7 @@ def hits_for(qa, index, k=RagConfig().top_k):
 def build_index(docs, size=200, overlap=0, dim=256):
     chunks = chunk_corpus(docs, ChunkConfig(size, overlap))
     return Index([((c.doc_id, c.seq), c.text) for c in chunks],
-                 [embed_offline(c.text, dim) for c in chunks], range(len(chunks)))
+                 {c.text: embed_offline(c.text, dim) for c in chunks})
 
 
 class TestConfig:

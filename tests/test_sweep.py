@@ -435,8 +435,9 @@ class TestStages:
         expected = {}
         for size in cfg.chunk_sizes:
             chunks = chunk_corpus(docs, ChunkConfig(size=size))
+            texts = [c.text for c in chunks]
             index = Index([((c.doc_id, c.seq), c.text) for c in chunks],
-                          offline_batch([c.text for c in chunks]), range(len(chunks)))
+                          dict(zip(texts, offline_batch(texts))))
             expected[size] = [
                 answer_correctness(
                     answer_question(item.question,

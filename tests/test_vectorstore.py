@@ -26,9 +26,8 @@ def entry(doc_id, seq, vector, text=""):
 
 
 def index_of(entries):
-    """An Index that gives chunk i its own row i."""
-    return Index([(e.chunk_ref, e.text) for e in entries], [e.vector for e in entries],
-                 range(len(entries)))
+    """An Index that gives each entry's text, distinct here, its vector."""
+    return Index([(e.chunk_ref, e.text) for e in entries], {e.text: e.vector for e in entries})
 
 
 class TestBuild:
@@ -38,14 +37,22 @@ class TestBuild:
         assert idx.dim == 2
 
     def test_chunks_share_rows(self):
-        # chunks that share a row are one hit, at the smallest ref, with the
+        # chunks of one text are one hit, at the smallest ref, with the
         # other refs ascending; k counts texts, not chunks
         idx = Index([(("c", 0), "x"), (("a", 1), "y"), (("a", 0), "x"), (("b", 0), "x")],
-                    [vec(1, 0), vec(0, 1)], [0, 1, 0, 0])
+                    {"x": vec(1, 0), "y": vec(0, 1)})
         hits = idx.query_topk(vec(1, 0), 4)
         assert [(h.chunk_ref, h.score, h.text, h.also) for h in hits] == \
             [(("a", 0), 1.0, "x", (("b", 0), ("c", 0))), (("a", 1), 0.0, "y", ())]
         assert [h.chunk_ref for h in idx.query_topk(vec(1, 0), 2)] == [("a", 0), ("a", 1)]
+
+    def test_one_text_one_hit(self):
+        # two chunks of one text share its row; a row no chunk's text names,
+        # as build_index's rows of other sizes' texts, is neither indexed nor
+        # checked for its dim
+        idx = Index([(("b", 0), "x"), (("a", 3), "x")], {"x": vec(1, 0), "z": vec(1, 0, 0)})
+        hits = idx.query_topk(vec(1, 0), 2)
+        assert [(h.chunk_ref, h.text, h.also) for h in hits] == [(("a", 3), "x", (("b", 0),))]
 
     def test_dim_mismatch(self):
         with pytest.raises(RagBenchError, match=r"^row dims disagree: \[2, 3\]$"):
@@ -53,7 +60,7 @@ class TestBuild:
 
     def test_empty(self):
         with pytest.raises(RagBenchError, match=r"^cannot build index from zero chunks$"):
-            Index([], [], [])
+            Index([], {})
 
 
 class TestQuery:
@@ -260,7 +267,8 @@ def test_equal_text_ties_exact_in_shuffled_columns():
     rows = list(rng.standard_normal((50, 256)))
     row_of = rng.permutation(np.arange(1914) % 50)
     refs = [(f"d{i % 97:02d}", i // 97) for i in rng.permutation(1914)]
-    idx = Index([(ref, f"text {r}") for ref, r in zip(refs, row_of)], rows, row_of)
+    idx = Index([(ref, f"text {r}") for ref, r in zip(refs, row_of)],
+                {f"text {r}": row for r, row in enumerate(rows)})
     entries = [Entry(ref, rows[r], f"text {r}") for ref, r in zip(refs, row_of)]
     assert_one_hit_per_text(idx, entries, rng.standard_normal((8, 256)), (1, 4, 50, 1914))
 
@@ -277,7 +285,8 @@ def test_equal_text_ties_exact(data):
     rows, (row_of, order), queries = data
     rows = [np.array(r, dtype=np.float64) for r in rows]
     refs = [(f"d{j % 7}", j) for j in order]
-    idx = Index([(ref, f"text {r}") for ref, r in zip(refs, row_of)], rows, row_of)
+    idx = Index([(ref, f"text {r}") for ref, r in zip(refs, row_of)],
+                {f"text {r}": row for r, row in enumerate(rows)})
     entries = [Entry(ref, rows[r], f"text {r}") for ref, r in zip(refs, row_of)]
     assert_one_hit_per_text(idx, entries, np.array(queries, dtype=np.float64),
                             _ks(len(set(row_of))))
