@@ -100,7 +100,7 @@ def cmd_ask(corpus_path, question, chunk_size, overlap, top_k, backend,
     with _make_backends(app) as (embed_texts_fn, embed_single_fn, generate_fn, _, _):
         index = build_index(corpus_mod.load_corpus(corpus_path), app.chunk_sizes[0],
                             app.overlap, embed_texts_fn, {})
-        hits = index.query_topk(embed_single_fn([question])[0], app.rag.top_k)
+        hits = index.query_topk(embed_single_fn([question]), app.rag.top_k)[0]
         record = answer_question(question, hits, generate_fn, app.rag)
     print(record.answer)
     print()

@@ -24,7 +24,7 @@ class AppConfig:
     rag: RagConfig = field(default_factory=RagConfig)
     metric: MetricConfig = field(default_factory=MetricConfig)
     chunk_sizes: list[int] = field(default_factory=lambda: list(DEFAULT_CHUNK_SIZES))
-    overlap: int = 0
+    overlap: int = ChunkConfig.overlap
     llm_endpoint_url: str = ""
     llm_model: str = ""
     cache_dir: str = ""

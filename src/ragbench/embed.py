@@ -91,7 +91,7 @@ def _embed_block(datas: list[bytes], dim: int) -> np.ndarray:
     return counts / np.sqrt((counts * counts).sum(axis=1))[:, None]
 
 
-def embed_offline_batch(texts: list[str], dim: int = 256) -> list[np.ndarray]:
+def embed_offline_batch(texts: list[str], dim: int = EmbedderConfig.dim) -> list[np.ndarray]:
     """Hashed byte-trigram bag embeddings, L2-normalized: each text is
     case-folded, and each UTF-8 byte trigram (a text under 3 bytes whole)
     hashed with FNV-1a-64 into dim buckets. Deterministic across runs and

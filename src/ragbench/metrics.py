@@ -80,7 +80,7 @@ class LexicalJudge:
     tokenize it twice, to equal sets.
     """
 
-    def __init__(self, jaccard_threshold: float = 0.6):
+    def __init__(self, jaccard_threshold: float = MetricConfig.jaccard_threshold):
         self.jaccard_threshold = jaccard_threshold
         self._token_sets: dict[str, frozenset[str]] = {}
         self._interned: dict[str, str] = {}

@@ -49,11 +49,12 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
     chunked and embedded; embed_single_fn, generate_fn and judge must then
     be thread-safe. Results and errors are those of one item at a time
     through every step: a size raises its earliest error in input order,
-    tagged with its item's id (errors.tag_qa). A failed item skips the later
-    items of its size that have not started; without keep_going, every
-    later item that has not started, and no later size is built. With
-    out_dir, each size that succeeds writes its results there; nothing is
-    deleted.
+    tagged with its item's id (errors.tag_qa). An error of the size's own,
+    as a question row whose dim is not its index's, is untagged and answers
+    no item. A failed item skips the later items of its size that have not
+    started; without keep_going, every later item that has not started, and
+    no later size is built. With out_dir, each size that succeeds writes its
+    results there; nothing is deleted.
     """
     if not docs:
         raise RagBenchError("sweep needs a non-empty corpus")
@@ -82,12 +83,6 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
     def score(qa, record):
         return answer_correctness(record.answer, qa, vector, app.metric, judge)
 
-    def question_vector(qa):
-        vec = vector(qa.question)
-        if len(vec) != index.dim:
-            raise RagBenchError(f"query dim {len(vec)} != index dim {index.dim}")
-        return vec
-
     # a stage maps each size to (its items' outcomes, its error before them);
     # without keep_going, one _Stage per stage stops every size's later items
     pool = ThreadPoolExecutor(max_workers=concurrency) if concurrency > 1 else None
@@ -97,8 +92,9 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
         for size in app.chunk_sizes:
             try:
                 index = build_index(docs, size, app.overlap, embed_texts_fn, tail_rows)
-                vectors, error = _collect(qa_set, _submit(None, question_vector, qa_set))
-                hits = index.query_topk(np.stack(vectors), app.rag.top_k) if vectors else []
+                vectors, error = _collect(qa_set, _submit(None, lambda qa: vector(qa.question),
+                                                          qa_set))
+                hits = index.query_topk(vectors, app.rag.top_k)
             except RagBenchError as exc:
                 hits, error = [], exc
             index = None  # hits carry their chunk texts, so the vectors can go now

@@ -6,7 +6,7 @@ retrieval recall out of the experiment as a confound.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,24 +54,26 @@ class Index:
         norms[self._zero_mask] = 1.0  # zero-norm rows score 0 by convention
         self._unit = matrix / norms[:, None]
 
-    def query_topk(self, q: np.ndarray, k: int) -> list[Hit] | list[list[Hit]]:
-        """Top-k distinct texts by cosine(q, text's row), score descending,
-        ties broken by smallest chunk_ref ascending. Returns all texts when
-        k exceeds their count.
+    def query_topk(self, queries: Sequence[np.ndarray], k: int) -> list[list[Hit]]:
+        """For each query row in turn, its top-k distinct texts by
+        cosine(row, text's row), score descending, ties broken by smallest
+        chunk_ref ascending; all texts when k exceeds their count.
 
-        q is one query row, or a 2-D stack of rows, for which one hit list
-        per row is returned. Rows are scored in blocks of at most about
-        _SCORE_BLOCK_BYTES of scores, one matrix product per block. A zero
-        query row scores 0 everywhere, and a NaN row changes only its own hits.
+        queries is a sequence of 1-D rows, such as a list or a 2-D array;
+        each must have the index's dim, or nothing is scored. Rows are
+        scored in blocks of at most about _SCORE_BLOCK_BYTES of scores, one
+        matrix product per block. A zero query row scores 0 everywhere, and
+        a NaN row changes only its own hits.
         """
-        rows = np.atleast_2d(q)
-        if rows.ndim != 2 or rows.shape[1] != self.dim:
-            raise RagBenchError(f"query dim {rows.shape[-1]} != index dim {self.dim}")
+        for shape in map(np.shape, queries):
+            if shape != (self.dim,):
+                got = shape[0] if len(shape) == 1 else shape  # else not a row: its shape
+                raise RagBenchError(f"query dim {got} != index dim {self.dim}")
         step = max(1, _SCORE_BLOCK_BYTES // (8 * len(self._texts)))
         hits: list[list[Hit]] = []
-        for start in range(0, len(rows), step):
-            hits.extend(self._topk_block(rows[start:start + step], k))
-        return hits if np.ndim(q) == 2 else hits[0]
+        for start in range(0, len(queries), step):
+            hits.extend(self._topk_block(np.stack(queries[start:start + step]), k))
+        return hits
 
     def _topk_block(self, rows: np.ndarray, k: int) -> list[list[Hit]]:
         norms = np.linalg.norm(rows, axis=1)

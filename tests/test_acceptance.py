@@ -91,7 +91,7 @@ def test_criterion_2_vectorstore_oracle():
         q = np.array([rng.uniform(-1, 1) for _ in range(32)])
         expected_all = oracle_topk(entries, q, 10)
         for k in (1, 5, 10):
-            hits = index.query_topk(q, k)
+            hits = index.query_topk([q], k)[0]
             expected = expected_all[:k]
             assert [h.chunk_ref for h in hits] == [r for _, r in expected]
             for h, (s, _) in zip(hits, expected):

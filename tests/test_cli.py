@@ -9,10 +9,12 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ragbench._http as http_mod
 import ragbench.cli as cli_mod
+import ragbench.embed as embed_mod
 from ragbench.corpus import Document, save_corpus
 from ragbench.cli import main
 from ragbench.config import AppConfig, load_app_config
@@ -222,6 +224,14 @@ class TestAsk:
         assert main(["ask", "--corpus", str(corpus), "--question", "What is ZEBRA-7?",
                      "--chunk-size", "200", "--config", str(cfg)]) == 0
         assert "ZEBRA-7" in capsys.readouterr().out
+
+    def test_question_of_another_dim_is_a_data_error(self, corpus, monkeypatch, capsys):
+        # only single texts come 64 wide: the chunks keep the default 256
+        monkeypatch.setattr(embed_mod, "embed_texts",
+                            lambda texts, cfg, cache_dir: [np.ones(64) for _ in texts])
+        assert main(["ask", "--corpus", str(corpus), "--question", "What is ZEBRA-7?",
+                     "--backend", "offline"]) == 2
+        assert capsys.readouterr().err == "error: query dim 64 != index dim 256\n"
 
     def test_missing_question_usage_error(self, corpus):
         assert main(["ask", "--corpus", str(corpus)]) == 1

@@ -20,7 +20,7 @@ def offline_embed(text):
 
 
 def hits_for(qa, index, k=RagConfig().top_k):
-    return index.query_topk(offline_embed(qa.question), k)
+    return index.query_topk([offline_embed(qa.question)], k)[0]
 
 
 def build_index(docs, size=200, overlap=0, dim=256):

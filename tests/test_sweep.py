@@ -441,7 +441,7 @@ class TestStages:
             expected[size] = [
                 answer_correctness(
                     answer_question(item.question,
-                                    index.query_topk(embed_fn(item.question), cfg.rag.top_k),
+                                    index.query_topk([embed_fn(item.question)], cfg.rag.top_k)[0],
                                     mock_generate, cfg.rag).answer,
                     item, embed_fn, cfg.metric, LexicalJudge())
                 for item in qa]
@@ -480,37 +480,38 @@ class TestStages:
 
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("keep_going", [True, False])
-    def test_wrong_dim_question_fails_as_its_own_item(self, monkeypatch, workers,
-                                                      keep_going):
-        # q2's vector is too short: q2 fails with its own dim error, and
-        # q0 and q1 are still answered and scored at every size run
+    def test_wrong_dim_questions_fail_their_size(self, monkeypatch, workers, keep_going):
+        # single texts 64 wide against 128-wide chunks, as when the embedder
+        # changes dims between calls: no item is at fault, so each size
+        # reached fails untagged and answers no item
         def embed_single(texts):
-            return [vec[:64] if text == "What about threat number 2?" else vec
-                    for text, vec in zip(texts, offline_batch(texts))]
+            return embed_texts(texts, EmbedderConfig(kind="offline", dim=64), None)
 
-        answered, scored = [], []
-        ids = {qa.question: qa.id for qa in make_qa()}
-        answer, score = sweep_mod.answer_question, sweep_mod.answer_correctness
+        answered, indexed = [], []
+        answer = sweep_mod.answer_question
         monkeypatch.setattr(sweep_mod, "answer_question",
-                            lambda q, *a: answered.append(ids[q]) or answer(q, *a))
-        monkeypatch.setattr(sweep_mod, "answer_correctness",
-                            lambda ans, qa, *a: scored.append(qa.id) or score(ans, qa, *a))
+                            lambda q, *a: answered.append(q) or answer(q, *a))
 
         def sweep():
             return run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100, 200]),
-                             embed_texts_fn=offline_batch, embed_single_fn=embed_single,
-                             generate_fn=mock_generate, judge=LexicalJudge(),
-                             keep_going=keep_going, concurrency=workers)
+                             embed_texts_fn=lambda t: indexed.append(t) or offline_batch(t),
+                             embed_single_fn=embed_single, generate_fn=mock_generate,
+                             judge=LexicalJudge(), keep_going=keep_going,
+                             concurrency=workers)
 
+        message = f"query dim 64 != index dim {EMB.dim}"
         if keep_going:
-            assert [r.error for r in sweep().rows] == \
-                [f"[qa q2] query dim 64 != index dim {EMB.dim}"] * 2
+            rows = sweep().rows
+            assert [(r.chunk_size, r.failed, r.error) for r in rows] == \
+                [(100, True, message), (200, True, message)]
             sizes_run = 2
         else:
-            with pytest.raises(RagBenchError, match=r"^\[qa q2\] query dim 64 "):
+            with pytest.raises(RagBenchError, match=rf"^{message}$") as info:
                 sweep()
+            assert not hasattr(info.value, "qa_id")
             sizes_run = 1
-        assert sorted(answered) == sorted(scored) == ["q0"] * sizes_run + ["q1"] * sizes_run
+        assert len(indexed) == sizes_run
+        assert answered == []
 
     def test_single_texts_batched_chunk_texts_embedded_once(self, monkeypatch):
         single, chunk = [], []

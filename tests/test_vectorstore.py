@@ -33,7 +33,7 @@ def index_of(entries):
 class TestBuild:
     def test_basic(self):
         idx = index_of([entry("a", 0, vec(1, 0)), entry("a", 1, vec(0, 1))])
-        assert [h.chunk_ref for h in idx.query_topk(vec(1, 0), 3)] == [("a", 0), ("a", 1)]
+        assert [h.chunk_ref for h in idx.query_topk([vec(1, 0)], 3)[0]] == [("a", 0), ("a", 1)]
         assert idx.dim == 2
 
     def test_chunks_share_rows(self):
@@ -41,17 +41,17 @@ class TestBuild:
         # other refs ascending; k counts texts, not chunks
         idx = Index([(("c", 0), "x"), (("a", 1), "y"), (("a", 0), "x"), (("b", 0), "x")],
                     {"x": vec(1, 0), "y": vec(0, 1)})
-        hits = idx.query_topk(vec(1, 0), 4)
+        hits = idx.query_topk([vec(1, 0)], 4)[0]
         assert [(h.chunk_ref, h.score, h.text, h.also) for h in hits] == \
             [(("a", 0), 1.0, "x", (("b", 0), ("c", 0))), (("a", 1), 0.0, "y", ())]
-        assert [h.chunk_ref for h in idx.query_topk(vec(1, 0), 2)] == [("a", 0), ("a", 1)]
+        assert [h.chunk_ref for h in idx.query_topk([vec(1, 0)], 2)[0]] == [("a", 0), ("a", 1)]
 
     def test_one_text_one_hit(self):
         # two chunks of one text share its row; a row no chunk's text names,
         # as build_index's rows of other sizes' texts, is neither indexed nor
         # checked for its dim
         idx = Index([(("b", 0), "x"), (("a", 3), "x")], {"x": vec(1, 0), "z": vec(1, 0, 0)})
-        hits = idx.query_topk(vec(1, 0), 2)
+        hits = idx.query_topk([vec(1, 0)], 2)[0]
         assert [(h.chunk_ref, h.text, h.also) for h in hits] == [(("a", 3), "x", (("b", 0),))]
 
     def test_dim_mismatch(self):
@@ -66,7 +66,7 @@ class TestBuild:
 class TestQuery:
     def test_top1(self):
         idx = index_of([entry("e1", 0, vec(1, 0)), entry("e2", 0, vec(0, 1))])
-        hits = idx.query_topk(vec(1, 0), 1)
+        hits = idx.query_topk([vec(1, 0)], 1)[0]
         assert len(hits) == 1
         assert hits[0].chunk_ref == ("e1", 0)
         assert hits[0].score == pytest.approx(1.0)
@@ -74,24 +74,40 @@ class TestQuery:
 
     def test_k_clamped(self):
         idx = index_of([entry("a", 0, vec(1, 0)), entry("b", 0, vec(0, 1))])
-        assert len(idx.query_topk(vec(1, 1), 5)) == 2
+        assert len(idx.query_topk([vec(1, 1)], 5)[0]) == 2
 
-    def test_query_dim_mismatch(self):
+    def test_query_dim_mismatch(self, monkeypatch):
+        # every row is checked before any is scored: a long row, a 2-D
+        # array's rows, a short row after a good one, a 2-D row, and a bare
+        # row, whose items are scalars
         idx = index_of([entry("a", 0, vec(1, 0))])
-        with pytest.raises(RagBenchError, match=r"^query dim 3 != index dim 2$"):
-            idx.query_topk(vec(1, 0, 0), 1)
-        with pytest.raises(RagBenchError, match=r"^query dim 3 != index dim 2$"):
-            idx.query_topk(np.zeros((3, 3)), 1)
+        monkeypatch.setattr(idx, "_topk_block", lambda *a: pytest.fail("a row was scored"))
+        for queries, got in [([vec(1, 0, 0)], "3"), (np.zeros((3, 3)), "3"),
+                             ([vec(1, 0), vec(1)], "1"), ([np.ones((1, 2))], r"\(1, 2\)"),
+                             (vec(1, 0), r"\(\)")]:
+            with pytest.raises(RagBenchError, match=rf"^query dim {got} != index dim 2$"):
+                idx.query_topk(queries, 1)
+
+    def test_empty_query_list(self):
+        idx = index_of([entry("a", 0, vec(1, 0))])
+        assert idx.query_topk([], 1) == []
+        assert idx.query_topk(np.zeros((0, 2)), 1) == []
+
+    def test_array_rows_equal_list_of_rows(self):
+        rng = random.Random(13)
+        idx = index_of([entry("d", i, rand_vec(rng, 8)) for i in range(30)])
+        queries = np.stack([rand_vec(rng, 8) for _ in range(6)])
+        assert idx.query_topk(queries, 4) == idx.query_topk(list(queries), 4)
 
     def test_tie_break_by_ref(self):
         idx = index_of([entry("b", 1, vec(1, 0)), entry("a", 2, vec(1, 0)),
                         entry("a", 1, vec(1, 0))])
-        hits = idx.query_topk(vec(1, 0), 3)
+        hits = idx.query_topk([vec(1, 0)], 3)[0]
         assert [h.chunk_ref for h in hits] == [("a", 1), ("a", 2), ("b", 1)]
 
     def test_zero_query_scores_zero(self):
         idx = index_of([entry("a", 0, vec(1, 0))])
-        assert idx.query_topk(vec(0, 0), 1)[0].score == 0.0
+        assert idx.query_topk([vec(0, 0)], 1)[0][0].score == 0.0
 
     def test_matches_oracle(self):
         rng = random.Random(7)
@@ -104,7 +120,7 @@ class TestQuery:
             stacked = idx.query_topk(np.stack(queries), k)
             for q, hits_in_stack in zip(queries, stacked):
                 expected = oracle_topk(entries, q, k)
-                for hits in (idx.query_topk(q, k), hits_in_stack):
+                for hits in (idx.query_topk([q], k)[0], hits_in_stack):
                     assert [h.chunk_ref for h in hits] == [r for _, r in expected]
                     for h, (s, _) in zip(hits, expected):
                         assert h.score == pytest.approx(s, abs=1e-12)
@@ -122,7 +138,7 @@ class TestQuery:
         n = len(entries)
         for q in [vec(1, 0, 0), vec(0, 1, 1), vec(1, 1, 1), vec(0, 0, 0), vec(-3, 0, 0)]:
             for k in (1, 3, n, n + 5):
-                hits = idx.query_topk(q, k)
+                hits = idx.query_topk([q], k)[0]
                 assert [h.chunk_ref for h in hits] == [r for _, r in oracle_topk(entries, q, k)]
                 assert len(hits) == min(k, n)
 
@@ -134,7 +150,7 @@ class TestQuery:
         queries[2, 3] = np.nan
         stacked = idx.query_topk(queries, 4)
         for i in (0, 1, 3, 4):
-            alone = idx.query_topk(queries[i], 4)
+            alone = idx.query_topk([queries[i]], 4)[0]
             assert [h.chunk_ref for h in stacked[i]] == [h.chunk_ref for h in alone]
             assert [h.score for h in stacked[i]] == pytest.approx([h.score for h in alone], abs=1e-12)
         # every score of the NaN row is NaN, so the tie-break alone orders it
@@ -145,7 +161,7 @@ class TestQuery:
         rng = random.Random(3)
         entries = [entry("d", i, rand_vec(rng, 8)) for i in range(50)]
         idx = index_of(entries)
-        hits = idx.query_topk(rand_vec(rng, 8), 50)
+        hits = idx.query_topk([rand_vec(rng, 8)], 50)[0]
         assert sorted(h.chunk_ref for h in hits) == sorted(e.chunk_ref for e in entries)
         scores = [h.score for h in hits]
         assert scores == sorted(scores, reverse=True)
@@ -186,7 +202,7 @@ def test_partitioned_topk_equals_oracle_on_ties(rows, q):
     idx = index_of(entries)
     q = np.array(q, dtype=np.float64)
     for k in _ks(len(entries)):
-        hits = idx.query_topk(q, k)
+        hits = idx.query_topk([q], k)[0]
         expected = oracle_topk(entries, q, k)
         assert [(h.score, h.chunk_ref) for h in hits] == expected
 
@@ -204,9 +220,9 @@ def test_partitioned_topk_is_prefix_of_full_order(data):
                for (d, s), r in zip(_refs(len(rows)), rows)]
     idx = index_of(entries)
     q = np.array(q, dtype=np.float64)
-    full = idx.query_topk(q, len(entries))
+    full = idx.query_topk([q], len(entries))[0]
     for k in _ks(len(entries)):
-        assert idx.query_topk(q, k) == full[:k]
+        assert idx.query_topk([q], k)[0] == full[:k]
 
 
 # a zero row, or one whose norm is a power of two: one nonzero entry, or
@@ -239,7 +255,7 @@ def test_stacked_queries_equal_one_at_a_time(rows, queries, block_rows):
             stacked = idx.query_topk(stack, k)
             assert len(stacked) == len(stack)
             for q, hits in zip(stack, stacked):
-                alone = idx.query_topk(q, k)
+                alone = idx.query_topk([q], k)[0]
                 assert [h.chunk_ref for h in hits] == [h.chunk_ref for h in alone]
                 expected = oracle_topk(entries, q, k)
                 assert [h.chunk_ref for h in hits] == [r for _, r in expected]
