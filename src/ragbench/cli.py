@@ -67,7 +67,7 @@ def _make_backends(app: AppConfig):
                                          endpoint=endpoint)
             concurrency = MAX_CONCURRENCY
         judge = (RemoteJudge(generate_fn, model=app.llm_model) if app.metric.judge == "remote"
-                 else LexicalJudge(app.metric.jaccard_threshold))
+                 else LexicalJudge())
         yield ((lambda texts: embed_texts(texts, app.embedder, cache_dir)),
                (lambda texts: embed_mod.embed_texts(texts, app.embedder, cache_dir)),
                generate_fn, judge, concurrency)

@@ -22,18 +22,20 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 _MAX_BATCH = 64
 
+# The offline embedder's width: FNV-1a-64's low byte picks the bucket.
+OFFLINE_DIM = 256
+
 # Budgets of one block of the batch embedder. Hashing a block allocates a
-# few arrays of its byte length, and a count matrix and a float result of its
-# texts x dim cells, so bounding both keeps peak memory flat however many
-# texts come in.
+# few arrays of its byte length, and a count matrix and a float result of
+# OFFLINE_DIM cells per text, so bounding both keeps peak memory flat however
+# many texts come in.
 _BLOCK_BYTES = 64 * 1024
-_BLOCK_CELLS = 4 * _BLOCK_BYTES
+_BLOCK_TEXTS = 1024
 
 
 @dataclass
 class EmbedderConfig:
     kind: str = "offline"  # "offline" | "remote"
-    dim: int = 256
     endpoint_url: str = ""
     model: str = ""
 
@@ -42,8 +44,6 @@ class EmbedderConfig:
             raise InvalidConfig(f"unknown embedder kind {self.kind!r}")
         if self.kind == "remote" and not self.endpoint_url:
             raise InvalidConfig("remote embedder requires endpoint_url")
-        if self.kind == "offline" and self.dim <= 0:
-            raise InvalidConfig("offline embedder dim must be > 0")
 
 
 def _fnv1a64(data: bytes) -> int:
@@ -53,37 +53,31 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
-def _embed_block(datas: list[bytes], dim: int) -> np.ndarray:
+def _embed_block(datas: list[bytes]) -> np.ndarray:
     """embed_offline_batch over already case-folded UTF-8 texts, in one pass.
 
-    FNV-1a of every trigram of the concatenated bytes runs on uint16 arrays
-    when dim divides 2**16 and on uint64 arrays otherwise, each wrapping at
-    its width as _MASK64 does. Both lanes pick FNV-1a-64's bucket: xor with
-    a byte and a wrapping multiply commute with truncation to the low 16
-    bits, and when dim divides 2**16, h % dim depends only on those bits.
+    FNV-1a of every trigram of the concatenated bytes runs on uint8 arrays,
+    which wrap at 8 bits: xor with a byte and a wrapping multiply commute
+    with truncation to the low 8 bits, so each hash is FNV-1a-64's bucket.
     Trigrams that cross a text boundary go to one spare bucket past the last
     text's, the rest are counted per (text, bucket) with one bincount. Counts
     are integers, so the sum of squares is exact and every value is
     bit-identical to a scalar loop's.
     """
-    n = len(datas)
+    n, dim = len(datas), OFFLINE_DIM
     lengths = np.fromiter(map(len, datas), dtype=np.intp, count=n)
     buf = np.frombuffer(b"".join(datas), dtype=np.uint8)
     text_id = np.repeat(np.arange(n), lengths)
-    narrow = (1 << 16) % dim == 0
-    lane = np.uint16 if narrow else np.uint64
-    mask = np.iinfo(lane).max
-    h = np.full(max(len(buf) - 2, 0), _FNV_OFFSET & mask, dtype=lane)
+    h = np.full(max(len(buf) - 2, 0), _FNV_OFFSET & 0xFF, dtype=np.uint8)
     for j in range(3):
         h ^= buf[j:len(buf) - 2 + j]
-        h *= lane(_FNV_PRIME & mask)
+        h *= np.uint8(_FNV_PRIME & 0xFF)
     # keys are built in text_id's buffer, which nothing reads after crossing,
     # so no second array of 8 bytes per trigram is allocated
     keys = text_id[:-2]
     crossing = keys != text_id[2:]
     keys *= dim
-    # uint16 adds into intp in place; uint64 and intp promote to float64
-    keys += h & lane(dim - 1) if narrow else (h % lane(dim)).astype(np.intp)
+    keys += h
     keys[crossing] = n * dim
     counts = np.bincount(keys, minlength=n * dim + 1)[:-1].reshape(n, dim)
     for i in np.flatnonzero(lengths < 3):
@@ -91,12 +85,12 @@ def _embed_block(datas: list[bytes], dim: int) -> np.ndarray:
     return counts / np.sqrt((counts * counts).sum(axis=1))[:, None]
 
 
-def embed_offline_batch(texts: list[str], dim: int = EmbedderConfig.dim) -> list[np.ndarray]:
+def embed_offline_batch(texts: list[str]) -> list[np.ndarray]:
     """Hashed byte-trigram bag embeddings, L2-normalized: each text is
     case-folded, and each UTF-8 byte trigram (a text under 3 bytes whole)
-    hashed with FNV-1a-64 into dim buckets. Deterministic across runs and
-    platforms. Texts are hashed in blocks of about _BLOCK_BYTES bytes and at
-    most _BLOCK_CELLS texts x dim cells; a text over either budget is a
+    hashed with FNV-1a-64 into OFFLINE_DIM buckets. Deterministic across
+    runs and platforms. Texts are hashed in blocks of about _BLOCK_BYTES
+    bytes and at most _BLOCK_TEXTS texts; a text over the byte budget is a
     block of its own.
     """
     out: list[np.ndarray] = []
@@ -106,15 +100,14 @@ def embed_offline_batch(texts: list[str], dim: int = EmbedderConfig.dim) -> list
         if not text:
             raise RagBenchError("cannot embed empty text")
         data = text.casefold().encode("utf-8")
-        if block and (size + len(data) > _BLOCK_BYTES
-                      or (len(block) + 1) * dim > _BLOCK_CELLS):
+        if block and (size + len(data) > _BLOCK_BYTES or len(block) == _BLOCK_TEXTS):
             # extend, not +=: list += ndarray is numpy's elementwise add
-            out.extend(_embed_block(block, dim))
+            out.extend(_embed_block(block))
             block, size = [], 0
         block.append(data)
         size += len(data)
     if block:
-        out.extend(_embed_block(block, dim))
+        out.extend(_embed_block(block))
     return out
 
 
@@ -194,6 +187,6 @@ def embed_texts(texts: list[str], cfg: EmbedderConfig,
     """Dispatch to the configured embedder. A remote one needs cache_dir,
     its response store; the offline one makes no backend call and ignores it."""
     if cfg.kind == "offline":
-        return embed_offline_batch(texts, cfg.dim)
+        return embed_offline_batch(texts)
     return embed_remote(texts, cfg, cache_dir)
 

@@ -21,7 +21,7 @@ from ragbench.vectorstore import Index
 
 from oracles import Entry, embed_offline, oracle_topk
 
-EMB = EmbedderConfig(kind="offline", dim=256)
+EMB = EmbedderConfig(kind="offline")
 SIZES = [250, 500, 1000, 2000, 4000, 8000]
 
 
@@ -246,10 +246,10 @@ def test_criterion_7_planted_corpus_sensitivity():
 
     # pre-check with the brute-force oracle: each planted doc is rank-0
     entries = [Entry(chunk_ref=(d.id, 0),
-                     vector=embed_offline(d.body, EMB.dim), text=d.body)
+                     vector=embed_offline(d.body), text=d.body)
                for d in docs_a]
     for i, item in enumerate(qa):
-        top = oracle_topk(entries, embed_offline(item.question, EMB.dim), 1)
+        top = oracle_topk(entries, embed_offline(item.question), 1)
         assert top[0][1] == (f"a{i}", 0)
 
     means_a = run_means(docs_a, qa)

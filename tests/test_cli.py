@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -596,20 +597,13 @@ class TestConfigFile:
                      "--config", str(cfg)]) == 1
         assert "unknown keys ['output_dir']" in capsys.readouterr().err
 
-    def test_jaccard_threshold_zero_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"metric": {"jaccard_threshold": 0}}')
-        assert main(["ask", "--corpus", "x", "--question", "q",
-                     "--config", str(cfg)]) == 1
-        assert "jaccard_threshold must be in (0, 1]" in capsys.readouterr().err
-
     @pytest.mark.parametrize("obj", [
         {"overlap": "5"}, {"overlap": True}, {"overlap": 5.0}, {"cache_dir": 5},
         {"llm_model": ["x"]}, {"chunk_sizes": [250, "500"]}, {"chunk_sizes": 250},
         {"rag": {"model": 5}}, {"rag": {"top_k": None}},
-        {"metric": {"w_factual": "1"}}, {"embedder": {"dim": False}},
+        {"metric": {"w_factual": "1"}}, {"embedder": {"endpoint_url": False}},
         # and values with which no embedding could be made
-        {"embedder": {"dim": 0}}, {"embedder": {"dim": -5}},
+        {"embedder": {"kind": 5}}, {"embedder": {"kind": "hashed"}},
         {"embedder": {"kind": "remote"}},
     ])
     def test_value_of_the_wrong_type_rejected(self, tmp_path, capsys, obj):
@@ -628,6 +622,9 @@ class TestConfigFile:
         ("rag", "system_prompt"), ("rag", "prompt_template"), ("rag", "max_tokens"),
         # the semantic weight is 1 - w_factual
         ("metric", "w_semantic"),
+        # the offline embedder is embed.OFFLINE_DIM wide, and the lexical
+        # judge's threshold is LexicalJudge's default
+        ("embedder", "dim"), ("metric", "jaccard_threshold"),
     ])
     def test_deleted_key_is_not_a_config_key(self, tmp_path, capsys, section, key):
         cfg = tmp_path / "cfg.json"
@@ -636,6 +633,22 @@ class TestConfigFile:
                      "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == \
             f"config error: {cfg}:{section}: unknown keys ['{key}']\n"
+
+    def test_settable_keys(self):
+        # every value a config file can set, as a dotted name: a new key
+        # is added here on purpose, with the aim it serves
+        app = AppConfig()
+        names = set()
+        for f in dataclasses.fields(app):
+            value = getattr(app, f.name)
+            names |= ({f"{f.name}.{g.name}" for g in dataclasses.fields(value)}
+                      if dataclasses.is_dataclass(value) else {f.name})
+        assert names == {
+            "embedder.kind", "embedder.endpoint_url", "embedder.model",
+            "rag.top_k", "rag.max_context_chars", "rag.model",
+            "metric.w_factual", "metric.judge",
+            "chunk_sizes", "overlap", "llm_endpoint_url", "llm_model", "cache_dir",
+        }
 
     @pytest.mark.parametrize("data", [
         pytest.param(b'{"llm_model": "caf\xe9"}', id="latin-1"),
@@ -741,11 +754,10 @@ class TestConfigFile:
 
 
 class TestMakeBackends:
-    def test_lexical_judge_at_config_threshold(self):
-        with cli_mod._make_backends(AppConfig(metric=MetricConfig(jaccard_threshold=0.3))) \
-                as (_, _, _, judge, _):
+    def test_lexical_judge_at_default_threshold(self):
+        with cli_mod._make_backends(AppConfig()) as (_, _, _, judge, _):
             assert type(judge) is LexicalJudge
-            assert judge.jaccard_threshold == 0.3
+            assert judge.jaccard_threshold == 0.6
 
     def test_remote_judge_with_llm_model(self):
         app = AppConfig(embedder=EmbedderConfig(kind="remote", endpoint_url="http://127.0.0.1:9"),

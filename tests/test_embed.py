@@ -73,21 +73,12 @@ _BATCH_TEXT = st.text(alphabet=st.sampled_from("aZ 1éß İﬁ日\U0001F600"),
 
 class TestOfflineBatch:
     @settings(max_examples=200)
-    @given(st.lists(_BATCH_TEXT, min_size=1, max_size=20),
-           st.sampled_from([1, 7, 64, 100, 256, 384, 1024]))
-    def test_equals_scalar_reference(self, texts, dim):
-        # dims that divide 2**16 hash in uint16 lanes, the others in uint64
-        assert same_rows(embed_offline_batch(texts, dim),
-                         [embed_offline(t, dim) for t in texts])
-
-    @pytest.mark.parametrize("dim", [2**16, 2**17, 3 * 2**15])
-    def test_equals_scalar_reference_at_the_lane_edges(self, dim):
-        # the largest dim hashed in uint16 lanes, the smallest power of two
-        # hashed in uint64, and a multiple of 2**15 that does not divide 2**16
-        texts = ["Straße İstanbul ﬁle", "ab", "日本語のテキスト",
-                 "the quick brown fox jumps over the lazy dog " * 3]
-        assert same_rows(embed_offline_batch(texts, dim),
-                         [embed_offline(t, dim) for t in texts])
+    @given(st.lists(st.one_of(_BATCH_TEXT, st.text(min_size=1, max_size=3)),
+                    min_size=1, max_size=20))
+    def test_equals_scalar_reference(self, texts):
+        # the uint8 lane's hash is FNV-1a-64's low byte, its bucket of 256
+        assert same_rows(embed_offline_batch(texts),
+                         [embed_offline(t, 256) for t in texts])
 
     @settings(max_examples=100)
     @given(st.lists(st.one_of(_BATCH_TEXT, st.text(min_size=1, max_size=3)),
@@ -98,9 +89,19 @@ class TestOfflineBatch:
         # its own
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(embed_mod, "_BLOCK_BYTES", 16)
-            mp.setattr(embed_mod, "_BLOCK_CELLS", 3 * 32)
-            assert same_rows(embed_offline_batch(texts, 32),
-                             [embed_offline(t, 32) for t in texts])
+            mp.setattr(embed_mod, "_BLOCK_TEXTS", 3)
+            assert same_rows(embed_offline_batch(texts),
+                             [embed_offline(t, 256) for t in texts])
+
+    def test_blocks_hold_at_most_block_texts(self, monkeypatch):
+        blocks = []
+        embed_block = embed_mod._embed_block
+        monkeypatch.setattr(embed_mod, "_embed_block",
+                            lambda datas: blocks.append(len(datas)) or embed_block(datas))
+        monkeypatch.setattr(embed_mod, "_BLOCK_TEXTS", 3)
+        texts = ["a", "ab", "abc", "日本", "x" * 40, "Straße", "z"]
+        assert same_rows(embed_offline_batch(texts), [embed_offline(t, 256) for t in texts])
+        assert blocks == [3, 3, 1]
 
     def test_many_short_texts_keep_peak_memory_near_the_result(self):
         # 30,000 texts of 2 bytes fit one byte budget, but each row is a view
@@ -110,7 +111,7 @@ class TestOfflineBatch:
         result_bytes = len(texts) * 256 * 8
         tracemalloc.start()
         try:
-            rows = embed_offline_batch(texts, 256)
+            rows = embed_offline_batch(texts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -120,12 +121,12 @@ class TestOfflineBatch:
     def test_long_batch_spans_blocks_at_default_budget(self):
         texts = [f"chunk {i} " + "Straße İstanbul ﬁle " * (i % 50 + 1) for i in range(400)]
         assert sum(len(t.casefold().encode()) for t in texts) > 2 * embed_mod._BLOCK_BYTES
-        assert same_rows(embed_offline_batch(texts, 256),
+        assert same_rows(embed_offline_batch(texts),
                          [embed_offline(t, 256) for t in texts])
 
     def test_empty_text_rejected(self):
         with pytest.raises(RagBenchError, match=r"^cannot embed empty text$"):
-            embed_offline_batch(["ok", ""], 16)
+            embed_offline_batch(["ok", ""])
 
 
 def _row(n):
@@ -315,9 +316,8 @@ class TestRemoteCache:
 
 
 def test_embed_texts_offline_dispatch():
-    cfg = EmbedderConfig(kind="offline", dim=32)
-    vecs = embed_texts(["a", "b"], cfg, None)
-    assert [len(v) for v in vecs] == [32, 32]
+    vecs = embed_texts(["a", "bcd"], EmbedderConfig(kind="offline"), None)
+    assert same_rows(vecs, [embed_offline("a", 256), embed_offline("bcd", 256)])
 
 
 @pytest.mark.parametrize("error", [RagBenchError, RuntimeError],

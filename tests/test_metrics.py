@@ -181,15 +181,6 @@ class TestMetricConfig:
     def test_end_weights_accepted(self, w_factual):
         assert MetricConfig(w_factual=w_factual).w_factual == w_factual
 
-    @pytest.mark.parametrize("threshold", [0.0, -0.1, 1.01, float("nan")])
-    def test_jaccard_threshold_outside_unit_interval(self, threshold):
-        with pytest.raises(InvalidConfig, match="jaccard_threshold"):
-            MetricConfig(jaccard_threshold=threshold)
-
-    @pytest.mark.parametrize("threshold", [1e-9, 0.3, 1.0])
-    def test_jaccard_threshold_in_unit_interval(self, threshold):
-        assert MetricConfig(jaccard_threshold=threshold).jaccard_threshold == threshold
-
 
 class TestAnswerCorrectness:
     def test_blend_arithmetic(self):

@@ -28,7 +28,7 @@ from ragbench.sweep import _collect, _submit, run_sweep
 
 from oracles import embed_offline
 
-EMB = EmbedderConfig(kind="offline", dim=128)
+EMB = EmbedderConfig(kind="offline")
 
 
 def offline_batch(texts):
@@ -462,7 +462,7 @@ class TestStages:
         refs_of = {}
         for ref, text in sorted(((c.doc_id, c.seq), c.text) for c in chunks):
             refs_of.setdefault(text, []).append(ref)
-        queries = np.stack([embed_offline(q.question, EMB.dim) for q in make_qa(64)])
+        queries = np.stack([embed_offline(q.question) for q in make_qa(64)])
         for hits in index.query_topk(queries, len(chunks)):
             assert sorted(h.text for h in hits) == sorted(refs_of)
             for h in hits:
@@ -476,16 +476,16 @@ class TestStages:
         monkeypatch.setattr(Index, "query_topk",
                             lambda self, q, k: shapes.append(np.shape(q)) or query(self, q, k))
         run(AppConfig(chunk_sizes=[100, 200, 400]), qa=make_qa(6))
-        assert shapes == [(6, EMB.dim)] * 3
+        assert shapes == [(6, embed_mod.OFFLINE_DIM)] * 3
 
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("keep_going", [True, False])
     def test_wrong_dim_questions_fail_their_size(self, monkeypatch, workers, keep_going):
-        # single texts 64 wide against 128-wide chunks, as when the embedder
+        # single texts 64 wide against 256-wide chunks, as when the embedder
         # changes dims between calls: no item is at fault, so each size
         # reached fails untagged and answers no item
         def embed_single(texts):
-            return embed_texts(texts, EmbedderConfig(kind="offline", dim=64), None)
+            return [v[:64] for v in embed_texts(texts, EMB, None)]
 
         answered, indexed = [], []
         answer = sweep_mod.answer_question
@@ -499,7 +499,7 @@ class TestStages:
                              judge=LexicalJudge(), keep_going=keep_going,
                              concurrency=workers)
 
-        message = f"query dim 64 != index dim {EMB.dim}"
+        message = "query dim 64 != index dim 256"
         if keep_going:
             rows = sweep().rows
             assert [(r.chunk_size, r.failed, r.error) for r in rows] == \
