@@ -7,9 +7,12 @@ never split mid-character.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import Document
 from .errors import InvalidConfig
+
+ChunkRef = tuple[str, int]  # (doc_id, seq)
 
 
 @dataclass(frozen=True)
@@ -30,28 +33,25 @@ class ChunkConfig:
         return self.size - self.overlap
 
 
-@dataclass(frozen=True)
-class Chunk:
-    """The window text[seq * stride:][:size] of its document's body."""
-    doc_id: str
-    seq: int
+class Chunk(NamedTuple):
+    """ref (doc_id, seq) holds the window text[seq * stride:][:size] of its
+    document's body; a chunk is the (chunk_ref, text) pair Index takes."""
+    ref: ChunkRef
     text: str
 
 
-def chunk_text(text: str, cfg: ChunkConfig, doc_id: str = "") -> list[Chunk]:
-    """Split text into chunks of cfg.size codepoints every cfg.stride
-    codepoints; stops after the first chunk reaching the end of text."""
-    chunks = []
-    for seq, start in enumerate(range(0, len(text), cfg.stride)):
-        chunks.append(Chunk(doc_id=doc_id, seq=seq, text=text[start:start + cfg.size]))
+def chunk_text(text: str, cfg: ChunkConfig) -> list[str]:
+    """Split text into windows of cfg.size codepoints every cfg.stride
+    codepoints; stops after the first window reaching the end of text."""
+    windows = []
+    for start in range(0, len(text), cfg.stride):
+        windows.append(text[start:start + cfg.size])
         if start + cfg.size >= len(text):
             break
-    return chunks
+    return windows
 
 
 def chunk_corpus(docs: list[Document], cfg: ChunkConfig) -> list[Chunk]:
     """Chunk every document body, concatenated in document order."""
-    out: list[Chunk] = []
-    for doc in docs:
-        out.extend(chunk_text(doc.body, cfg, doc_id=doc.id))
-    return out
+    return [Chunk((doc.id, seq), window)
+            for doc in docs for seq, window in enumerate(chunk_text(doc.body, cfg))]

@@ -14,7 +14,6 @@ class InvalidConfig(RagBenchError):
 class MalformedLine(RagBenchError):
     def __init__(self, line_no: int, reason: str = ""):
         self.line_no = line_no
-        self.reason = reason
         msg = f"malformed line {line_no}"
         if reason:
             msg += f": {reason}"

@@ -6,9 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from .chunker import ChunkRef
 from .errors import InvalidConfig
 from .llm import ChatRequest, ChatResponse
-from .vectorstore import ChunkRef, Hit
+from .vectorstore import Hit
 
 SYSTEM_PROMPT = "Answer the question using only the provided context."
 PROMPT_TEMPLATE = "Context:\n{context}\n\nQuestion: {question}\nAnswer:"

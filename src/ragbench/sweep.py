@@ -41,20 +41,20 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
     item embeds its own texts as it needs them, so an item still raises its
     own error, and items on two threads may each embed a text they share.
 
-    For each size in turn the sweep chunks and embeds the chunks (a text
-    embedded at one size is not embedded again), retrieves every QA item's
-    chunks with one query_topk call and starts answering the items. Then it
-    scores every item of every size. With concurrency > 1, items run on one
-    pool of that many threads, so a size is answered while the next is
-    chunked and embedded; embed_single_fn, generate_fn and judge must then
-    be thread-safe. Results and errors are those of one item at a time
-    through every step: a size raises its earliest error in input order,
-    tagged with its item's id (errors.tag_qa). An error of the size's own,
-    as a question row whose dim is not its index's, is untagged and answers
-    no item. A failed item skips the later items of its size that have not
-    started; without keep_going, every later item that has not started, and
-    no later size is built. With out_dir, each size that succeeds writes its
-    results there; nothing is deleted.
+    The sweep takes the question rows once. For each size in turn it then
+    chunks and embeds the chunks (a text embedded at one size is not
+    embedded again), retrieves every item's chunks with one query_topk call
+    and starts answering. It scores every item of every size last. With
+    concurrency > 1, items run on one pool of that many threads, so a size
+    is answered while the next is chunked and embedded; embed_single_fn,
+    generate_fn and judge must then be thread-safe. Results and errors are
+    those of one item at a time through every step: a size raises its
+    earliest error in input order, tagged (errors.tag_qa) with its item's
+    id. An error of the size's own, as a question row whose dim is not its
+    index's, is untagged and answers no item. A failed item skips the later
+    items of its size that have not started; without keep_going, every later
+    item that has not started, and no later size is built. With out_dir,
+    each size that succeeds writes its results there; nothing is deleted.
     """
     if not docs:
         raise RagBenchError("sweep needs a non-empty corpus")
@@ -88,16 +88,16 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
     pool = ThreadPoolExecutor(max_workers=concurrency) if concurrency > 1 else None
     try:
         answering, tail_rows = {}, {}
+        vectors, vectors_error = _collect(qa_set, _submit(None, lambda qa: vector(qa.question),
+                                                          qa_set))
         answers_stage = None if keep_going else _Stage()
         for size in app.chunk_sizes:
+            error = vectors_error
             try:
-                index = build_index(docs, size, app.overlap, embed_texts_fn, tail_rows)
-                vectors, error = _collect(qa_set, _submit(None, lambda qa: vector(qa.question),
-                                                          qa_set))
-                hits = index.query_topk(vectors, app.rag.top_k)
+                hits = build_index(docs, size, app.overlap, embed_texts_fn,
+                                   tail_rows).query_topk(vectors, app.rag.top_k)
             except RagBenchError as exc:
                 hits, error = [], exc
-            index = None  # hits carry their chunk texts, so the vectors can go now
             answering[size] = _submit(pool, answer, qa_set, hits, stage=answers_stage), error
             if not keep_going and (error is not None or answers_stage.failed):
                 break
@@ -146,9 +146,9 @@ def build_index(docs, size, overlap, embed_texts_fn,
     # text's row across sizes raised offline-sweep's peak_rss_mb 43.12 ->
     # 44.94 MB (+4.2%) in 3 of 3 perfbench pairs
     for c, nxt in zip(chunks, chunks[1:] + [None]):
-        if (nxt is None or nxt.seq == 0) and c.text not in tail_rows:
+        if (nxt is None or nxt.ref[1] == 0) and c.text not in tail_rows:
             tail_rows[c.text] = fresh[c.text].copy()
-    return Index([((c.doc_id, c.seq), c.text) for c in chunks], ChainMap(fresh, tail_rows))
+    return Index(chunks, ChainMap(fresh, tail_rows))
 
 
 @dataclass

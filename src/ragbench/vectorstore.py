@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chunker import ChunkRef
 from .errors import RagBenchError
-
-ChunkRef = tuple[str, int]  # (doc_id, seq)
 
 # Byte budget of one block of query_topk's score matrix (rows x texts,
 # float64). One matrix product per block reads the index once for many
@@ -85,6 +84,7 @@ class Index:
         neg = -scores
         # keep, and sort, only the texts scoring at least as well as the
         # k-th best (all when k > count), ties included; a NaN k-th keeps all
+        # sorting whole rows finds the same hits, 2.4x (offline-sweep) to 4.7x slower
         kth = min(k, neg.shape[1]) - 1
         keep = ~(neg > np.partition(neg, kth, axis=1)[:, kth:kth + 1])
         out = []

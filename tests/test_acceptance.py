@@ -65,13 +65,13 @@ def test_criterion_1_chunker_properties():
         covered = set()
         for k, c in enumerate(chunks):
             start = k * cfg.stride
-            assert 0 < len(c.text) <= size                 # size bound
-            assert c.text == text[start:start + size]      # stride positions
-            assert c.text.encode("utf-8").decode("utf-8") == c.text  # cp safety
-            covered.update(range(start, start + len(c.text)))
+            assert 0 < len(c) <= size                      # size bound
+            assert c == text[start:start + size]           # stride positions
+            assert c.encode("utf-8").decode("utf-8") == c  # cp safety
+            covered.update(range(start, start + len(c)))
         assert covered == set(range(n))                    # coverage
         if overlap == 0:
-            assert "".join(c.text for c in chunks) == text  # concat identity
+            assert "".join(chunks) == text                 # concat identity
     assert time.monotonic() - t0 < 10.0
 
 

@@ -6,28 +6,33 @@ from ragbench.corpus import Document
 from ragbench.errors import InvalidConfig
 
 
-def texts(chunks):
-    return [c.text for c in chunks]
+def doc(doc_id, body):
+    return Document(id=doc_id, source="s", title="", body=body)
 
 
 def test_basic_no_overlap():
-    assert texts(chunk_text("abcdefghij", ChunkConfig(4, 0))) == ["abcd", "efgh", "ij"]
+    assert chunk_text("abcdefghij", ChunkConfig(4, 0)) == ["abcd", "efgh", "ij"]
 
 
 def test_overlap_stops_at_end():
-    assert texts(chunk_text("abcdefghij", ChunkConfig(4, 2))) == \
-        ["abcd", "cdef", "efgh", "ghij"]
+    assert chunk_text("abcdefghij", ChunkConfig(4, 2)) == ["abcd", "cdef", "efgh", "ghij"]
 
 
 def test_codepoint_not_byte_slicing():
-    assert texts(chunk_text("héllo", ChunkConfig(2, 0))) == ["hé", "ll", "o"]
+    assert chunk_text("héllo", ChunkConfig(2, 0)) == ["hé", "ll", "o"]
 
 
 def test_offsets():
     # chunk seq is the window text[seq * stride:][:size]
-    chunks = chunk_text("abcdefghij", ChunkConfig(4, 1), doc_id="d")
-    assert [(c.seq, c.text) for c in chunks] == [(0, "abcd"), (1, "defg"), (2, "ghij")]
-    assert all(c.doc_id == "d" for c in chunks)
+    chunks = chunk_corpus([doc("d", "abcdefghij")], ChunkConfig(4, 1))
+    assert [(c.ref, c.text) for c in chunks] == \
+        [(("d", 0), "abcd"), (("d", 1), "defg"), (("d", 2), "ghij")]
+
+
+def test_chunks_are_the_pairs_index_takes():
+    chunks = chunk_corpus([doc("a", "12345"), doc("b", "6789")], ChunkConfig(3, 0))
+    assert chunks == [(("a", 0), "123"), (("a", 1), "45"), (("b", 0), "678"), (("b", 1), "9")]
+    assert all(isinstance(c, Chunk) for c in chunks)
 
 
 @pytest.mark.parametrize("size,overlap", [(0, 0), (-1, 0), (4, 4), (4, 5), (3, -1)])
@@ -40,7 +45,7 @@ def test_chunk_corpus_order_and_ids():
     docs = [Document(id="a", source="s", title="", body="12345"),
             Document(id="b", source="s", title="", body="67890")]
     chunks = chunk_corpus(docs, ChunkConfig(5, 0))
-    assert [(c.doc_id, c.seq) for c in chunks] == [("a", 0), ("b", 0)]
+    assert [c.ref for c in chunks] == [("a", 0), ("b", 0)]
 
 
 def test_chunk_corpus_8000_cp_doc():
@@ -72,26 +77,26 @@ def test_property_bounds_and_coverage(params):
     cfg = ChunkConfig(size, overlap)
     chunks = chunk_text(text, cfg)
     assert chunks, "non-empty text always yields at least one chunk"
+    assert chunk_corpus([doc("d", text)], cfg) == [(("d", k), c) for k, c in enumerate(chunks)]
     n = len(text)
     covered = set()
     for k, c in enumerate(chunks):
         start = k * cfg.stride
-        assert c.seq == k
-        assert 0 < len(c.text) <= size
-        assert c.text == text[start:start + size]
-        assert c.text.encode("utf-8").decode("utf-8") == c.text
-        covered.update(range(start, start + len(c.text)))
+        assert 0 < len(c) <= size
+        assert c == text[start:start + size]
+        assert c.encode("utf-8").decode("utf-8") == c
+        covered.update(range(start, start + len(c)))
     assert covered == set(range(n))
     # all but the last chunk are full-size
     for c in chunks[:-1]:
-        assert len(c.text) == size
+        assert len(c) == size
 
 
 @settings(max_examples=200)
 @given(st.text(min_size=1, max_size=300), st.integers(min_value=1, max_value=64))
 def test_property_concat_identity_zero_overlap(text, size):
     chunks = chunk_text(text, ChunkConfig(size, 0))
-    assert "".join(c.text for c in chunks) == text
+    assert "".join(chunks) == text
 
 
 @settings(max_examples=100)

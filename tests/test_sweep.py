@@ -71,6 +71,17 @@ def embed_short_only(texts):
     return offline_batch(texts)
 
 
+def down_for_q1(calls):
+    """embed_mod.embed_texts that first appends the list of texts it gets to
+    calls, and fails a batch that holds q1's question."""
+    def embed(texts, cfg, cache_dir):
+        calls.append(list(texts))
+        if "What about threat number 1?" in texts:
+            raise RagBenchError("embedder down")
+        return embed_texts(texts, cfg, cache_dir)
+    return embed
+
+
 def run(cfg=None, docs=None, qa=None, **kw):
     cfg = cfg or AppConfig(chunk_sizes=[100, 200, 400])
     return run_sweep(docs or make_corpus(), qa or make_qa(), cfg,
@@ -436,8 +447,7 @@ class TestStages:
         for size in cfg.chunk_sizes:
             chunks = chunk_corpus(docs, ChunkConfig(size=size))
             texts = [c.text for c in chunks]
-            index = Index([((c.doc_id, c.seq), c.text) for c in chunks],
-                          dict(zip(texts, offline_batch(texts))))
+            index = Index(chunks, dict(zip(texts, offline_batch(texts))))
             expected[size] = [
                 answer_correctness(
                     answer_question(item.question,
@@ -460,7 +470,7 @@ class TestStages:
         chunks = chunk_corpus(docs, ChunkConfig(100))
         assert sorted(embedded) == sorted({c.text for c in chunks})
         refs_of = {}
-        for ref, text in sorted(((c.doc_id, c.seq), c.text) for c in chunks):
+        for ref, text in sorted(chunks):
             refs_of.setdefault(text, []).append(ref)
         queries = np.stack([embed_offline(q.question) for q in make_qa(64)])
         for hits in index.query_topk(queries, len(chunks)):
@@ -559,14 +569,7 @@ class TestStages:
     @pytest.mark.parametrize("keep_going", [True, False])
     def test_failed_priming_leaves_per_item_error(self, monkeypatch, keep_going):
         calls = []
-
-        def down_for_q1(texts, cfg, cache_dir):
-            calls.append(list(texts))
-            if "What about threat number 1?" in texts:
-                raise RagBenchError("embedder down")
-            return embed_texts(texts, cfg, cache_dir)
-
-        monkeypatch.setattr(embed_mod, "embed_texts", down_for_q1)
+        monkeypatch.setattr(embed_mod, "embed_texts", down_for_q1(calls))
         kw = dict(embed_texts_fn=offline_batch, embed_single_fn=single_batch,
                   generate_fn=mock_generate, judge=LexicalJudge(),
                   keep_going=keep_going)
@@ -578,6 +581,17 @@ class TestStages:
                 run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100]), **kw)
         assert len(calls[0]) == 8  # the batch was tried first
         assert ["What about threat number 1?"] in calls
+
+    def test_failed_question_row_tried_once_per_sweep(self, monkeypatch):
+        # the question rows are taken once, before the sizes: a question
+        # that cannot be embedded fails every size with one error
+        calls = []
+        monkeypatch.setattr(embed_mod, "embed_texts", down_for_q1(calls))
+        report = run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100, 200, 400]),
+                           embed_texts_fn=offline_batch, embed_single_fn=single_batch,
+                           generate_fn=mock_generate, judge=LexicalJudge(), keep_going=True)
+        assert [r.error for r in report.rows] == ["[qa q1] embedder down"] * 3
+        assert calls.count(["What about threat number 1?"]) == 1
 
     def test_text_both_question_and_ground_truth_embedded_once(self):
         shared = "Threat number 0 requires a patch."
