@@ -84,6 +84,22 @@ class TestFailures:
                 post_json_with_retries(f"http://127.0.0.1:{port}/v1/x", {"a": 1})
         assert no_backoff_sleep == []
 
+    @pytest.mark.parametrize("statuses, message", [
+        ([503, 503, 503], "HTTP 503 from {url} after 2 retries"),
+        ([429, 429, 429], "rate limited after 2 retries: {url}"),
+        # the status of the last attempt names the error
+        ([503, 503, 429], "rate limited after 2 retries: {url}"),
+        ([429, 429, 503], "HTTP 503 from {url} after 2 retries"),
+        ([503], "HTTP 503 from {url} after 0 retries"),
+    ], ids=["503s", "429s", "429-last", "503-last", "no-retries"])
+    def test_retries_exhausted(self, fake_server, no_backoff_sleep, statuses, message):
+        fake_server.script.extend((s, {}) for s in statuses)
+        with pytest.raises(RagBenchError) as info:
+            post(fake_server, max_retries=len(statuses) - 1)
+        assert str(info.value) == message.format(url=fake_server.url + "/v1/x")
+        assert no_backoff_sleep == [0.5, 1.0][:len(statuses) - 1]
+        assert len(fake_server.requests) == len(statuses)
+
     def test_client_error_not_retried(self, fake_server, no_backoff_sleep):
         fake_server.script.append((400, {"error": "bad"}))
         with pytest.raises(RagBenchError, match="HTTP 400"):
