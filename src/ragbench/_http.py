@@ -83,7 +83,6 @@ def post_json_with_retries(url: str, payload: dict) -> dict:
         data = json.dumps(payload, allow_nan=False).encode("utf-8")
     except ValueError as exc:  # NaN or infinity: not JSON
         raise RagBenchError(f"request to {url} is not valid JSON: {exc}") from exc
-    last_status = None
     for attempt in range(MAX_RETRIES + 1):
         status, retry_after, body = _post(url, data, TIMEOUT_MS / 1000.0)
         if status == 200:
@@ -91,14 +90,11 @@ def post_json_with_retries(url: str, payload: dict) -> dict:
                 return json.loads(body)
             except ValueError as exc:
                 raise RagBenchError(f"non-JSON response from {url}") from exc
-        if status == 429 or status >= 500:
-            last_status = status
-            if attempt < MAX_RETRIES:
-                wait_s = _retry_after_s(retry_after) if status == 429 else None
-                _sleep(_BACKOFF_BASE_S * (2 ** attempt) if wait_s is None else wait_s)
-                continue
-            break
-        raise RagBenchError(f"HTTP {status} from {url}")
-    if last_status == 429:
-        raise RagBenchError(f"rate limited after {MAX_RETRIES} retries: {url}")
-    raise RagBenchError(f"HTTP {last_status} from {url} after {MAX_RETRIES} retries")
+        if status != 429 and status < 500:
+            raise RagBenchError(f"HTTP {status} from {url}")
+        if attempt == MAX_RETRIES:
+            if status == 429:
+                raise RagBenchError(f"rate limited after {MAX_RETRIES} retries: {url}")
+            raise RagBenchError(f"HTTP {status} from {url} after {MAX_RETRIES} retries")
+        wait_s = _retry_after_s(retry_after) if status == 429 else None
+        _sleep(_BACKOFF_BASE_S * (2 ** attempt) if wait_s is None else wait_s)

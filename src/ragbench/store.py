@@ -14,8 +14,8 @@ from .errors import RagBenchError
 
 T = TypeVar("T")
 
-# Entry paths being filled right now. Entries are files that every caller in
-# the process shares, so fills are single-flighted on the path, not per caller.
+# Entry paths being read or filled right now. Entries are files that every
+# caller in the process shares, so fetches take turns on the path, not per caller.
 _FILLING: set[Path] = set()
 _FILLED = threading.Condition()
 
@@ -57,23 +57,19 @@ def fetch(cache_dir: str | Path, key: str, decode: Callable[[dict], T],
     the caller stores; such an entry, like one that is not a JSON object
     holding the key, is a miss and is overwritten. compute calls the
     backend, validates the response and returns (value, fields to store).
-    Threads that miss on one entry at once make one call to compute; the
-    others wait for it and then decode the stored entry, one at a time.
-    Different entries fill at once.
+    Each call claims the entry's path, reads the entry once and calls
+    compute only on a miss, so threads that fetch one entry at once take
+    turns and make one call to compute; if it fails, the thread next in turn
+    calls compute again. Different entries are read and filled at once.
     """
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / key
 
-    value = _read_entry(path, key, decode)
-    if value is not None:
-        return value
     with _FILLED:
         _FILLED.wait_for(lambda: path not in _FILLING)
         _FILLING.add(path)
     try:
-        # the previous filler may have stored it since our read; if it
-        # failed, this thread calls compute and raises its own error
         value = _read_entry(path, key, decode)
         if value is None:
             value, fields = compute()

@@ -124,6 +124,16 @@ class TestOfflineBatch:
         assert same_rows(embed_offline_batch(texts),
                          [embed_offline(t, 256) for t in texts])
 
+    def test_every_short_text_equals_scalar_reference(self):
+        # every text of one code point up to U+07FF or two ASCII ones: nearly
+        # all are under 3 bytes, so hashed whole, and in one batch they fill
+        # many blocks of _BLOCK_TEXTS texts
+        texts = [chr(c) for c in range(0x800)]
+        texts += [chr(a) + chr(b) for a in range(128) for b in range(128)]
+        assert len(texts) == 18432 and len(texts) > 2 * embed_mod._BLOCK_TEXTS
+        assert same_rows(embed_offline_batch(texts),
+                         [embed_offline(t, 256) for t in texts])
+
     def test_empty_text_rejected(self):
         with pytest.raises(RagBenchError, match=r"^cannot embed empty text$"):
             embed_offline_batch(["ok", ""])
@@ -355,3 +365,31 @@ def test_store_fetch_two_threads_fill_two_entries_at_once(tmp_path, in_threads):
                                                   lambda: compute(i)))
     assert out == [0, 1]
     assert store_mod._FILLING == set()
+
+
+def test_store_fetch_waiters_read_a_stored_entry(tmp_path, in_threads):
+    # 8 threads fetch an entry that is already stored: each reads it in turn
+    # and none calls compute
+    store_mod.fetch(tmp_path, "k", lambda e: e["value"], lambda: ("value", {"value": "value"}))
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return "other", {"value": "other"}
+
+    out = in_threads(8, lambda i: store_mod.fetch(tmp_path, "k", lambda e: e["value"],
+                                                  compute))
+    assert out == ["value"] * 8
+    assert calls == []
+    assert store_mod._FILLING == set()
+
+
+def test_store_fetch_reads_an_entry_once_per_call(tmp_path, monkeypatch):
+    reads = []
+    read_entry = store_mod._read_entry
+    monkeypatch.setattr(store_mod, "_read_entry",
+                        lambda *args: reads.append(1) or read_entry(*args))
+    for _ in range(2):  # a miss, then a hit
+        assert store_mod.fetch(tmp_path, "k", lambda e: e["value"],
+                               lambda: ("value", {"value": "value"})) == "value"
+    assert len(reads) == 2
