@@ -59,8 +59,8 @@ def fetch(cache_dir: str | Path, key: str, decode: Callable[[dict], T],
     backend, validates the response and returns (value, fields to store).
     Each call claims the entry's path, reads the entry once and calls
     compute only on a miss, so threads that fetch one entry at once take
-    turns and make one call to compute; if it fails, the thread next in turn
-    calls compute again. Different entries are read and filled at once.
+    turns and the first to miss fills it for the rest; if its compute fails,
+    the next in turn calls compute. Different entries are read at once.
     """
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
