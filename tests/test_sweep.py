@@ -357,6 +357,8 @@ class LastFirstPool:
     every item queued so far, last first. Threads that took items in queue
     order may reach them in that order."""
 
+    order = -1  # the end of the queue run_queued takes from
+
     def __init__(self, max_workers):
         self.queued = []
 
@@ -367,7 +369,7 @@ class LastFirstPool:
 
     def run_queued(self):
         while self.queued:
-            future, fn, args = self.queued.pop()
+            future, fn, args = self.queued.pop(self.order)
             try:
                 future.set_result(fn(*args))
             except Exception as exc:
@@ -375,6 +377,13 @@ class LastFirstPool:
 
     def shutdown(self, cancel_futures=False):
         self.queued.clear()
+
+
+class QueueOrderPool(LastFirstPool):
+    """Runs every item queued so far first in first out, as one thread that
+    takes items in queue order would."""
+
+    order = 0
 
 
 class LastFirstFuture(Future):
@@ -418,6 +427,26 @@ class TestItemsStartedOutOfOrder:
                       embed_texts_fn=offline_batch, embed_single_fn=single_batch,
                       generate_fn=generate, judge=LexicalJudge(), concurrency=2)
         assert len(calls) == 16
+
+
+class TestItemsInQueueOrder:
+    def test_earlier_size_failure_skips_later_sizes(self, monkeypatch):
+        # both sizes are queued before any item runs; q5 of the first size
+        # fails, so no item queued after it, of either size, is answered
+        calls = []
+
+        def generate(req):
+            calls.append(req)
+            if "threat number 5?" in req.messages[-1]["content"]:
+                raise RagBenchError("backend down")
+            return mock_generate(req)
+
+        monkeypatch.setattr(sweep_mod, "ThreadPoolExecutor", QueueOrderPool)
+        with pytest.raises(RagBenchError, match=r"^\[qa q5\] backend down$"):
+            run_sweep(make_corpus(), make_qa(8), AppConfig(chunk_sizes=[100, 200]),
+                      embed_texts_fn=offline_batch, embed_single_fn=single_batch,
+                      generate_fn=generate, judge=LexicalJudge(), concurrency=2)
+        assert len(calls) == 6
 
 
 class FailingJudge(LexicalJudge):
