@@ -159,19 +159,17 @@ def embed_remote(texts: list[str], cfg: EmbedderConfig,
     url = cfg.endpoint_url.rstrip("/") + "/v1/embeddings"
     batches = [texts[i:i + _MAX_BATCH] for i in range(0, len(texts), _MAX_BATCH)]
 
-    def request(batch: list[str]) -> tuple[list[np.ndarray], dict]:
+    def request(batch: list[str]) -> list:
         body = post_json_with_retries(url, {"model": cfg.model, "input": batch})
         try:
-            rows = [item["embedding"] for item in body["data"]]
+            return [item["embedding"] for item in body["data"]]
         except (KeyError, TypeError) as exc:
             raise RagBenchError(f"malformed embeddings response: {exc}") from exc
-        return _rows(rows, len(batch)), {"embeddings": rows}
 
     def run_batch(batch: list[str]) -> list[np.ndarray]:
         key = store.request_key({"url": url, "model": cfg.model, "input": batch})
-        return store.fetch(cache_dir, key,
-                           lambda entry: _rows(entry.get("embeddings"), len(batch)),
-                           lambda: request(batch))
+        return store.fetch(cache_dir, key, "embeddings", lambda rows: _rows(rows, len(batch)),
+                           lambda: request(batch))[0]
 
     with ThreadPoolExecutor(max_workers=MAX_CONCURRENCY) as pool:
         results = list(pool.map(run_batch, batches))

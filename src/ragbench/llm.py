@@ -75,25 +75,21 @@ def cached(op: GenerateFn, req: ChatRequest, cache_dir: str | Path,
     """Content-addressed cache around a generate function.
 
     Hit: stored content, cached=True, zero calls to op. Miss: call through
-    and persist atomically. Corrupt entries, and replies that req.check
-    rejects, are treated as misses and overwritten; a reply from op that
-    req.check rejects raises and is not stored. Threads that miss on one
-    entry at once make one call to op; the others wait for it and get the
-    stored content with cached=True.
+    and persist atomically. Entries that are corrupt, or whose content is not
+    a string or is rejected by req.check, are misses and are overwritten; a
+    reply from op that req.check rejects raises and is not stored. Threads
+    that miss on one entry at once make one call to op; the others wait for
+    it and get the stored content with cached=True.
     """
-    def decode(entry: dict) -> ChatResponse:
-        content = entry.get("content")
+    def parse(content) -> str:
         if not isinstance(content, str):
             raise RagBenchError("cached content is not a string")
         req.check(content)
-        return ChatResponse(content=content, cached=True)
+        return content
 
-    def compute() -> tuple[ChatResponse, dict]:
-        resp = op(req)
-        req.check(resp.content)
-        return resp, {"content": resp.content}
-
-    return store.fetch(cache_dir, request_key(req, endpoint), decode, compute)
+    content, hit = store.fetch(cache_dir, request_key(req, endpoint), "content", parse,
+                               lambda: op(req).content)
+    return ChatResponse(content, cached=hit)
 
 
 def make_cached_fn(op: GenerateFn, cache_dir: str | Path,

@@ -29,11 +29,11 @@ def request_key(request: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _read_entry(path: Path, key: str, decode: Callable[[dict], T]) -> T | None:
+def _read_entry(path: Path, key: str, field: str, parse: Callable[[object], T]) -> T | None:
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
         if isinstance(obj, dict) and obj.get("request_key") == key:
-            return decode(obj)
+            return parse(obj.get(field))
     except (OSError, ValueError, RagBenchError):
         pass  # absent, unreadable, not JSON or not what the caller stores: a miss
     return None
@@ -48,19 +48,20 @@ def _write_entry(path: Path, key: str, fields: dict) -> None:
     os.replace(tmp, path)
 
 
-def fetch(cache_dir: str | Path, key: str, decode: Callable[[dict], T],
-          compute: Callable[[], tuple[T, dict]]) -> T:
-    """The value stored under key (a request_key), or compute() and store it.
+def fetch(cache_dir: str | Path, key: str, field: str, parse: Callable[[object], T],
+          compute: Callable[[], object]) -> tuple[T, bool]:
+    """(parse(reply), True) for the reply stored as field under key (a
+    request_key), or else (parse(compute()), False), storing that reply.
 
-    decode maps a stored entry (a JSON object holding the key) to the
-    caller's value, and raises a RagBenchError when its fields are not what
-    the caller stores; such an entry, like one that is not a JSON object
-    holding the key, is a miss and is overwritten. compute calls the
-    backend, validates the response and returns (value, fields to store).
+    compute calls the backend and returns its JSON reply. parse raises a
+    RagBenchError for a reply the caller cannot use: a fresh one is not
+    stored, and a stored one is a miss and is overwritten, as is one that
+    parse maps to None or an entry that is not a JSON object holding the key.
     Each call claims the entry's path, reads the entry once and calls
     compute only on a miss, so threads that fetch one entry at once take
-    turns and the first to miss fills it for the rest; if its compute fails,
-    the next in turn calls compute. Different entries are read at once.
+    turns and the first to miss fills it for the rest; if its compute or
+    parse fails, the next in turn calls compute. Different entries are read
+    at once.
     """
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -70,11 +71,12 @@ def fetch(cache_dir: str | Path, key: str, decode: Callable[[dict], T],
         _FILLED.wait_for(lambda: path not in _FILLING)
         _FILLING.add(path)
     try:
-        value = _read_entry(path, key, decode)
-        if value is None:
-            value, fields = compute()
-            _write_entry(path, key, fields)
-        return value
+        value = _read_entry(path, key, field, parse)
+        if value is not None:
+            return value, True
+        value = parse(reply := compute())
+        _write_entry(path, key, {field: reply})
+        return value, False
     finally:
         with _FILLED:
             _FILLING.remove(path)

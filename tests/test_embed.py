@@ -330,6 +330,10 @@ def test_embed_texts_offline_dispatch():
     assert same_rows(vecs, [embed_offline("a", 256), embed_offline("bcd", 256)])
 
 
+def same(reply):
+    return reply
+
+
 @pytest.mark.parametrize("error", [RagBenchError, RuntimeError],
                          ids=lambda e: e.__name__)
 def test_store_fetch_waiter_retries_after_failure(tmp_path, in_threads, error):
@@ -342,13 +346,13 @@ def test_store_fetch_waiter_retries_after_failure(tmp_path, in_threads, error):
         time.sleep(0.05)
         if len(calls) == 1:
             raise error("first call fails")
-        return "value", {"value": "value"}
+        return "value"
 
-    out = in_threads(8, lambda i: store_mod.fetch(tmp_path, "k", lambda e: e["value"],
-                                                  fail_first))
+    out = in_threads(8, lambda i: store_mod.fetch(tmp_path, "k", "value", same, fail_first))
     assert len(calls) == 2
     assert sum(isinstance(r, error) for r in out) == 1
-    assert out.count("value") == 7
+    assert out.count(("value", False)) == 1
+    assert out.count(("value", True)) == 6
     assert store_mod._FILLING == set()
 
 
@@ -359,27 +363,26 @@ def test_store_fetch_two_threads_fill_two_entries_at_once(tmp_path, in_threads):
 
     def compute(i):
         barrier.wait()
-        return i, {"value": i}
+        return i
 
-    out = in_threads(2, lambda i: store_mod.fetch(tmp_path, f"k{i}", lambda e: e["value"],
+    out = in_threads(2, lambda i: store_mod.fetch(tmp_path, f"k{i}", "value", same,
                                                   lambda: compute(i)))
-    assert out == [0, 1]
+    assert out == [(0, False), (1, False)]
     assert store_mod._FILLING == set()
 
 
 def test_store_fetch_waiters_read_a_stored_entry(tmp_path, in_threads):
     # 8 threads fetch an entry that is already stored: each reads it in turn
     # and none calls compute
-    store_mod.fetch(tmp_path, "k", lambda e: e["value"], lambda: ("value", {"value": "value"}))
+    store_mod.fetch(tmp_path, "k", "value", same, lambda: "value")
     calls = []
 
     def compute():
         calls.append(1)
-        return "other", {"value": "other"}
+        return "other"
 
-    out = in_threads(8, lambda i: store_mod.fetch(tmp_path, "k", lambda e: e["value"],
-                                                  compute))
-    assert out == ["value"] * 8
+    out = in_threads(8, lambda i: store_mod.fetch(tmp_path, "k", "value", same, compute))
+    assert out == [("value", True)] * 8
     assert calls == []
     assert store_mod._FILLING == set()
 
@@ -389,7 +392,44 @@ def test_store_fetch_reads_an_entry_once_per_call(tmp_path, monkeypatch):
     read_entry = store_mod._read_entry
     monkeypatch.setattr(store_mod, "_read_entry",
                         lambda *args: reads.append(1) or read_entry(*args))
-    for _ in range(2):  # a miss, then a hit
-        assert store_mod.fetch(tmp_path, "k", lambda e: e["value"],
-                               lambda: ("value", {"value": "value"})) == "value"
+    for hit in (False, True):  # a miss, then a hit
+        assert store_mod.fetch(tmp_path, "k", "value", same,
+                               lambda: "value") == ("value", hit)
     assert len(reads) == 2
+
+
+def test_store_fetch_stores_and_replays_only_what_parse_accepts(tmp_path):
+    def parse(reply):  # a list of numbers; an empty one parses to None
+        if not isinstance(reply, list):
+            raise RagBenchError("not a list")
+        return tuple(reply) or None
+
+    replies = [{"rows": [1]}, [1, 2]]
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return replies[len(calls) - 1]
+
+    def fetch():
+        return store_mod.fetch(tmp_path, "k", "rows", parse, compute)
+
+    # a fresh reply that parse rejects raises and is not stored, so the next
+    # fetch calls compute again: a miss, stored, then a hit
+    with pytest.raises(RagBenchError, match=r"^not a list$"):
+        fetch()
+    assert list(tmp_path.iterdir()) == []
+    assert fetch() == ((1, 2), False)
+    assert fetch() == ((1, 2), True)
+    assert len(calls) == 2
+    entry = tmp_path / "k"
+    assert json.loads(entry.read_text()) == {"request_key": "k", "rows": [1, 2]}
+    # a stored field that parse rejects, or maps to None, is a miss and is
+    # overwritten
+    for n, stored in enumerate(["x", []], start=3):
+        entry.write_text(json.dumps({"request_key": "k", "rows": stored}))
+        replies.append([n])
+        assert fetch() == ((n,), False)
+        assert fetch() == ((n,), True)
+        assert len(calls) == n
+        assert json.loads(entry.read_text())["rows"] == [n]
