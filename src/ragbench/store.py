@@ -41,10 +41,13 @@ def _read_entry(path: Path, key: str, field: str, parse: Callable[[object], T]) 
 
 def _write_entry(path: Path, key: str, fields: dict) -> None:
     """Atomic write: a temp file unique to this process and thread, then a
-    rename over the entry."""
+    rename over the entry. Fields that are not UTF-8 text write nothing."""
+    try:
+        data = json.dumps({"request_key": key, **fields}, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate, as half an emoji
+        raise RagBenchError(f"reply is not UTF-8 text: {exc.reason}") from exc
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
-    tmp.write_text(json.dumps({"request_key": key, **fields}, ensure_ascii=False),
-                   encoding="utf-8")
+    tmp.write_bytes(data)
     os.replace(tmp, path)
 
 

@@ -234,6 +234,24 @@ class TestAsk:
                      "--backend", "offline"]) == 2
         assert capsys.readouterr().err == "error: query dim 64 != index dim 256\n"
 
+    def test_reply_not_utf8_text_is_a_runtime_error(self, corpus, tmp_path, capsys,
+                                                      fake_server, monkeypatch):
+        # the chat reply holds half an emoji, a lone surrogate escape; the
+        # embedding replies are the server's defaults
+        default = fake_server._default_body
+        monkeypatch.setattr(fake_server, "_default_body", lambda path, payload: (
+            {"choices": [{"message": {"content": "half an emoji \ud83d"}}]}
+            if path.endswith("/chat/completions") else default(path, payload)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"embedder": {"endpoint_url": fake_server.url}}))
+        cache = tmp_path / "cache"
+        assert main(["ask", "--corpus", str(corpus), "--question", "What is ZEBRA-7?",
+                     "--backend", "remote", "--config", str(cfg),
+                     "--cache-dir", str(cache)]) == 2
+        assert capsys.readouterr().err == \
+            "error: reply is not UTF-8 text: surrogates not allowed\n"
+        assert [p.name for p in cache.iterdir() if ".tmp" in p.name] == []
+
     def test_missing_question_usage_error(self, corpus):
         assert main(["ask", "--corpus", str(corpus)]) == 1
 

@@ -7,7 +7,7 @@ import pytest
 
 from ragbench.errors import RagBenchError
 import ragbench.store as store_mod
-from ragbench.llm import (ChatRequest, cached, generate, make_cached_fn,
+from ragbench.llm import (ChatRequest, ChatResponse, cached, generate, make_cached_fn,
                           mock_generate, request_key)
 
 
@@ -138,6 +138,13 @@ class TestCache:
         # entry overwritten
         assert cached(op, req("Q"), tmp_path).cached is True
         assert len(calls) == 1
+
+    def test_reply_not_utf8_text_not_stored(self, tmp_path):
+        # half an emoji: a lone surrogate, which no UTF-8 entry can hold
+        with pytest.raises(RagBenchError,
+                           match=r"^reply is not UTF-8 text: surrogates not allowed$"):
+            cached(lambda r: ChatResponse("half an emoji \ud83d"), req("Q"), tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_entry_file_format(self, tmp_path):
         cached(mock_generate, req("Q"), tmp_path, endpoint="mock")

@@ -154,6 +154,16 @@ class TestRunSweep:
                       embed_texts_fn=embed_short_only, embed_single_fn=single_batch,
                       generate_fn=mock_generate, judge=LexicalJudge())
 
+    def test_reply_not_utf8_text_is_an_item_error(self, tmp_path):
+        # a chat reply that the response store cannot hold fails its item
+        generate = make_cached_fn(lambda req: ChatResponse("half an emoji \ud83d"), tmp_path)
+        with pytest.raises(RagBenchError, match=r"^\[qa q0\] reply is not UTF-8 text: "
+                                                r"surrogates not allowed$"):
+            run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100]),
+                      embed_texts_fn=offline_batch, embed_single_fn=single_batch,
+                      generate_fn=generate, judge=LexicalJudge())
+        assert list(tmp_path.iterdir()) == []
+
     def test_keep_going_records_failed_row(self):
         report = run_sweep(make_corpus(), make_qa(),
                            AppConfig(chunk_sizes=[100, 400]),
