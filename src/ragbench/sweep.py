@@ -3,12 +3,10 @@ and score it. report.py holds what a sweep returns and writes."""
 
 from __future__ import annotations
 
-import itertools
 from collections import ChainMap
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -84,13 +82,13 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
         return answer_correctness(record.answer, qa, vector, app.metric, judge)
 
     # a stage maps each size to (its items' outcomes, its error before them);
-    # without keep_going, one _Stage per stage stops every size's later items
+    # without keep_going, one failure list per stage stops every size's later items
     pool = ThreadPoolExecutor(max_workers=concurrency) if concurrency > 1 else None
     try:
         answering, tail_rows = {}, {}
         vectors, vectors_error = _collect(qa_set, _submit(None, lambda qa: vector(qa.question),
                                                           qa_set))
-        answers_stage = None if keep_going else _Stage()
+        answers_failed = None if keep_going else []
         for size in app.chunk_sizes:
             error = vectors_error
             try:
@@ -98,8 +96,9 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
                                    tail_rows).query_topk(vectors, app.rag.top_k)
             except RagBenchError as exc:
                 hits, error = [], exc
-            answering[size] = _submit(pool, answer, qa_set, hits, stage=answers_stage), error
-            if not keep_going and (error is not None or answers_stage.failed):
+            answering[size] = _submit(pool, answer, qa_set, hits, failed=answers_failed,
+                                      size=size), error
+            if not keep_going and (error is not None or answers_failed):
                 break
         records = {}
         for size, (outcomes, error) in answering.items():
@@ -107,8 +106,9 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
             if error is not None and not keep_going:
                 break
         embed_batch([r.answer for done, _ in records.values() for r in done])
-        scores_stage = None if keep_going else _Stage()
-        scoring = {size: (_submit(pool, score, qa_set, done, stage=scores_stage), error)
+        scores_failed = None if keep_going else []
+        scoring = {size: (_submit(pool, score, qa_set, done, failed=scores_failed, size=size),
+                          error)
                    for size, (done, error) in records.items()}
         rows, per_question = [], {}
         for size, (outcomes, error) in scoring.items():
@@ -151,40 +151,33 @@ def build_index(docs, size, overlap, embed_texts_fn,
     return Index(chunks, ChainMap(fresh, tail_rows))
 
 
-@dataclass
-class _Stage:
-    """Numbers the items submitted to it in queue order and lists the
-    numbers of those that failed."""
-    numbers: Iterator[int] = field(default_factory=itertools.count)
-    failed: list[int] = field(default_factory=list)
-
-
-def _submit(pool, fn, qa_set: list, *columns: list, stage=None) -> list:
+def _submit(pool, fn, qa_set: list, *columns: list, failed=None, size=0) -> list:
     """Start fn(qa, *its values in columns) for each QA item in input order,
     on pool or else in this thread; a column shorter than qa_set ends the
     items. Returns each item's outcome, or a future of it: fn's result, the
-    RagBenchError it raised, or None if an item submitted earlier to stage
-    (shared by the calls that one failure stops, or None for a new one) had
-    failed when it started. A failing item records its failure in stage, and
-    one that raises any other exception also re-raises it. Threads may reach
-    items out of queue order, so a later item's failure skips no earlier one.
+    RagBenchError it raised, or None if a key in failed (shared by the calls
+    that one failure stops, or None for a new list) was below the item's
+    key, (size, input index), when it started. A failing item adds its key
+    to failed, and one that raises any other exception also re-raises it.
+    Sizes are submitted in increasing order, so keys follow queue order;
+    threads may reach items out of it, so a later failure skips no earlier item.
     """
-    stage = _Stage() if stage is None else stage
+    failed = [] if failed is None else failed
 
-    def run(seq, *item):
+    def run(key, *item):
         try:
-            return None if min(stage.failed, default=seq) < seq else fn(*item)
+            return None if min(failed, default=key) < key else fn(*item)
         except Exception as exc:
-            stage.failed.append(seq)
+            failed.append(key)
             if isinstance(exc, RagBenchError):
                 return exc
             raise
 
-    items = zip(stage.numbers, qa_set, *columns)
+    items = enumerate(zip(qa_set, *columns))
     # a Future costs more than a cheap item: pooling at concurrency 1 cost 1.3-2.2 MB peak RSS
     if pool is None:
-        return [run(*item) for item in items]
-    return [pool.submit(run, *item) for item in items]
+        return [run((size, i), *item) for i, item in items]
+    return [pool.submit(run, (size, i), *item) for i, item in items]
 
 
 def _collect(qa_set: list, outcomes: list, error=None):
