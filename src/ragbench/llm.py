@@ -74,12 +74,12 @@ def cached(op: GenerateFn, req: ChatRequest, cache_dir: str | Path,
            endpoint: str = "") -> ChatResponse:
     """Content-addressed cache around a generate function.
 
-    Hit: stored content, cached=True, zero calls to op. Miss: call through
-    and persist atomically. Entries that are corrupt, or whose content is not
-    a string or is rejected by req.check, are misses and are overwritten; a
-    reply from op that req.check rejects raises and is not stored. Threads
-    that miss on one entry at once make one call to op; the others wait for
-    it and get the stored content with cached=True.
+    Hit: stored content, cached=True, no call to op. Miss: op's content,
+    cached=False, stored atomically. An entry that is corrupt, or whose
+    content is not a string or fails req.check, is a miss and is
+    overwritten; content from op that fails req.check or is not UTF-8 text
+    raises and is not stored. Threads that miss one entry at once make one
+    call to op; the others get the stored content with cached=True.
     """
     def parse(content) -> str:
         if not isinstance(content, str):

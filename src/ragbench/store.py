@@ -41,7 +41,7 @@ def _read_entry(path: Path, key: str, field: str, parse: Callable[[object], T]) 
 
 def _write_entry(path: Path, key: str, fields: dict) -> None:
     """Atomic write: a temp file unique to this process and thread, then a
-    rename over the entry. Fields that are not UTF-8 text write nothing."""
+    rename over the entry; fields that are not UTF-8 text raise, writing nothing."""
     try:
         data = json.dumps({"request_key": key, **fields}, ensure_ascii=False).encode("utf-8")
     except UnicodeEncodeError as exc:  # a lone surrogate, as half an emoji
