@@ -1,7 +1,8 @@
 """Corpus ingestion: Reddit-style JSONL exports and text/markdown directories.
 
-Documents are normalized into a uniform store (JSONL, one document per line)
-with an optional exact-after-normalization dedup pass.
+Documents are normalized into a uniform store (JSONL, one document per line:
+its id and its body) with an optional exact-after-normalization dedup pass.
+Other fields, of an export line or of an older store's line, are ignored.
 """
 
 from __future__ import annotations
@@ -15,22 +16,17 @@ from typing import IO, Callable, Iterable
 from .errors import InvalidConfig, MalformedLine, RagBenchError
 
 # a stored document's fields and their types
-_FIELDS = {"id": (str,), "source": (str,), "title": (str,), "body": (str,),
-           "score": (int,), "created_at": (int,)}
-# a Reddit export line's fields; text and numbers may be null or absent
+_FIELDS = {"id": (str,), "body": (str,)}
+# the fields read from a Reddit export line: its id, and the text that
+# compose_body joins, which may be null or absent
 _REDDIT_FIELDS = {"id": (str,), **dict.fromkeys(
-    ("title", "selftext", "top_comment", "subreddit"), (str, type(None))),
-    **dict.fromkeys(("score", "created_utc"), (int, float, type(None)))}
+    ("title", "selftext", "top_comment"), (str, type(None)))}
 
 
 @dataclass(frozen=True)
 class Document:
     id: str
-    source: str
-    title: str
     body: str
-    score: int = 0
-    created_at: int = 0
 
 
 def compose_body(title: str, selftext: str, top_comment: str) -> str:
@@ -94,15 +90,6 @@ def check_fields(obj, fields: dict[str, tuple[type, ...]]) -> None:
                 raise InvalidConfig(f"field {name!r} is not UTF-8 text: {exc.reason}") from exc
 
 
-def _whole_number(obj: dict, name: str) -> int:
-    """obj's int or float field name as an int, 0 if null or absent. Exports
-    often write 1600000000.0; a fractional float, NaN or an infinity raises."""
-    value = obj.get(name) or 0
-    if type(value) is float and not value.is_integer():
-        raise ValueError(f"field {name!r} not a whole number")
-    return int(value)
-
-
 def _doc_from_reddit_obj(obj) -> Document:
     check_fields(obj, _REDDIT_FIELDS)
     if not obj["id"]:
@@ -113,14 +100,7 @@ def _doc_from_reddit_obj(obj) -> Document:
     body = compose_body(title, selftext, top_comment)
     if not body:
         raise ValueError("all text fields empty")
-    return Document(
-        id=obj["id"],
-        source=obj.get("subreddit") or "",
-        title=title,
-        body=body,
-        score=_whole_number(obj, "score"),
-        created_at=_whole_number(obj, "created_utc"),
-    )
+    return Document(id=obj["id"], body=body)
 
 
 def parse_reddit_jsonl(stream: IO[bytes], lenient: bool = True) -> tuple[list[Document], int]:
@@ -150,8 +130,7 @@ def ingest_text_dir(path: str | Path) -> list[Document]:
             raise RagBenchError(f"{p} is not UTF-8 text: {exc.reason}") from exc
         if not body.strip():
             continue
-        rel = p.relative_to(root).as_posix()
-        docs.append(Document(id=rel, source=rel, title=p.stem, body=body))
+        docs.append(Document(id=p.relative_to(root).as_posix(), body=body))
     docs.sort(key=lambda d: d.id)
     if not docs:
         raise RagBenchError(f"no .txt/.md files under {path}")

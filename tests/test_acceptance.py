@@ -144,8 +144,7 @@ def synthetic_corpus(n=100, seed=606):
     docs = []
     for i in range(n):
         body = " ".join(rng.choices(words, k=rng.randint(100, 220))) + "."
-        docs.append(Document(id=f"doc{i:03d}", source="synthetic", title="",
-                             body=body))
+        docs.append(Document(id=f"doc{i:03d}", body=body))
     return docs
 
 
@@ -239,8 +238,8 @@ def test_criterion_7_planted_corpus_sensitivity():
                          question=f"What does the {w[0]} {w[1]} protocol "
                                   f"require before {w[6]} {w[7]} handoff?",
                          ground_truth=gt))
-        docs_a.append(Document(id=f"a{i}", source="s", title="", body=gt))
-    docs_b = [Document(id=f"b{i}", source="s", title="",
+        docs_a.append(Document(id=f"a{i}", body=gt))
+    docs_b = [Document(id=f"b{i}",
                        body=" ".join(rng.choices(VOCAB_NOISE, k=30)) + ".")
               for i in range(5)]
 
@@ -277,7 +276,7 @@ def test_criterion_8_span_effect():
         suffix = " " + (" ".join(rng.choices(VOCAB_NOISE, k=80)) + ".")[:199]
         body = prefix + span + suffix
         assert len(span) == 300 and body.index(span) == 100
-        docs.append(Document(id=f"d{i}", source="s", title="", body=body))
+        docs.append(Document(id=f"d{i}", body=body))
         qa.append(QAItem(id=f"q{i}", question=f"What does rule {i} specify?",
                          ground_truth=span))
     means = run_means(docs, qa)

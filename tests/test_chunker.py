@@ -7,7 +7,7 @@ from ragbench.errors import InvalidConfig
 
 
 def doc(doc_id, body):
-    return Document(id=doc_id, source="s", title="", body=body)
+    return Document(id=doc_id, body=body)
 
 
 def test_basic_no_overlap():
@@ -42,19 +42,19 @@ def test_invalid_config(size, overlap):
 
 
 def test_chunk_corpus_order_and_ids():
-    docs = [Document(id="a", source="s", title="", body="12345"),
-            Document(id="b", source="s", title="", body="67890")]
+    docs = [Document(id="a", body="12345"),
+            Document(id="b", body="67890")]
     chunks = chunk_corpus(docs, ChunkConfig(5, 0))
     assert [c.ref for c in chunks] == [("a", 0), ("b", 0)]
 
 
 def test_chunk_corpus_8000_cp_doc():
-    docs = [Document(id="a", source="s", title="", body="x" * 8000)]
+    docs = [Document(id="a", body="x" * 8000)]
     assert len(chunk_corpus(docs, ChunkConfig(250, 0))) == 32
 
 
 def test_chunk_corpus_deterministic():
-    docs = [Document(id=f"d{i}", source="s", title="", body="abc" * 50)
+    docs = [Document(id=f"d{i}", body="abc" * 50)
             for i in range(5)]
     cfg = ChunkConfig(40, 10)
     assert chunk_corpus(docs, cfg) == chunk_corpus(docs, cfg)

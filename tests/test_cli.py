@@ -100,21 +100,29 @@ class TestIngest:
 
     @pytest.mark.parametrize("field", ["score", "created_utc"])
     def test_number_beyond_float_range_skipped(self, tmp_path, capsys, field):
+        # an export's numbers are not read: a line whose number does not fit
+        # a float is kept with its text
         src = tmp_path / "export.jsonl"
+        out = tmp_path / "o.jsonl"
         write_reddit(src, n=2, extra_lines=[f'{{"id": "x", "title": "t", "{field}": 1e400}}'])
         assert main(["ingest", "--format", "reddit-jsonl",
-                     "--in", str(src), "--out", str(tmp_path / "o.jsonl")]) == 0
+                     "--in", str(src), "--out", str(out)]) == 0
         assert capsys.readouterr().err == \
-            "in=2 kept=2 duplicates_removed=0 lines_skipped=1\n"
+            "in=3 kept=3 duplicates_removed=0 lines_skipped=0\n"
+        assert out.read_text().splitlines()[-1] == '{"id": "x", "body": "t"}'
 
     @pytest.mark.parametrize("field", ["score", "created_utc"])
     def test_strict_number_beyond_float_range_exit_2(self, tmp_path, capsys, field):
+        # not read, so not malformed either: --strict keeps the line and exits 0
         src = tmp_path / "export.jsonl"
+        out = tmp_path / "o.jsonl"
         write_reddit(src, n=2, extra_lines=[f'{{"id": "x", "title": "t", "{field}": 1e400}}'])
         code = main(["ingest", "--format", "reddit-jsonl", "--strict",
-                     "--in", str(src), "--out", str(tmp_path / "o.jsonl")])
-        assert code == 2
-        assert "malformed line 3" in capsys.readouterr().err
+                     "--in", str(src), "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == \
+            "in=3 kept=3 duplicates_removed=0 lines_skipped=0\n"
+        assert out.read_text().splitlines()[-1] == '{"id": "x", "body": "t"}'
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_line_nested_too_deep_is_malformed(self, tmp_path, capsys, strict):
@@ -159,8 +167,8 @@ class TestIngest:
                      "--in", str(src), "--out", str(out)]) == 0
         assert capsys.readouterr().err == \
             "in=2 kept=2 duplicates_removed=0 lines_skipped=1\n"
-        assert [json.loads(line)["title"] for line in out.read_text().splitlines()] == \
-            ["Title 0", "Title 1"]
+        assert [json.loads(line)["body"] for line in out.read_text().splitlines()] == \
+            ["Title 0\n\nBody text 0\n\nAnswer 0", "Title 1\n\nBody text 1\n\nAnswer 1"]
 
     def test_strict_repeated_id_exit_2(self, tmp_path, capsys):
         src = tmp_path / "export.jsonl"
@@ -328,8 +336,8 @@ class TestSweep:
     @pytest.mark.parametrize("command", ["sweep", "ask"])
     def test_store_repeated_id_is_a_data_error(self, inputs, tmp_path, capsys, command):
         corpus, qa = inputs
-        save_corpus([Document(id="a", source="s", title="", body="one"),
-                     Document(id="a", source="s", title="", body="two")], corpus)
+        save_corpus([Document(id="a", body="one"),
+                     Document(id="a", body="two")], corpus)
         args = (["--qa", str(qa), "--sizes", "100", "--out", str(tmp_path / "o")]
                 if command == "sweep" else ["--question", "q"])
         assert main([command, "--corpus", str(corpus), *args]) == 2
@@ -338,7 +346,7 @@ class TestSweep:
     @pytest.mark.parametrize("command", ["sweep", "ask"])
     def test_store_lone_surrogate_is_a_data_error(self, inputs, tmp_path, capsys, command):
         corpus, qa = inputs
-        doc = Document(id="x", source="s", title="", body="Half an emoji \ud83d.")
+        doc = Document(id="x", body="Half an emoji \ud83d.")
         corpus.write_text(corpus.read_text() + json.dumps(vars(doc)) + "\n")
         args = (["--qa", str(qa), "--sizes", "100", "--out", str(tmp_path / "o")]
                 if command == "sweep" else ["--question", "q"])
@@ -568,7 +576,7 @@ class TestSweep:
         # enough chunks for several embedding batches per size, so chunk
         # embedding runs its own requests while the sweep's pool answers
         corpus = tmp_path / "corpus.jsonl"
-        save_corpus([Document(id=f"d{i}", source="s", title="",
+        save_corpus([Document(id=f"d{i}",
                               body=" ".join(f"Doc {i} step {j}: patch the router."
                                             for j in range(40)))
                      for i in range(24)], corpus)

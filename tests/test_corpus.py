@@ -26,11 +26,7 @@ def as_stream(*lines):
 def test_parse_single_line():
     docs, skipped = parse_reddit_jsonl(as_stream(reddit_line()))
     assert len(docs) == 1
-    d = docs[0]
-    assert d.id == "a1"
-    assert d.source == "cybersecurity"
-    assert d.body == "T\n\nB\n\nC"
-    assert d.score == 10
+    assert docs == [Document(id="a1", body="T\n\nB\n\nC")]
     assert skipped == 0
 
 
@@ -42,20 +38,18 @@ def test_parse_blank_segments_elided():
 def test_parse_missing_text_fields_treated_empty():
     line = json.dumps({"id": "x", "subreddit": "s", "title": "only title"})
     docs, _ = parse_reddit_jsonl(as_stream(line))
-    assert docs[0].body == "only title"
-    assert docs[0].score == 0
+    assert docs == [Document(id="x", body="only title")]
 
 
 def test_parse_null_text_fields_treated_empty():
     line = json.dumps({"id": "x", "subreddit": None, "title": "only title",
                        "selftext": None, "top_comment": None})
     docs, _ = parse_reddit_jsonl(as_stream(line))
-    assert docs[0].body == "only title"
-    assert docs[0].source == ""
+    assert docs == [Document(id="x", body="only title")]
 
 
 @pytest.mark.parametrize("field, value", [
-    ("title", {"x": 1}), ("selftext", 5), ("top_comment", ["a"]), ("subreddit", True)])
+    ("title", {"x": 1}), ("selftext", 5), ("top_comment", ["a"])])
 def test_parse_text_field_of_wrong_type_is_malformed(field, value):
     lines = (reddit_line(id="a"), reddit_line(id="b", **{field: value}))
     docs, skipped = parse_reddit_jsonl(as_stream(*lines), lenient=True)
@@ -70,24 +64,29 @@ def test_parse_text_field_of_wrong_type_is_malformed(field, value):
 @pytest.mark.parametrize("field", ["score", "created_utc"])
 @pytest.mark.parametrize("value", [True, 1.9, "17", math.nan, math.inf, -math.inf])
 def test_parse_number_field_not_whole_is_malformed(field, value):
-    # checked before any conversion: none of these is stored as a number
+    # an export's numbers are not read, so no value of theirs, whole or not,
+    # makes a line malformed: it is kept with its body in either mode
     lines = (reddit_line(id="a"), reddit_line(id="b", **{field: value}))
-    docs, skipped = parse_reddit_jsonl(as_stream(*lines), lenient=True)
-    assert [d.id for d in docs] == ["a"]
-    assert skipped == 1
-    with pytest.raises(MalformedLine) as exc:
-        parse_reddit_jsonl(as_stream(*lines), lenient=False)
-    assert exc.value.line_no == 2
-    assert repr(field) in str(exc.value)
+    for lenient in (True, False):
+        docs, skipped = parse_reddit_jsonl(as_stream(*lines), lenient=lenient)
+        assert docs == [Document(id="a", body="T\n\nB\n\nC"),
+                        Document(id="b", body="T\n\nB\n\nC")]
+        assert skipped == 0
+
+
+@pytest.mark.parametrize("value", [True, 7, ["s"], {"x": 1}, None])
+def test_parse_subreddit_is_not_read(value):
+    docs, skipped = parse_reddit_jsonl(as_stream(reddit_line(subreddit=value)), lenient=False)
+    assert (docs, skipped) == ([Document(id="a1", body="T\n\nB\n\nC")], 0)
 
 
 @pytest.mark.parametrize("value, stored", [
     (17, 17), (-3, -3), (1600000000.0, 1600000000), (-0.0, 0), (None, 0)])
 def test_parse_number_field_whole_or_null_is_stored(value, stored):
-    docs, _ = parse_reddit_jsonl(as_stream(reddit_line(score=value, created_utc=value)),
-                                 lenient=False)
-    assert (docs[0].score, docs[0].created_at) == (stored, stored)
-    assert type(docs[0].score) is type(docs[0].created_at) is int
+    # neither number is stored: a line reads the same whichever of the two it holds
+    docs = [parse_reddit_jsonl(as_stream(reddit_line(score=v, created_utc=v)), lenient=False)[0]
+            for v in (value, stored)]
+    assert docs[0] == docs[1] == [Document(id="a1", body="T\n\nB\n\nC")]
 
 
 def test_parse_deep_nesting_is_malformed():
@@ -171,10 +170,8 @@ def test_ingest_text_dir(tmp_path):
     sub.mkdir()
     (sub / "lec.txt").write_text("lecture")
     docs = ingest_text_dir(tmp_path)
-    assert [d.id for d in docs] == ["notes.md", "unit1/lec.txt"]
-    assert docs[0].body == "x"
-    assert docs[0].title == "notes"
-    assert docs[1].source == "unit1/lec.txt"
+    assert docs == [Document(id="notes.md", body="x"),
+                    Document(id="unit1/lec.txt", body="lecture")]
 
 
 def test_ingest_text_dir_drops_bom(tmp_path):
@@ -204,7 +201,7 @@ def test_ingest_missing_path(tmp_path):
 
 
 def make_doc(i, body):
-    return Document(id=f"d{i}", source="s", title="", body=body)
+    return Document(id=f"d{i}", body=body)
 
 
 def test_dedup_whitespace_normalized():
@@ -234,17 +231,28 @@ def test_dedup_stability():
 
 
 def test_store_round_trip(tmp_path):
-    docs = [
-        Document(id="a", source="s", title="t", body="héllo\nwörld", score=3,
-                 created_at=123),
-        Document(id="b", source="dir/f.md", title="f", body="plain"),
-    ]
+    docs = [Document(id="a", body="héllo\nwörld"), Document(id="b", body="plain")]
     path = tmp_path / "store.jsonl"
     save_corpus(docs, path)
     assert load_corpus(path) == docs
-    # field order on disk is fixed
-    first = json.loads(path.read_text().splitlines()[0])
-    assert list(first) == ["id", "source", "title", "body", "score", "created_at"]
+    # a stored document is its id and its body, in that order
+    assert path.read_text(encoding="utf-8") == \
+        '{"id": "a", "body": "héllo\\nwörld"}\n{"id": "b", "body": "plain"}\n'
+
+
+def test_load_corpus_reads_six_field_store(tmp_path):
+    # a store whose lines also carry source, title, score and created_at, as
+    # stores once did, loads; saving it again keeps only id and body
+    path = tmp_path / "store.jsonl"
+    path.write_text(json.dumps({"id": "a", "source": "s", "title": "t", "body": "b1",
+                                "score": 3, "created_at": 123}) + "\n"
+                    + json.dumps({"id": "b", "source": "dir/f.md", "title": "f",
+                                  "body": "b2", "score": 0, "created_at": 0}) + "\n")
+    docs = load_corpus(path)
+    assert docs == [Document(id="a", body="b1"), Document(id="b", body="b2")]
+    save_corpus(docs, path)
+    assert [json.loads(line) for line in path.read_text().splitlines()] == \
+        [{"id": "a", "body": "b1"}, {"id": "b", "body": "b2"}]
 
 
 def test_write_jsonl_round_trip(tmp_path):
@@ -267,15 +275,14 @@ def test_load_corpus_missing(tmp_path):
 
 
 def store_line(**kw):
-    base = {"id": "a", "source": "s", "title": "t", "body": "b", "score": 0,
-            "created_at": 0}
+    base = {"id": "a", "body": "b"}
     base.update(kw)
     return json.dumps({k: v for k, v in base.items() if v is not None})
 
 
 def test_load_corpus_not_utf8_is_malformed_line(tmp_path):
     path = tmp_path / "store.jsonl"
-    path.write_bytes(store_line().encode() + b"\n" + store_line(title="T").encode()
+    path.write_bytes(store_line().encode() + b"\n" + store_line(id="T").encode()
                      .replace(b'"T"', b'"caf\xff"') + b"\n")
     with pytest.raises(MalformedLine) as exc:
         load_corpus(path)
@@ -284,8 +291,8 @@ def test_load_corpus_not_utf8_is_malformed_line(tmp_path):
 
 
 @pytest.mark.parametrize("field", [
-    {"body": 5}, {"id": 1}, {"title": None}, {"source": ["s"]}, {"score": "3"},
-    {"score": True}, {"created_at": 1.5}, {"created_at": False}])
+    {"body": 5}, {"id": 1}, {"body": None}, {"id": ["a"]}, {"body": True},
+    {"id": False}, {"body": 1.5}, {"id": {"a": 1}}])
 def test_load_corpus_field_of_wrong_type_is_malformed_line(tmp_path, field):
     path = tmp_path / "store.jsonl"
     path.write_text(store_line() + "\n" + store_line(**field) + "\n")
@@ -293,6 +300,15 @@ def test_load_corpus_field_of_wrong_type_is_malformed_line(tmp_path, field):
         load_corpus(path)
     assert exc.value.line_no == 2
     assert repr(next(iter(field))) in str(exc.value)
+
+
+@pytest.mark.parametrize("field", [
+    {"title": None}, {"source": ["s"]}, {"score": "3"}, {"score": True},
+    {"created_at": 1.5}, {"created_at": False}])
+def test_load_corpus_other_field_of_any_type_is_ignored(tmp_path, field):
+    path = tmp_path / "store.jsonl"
+    path.write_text(store_line(**field) + "\n")
+    assert load_corpus(path) == [Document(id="a", body="b")]
 
 
 def test_load_corpus_line_not_an_object_is_malformed_line(tmp_path):

@@ -30,7 +30,7 @@ def offline_batch(texts):
 
 def sweep(qa_set, workers, embed_single_fn=offline_batch, generate_fn=mock_generate):
     """A one-size sweep of qa_set over a two-sentence corpus."""
-    docs = [Document(id="d", source="s", title="", body="Patch now. Reboot later.")]
+    docs = [Document(id="d", body="Patch now. Reboot later.")]
     return run_sweep(docs, qa_set, AppConfig(chunk_sizes=[100]),
                      embed_texts_fn=offline_batch,
                      embed_single_fn=embed_single_fn, generate_fn=generate_fn,

@@ -109,11 +109,11 @@ class TestAssemblePrompt:
 
 class TestAnswerQuestion:
     def planted_docs(self):
-        docs = [Document(id=f"filler{i}", source="s", title="",
+        docs = [Document(id=f"filler{i}",
                          body=f"unrelated musings number {i} about gardening "
                               f"and weather patterns in region {i}")
                 for i in range(10)]
-        docs.append(Document(id="planted", source="s", title="",
+        docs.append(Document(id="planted",
                              body="The secret marker ZEBRA-7 identifies the "
                                   "planted document for retrieval checks."))
         return docs

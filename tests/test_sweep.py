@@ -53,7 +53,7 @@ def make_corpus(n=12, seed=4):
     docs = []
     for i in range(n):
         body = " ".join(rng.choices(words, k=80)) + "."
-        docs.append(Document(id=f"doc{i}", source="synthetic", title="", body=body))
+        docs.append(Document(id=f"doc{i}", body=body))
     return docs
 
 
@@ -501,7 +501,7 @@ class TestStages:
         # chunk text is embedded once and is one hit, at its smallest ref
         # with its other refs ascending, so the top k holds k distinct texts
         originals = make_corpus(20)
-        docs = [Document(id=f"copy{j:02d}-{d.id}", source="synthetic", title="", body=d.body)
+        docs = [Document(id=f"copy{j:02d}-{d.id}", body=d.body)
                 for j in random.Random(1).sample(range(20), 20) for d in originals]
         embedded = []
         index = sweep_mod.build_index(
