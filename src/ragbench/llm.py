@@ -76,14 +76,18 @@ def cached(op: GenerateFn, req: ChatRequest, cache_dir: str | Path,
 
     Hit: stored content, cached=True, no call to op. Miss: op's content,
     cached=False, stored atomically. An entry that is corrupt, or whose
-    content is not a string or fails req.check, is a miss and is
-    overwritten; content from op that fails req.check or is not UTF-8 text
-    raises and is not stored. Threads that miss one entry at once make one
-    call to op; the others get the stored content with cached=True.
+    content is not a string, is not UTF-8 text or fails req.check, is a miss
+    and is overwritten; content from op that fails either check raises and
+    is not stored. Threads that miss one entry at once make one call to op;
+    the others get the stored content with cached=True.
     """
     def parse(content) -> str:
         if not isinstance(content, str):
             raise RagBenchError("cached content is not a string")
+        try:  # a lone surrogate, as half an emoji, does not encode
+            content.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise RagBenchError(f"reply is not UTF-8 text: {exc.reason}") from exc
         req.check(content)
         return content
 

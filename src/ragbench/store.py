@@ -41,13 +41,10 @@ def _read_entry(path: Path, key: str, field: str, parse: Callable[[object], T]) 
 
 def _write_entry(path: Path, key: str, fields: dict) -> None:
     """Atomic write: a temp file unique to this process and thread, then a
-    rename over the entry; fields that are not UTF-8 text raise, writing nothing."""
-    try:
-        data = json.dumps({"request_key": key, **fields}, ensure_ascii=False).encode("utf-8")
-    except UnicodeEncodeError as exc:  # a lone surrogate, as half an emoji
-        raise RagBenchError(f"reply is not UTF-8 text: {exc.reason}") from exc
+    rename over the entry."""
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
-    tmp.write_bytes(data)
+    tmp.write_bytes(json.dumps({"request_key": key, **fields}, ensure_ascii=False)
+                    .encode("utf-8"))
     os.replace(tmp, path)
 
 

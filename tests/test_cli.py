@@ -260,6 +260,26 @@ class TestAsk:
             "error: reply is not UTF-8 text: surrogates not allowed\n"
         assert [p.name for p in cache.iterdir() if ".tmp" in p.name] == []
 
+    def test_stored_reply_not_utf8_text_is_asked_again(self, corpus, tmp_path, capsys,
+                                                       fake_server):
+        # a chat entry rewritten to half an emoji, a lone surrogate escape, is
+        # a miss: the warm run asks for the answer again and stores it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"embedder": {"endpoint_url": fake_server.url}}))
+        cache = tmp_path / "cache"
+        ask = ["ask", "--corpus", str(corpus), "--question", "What is ZEBRA-7?",
+               "--backend", "remote", "--config", str(cfg), "--cache-dir", str(cache)]
+        assert main(ask) == 0
+        cold = capsys.readouterr().out
+        [entry] = [p for p in cache.iterdir() if "content" in json.loads(p.read_text())]
+        key = json.loads(entry.read_text())["request_key"]
+        entry.write_text(json.dumps({"request_key": key, "content": "half an emoji \ud83d"}))
+        fake_server.requests.clear()
+        assert main(ask) == 0
+        assert capsys.readouterr().out == cold
+        assert [path for path, _, _ in fake_server.requests] == ["/v1/chat/completions"]
+        assert json.loads(entry.read_text()) == {"request_key": key, "content": "canned reply"}
+
     def test_missing_question_usage_error(self, corpus):
         assert main(["ask", "--corpus", str(corpus)]) == 1
 

@@ -123,7 +123,9 @@ class TestCache:
 
     @pytest.mark.parametrize("entry", [
         [1], "x", {"request_key": "0" * 64, "content": "stale"},
-        {"request_key": request_key(req("Q")), "content": 5}])
+        {"request_key": request_key(req("Q")), "content": 5},
+        # half an emoji, as JSON's ASCII escape: no reply holds it
+        {"request_key": request_key(req("Q")), "content": "half an emoji \ud83d"}])
     def test_entry_of_wrong_shape_recomputed(self, tmp_path, entry):
         (tmp_path / request_key(req("Q"))).write_text(json.dumps(entry))
         calls = []
