@@ -17,8 +17,7 @@ from .errors import InvalidConfig, MalformedLine, RagBenchError
 
 # a stored document's fields and their types
 _FIELDS = {"id": (str,), "body": (str,)}
-# the fields read from a Reddit export line: its id, and the text that
-# compose_body joins, which may be null or absent
+# the fields read from a Reddit export line; the text ones may be null or absent
 _REDDIT_FIELDS = {"id": (str,), **dict.fromkeys(
     ("title", "selftext", "top_comment"), (str, type(None)))}
 
@@ -124,13 +123,16 @@ def ingest_text_dir(path: str | Path) -> list[Document]:
     for p in sorted(root.rglob("*")):
         if not p.is_file() or p.suffix.lower() not in (".txt", ".md"):
             continue
+        rel = p.relative_to(root).as_posix()
         try:
+            rel.encode("utf-8")  # name bytes that do not decode are lone surrogates
             body = p.read_text(encoding="utf-8-sig")
+        except UnicodeEncodeError as exc:
+            raise RagBenchError(f"file name {rel!r} is not UTF-8 text: {exc.reason}") from exc
         except UnicodeDecodeError as exc:
             raise RagBenchError(f"{p} is not UTF-8 text: {exc.reason}") from exc
-        if not body.strip():
-            continue
-        docs.append(Document(id=p.relative_to(root).as_posix(), body=body))
+        if body.strip():
+            docs.append(Document(id=rel, body=body))
     docs.sort(key=lambda d: d.id)
     if not docs:
         raise RagBenchError(f"no .txt/.md files under {path}")

@@ -187,6 +187,23 @@ class TestIngest:
         assert code == 2
         assert "lesson1.md is not UTF-8" in capsys.readouterr().err
 
+    def test_textdir_file_name_not_utf8_exit_2(self, tmp_path, capsys):
+        # Linux allows any bytes in a file name; Python decodes the ones that
+        # are not UTF-8 to lone surrogates, which no store line can hold
+        src = tmp_path / "materials"
+        src.mkdir()
+        (src / "lesson1.md").write_text("Threat modeling basics.")
+        try:
+            (src / os.fsdecode(b"bad\xffname.txt")).write_text("Incident response steps.")
+        except OSError:
+            pytest.skip("this filesystem refuses a file name that is not UTF-8")
+        out = tmp_path / "o.jsonl"
+        code = main(["ingest", "--format", "textdir", "--in", str(src), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: file name 'bad\\udcffname.txt' is not UTF-8 text: surrogates not allowed\n"
+        assert not out.exists()
+
     def test_textdir(self, tmp_path, capsys):
         src = tmp_path / "materials"
         src.mkdir()
