@@ -74,7 +74,7 @@ def test_parse_number_field_not_whole_is_malformed(field, value):
         assert skipped == 0
 
 
-@pytest.mark.parametrize("value", [True, 7, ["s"], {"x": 1}, None])
+@pytest.mark.parametrize("value", [True, 7, ["s"], {"x": 1}])
 def test_parse_subreddit_is_not_read(value):
     docs, skipped = parse_reddit_jsonl(as_stream(reddit_line(subreddit=value)), lenient=False)
     assert (docs, skipped) == ([Document(id="a1", body="T\n\nB\n\nC")], 0)
