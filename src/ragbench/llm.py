@@ -43,19 +43,14 @@ def _payload(req: ChatRequest) -> dict:
 
 
 def generate(req: ChatRequest, endpoint_url: str) -> ChatResponse:
-    """POST {endpoint_url}/v1/chat/completions; content = first choice message."""
+    """POST {endpoint_url}/v1/chat/completions; content = the first choice's
+    message content as the server sent it, which cached checks."""
     body = post_json_with_retries(endpoint_url.rstrip("/") + "/v1/chat/completions",
                                   _payload(req))
     try:
-        choices = body["choices"]
-        content = choices[0]["message"]["content"]
+        return ChatResponse(content=body["choices"][0]["message"]["content"], cached=False)
     except (KeyError, IndexError, TypeError) as exc:
         raise RagBenchError(f"malformed chat response: {exc}") from exc
-    if not isinstance(content, str):
-        raise RagBenchError("completion content is not a string")
-    if content == "":
-        raise RagBenchError("empty completion content")
-    return ChatResponse(content=content, cached=False)
 
 
 def mock_generate(req: ChatRequest) -> ChatResponse:
@@ -75,15 +70,18 @@ def cached(op: GenerateFn, req: ChatRequest, cache_dir: str | Path,
     """Content-addressed cache around a generate function.
 
     Hit: stored content, cached=True, no call to op. Miss: op's content,
-    cached=False, stored atomically. An entry that is corrupt, or whose
-    content is not a string, is not UTF-8 text or fails req.check, is a miss
-    and is overwritten; content from op that fails either check raises and
-    is not stored. Threads that miss one entry at once make one call to op;
-    the others get the stored content with cached=True.
+    cached=False, stored atomically. One rule judges a reply's content,
+    fresh or stored: a non-empty string of UTF-8 text that passes req.check.
+    Content from op that breaks it raises and is not stored; an entry whose
+    content breaks it, or that is corrupt, is a miss and is overwritten.
+    Threads that miss one entry at once make one call to op; the others get
+    the stored content with cached=True.
     """
     def parse(content) -> str:
         if not isinstance(content, str):
-            raise RagBenchError("cached content is not a string")
+            raise RagBenchError("completion content is not a string")
+        if content == "":
+            raise RagBenchError("empty completion content")
         try:  # a lone surrogate, as half an emoji, does not encode
             content.encode("utf-8")
         except UnicodeEncodeError as exc:

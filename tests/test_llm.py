@@ -38,12 +38,6 @@ class TestGenerate:
         with pytest.raises(RagBenchError, match=r"^malformed chat response: "):
             generate(req(), fake_server.url)
 
-    def test_empty_content(self, fake_server):
-        fake_server.script.append(
-            (200, {"choices": [{"message": {"content": ""}}]}))
-        with pytest.raises(RagBenchError, match=r"^empty completion content$"):
-            generate(req(), fake_server.url)
-
     def test_retries_exhausted(self, fake_server, no_backoff_sleep):
         fake_server.script.extend([(429, {})] * 4)
         with pytest.raises(RagBenchError, match=r"^rate limited after 3 retries: "):
@@ -125,7 +119,8 @@ class TestCache:
         [1], "x", {"request_key": "0" * 64, "content": "stale"},
         {"request_key": request_key(req("Q")), "content": 5},
         # half an emoji, as JSON's ASCII escape: no reply holds it
-        {"request_key": request_key(req("Q")), "content": "half an emoji \ud83d"}])
+        {"request_key": request_key(req("Q")), "content": "half an emoji \ud83d"},
+        {"request_key": request_key(req("Q")), "content": ""}])
     def test_entry_of_wrong_shape_recomputed(self, tmp_path, entry):
         (tmp_path / request_key(req("Q"))).write_text(json.dumps(entry))
         calls = []
@@ -146,6 +141,20 @@ class TestCache:
         with pytest.raises(RagBenchError,
                            match=r"^reply is not UTF-8 text: surrogates not allowed$"):
             cached(lambda r: ChatResponse("half an emoji \ud83d"), req("Q"), tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_content(self, tmp_path, fake_server):
+        fake_server.script.append(
+            (200, {"choices": [{"message": {"content": ""}}]}))
+        with pytest.raises(RagBenchError, match=r"^empty completion content$"):
+            cached(lambda r: generate(r, fake_server.url), req(), tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_null_content(self, tmp_path, fake_server):
+        fake_server.script.append(
+            (200, {"choices": [{"message": {"content": None}}]}))
+        with pytest.raises(RagBenchError, match=r"^completion content is not a string$"):
+            cached(lambda r: generate(r, fake_server.url), req(), tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_entry_file_format(self, tmp_path):
