@@ -81,14 +81,15 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
     def score(qa, record):
         return answer_correctness(record.answer, qa, vector, app.metric, judge)
 
-    # a stage maps each size to (its items' outcomes, its error before them);
-    # without keep_going, one failure list per stage stops every size's later items
+    # a stage maps each size to (its items' outcomes, its error before them).
+    # Without keep_going, one failure list stops both stages' later items:
+    # only items answered before any answer failed are scored, at lower keys
     pool = ThreadPoolExecutor(max_workers=concurrency) if concurrency > 1 else None
     try:
         answering, tail_rows = {}, {}
         vectors, vectors_error = _collect(qa_set, _submit(None, lambda qa: vector(qa.question),
                                                           qa_set))
-        answers_failed = None if keep_going else []
+        failed = None if keep_going else []
         for size in app.chunk_sizes:
             error = vectors_error
             try:
@@ -96,9 +97,9 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
                                    tail_rows).query_topk(vectors, app.rag.top_k)
             except RagBenchError as exc:
                 hits, error = [], exc
-            answering[size] = _submit(pool, answer, qa_set, hits, failed=answers_failed,
+            answering[size] = _submit(pool, answer, qa_set, hits, failed=failed,
                                       size=size), error
-            if not keep_going and (error is not None or answers_failed):
+            if not keep_going and (error is not None or failed):
                 break
         records = {}
         for size, (outcomes, error) in answering.items():
@@ -106,9 +107,7 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
             if error is not None and not keep_going:
                 break
         embed_batch([r.answer for done, _ in records.values() for r in done])
-        scores_failed = None if keep_going else []
-        scoring = {size: (_submit(pool, score, qa_set, done, failed=scores_failed, size=size),
-                          error)
+        scoring = {size: (_submit(pool, score, qa_set, done, failed=failed, size=size), error)
                    for size, (done, error) in records.items()}
         rows, per_question = [], {}
         for size, (outcomes, error) in scoring.items():
