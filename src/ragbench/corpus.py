@@ -139,22 +139,13 @@ def ingest_text_dir(path: str | Path) -> list[Document]:
     return docs
 
 
-def _dedup_key(body: str) -> str:
-    return " ".join(body.split()).casefold()
-
-
 def dedup(docs: list[Document]) -> list[Document]:
     """Collapse documents with identical whitespace-normalized, case-folded
     bodies to the earliest occurrence; survivor order is input order."""
-    seen: set[str] = set()
-    kept: list[Document] = []
+    first: dict[str, Document] = {}
     for doc in docs:
-        key = _dedup_key(doc.body)
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(doc)
-    return kept
+        first.setdefault(" ".join(doc.body.split()).casefold(), doc)
+    return list(first.values())
 
 
 def save_corpus(docs: Iterable[Document], path: str | Path) -> None:
