@@ -65,15 +65,12 @@ def _post(url: str, data: bytes, timeout_s: float) -> tuple[int, str | None, byt
     except urllib.error.HTTPError as exc:
         exc.close()
         return exc.code, exc.headers.get("Retry-After"), b""
-    except TimeoutError as exc:
-        raise RagBenchError(f"request to {url} timed out") from exc
-    except urllib.error.URLError as exc:
-        if isinstance(exc.reason, TimeoutError):
-            raise RagBenchError(f"request to {url} timed out") from exc
-        raise RagBenchError(f"request to {url} failed: {exc.reason}") from exc
     except (OSError, ValueError, http.client.HTTPException) as exc:
-        # ValueError: a malformed URL, such as one with a bad port
-        raise RagBenchError(f"request to {url} failed: {exc}") from exc
+        # a URLError wraps its cause; ValueError: a malformed URL, such as one with a bad port
+        reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
+        if isinstance(reason, TimeoutError):
+            raise RagBenchError(f"request to {url} timed out") from exc
+        raise RagBenchError(f"request to {url} failed: {reason}") from exc
 
 
 def post_json_with_retries(url: str, payload: dict) -> dict:

@@ -15,11 +15,12 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import embed as embed_mod
+from . import llm
 from ._http import MAX_CONCURRENCY
 from .config import AppConfig, load_app_config
 from .embed import embed_texts
 from .errors import InvalidConfig, RagBenchError
-from .llm import generate, make_cached_fn, mock_generate
+from .llm import generate, mock_generate
 from .metrics import LexicalJudge, RemoteJudge, load_qa_jsonl
 from .rag import answer_question
 from .report import clear, emit_csv, emit_svg, summary_lines
@@ -63,8 +64,9 @@ def _make_backends(app: AppConfig):
             cache_dir = app.cache_dir or stack.enter_context(tempfile.TemporaryDirectory())
             # a remote embedder always has an endpoint_url (EmbedderConfig checks)
             endpoint = app.llm_endpoint_url or app.embedder.endpoint_url
-            generate_fn = make_cached_fn(lambda req: generate(req, endpoint), cache_dir,
-                                         endpoint=endpoint)
+
+            def generate_fn(req):  # both names looked up per call: perfbench wraps them
+                return llm.cached(lambda r: generate(r, endpoint), req, cache_dir, endpoint)
             concurrency = MAX_CONCURRENCY
         judge = (RemoteJudge(generate_fn, model=app.llm_model) if app.metric.judge == "remote"
                  else LexicalJudge())

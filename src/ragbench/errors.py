@@ -12,12 +12,9 @@ class InvalidConfig(RagBenchError):
 
 
 class MalformedLine(RagBenchError):
-    def __init__(self, line_no: int, reason: str = ""):
+    def __init__(self, line_no: int, reason: str):
         self.line_no = line_no
-        msg = f"malformed line {line_no}"
-        if reason:
-            msg += f": {reason}"
-        super().__init__(msg)
+        super().__init__(f"malformed line {line_no}: {reason}")
 
 
 def tag_qa(exc: RagBenchError, qa_id: str) -> None:

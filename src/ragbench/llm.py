@@ -33,9 +33,6 @@ class ChatResponse:
     cached: bool = False
 
 
-GenerateFn = Callable[[ChatRequest], ChatResponse]
-
-
 def _payload(req: ChatRequest) -> dict:
     """The JSON body that generate posts for req."""
     return {"model": req.model, "messages": req.messages, "temperature": 0.0,
@@ -65,8 +62,8 @@ def request_key(req: ChatRequest, endpoint: str = "") -> str:
     return store.request_key({"endpoint": endpoint, **_payload(req)})
 
 
-def cached(op: GenerateFn, req: ChatRequest, cache_dir: str | Path,
-           endpoint: str = "") -> ChatResponse:
+def cached(op: Callable[[ChatRequest], ChatResponse], req: ChatRequest,
+           cache_dir: str | Path, endpoint: str = "") -> ChatResponse:
     """Content-addressed cache around a generate function.
 
     Hit: stored content, cached=True, no call to op. Miss: op's content,
@@ -92,8 +89,3 @@ def cached(op: GenerateFn, req: ChatRequest, cache_dir: str | Path,
     content, hit = store.fetch(cache_dir, request_key(req, endpoint), "content", parse,
                                lambda: op(req).content)
     return ChatResponse(content, cached=hit)
-
-
-def make_cached_fn(op: GenerateFn, cache_dir: str | Path,
-                   endpoint: str = "") -> GenerateFn:
-    return lambda req: cached(op, req, cache_dir, endpoint)

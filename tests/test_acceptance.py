@@ -11,7 +11,7 @@ from ragbench.chunker import ChunkConfig, chunk_text
 from ragbench.config import AppConfig
 from ragbench.corpus import Document
 from ragbench.embed import EmbedderConfig, embed_texts
-from ragbench.llm import generate, make_cached_fn, mock_generate
+from ragbench.llm import cached, generate, mock_generate
 from ragbench.metrics import (LexicalJudge, MetricConfig, QAItem,
                               answer_correctness, f1)
 from ragbench.rag import RagConfig
@@ -189,8 +189,10 @@ def test_criterion_6_remote_warm_cache(tmp_path, fake_server):
     emb = EmbedderConfig(kind="remote", endpoint_url=fake_server.url, model="e")
     cache_dir = tmp_path / "cache"
     outputs, requests = [], []
-    remote_generate = make_cached_fn(lambda req: generate(req, fake_server.url), cache_dir,
-                                     endpoint=fake_server.url)
+
+    def remote_generate(req):
+        return cached(lambda r: generate(r, fake_server.url), req, cache_dir, fake_server.url)
+
     for run_id in ("one", "two"):
         before = len(fake_server.requests)
         report = run_sweep(docs, qa, cfg,

@@ -7,8 +7,8 @@ import pytest
 
 from ragbench.errors import RagBenchError
 import ragbench.store as store_mod
-from ragbench.llm import (ChatRequest, ChatResponse, cached, generate, make_cached_fn,
-                          mock_generate, request_key)
+from ragbench.llm import (ChatRequest, ChatResponse, cached, generate, mock_generate,
+                          request_key)
 
 
 def req(content="Q", model="m", **kw):
@@ -162,11 +162,6 @@ class TestCache:
         key = request_key(req("Q"), endpoint="mock")
         obj = json.loads((tmp_path / key).read_text())
         assert obj == {"request_key": key, "content": "MOCK-ANSWER: Q"}
-
-    def test_make_cached_fn(self, tmp_path):
-        fn = make_cached_fn(mock_generate, tmp_path, endpoint="mock")
-        assert fn(req("Q")).cached is False
-        assert fn(req("Q")).cached is True
 
     def test_transparency_for_deterministic_backend(self, tmp_path):
         for content in ["a", "b", "héllo", "x" * 100]:

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from ragbench.config import AppConfig
 from ragbench.corpus import Document
 from ragbench.errors import InvalidConfig, MalformedLine, RagBenchError
-from ragbench.llm import ChatResponse, make_cached_fn, mock_generate
+from ragbench.llm import ChatResponse, cached, mock_generate
 from ragbench.metrics import (LexicalJudge, MetricConfig, QAItem, RemoteJudge,
                               answer_correctness, f1, load_qa_jsonl)
 from ragbench.sweep import run_sweep
@@ -336,7 +336,7 @@ class TestRemoteJudge:
     def test_invalid_reply_neither_cached_nor_replayed(self, tmp_path, call, bad, good,
                                                        expected):
         def ask(gen):
-            judge = RemoteJudge(make_cached_fn(gen, tmp_path))
+            judge = RemoteJudge(lambda req: cached(gen, req, tmp_path))
             return judge.classify(["s1"], ["g1"]) if call == "classify" else judge.extract("t")
 
         gen = ScriptedGenerator([bad, good])

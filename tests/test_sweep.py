@@ -17,7 +17,7 @@ from ragbench.chunker import ChunkConfig, chunk_corpus
 from ragbench.embed import EmbedderConfig, embed_texts
 from ragbench.errors import InvalidConfig, RagBenchError
 import ragbench.store as store_mod
-from ragbench.llm import ChatResponse, make_cached_fn, mock_generate
+from ragbench.llm import ChatResponse, cached, mock_generate
 from ragbench.metrics import LexicalJudge, QAItem, answer_correctness
 from ragbench.rag import answer_question
 from ragbench.report import SweepReport, SweepRow, clear, emit_csv, emit_svg
@@ -161,7 +161,8 @@ class TestRunSweep:
                 ("half an emoji \ud83d", "reply is not UTF-8 text: surrogates not allowed"),
                 ("", "empty completion content")]):
             cache = tmp_path / str(i)
-            generate = make_cached_fn(lambda req: ChatResponse(content), cache)
+            def generate(req):
+                return cached(lambda r: ChatResponse(content), req, cache)
             with pytest.raises(RagBenchError, match=rf"^\[qa q0\] {error}$"):
                 run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100]),
                           embed_texts_fn=offline_batch, embed_single_fn=single_batch,
@@ -259,9 +260,10 @@ class TestConcurrency:
                 sweep(4)
 
     def test_no_waiters_left_after_sweep(self, tmp_path):
+        op = slow_early_generate(8)
         run_sweep(make_corpus(), make_qa(8), AppConfig(chunk_sizes=[100, 200]),
                   embed_texts_fn=offline_batch, embed_single_fn=single_batch,
-                  generate_fn=make_cached_fn(slow_early_generate(8), tmp_path),
+                  generate_fn=lambda req: cached(op, req, tmp_path),
                   judge=LexicalJudge(), concurrency=4)
         assert store_mod._FILLING == set()
 
