@@ -85,7 +85,7 @@ def post_json_with_retries(url: str, payload: dict) -> dict:
         if status == 200:
             try:
                 return json.loads(body)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
                 raise RagBenchError(f"non-JSON response from {url}") from exc
         if status != 429 and status < 500:
             raise RagBenchError(f"HTTP {status} from {url}")

@@ -140,7 +140,7 @@ def _parse_json_reply(content: str):
         text = re.sub(r"^```[a-z]*\n?|```$", "", text).strip()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep or too long an integer
         raise RagBenchError(f"judge reply is not valid JSON: {exc}") from exc
 
 
@@ -148,6 +148,8 @@ def _statements(content: str) -> list[str]:
     reply = _parse_json_reply(content)
     if not isinstance(reply, list) or not all(isinstance(s, str) for s in reply):
         raise RagBenchError("extraction reply is not a JSON array of strings")
+    if re.search("[\ud800-\udfff]", "".join(reply)):  # a lone surrogate, as JSON's "\ud83d"
+        raise RagBenchError("extraction reply is not UTF-8 text: surrogates not allowed")
     return [s.strip() for s in reply if s.strip()]
 
 

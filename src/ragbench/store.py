@@ -34,8 +34,8 @@ def _read_entry(path: Path, key: str, field: str, parse: Callable[[object], T]) 
         obj = json.loads(path.read_text(encoding="utf-8"))
         if isinstance(obj, dict) and obj.get("request_key") == key:
             return parse(obj.get(field))
-    except (OSError, ValueError, RagBenchError):
-        pass  # absent, unreadable, not JSON or not what the caller stores: a miss
+    except (OSError, ValueError, RecursionError, RagBenchError):
+        pass  # absent, unreadable, not JSON, too deep or not what the caller stores: a miss
     return None
 
 

@@ -107,6 +107,19 @@ class TestFailures:
         assert no_backoff_sleep == []
         assert len(fake_server.requests) == 1
 
+    def test_200_body_nested_too_deep_is_not_json(self, monkeypatch, no_backoff_sleep):
+        calls = []
+
+        def deep_post(url, data, timeout_s):
+            calls.append(url)
+            return 200, None, b"[" * 200_000 + b"]" * 200_000
+
+        monkeypatch.setattr(_http, "_post", deep_post)
+        with pytest.raises(RagBenchError, match=r"^non-JSON response from http://h/v1/x$"):
+            post_json_with_retries("http://h/v1/x", {"a": 1})
+        assert calls == ["http://h/v1/x"]
+        assert no_backoff_sleep == []
+
     @pytest.mark.parametrize("url", ["localhost/v1/x", "file:///dev/null",
                                      "ftp://127.0.0.1:1/x", "http://127.0.0.1:x/v1"])
     def test_url_not_http(self, url):

@@ -136,6 +136,21 @@ class TestCache:
         assert cached(op, req("Q"), tmp_path).cached is True
         assert len(calls) == 1
 
+    def test_entry_nested_too_deep_recomputed(self, tmp_path):
+        # deeper than the JSON parser's recursion limit
+        (tmp_path / request_key(req("Q"))).write_text("[" * 200_000 + "]" * 200_000)
+        calls = []
+
+        def op(r):
+            calls.append(r)
+            return mock_generate(r)
+
+        resp = cached(op, req("Q"), tmp_path)
+        assert (resp.content, resp.cached) == ("MOCK-ANSWER: Q", False)
+        # entry overwritten
+        assert cached(op, req("Q"), tmp_path).cached is True
+        assert len(calls) == 1
+
     def test_reply_not_utf8_text_not_stored(self, tmp_path):
         # half an emoji: a lone surrogate, which no UTF-8 entry can hold
         with pytest.raises(RagBenchError,

@@ -353,6 +353,29 @@ class TestRemoteJudge:
         assert ask(again) == expected
         assert len(again.requests) == 1
 
+    @pytest.mark.parametrize("bad, message", [
+        ("[" * 200_000 + "]" * 200_000, r"^judge reply is not valid JSON: "),
+        ("[" + "1" * 5000 + "]", r"^judge reply is not valid JSON: "),
+        # JSON's ASCII escape for half an emoji: a lone surrogate once decoded
+        ('["half \\ud83d"]', r"^extraction reply is not UTF-8 text: surrogates not allowed$"),
+    ], ids=["nested-too-deep", "integer-too-long", "statement-not-utf8-text"])
+    def test_unusable_extraction_reply_neither_cached_nor_replayed(self, tmp_path, bad,
+                                                                    message):
+        def extract(gen):
+            return RemoteJudge(lambda req: cached(gen, req, tmp_path)).extract("t")
+
+        with pytest.raises(RagBenchError, match=message):
+            extract(ScriptedGenerator([bad]))
+        assert list(tmp_path.iterdir()) == []
+        assert extract(ScriptedGenerator(['["Fact"]'])) == ["Fact"]
+        # a stored such reply is a miss, asked again and overwritten
+        (entry,) = tmp_path.iterdir()
+        entry.write_text(json.dumps({**json.loads(entry.read_text()), "content": bad}))
+        again = ScriptedGenerator(['["Fact"]'])
+        assert extract(again) == ["Fact"]
+        assert extract(again) == ["Fact"]
+        assert len(again.requests) == 1
+
 
 class TestQASetFile:
     def test_load(self, tmp_path):

@@ -18,7 +18,7 @@ from ragbench.embed import EmbedderConfig, embed_texts
 from ragbench.errors import InvalidConfig, RagBenchError
 import ragbench.store as store_mod
 from ragbench.llm import ChatResponse, cached, mock_generate
-from ragbench.metrics import LexicalJudge, QAItem, answer_correctness
+from ragbench.metrics import LexicalJudge, QAItem, RemoteJudge, answer_correctness
 from ragbench.rag import answer_question
 from ragbench.report import SweepReport, SweepRow, clear, emit_csv, emit_svg
 import ragbench.sweep as sweep_mod
@@ -168,6 +168,18 @@ class TestRunSweep:
                           embed_texts_fn=offline_batch, embed_single_fn=single_batch,
                           generate_fn=generate, judge=LexicalJudge())
             assert list(cache.iterdir()) == []
+
+    def test_judge_statement_not_utf8_text_is_an_item_error(self, tmp_path):
+        # the judge's reply is ASCII text, but its statement, once decoded,
+        # holds half an emoji, which no request key can encode
+        judge = RemoteJudge(lambda req: cached(lambda r: ChatResponse('["half \\ud83d"]'),
+                                               req, tmp_path))
+        with pytest.raises(RagBenchError, match=r"^\[qa q0\] extraction reply is not UTF-8 "
+                                                r"text: surrogates not allowed$"):
+            run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100]),
+                      embed_texts_fn=offline_batch, embed_single_fn=single_batch,
+                      generate_fn=mock_generate, judge=judge)
+        assert list(tmp_path.iterdir()) == []
 
     def test_keep_going_records_failed_row(self):
         report = run_sweep(make_corpus(), make_qa(),
