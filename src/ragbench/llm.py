@@ -59,7 +59,7 @@ def mock_generate(req: ChatRequest) -> ChatResponse:
 
 def request_key(req: ChatRequest, endpoint: str = "") -> str:
     """SHA-256 of the canonical JSON of the full request semantics."""
-    return store.request_key({"endpoint": endpoint, **_payload(req)})
+    return store.request_key({"endpoint": endpoint.rstrip("/"), **_payload(req)})
 
 
 def cached(op: Callable[[ChatRequest], ChatResponse], req: ChatRequest,

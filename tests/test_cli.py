@@ -300,6 +300,23 @@ class TestAsk:
             assert json.loads(entry.read_text()) == {"request_key": key,
                                                      "content": "canned reply"}
 
+    def test_endpoint_trailing_slash_shares_cache(self, corpus, tmp_path, capsys,
+                                                  fake_server):
+        # generate and the embedder post to the endpoint without its trailing
+        # slash, so a request keys on it that way too
+        cache = tmp_path / "cache"
+        outs = []
+        for i, url in enumerate([fake_server.url, fake_server.url + "/"]):
+            cfg = tmp_path / f"cfg{i}.json"
+            cfg.write_text(json.dumps({"embedder": {"endpoint_url": url}}))
+            fake_server.requests.clear()
+            assert main(["ask", "--corpus", str(corpus), "--question", "What is ZEBRA-7?",
+                         "--backend", "remote", "--config", str(cfg),
+                         "--cache-dir", str(cache)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert fake_server.requests == []
+        assert outs[1] == outs[0]
+
     def test_missing_question_usage_error(self, corpus):
         assert main(["ask", "--corpus", str(corpus)]) == 1
 
