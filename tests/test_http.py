@@ -4,6 +4,8 @@ import os
 import socket
 import subprocess
 import sys
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -118,6 +120,23 @@ class TestFailures:
         with pytest.raises(RagBenchError, match=r"^non-JSON response from http://h/v1/x$"):
             post_json_with_retries("http://h/v1/x", {"a": 1})
         assert calls == ["http://h/v1/x"]
+        assert no_backoff_sleep == []
+
+    @pytest.mark.parametrize("reason, message", [
+        (TimeoutError(), "timed out"),
+        (ConnectionRefusedError(111, "Connection refused"),
+         "failed: [Errno 111] Connection refused"),
+    ], ids=["timeout", "refused"])
+    def test_url_error_names_its_reason(self, monkeypatch, no_backoff_sleep, reason,
+                                        message):
+        # urlopen wraps a timeout in connecting, or a refusal, in a URLError
+        def urlopen(req, timeout):
+            raise urllib.error.URLError(reason)
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        with pytest.raises(RagBenchError) as info:
+            post_json_with_retries("http://h/v1/x", {"a": 1})
+        assert str(info.value) == f"request to http://h/v1/x {message}"
         assert no_backoff_sleep == []
 
     @pytest.mark.parametrize("url", ["localhost/v1/x", "file:///dev/null",
