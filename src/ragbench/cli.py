@@ -29,14 +29,13 @@ from .sweep import build_index, run_sweep
 
 def _resolve_app(config_path: str | None, cache_dir: str | None, *,
                  backend: str | None = None, sizes: list[int] | None = None,
-                 overlap: int | None = None, top_k: int | None = None) -> AppConfig:
+                 top_k: int | None = None) -> AppConfig:
     """The command's settings: the config file's, or the defaults, with the
     flags given (not None) applied. backend sets embedder.kind; the cache dir
     comes from the flag, then the file; rag.model defaults to llm_model."""
     app = load_app_config(config_path) if config_path else AppConfig()
     return dataclasses.replace(
         app, chunk_sizes=app.chunk_sizes if sizes is None else sizes,
-        overlap=app.overlap if overlap is None else overlap,
         embedder=dataclasses.replace(app.embedder, kind=backend or app.embedder.kind),
         rag=dataclasses.replace(app.rag, top_k=app.rag.top_k if top_k is None else top_k,
                                 model=app.rag.model or app.llm_model),
@@ -90,18 +89,17 @@ def cmd_ingest(fmt, in_path, out_path, do_dedup, strict):
           f"lines_skipped={skipped}", file=sys.stderr)
 
 
-def cmd_ask(corpus_path, question, chunk_size, overlap, top_k, backend,
-            config_path, cache_dir):
+def cmd_ask(corpus_path, question, chunk_size, top_k, backend, config_path, cache_dir):
     """Answer one question against a corpus and print provenance."""
     if not question.strip():
         raise InvalidConfig("--question must not be blank")
     # argv bytes that are not UTF-8 decode to lone surrogates
     corpus_mod.check_fields({"--question": question}, {"--question": (str,)})
     app = _resolve_app(config_path, cache_dir, backend=backend, sizes=[chunk_size],
-                       overlap=overlap, top_k=top_k)
+                       top_k=top_k)
     with _make_backends(app) as (embed_texts_fn, embed_single_fn, generate_fn, _, _):
         index = build_index(corpus_mod.load_corpus(corpus_path), app.chunk_sizes[0],
-                            app.overlap, embed_texts_fn, {})
+                            embed_texts_fn, {})
         hits = index.query_topk(embed_single_fn([question]), app.rag.top_k)[0]
         record = answer_question(question, hits, generate_fn, app.rag)
     print(record.answer)
@@ -119,11 +117,11 @@ def _parse_sizes(text: str) -> list[int]:
         raise InvalidConfig(f"bad --sizes value {text!r}") from exc
 
 
-def cmd_sweep(corpus_path, qa_path, sizes, out_dir, overlap, backend,
-              config_path, cache_dir, keep_going):
+def cmd_sweep(corpus_path, qa_path, sizes, out_dir, backend, config_path, cache_dir,
+              keep_going):
     """Run the chunk-size sweep; write per-size results and reports to --out."""
     app = _resolve_app(config_path, cache_dir, backend=backend,
-                       sizes=None if sizes is None else _parse_sizes(sizes), overlap=overlap)
+                       sizes=None if sizes is None else _parse_sizes(sizes))
     if app.metric.judge == "remote" and app.embedder.kind == "offline":
         # the mock backend echoes prompts, so it cannot answer a judge prompt
         raise InvalidConfig('metric.judge "remote" needs the remote backend')
@@ -180,7 +178,6 @@ def _parser() -> argparse.ArgumentParser:
     sweep.add_argument("--keep-going", action="store_true")
 
     for sub in (ask, sweep):
-        sub.add_argument("--overlap", type=int, help="default: the config's overlap")
         sub.add_argument("--backend", choices=["offline", "remote"],
                          help="default: the config's embedder.kind")
         sub.add_argument("--config", dest="config_path")

@@ -8,7 +8,6 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .chunker import ChunkConfig
 from .corpus import check_fields
 from .embed import EmbedderConfig
 from .errors import InvalidConfig
@@ -24,7 +23,6 @@ class AppConfig:
     rag: RagConfig = field(default_factory=RagConfig)
     metric: MetricConfig = field(default_factory=MetricConfig)
     chunk_sizes: list[int] = field(default_factory=lambda: list(DEFAULT_CHUNK_SIZES))
-    overlap: int = ChunkConfig.overlap
     llm_endpoint_url: str = ""
     llm_model: str = ""
     cache_dir: str = ""
@@ -34,8 +32,8 @@ class AppConfig:
             raise InvalidConfig("chunk_sizes must be non-empty")
         if any(b <= a for a, b in zip(self.chunk_sizes, self.chunk_sizes[1:])):
             raise InvalidConfig("chunk_sizes must be strictly increasing")
-        for size in self.chunk_sizes:
-            ChunkConfig(size, self.overlap)
+        if self.chunk_sizes[0] <= 0:  # the smallest size
+            raise InvalidConfig(f"chunk size must be > 0, got {self.chunk_sizes[0]}")
 
 
 # the config sections, by their field type's name

@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chunker import ChunkConfig, chunk_corpus
+from .chunker import chunk_corpus
 from .config import AppConfig
 from .corpus import Document
 from .errors import RagBenchError, tag_qa
@@ -28,9 +28,9 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
               keep_going: bool = False,
               out_dir: str | Path | None = None,
               concurrency: int = 1) -> SweepReport:
-    """Run the experiment over every chunk size of app, with its overlap,
-    rag and metric settings; its backend and cache settings are the
-    caller's to turn into the functions and the judge passed here.
+    """Run the experiment over every chunk size of app, with its rag and
+    metric settings; its backend and cache settings are the caller's to
+    turn into the functions and the judge passed here.
 
     embed_texts_fn batch-embeds chunk texts, embed_single_fn the single
     texts: questions, ground truths and answers. The sweep embeds each
@@ -93,7 +93,7 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
         for size in app.chunk_sizes:
             error = vectors_error
             try:
-                hits = build_index(docs, size, app.overlap, embed_texts_fn,
+                hits = build_index(docs, size, embed_texts_fn,
                                    tail_rows).query_topk(vectors, app.rag.top_k)
             except RagBenchError as exc:
                 hits, error = [], exc
@@ -128,8 +128,7 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
     return SweepReport(rows, per_question)
 
 
-def build_index(docs, size, overlap, embed_texts_fn,
-                tail_rows: dict[str, np.ndarray]) -> Index:
+def build_index(docs, size, embed_texts_fn, tail_rows: dict[str, np.ndarray]) -> Index:
     """Chunk at size and index the chunks with one row per distinct text,
     embedding once each text that tail_rows lacks.
 
@@ -137,7 +136,7 @@ def build_index(docs, size, overlap, embed_texts_fn,
     of its row. Windows are fixed, so only such a chunk can recur at another
     size; a copy lets the embedder's block arrays be freed with the index.
     Index reads new rows and tail_rows through a ChainMap, which copies neither."""
-    chunks = chunk_corpus(docs, ChunkConfig(size=size, overlap=overlap))
+    chunks = chunk_corpus(docs, size)
     missing = [t for t in dict.fromkeys(c.text for c in chunks) if t not in tail_rows]
     fresh = dict(zip(missing, embed_texts_fn(missing))) if missing else {}
     # a chunk ends its document when the next one starts another (seq 0);

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from ragbench.chunker import ChunkConfig, chunk_text
+from ragbench.chunker import chunk_text
 from ragbench.config import AppConfig
 from ragbench.corpus import Document
 from ragbench.embed import EmbedderConfig, embed_texts
@@ -58,20 +58,17 @@ def test_criterion_1_chunker_properties():
     for _ in range(1000):
         text = random_text(rng)
         size = rng.randint(1, 64)
-        overlap = rng.randint(0, size - 1)
-        cfg = ChunkConfig(size, overlap)
-        chunks = chunk_text(text, cfg)
+        chunks = chunk_text(text, size)
         n = len(text)
         covered = set()
         for k, c in enumerate(chunks):
-            start = k * cfg.stride
+            start = k * size
             assert 0 < len(c) <= size                      # size bound
-            assert c == text[start:start + size]           # stride positions
+            assert c == text[start:start + size]           # window positions
             assert c.encode("utf-8").decode("utf-8") == c  # cp safety
             covered.update(range(start, start + len(c)))
         assert covered == set(range(n))                    # coverage
-        if overlap == 0:
-            assert "".join(chunks) == text                 # concat identity
+        assert "".join(chunks) == text                     # concat identity
     assert time.monotonic() - t0 < 10.0
 
 

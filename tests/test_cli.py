@@ -422,14 +422,15 @@ class TestSweep:
                                            "not UTF-8 text: surrogates not allowed\n")
         assert not (out / "report.csv").exists()
 
-    def test_negative_overlap_is_a_config_error(self, inputs, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["sweep", "ask"])
+    def test_overlap_flag_is_a_usage_error(self, inputs, tmp_path, capsys, command):
+        # chunks are consecutive windows; no flag sets an overlap
         corpus, qa = inputs
         out = tmp_path / "o"
-        code = main(["sweep", "--corpus", str(corpus), "--qa", str(qa),
-                     "--sizes", "100,200", "--overlap", "-1", "--keep-going",
-                     "--out", str(out)])
-        assert code == 1
-        assert "config error" in capsys.readouterr().err
+        args = (["sweep", "--qa", str(qa), "--sizes", "100,200", "--out", str(out)]
+                if command == "sweep" else ["ask", "--question", "q"])
+        assert main(args + ["--corpus", str(corpus), "--overlap", "1"]) == 1
+        assert "unrecognized arguments: --overlap 1\n" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
     @pytest.mark.parametrize("which", ["corpus", "qa"])
@@ -681,7 +682,8 @@ class TestConfigFile:
         assert "unknown keys ['output_dir']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("obj", [
-        {"overlap": "5"}, {"overlap": True}, {"overlap": 5.0}, {"cache_dir": 5},
+        {"rag": {"top_k": "5"}}, {"rag": {"top_k": True}}, {"rag": {"top_k": 5.0}},
+        {"cache_dir": 5},
         {"llm_model": ["x"]}, {"chunk_sizes": [250, "500"]}, {"chunk_sizes": 250},
         {"rag": {"model": 5}}, {"rag": {"top_k": None}},
         {"metric": {"w_factual": "1"}}, {"embedder": {"endpoint_url": False}},
@@ -708,14 +710,16 @@ class TestConfigFile:
         # the offline embedder is embed.OFFLINE_DIM wide, and the lexical
         # judge's threshold is LexicalJudge's default
         ("embedder", "dim"), ("metric", "jaccard_threshold"),
+        # chunks are consecutive windows, without overlap
+        ("", "overlap"),
     ])
     def test_deleted_key_is_not_a_config_key(self, tmp_path, capsys, section, key):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({section: {key: 1}}))
+        cfg.write_text(json.dumps({section: {key: 1}} if section else {key: 1}))
         assert main(["ask", "--corpus", "x", "--question", "q",
                      "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err == \
-            f"config error: {cfg}:{section}: unknown keys ['{key}']\n"
+        where = f"{cfg}:{section}" if section else cfg
+        assert capsys.readouterr().err == f"config error: {where}: unknown keys ['{key}']\n"
 
     def test_settable_keys(self):
         # every value a config file can set, as a dotted name: a new key
@@ -730,7 +734,7 @@ class TestConfigFile:
             "embedder.kind", "embedder.endpoint_url", "embedder.model",
             "rag.top_k", "rag.max_context_chars", "rag.model",
             "metric.w_factual", "metric.judge",
-            "chunk_sizes", "overlap", "llm_endpoint_url", "llm_model", "cache_dir",
+            "chunk_sizes", "llm_endpoint_url", "llm_model", "cache_dir",
         }
 
     @pytest.mark.parametrize("data", [
@@ -816,25 +820,6 @@ class TestConfigFile:
         out = capsys.readouterr().out
         assert out.count("score=") == 2
 
-    @pytest.mark.parametrize("flags,overlap", [([], 50), (["--overlap", "10"], 10)])
-    def test_ask_takes_the_file_overlap_unless_flagged(self, tmp_path, monkeypatch,
-                                                       flags, overlap):
-        src = tmp_path / "export.jsonl"
-        write_reddit(src, n=3)
-        corpus = tmp_path / "corpus.jsonl"
-        main(["ingest", "--format", "reddit-jsonl",
-              "--in", str(src), "--out", str(corpus)])
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"overlap": 50}')
-        seen = []
-        build = cli_mod.build_index
-        monkeypatch.setattr(cli_mod, "build_index",
-                            lambda docs, size, ov, *rest:
-                            seen.append(ov) or build(docs, size, ov, *rest))
-        assert main(["ask", "--corpus", str(corpus), "--question", "Body text",
-                     "--chunk-size", "100", "--config", str(cfg)] + flags) == 0
-        assert seen == [overlap]
-
 
 class TestMakeBackends:
     def test_lexical_judge_at_default_threshold(self):
@@ -894,6 +879,12 @@ class TestCommandLine:
     def test_option_value_with_a_leading_dash_after_equals(self, corpus, capsys):
         assert main(["ask", "--corpus", str(corpus), "--question=-x"]) == 0
         assert "retrieved:" in capsys.readouterr().out
+
+    def test_negative_number_follows_its_flag(self, corpus, capsys):
+        # read as the flag's value, so the config check rejects it
+        assert main(["ask", "--corpus", str(corpus), "--question", "q",
+                     "--top-k", "-5"]) == 1
+        assert capsys.readouterr().err == "config error: top_k must be >= 1\n"
 
     @pytest.mark.parametrize("args,path,reason", [
         pytest.param(["ask", "--corpus", "nope.jsonl", "--question", "q"], "nope.jsonl",

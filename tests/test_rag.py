@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ragbench.chunker import ChunkConfig, chunk_corpus
+from ragbench.chunker import chunk_corpus
 from ragbench.config import AppConfig
 from ragbench.corpus import Document
 from ragbench.errors import InvalidConfig, MalformedLine
@@ -23,8 +23,8 @@ def hits_for(qa, index, k=RagConfig().top_k):
     return index.query_topk([offline_embed(qa.question)], k)[0]
 
 
-def build_index(docs, size=200, overlap=0, dim=256):
-    chunks = chunk_corpus(docs, ChunkConfig(size, overlap))
+def build_index(docs, size=200, dim=256):
+    chunks = chunk_corpus(docs, size)
     return Index(chunks, {c.text: embed_offline(c.text, dim) for c in chunks})
 
 
@@ -132,7 +132,7 @@ class TestAnswerQuestion:
         qa = QAItem(id="q", question="anything", ground_truth="g")
         record = answer_question(qa.question, hits_for(qa, index, 50), mock_generate,
                                  RagConfig(top_k=50))
-        assert len(record.retrieved) == min(50, len(chunk_corpus(docs, ChunkConfig(200))))
+        assert len(record.retrieved) == min(50, len(chunk_corpus(docs, 200)))
 
     def test_n_used_counts_the_hits_in_the_prompt(self):
         index = build_index(self.planted_docs())
@@ -171,7 +171,7 @@ class TestAnswerQuestion:
                                  RagConfig(top_k=6))
         scores = [s for _, s in record.retrieved]
         assert scores == sorted(scores, reverse=True)
-        refs = {c.ref for c in chunk_corpus(docs, ChunkConfig(200))}
+        refs = {c.ref for c in chunk_corpus(docs, 200)}
         for ref, _ in record.retrieved:
             assert ref in refs
 

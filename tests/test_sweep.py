@@ -13,7 +13,7 @@ import pytest
 from ragbench.config import AppConfig
 from ragbench.corpus import Document
 import ragbench.embed as embed_mod
-from ragbench.chunker import ChunkConfig, chunk_corpus
+from ragbench.chunker import chunk_corpus
 from ragbench.embed import EmbedderConfig, embed_texts
 from ragbench.errors import InvalidConfig, RagBenchError
 import ragbench.store as store_mod
@@ -97,13 +97,10 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             AppConfig(chunk_sizes=[100, 50])
 
-    def test_sizes_exceed_overlap(self):
-        with pytest.raises(InvalidConfig):
-            AppConfig(chunk_sizes=[10, 20], overlap=10)
-
-    def test_negative_overlap(self):
-        with pytest.raises(InvalidConfig):
-            AppConfig(chunk_sizes=[10, 20], overlap=-1)
+    @pytest.mark.parametrize("sizes", [[0], [-1, 10]])
+    def test_smallest_size_must_be_positive(self, sizes):
+        with pytest.raises(InvalidConfig, match=f"^chunk size must be > 0, got {sizes[0]}$"):
+            AppConfig(chunk_sizes=sizes)
 
     def test_empty_sizes(self):
         with pytest.raises(InvalidConfig):
@@ -502,7 +499,7 @@ class TestStages:
 
         expected = {}
         for size in cfg.chunk_sizes:
-            chunks = chunk_corpus(docs, ChunkConfig(size=size))
+            chunks = chunk_corpus(docs, size)
             texts = [c.text for c in chunks]
             index = Index(chunks, dict(zip(texts, offline_batch(texts))))
             expected[size] = [
@@ -523,8 +520,8 @@ class TestStages:
                 for j in random.Random(1).sample(range(20), 20) for d in originals]
         embedded = []
         index = sweep_mod.build_index(
-            docs, 100, 0, lambda texts: embedded.extend(texts) or offline_batch(texts), {})
-        chunks = chunk_corpus(docs, ChunkConfig(100))
+            docs, 100, lambda texts: embedded.extend(texts) or offline_batch(texts), {})
+        chunks = chunk_corpus(docs, 100)
         assert sorted(embedded) == sorted({c.text for c in chunks})
         refs_of = {}
         for ref, text in sorted(chunks):
@@ -595,7 +592,7 @@ class TestStages:
         assert len(single) <= 1 + len(sizes)
         assert len(chunk) == len(set(chunk))
         every = {c.text for size in sizes
-                 for c in chunk_corpus(docs, ChunkConfig(size=size))}
+                 for c in chunk_corpus(docs, size)}
         assert set(chunk) == every
 
     @pytest.mark.parametrize("workers", [1, 4])

@@ -88,7 +88,7 @@ def test_reposted_text_takes_one_slot(tmp_path, capsys):
     corpus = load_corpus(tmp_path / "corpus.jsonl")
     queries = np.stack(embed_offline_batch([item["question"] for item in qa]))
     for size in WORKLOAD.sizes:
-        index = build_index(corpus, size, 0, embed_offline_batch, {})
+        index = build_index(corpus, size, embed_offline_batch, {})
         for item, hits in zip(qa, index.query_topk(queries, RagConfig().top_k)):
             _, n_used = assemble_prompt(item["question"], hits, RagConfig())
             texts = [h.text for h in hits[:n_used]]
