@@ -18,7 +18,6 @@ from .errors import InvalidConfig, RagBenchError
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 _MAX_BATCH = 64
 
@@ -44,13 +43,6 @@ class EmbedderConfig:
             raise InvalidConfig(f"unknown embedder kind {self.kind!r}")
         if self.kind == "remote" and not self.endpoint_url:
             raise InvalidConfig("remote embedder requires endpoint_url")
-
-
-def _fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
-    return h
 
 
 def _embed_block(datas: list[bytes]) -> np.ndarray:
@@ -80,8 +72,11 @@ def _embed_block(datas: list[bytes]) -> np.ndarray:
     keys += h
     keys[crossing] = n * dim
     counts = np.bincount(keys, minlength=n * dim + 1)[:-1].reshape(n, dim)
-    for i in np.flatnonzero(lengths < 3):
-        counts[i, _fnv1a64(datas[i]) % dim] += 1
+    for i in np.flatnonzero(lengths < 3):  # hashed whole, on the same 8-bit lane
+        h = _FNV_OFFSET & 0xFF
+        for b in datas[i]:
+            h = (h ^ b) * _FNV_PRIME & 0xFF
+        counts[i, h] += 1
     return counts / np.sqrt((counts * counts).sum(axis=1))[:, None]
 
 
