@@ -117,8 +117,7 @@ def _parse_sizes(text: str) -> list[int]:
         raise InvalidConfig(f"bad --sizes value {text!r}") from exc
 
 
-def cmd_sweep(corpus_path, qa_path, sizes, out_dir, backend, config_path, cache_dir,
-              keep_going):
+def cmd_sweep(corpus_path, qa_path, sizes, out_dir, backend, config_path, cache_dir):
     """Run the chunk-size sweep; write per-size results and reports to --out."""
     app = _resolve_app(config_path, cache_dir, backend=backend,
                        sizes=None if sizes is None else _parse_sizes(sizes))
@@ -136,8 +135,7 @@ def cmd_sweep(corpus_path, qa_path, sizes, out_dir, backend, config_path, cache_
         report = run_sweep(docs, qa_set, app,
                            embed_texts_fn=embed_texts_fn, embed_single_fn=embed_single_fn,
                            generate_fn=generate_fn, judge=judge,
-                           keep_going=keep_going, out_dir=out,
-                           concurrency=concurrency)
+                           out_dir=out, concurrency=concurrency)
     emit_csv(report, out)
     emit_svg(report, out)
     for line in summary_lines(report):
@@ -175,7 +173,6 @@ def _parser() -> argparse.ArgumentParser:
     sweep.add_argument("--qa", dest="qa_path", required=True)
     sweep.add_argument("--sizes", help="comma-separated chunk sizes")
     sweep.add_argument("--out", dest="out_dir", required=True)
-    sweep.add_argument("--keep-going", action="store_true")
 
     for sub in (ask, sweep):
         sub.add_argument("--backend", choices=["offline", "remote"],

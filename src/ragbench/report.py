@@ -20,8 +20,6 @@ class SweepRow:
     chunk_size: int
     mean_correctness: float
     n: int
-    failed: bool = False
-    error: str = ""
 
 
 @dataclass
@@ -31,10 +29,9 @@ class SweepReport:
 
     @property
     def argmax_sizes(self) -> list[int]:
-        """The sizes that did not fail and share the highest mean."""
-        ok = [r for r in self.rows if not r.failed]
-        best = max((r.mean_correctness for r in ok), default=None)
-        return [r.chunk_size for r in ok if r.mean_correctness == best]
+        """The sizes that share the highest mean."""
+        best = max((r.mean_correctness for r in self.rows), default=None)
+        return [r.chunk_size for r in self.rows if r.mean_correctness == best]
 
 
 def clear(out_dir: str | Path) -> None:
@@ -56,9 +53,8 @@ def _dump_size_results(out_dir: str | Path, size: int, results: list[EvalResult]
 
 
 def summary_lines(report: SweepReport) -> list[str]:
-    """Each size's mean and n or why it failed, then the best sizes."""
-    return [f"chunk_size={r.chunk_size} " + (f"FAILED: {r.error}" if r.failed else
-                                            f"mean={r.mean_correctness:.6f} n={r.n}")
+    """Each size's mean and n, then the best sizes."""
+    return [f"chunk_size={r.chunk_size} mean={r.mean_correctness:.6f} n={r.n}"
             for r in report.rows] + [f"argmax_sizes={report.argmax_sizes}"]
 
 
@@ -104,14 +100,12 @@ def emit_svg(report: SweepReport, out_dir: str | Path) -> None:
     slot = plot_w / n if n else plot_w
     bar_w = slot * 0.6
     for i, row in enumerate(rows):
-        mean = 0.0 if row.failed else row.mean_correctness
-        bar_h = plot_h * mean
+        bar_h = plot_h * row.mean_correctness
         x = _MARGIN_L + slot * i + (slot - bar_w) / 2
         y = _MARGIN_T + plot_h - bar_h
-        fill = "#bbbbbb" if row.failed else "#4477aa"
         out.append(
             f'<rect class="bar" x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" '
-            f'height="{bar_h:.2f}" fill="{fill}"/>'
+            f'height="{bar_h:.2f}" fill="#4477aa"/>'
         )
         cx = _MARGIN_L + slot * i + slot / 2
         out.append(

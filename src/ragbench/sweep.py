@@ -25,7 +25,6 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
               embed_single_fn: Callable[[list[str]], list[np.ndarray]],
               generate_fn,
               judge,
-              keep_going: bool = False,
               out_dir: str | Path | None = None,
               concurrency: int = 1) -> SweepReport:
     """Run the experiment over every chunk size of app, with its rag and
@@ -49,8 +48,7 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
     those of one item at a time through every step: a size raises its
     earliest error in input order, tagged (errors.tag_qa) with its item's
     id. An error of the size's own, as a question row whose dim is not its
-    index's, is untagged and answers no item. A failed item skips the later
-    items of its size that have not started; without keep_going, every later
+    index's, is untagged and answers no item. A failed item skips every later
     item that has not started, and no later size is built. With out_dir,
     each size that succeeds writes its results there; nothing is deleted.
     """
@@ -82,14 +80,14 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
         return answer_correctness(record.answer, qa, vector, app.metric, judge)
 
     # a stage maps each size to (its items' outcomes, its error before them).
-    # Without keep_going, one failure list stops both stages' later items:
-    # only items answered before any answer failed are scored, at lower keys
+    # One failure list stops both stages' later items: only items answered
+    # before any answer failed are scored, at lower keys
     pool = ThreadPoolExecutor(max_workers=concurrency) if concurrency > 1 else None
     try:
         answering, tail_rows = {}, {}
         vectors, vectors_error = _collect(qa_set, _submit(None, lambda qa: vector(qa.question),
                                                           qa_set))
-        failed = None if keep_going else []
+        failed = []
         for size in app.chunk_sizes:
             error = vectors_error
             try:
@@ -99,12 +97,12 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
                 hits, error = [], exc
             answering[size] = _submit(pool, answer, qa_set, hits, failed=failed,
                                       size=size), error
-            if not keep_going and (error is not None or failed):
+            if error is not None or failed:
                 break
         records = {}
         for size, (outcomes, error) in answering.items():
             done, error = records[size] = _collect(qa_set, outcomes, error)
-            if error is not None and not keep_going:
+            if error is not None:
                 break
         embed_batch([r.answer for done, _ in records.values() for r in done])
         scoring = {size: (_submit(pool, score, qa_set, done, failed=failed, size=size), error)
@@ -113,10 +111,7 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
         for size, (outcomes, error) in scoring.items():
             results, error = _collect(qa_set, outcomes, error)
             if error is not None:
-                if not keep_going:
-                    raise error
-                rows.append(SweepRow(size, 0.0, 0, failed=True, error=str(error)))
-                continue
+                raise error
             scores = [r.answer_correctness for r in results]
             rows.append(SweepRow(size, sum(scores) / len(scores), len(scores)))
             per_question[size] = results

@@ -598,8 +598,17 @@ class TestSweep:
         assert [row.split(",")[0] for row in rows] == ["100"]
         assert [p.read_text() for p in kept] == ["mine\n"] * 3
 
-    def test_keep_going_prints_why_a_size_failed(self, inputs, tmp_path, monkeypatch,
-                                                 capsys):
+    def test_keep_going_flag_is_a_usage_error(self, inputs, tmp_path, capsys):
+        # a sweep reports every size or fails; no flag writes a failed size
+        corpus, qa = inputs
+        out = tmp_path / "o"
+        assert main(["sweep", "--corpus", str(corpus), "--qa", str(qa),
+                     "--sizes", "100,200", "--keep-going", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.endswith("unrecognized arguments: --keep-going\n")
+        assert not (out / "report.csv").exists()
+
+    def test_failed_size_fails_the_sweep(self, inputs, tmp_path, monkeypatch, capsys):
+        # the error is the only line: no size's summary and no report
         corpus, qa = inputs
         mock_generate = cli_mod.mock_generate
 
@@ -609,12 +618,39 @@ class TestSweep:
             return mock_generate(req)
 
         monkeypatch.setattr(cli_mod, "mock_generate", generate_down_for_q1)
+        out = tmp_path / "o"
         assert main(["sweep", "--corpus", str(corpus), "--qa", str(qa),
-                     "--sizes", "100,200", "--keep-going",
-                     "--out", str(tmp_path / "o")]) == 0
-        err = capsys.readouterr().err
-        assert "chunk_size=100 FAILED: [qa q1] backend down\n" in err
-        assert "chunk_size=200 FAILED: [qa q1] backend down\n" in err
+                     "--sizes", "100,200", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: [qa q1] backend down\n"
+        assert not (out / "report.csv").exists()
+
+    def test_rerun_of_the_finished_sizes_sends_no_chat_request(self, tmp_path, fake_server,
+                                                                monkeypatch):
+        # after a size fails, a rerun with the same --cache-dir over the sizes
+        # that wrote results.jsonl replays their answers. Only a size-400
+        # prompt exceeds 1,000 chars; its reply is malformed, so it is
+        # neither retried nor stored
+        corpus, qa, cfg = (tmp_path / name for name in ("corpus.jsonl", "qa.jsonl", "cfg.json"))
+        save_corpus([Document(id=f"d{i}", body=f"Topic {i} is about body text. " * 40)
+                     for i in range(6)], corpus)
+        write_qa(qa)
+        cfg.write_text(json.dumps({"embedder": {"endpoint_url": fake_server.url}}))
+        default = fake_server._default_body
+        monkeypatch.setattr(fake_server, "_default_body", lambda path, payload: (
+            {"choices": []} if path.endswith("/chat/completions")
+            and len(payload["messages"][-1]["content"]) > 1000 else default(path, payload)))
+        out = tmp_path / "out"
+        args = ["sweep", "--corpus", str(corpus), "--qa", str(qa), "--backend", "remote",
+                "--config", str(cfg), "--cache-dir", str(tmp_path / "cache"),
+                "--out", str(out)]
+        assert main(args + ["--sizes", "100,400"]) == 2
+        assert not (out / "report.csv").exists()
+        finished = (out / "100" / "results.jsonl").read_bytes()
+        sent = len(fake_server.requests)
+        assert main(args + ["--sizes", "100"]) == 0
+        assert [path for path, _, _ in fake_server.requests[sent:]
+                if path == "/v1/chat/completions"] == []
+        assert (out / "100" / "results.jsonl").read_bytes() == finished
 
     def test_config_embedder_kind_picks_backend(self, inputs, tmp_path, fake_server):
         # no --backend: the config's "kind": "remote" is what the sweep uses

@@ -178,19 +178,6 @@ class TestRunSweep:
                       generate_fn=mock_generate, judge=judge)
         assert list(tmp_path.iterdir()) == []
 
-    def test_keep_going_records_failed_row(self):
-        report = run_sweep(make_corpus(), make_qa(),
-                           AppConfig(chunk_sizes=[100, 400]),
-                           embed_texts_fn=embed_short_only,
-                           embed_single_fn=single_batch,
-                           generate_fn=mock_generate, judge=LexicalJudge(),
-                           keep_going=True)
-        assert [r.chunk_size for r in report.rows] == [100, 400]
-        assert not report.rows[0].failed
-        assert report.rows[1].failed
-        assert "boom" in report.rows[1].error
-        assert report.argmax_sizes == [100]
-
     def test_aborted_sweep_removes_old_results(self, tmp_path):
         # run_sweep deletes nothing; after the clear that cmd_sweep runs
         # first, an aborted sweep writes results for the sizes that succeeded
@@ -205,22 +192,6 @@ class TestRunSweep:
         assert (tmp_path / "100" / "results.jsonl").is_file()
         assert not (tmp_path / "400" / "results.jsonl").exists()
         assert not (tmp_path / "800" / "results.jsonl").exists()
-
-    def test_keep_going_removes_old_results_of_failed_size(self, tmp_path):
-        # after the clear that cmd_sweep runs first, a keep-going sweep writes
-        # no results for its failed size; the clear itself is checked by
-        # test_cli.py's test_failed_sweep_leaves_no_old_outputs
-        cfg = AppConfig(chunk_sizes=[100, 400])
-        run(cfg, out_dir=tmp_path)
-        assert (tmp_path / "400" / "results.jsonl").is_file()
-        clear(tmp_path)
-        report = run_sweep(make_corpus(), make_qa(), cfg,
-                           embed_texts_fn=embed_short_only, embed_single_fn=single_batch,
-                           generate_fn=mock_generate, judge=LexicalJudge(),
-                           keep_going=True, out_dir=tmp_path)
-        assert report.rows[1].failed
-        assert (tmp_path / "100" / "results.jsonl").is_file()
-        assert not (tmp_path / "400" / "results.jsonl").exists()
 
 
 def slow_early_generate(n, fail=()):
@@ -248,8 +219,7 @@ class TestConcurrency:
             outs[workers] = report, report_bytes
         assert outs[4] == outs[1]
 
-    @pytest.mark.parametrize("keep_going", [True, False])
-    def test_earliest_failure_in_input_order(self, keep_going):
+    def test_earliest_failure_in_input_order(self):
         # q5 fails first in time, q2 first in input order
         def sweep(workers):
             return run_sweep(make_corpus(), make_qa(8),
@@ -257,16 +227,12 @@ class TestConcurrency:
                              embed_texts_fn=offline_batch,
                              embed_single_fn=single_batch,
                              generate_fn=slow_early_generate(8, fail={2, 5}),
-                             judge=LexicalJudge(), keep_going=keep_going,
-                             concurrency=workers)
+                             judge=LexicalJudge(), concurrency=workers)
 
-        if keep_going:
-            rows = sweep(4).rows
-            assert rows == sweep(1).rows
-            assert rows[0].error == "[qa q2] backend down for question 2"
-        else:
+        # concurrency 1 raises what 4 does
+        for workers in (4, 1):
             with pytest.raises(RagBenchError, match=r"^\[qa q2\] backend down for question 2$"):
-                sweep(4)
+                sweep(workers)
 
     def test_no_waiters_left_after_sweep(self, tmp_path):
         op = slow_early_generate(8)
@@ -301,8 +267,7 @@ class TestPipeline:
                            judge=LexicalJudge(), concurrency=4)
         assert report == run(cfg, qa=make_qa(8))
 
-    @pytest.mark.parametrize("keep_going", [True, False])
-    def test_failure_cancels_queued_items(self, keep_going):
+    def test_failure_cancels_queued_items(self):
         # q0 fails once every item is queued, the others later: only the
         # items already started when q0 fails (one per thread) may run
         calls = []
@@ -317,16 +282,11 @@ class TestPipeline:
             return run_sweep(make_corpus(), make_qa(8),
                              AppConfig(chunk_sizes=[100, 200, 400]),
                              embed_texts_fn=offline_batch, embed_single_fn=single_batch,
-                             generate_fn=generate, judge=LexicalJudge(),
-                             keep_going=keep_going, concurrency=4)
+                             generate_fn=generate, judge=LexicalJudge(), concurrency=4)
 
-        if keep_going:
-            assert [r.error for r in sweep().rows] == ["[qa q0] backend down"] * 3
-            assert len(calls) <= 4 * 3
-        else:
-            with pytest.raises(RagBenchError, match=r"^\[qa q0\] backend down$"):
-                sweep()
-            assert len(calls) <= 4
+        with pytest.raises(RagBenchError, match=r"^\[qa q0\] backend down$"):
+            sweep()
+        assert len(calls) <= 4
 
     def test_answers_embedded_in_one_batch_per_sweep(self, monkeypatch):
         single, answers = [], set()
@@ -350,8 +310,7 @@ class TestPipeline:
         assert len(single[1]) == len(set(single[1]))
 
 
-    @pytest.mark.parametrize("keep_going", [True, False])
-    def test_sequential_results_under_frequent_thread_switches(self, keep_going):
+    def test_sequential_results_under_frequent_thread_switches(self):
         # more threads than cores share the sweep's queue and failure records
         def sweep(workers):
             try:
@@ -359,8 +318,7 @@ class TestPipeline:
                                  AppConfig(chunk_sizes=[100, 200, 400]),
                                  embed_texts_fn=offline_batch, embed_single_fn=single_batch,
                                  generate_fn=slow_early_generate(16, fail={5, 11}),
-                                 judge=FailingJudge({3}), keep_going=keep_going,
-                                 concurrency=workers)
+                                 judge=FailingJudge({3}), concurrency=workers)
             except RagBenchError as exc:
                 return str(exc)
 
@@ -371,10 +329,7 @@ class TestPipeline:
             assert sweep(8) == expected
         finally:
             sys.setswitchinterval(old)
-        if keep_going:
-            assert [r.error for r in expected.rows] == ["[qa q3] judge down"] * 3
-        else:
-            assert expected == "[qa q3] judge down"
+        assert expected == "[qa q3] judge down"
 
 
 class LastFirstPool:
@@ -543,8 +498,7 @@ class TestStages:
         assert shapes == [(6, embed_mod.OFFLINE_DIM)] * 3
 
     @pytest.mark.parametrize("workers", [1, 4])
-    @pytest.mark.parametrize("keep_going", [True, False])
-    def test_wrong_dim_questions_fail_their_size(self, monkeypatch, workers, keep_going):
+    def test_wrong_dim_questions_fail_their_size(self, monkeypatch, workers):
         # single texts 64 wide against 256-wide chunks, as when the embedder
         # changes dims between calls: no item is at fault, so each size
         # reached fails untagged and answers no item
@@ -556,25 +510,14 @@ class TestStages:
         monkeypatch.setattr(sweep_mod, "answer_question",
                             lambda q, *a: answered.append(q) or answer(q, *a))
 
-        def sweep():
-            return run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100, 200]),
-                             embed_texts_fn=lambda t: indexed.append(t) or offline_batch(t),
-                             embed_single_fn=embed_single, generate_fn=mock_generate,
-                             judge=LexicalJudge(), keep_going=keep_going,
-                             concurrency=workers)
-
         message = "query dim 64 != index dim 256"
-        if keep_going:
-            rows = sweep().rows
-            assert [(r.chunk_size, r.failed, r.error) for r in rows] == \
-                [(100, True, message), (200, True, message)]
-            sizes_run = 2
-        else:
-            with pytest.raises(RagBenchError, match=rf"^{message}$") as info:
-                sweep()
-            assert not hasattr(info.value, "qa_id")
-            sizes_run = 1
-        assert len(indexed) == sizes_run
+        with pytest.raises(RagBenchError, match=rf"^{message}$") as info:
+            run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100, 200]),
+                      embed_texts_fn=lambda t: indexed.append(t) or offline_batch(t),
+                      embed_single_fn=embed_single, generate_fn=mock_generate,
+                      judge=LexicalJudge(), concurrency=workers)
+        assert not hasattr(info.value, "qa_id")
+        assert len(indexed) == 1
         assert answered == []
 
     def test_single_texts_batched_chunk_texts_embedded_once(self, monkeypatch):
@@ -596,21 +539,13 @@ class TestStages:
         assert set(chunk) == every
 
     @pytest.mark.parametrize("workers", [1, 4])
-    @pytest.mark.parametrize("keep_going", [True, False])
-    def test_score_error_before_answer_error(self, workers, keep_going):
+    def test_score_error_before_answer_error(self, workers):
         # q2 fails to be scored, q5 fails to be answered: q2 comes first
-        def sweep():
-            return run_sweep(make_corpus(), make_qa(8), AppConfig(chunk_sizes=[100, 200]),
-                             embed_texts_fn=offline_batch, embed_single_fn=single_batch,
-                             generate_fn=slow_early_generate(8, fail={5}),
-                             judge=FailingJudge({2}), keep_going=keep_going,
-                             concurrency=workers)
-
-        if keep_going:
-            assert [r.error for r in sweep().rows] == ["[qa q2] judge down"] * 2
-        else:
-            with pytest.raises(RagBenchError, match=r"^\[qa q2\] judge down$"):
-                sweep()
+        with pytest.raises(RagBenchError, match=r"^\[qa q2\] judge down$"):
+            run_sweep(make_corpus(), make_qa(8), AppConfig(chunk_sizes=[100, 200]),
+                      embed_texts_fn=offline_batch, embed_single_fn=single_batch,
+                      generate_fn=slow_early_generate(8, fail={5}),
+                      judge=FailingJudge({2}), concurrency=workers)
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_answer_error_before_score_error(self, workers):
@@ -620,32 +555,28 @@ class TestStages:
                       generate_fn=slow_early_generate(8, fail={2}),
                       judge=FailingJudge({5}), concurrency=workers)
 
-    @pytest.mark.parametrize("keep_going", [True, False])
-    def test_failed_priming_leaves_per_item_error(self, monkeypatch, keep_going):
+    def test_failed_priming_leaves_per_item_error(self, monkeypatch):
         calls = []
         monkeypatch.setattr(embed_mod, "embed_texts", down_for_q1(calls))
-        kw = dict(embed_texts_fn=offline_batch, embed_single_fn=single_batch,
-                  generate_fn=mock_generate, judge=LexicalJudge(),
-                  keep_going=keep_going)
-        if keep_going:
-            report = run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100]), **kw)
-            assert report.rows[0].error == "[qa q1] embedder down"
-        else:
-            with pytest.raises(RagBenchError, match=r"^\[qa q1\] embedder down$"):
-                run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100]), **kw)
+        with pytest.raises(RagBenchError, match=r"^\[qa q1\] embedder down$"):
+            run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100]),
+                      embed_texts_fn=offline_batch, embed_single_fn=single_batch,
+                      generate_fn=mock_generate, judge=LexicalJudge())
         assert len(calls[0]) == 8  # the batch was tried first
         assert ["What about threat number 1?"] in calls
 
     def test_failed_question_row_tried_once_per_sweep(self, monkeypatch):
         # the question rows are taken once, before the sizes: a question
-        # that cannot be embedded fails every size with one error
-        calls = []
+        # that cannot be embedded fails the sweep, and no later size is indexed
+        calls, indexed = [], []
         monkeypatch.setattr(embed_mod, "embed_texts", down_for_q1(calls))
-        report = run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100, 200, 400]),
-                           embed_texts_fn=offline_batch, embed_single_fn=single_batch,
-                           generate_fn=mock_generate, judge=LexicalJudge(), keep_going=True)
-        assert [r.error for r in report.rows] == ["[qa q1] embedder down"] * 3
+        with pytest.raises(RagBenchError, match=r"^\[qa q1\] embedder down$"):
+            run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100, 200, 400]),
+                      embed_texts_fn=lambda t: indexed.append(t) or offline_batch(t),
+                      embed_single_fn=single_batch, generate_fn=mock_generate,
+                      judge=LexicalJudge())
         assert calls.count(["What about threat number 1?"]) == 1
+        assert len(indexed) <= 1
 
     def test_text_both_question_and_ground_truth_embedded_once(self):
         shared = "Threat number 0 requires a patch."
@@ -679,8 +610,7 @@ class TestStages:
         assert [r.qa_id for r in report.per_question[100]] == ["q0", "q1", "q2", "q3"]
         assert report.per_question[100][1].semantic_sim == 0.0
 
-    @pytest.mark.parametrize("keep_going", [True, False])
-    def test_failed_first_batch_gives_item_errors(self, keep_going):
+    def test_failed_first_batch_gives_item_errors(self):
         # the first batch holds q2's ground truth, which cannot be embedded:
         # every other item embeds its own texts, and q2 fails when scored
         ground_truth = make_qa()[2].ground_truth
@@ -695,16 +625,13 @@ class TestStages:
                 return run_sweep(make_corpus(), make_qa(), AppConfig(chunk_sizes=[100, 200]),
                                  embed_texts_fn=offline_batch, embed_single_fn=down_for_q2,
                                  generate_fn=mock_generate, judge=LexicalJudge(),
-                                 keep_going=keep_going, concurrency=workers)
+                                 concurrency=workers)
             except RagBenchError as exc:
                 return str(exc)
 
         expected = sweep(1)
         assert sweep(4) == expected
-        if keep_going:
-            assert [r.error for r in expected.rows] == ["[qa q2] embedder down"] * 2
-        else:
-            assert expected == "[qa q2] embedder down"
+        assert expected == "[qa q2] embedder down"
 
 
 def hand_report(means):
@@ -767,8 +694,3 @@ class TestArgmax:
     def test_tied_max(self):
         assert hand_report([(250, 0.7), (500, 0.2), (1000, 0.7)]).argmax_sizes == \
             [250, 1000]
-
-    def test_failed_rows_never_best(self):
-        failed = SweepRow(500, 0.0, 0, failed=True, error="boom")
-        assert SweepReport([SweepRow(250, 0.0, 3), failed], {}).argmax_sizes == [250]
-        assert SweepReport([failed], {}).argmax_sizes == []
