@@ -500,8 +500,8 @@ class TestStages:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_wrong_dim_questions_fail_their_size(self, monkeypatch, workers):
         # single texts 64 wide against 256-wide chunks, as when the embedder
-        # changes dims between calls: no item is at fault, so each size
-        # reached fails untagged and answers no item
+        # changes dims between calls: no item is at fault, so the first size
+        # fails the sweep untagged and no item is answered
         def embed_single(texts):
             return [v[:64] for v in embed_texts(texts, EMB, None)]
 
