@@ -115,7 +115,9 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     bits whatever BLAS or interpreter runs it."""
     if len(a) != len(b):
         raise RagBenchError(f"dim {len(a)} != {len(b)}")
-    dot, na, nb = np.cumsum(np.stack((a * b, a * a, b * b)), axis=1)[:, -1].tolist()
+    m = np.array((a, a, b))
+    m *= (b, a, b)
+    dot, na, nb = np.cumsum(m, axis=1)[:, -1].tolist()
     if na == 0.0 or nb == 0.0:
         return 0.0
     return (dot + 0.0) / (sqrt(na) * sqrt(nb))

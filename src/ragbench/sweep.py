@@ -14,7 +14,7 @@ from .chunker import chunk_corpus
 from .config import AppConfig
 from .corpus import Document
 from .errors import RagBenchError, tag_qa
-from .metrics import QAItem, answer_correctness
+from .metrics import EvalResult, QAItem, answer_correctness
 from .rag import answer_question
 from .report import SweepReport, SweepRow, _dump_size_results
 from .vectorstore import Index
@@ -41,16 +41,18 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
     The sweep takes the question rows once. For each size in turn it then
     chunks and embeds the chunks (a text embedded at one size is not
     embedded again), retrieves every item's chunks with one query_topk call
-    and starts answering. It scores every item of every size last. With
-    concurrency > 1, items run on one pool of that many threads, so a size
-    is answered while the next is chunked and embedded; embed_single_fn,
-    generate_fn and judge must then be thread-safe. Results and errors are
-    those of one item at a time through every step: a size raises its
-    earliest error in input order, tagged (errors.tag_qa) with its item's
-    id. An error of the size's own, as a question row whose dim is not its
-    index's, is untagged and answers no item. A failed item skips every later
-    item that has not started, and no later size is built. With out_dir,
-    each size that succeeds writes its results there; nothing is deleted.
+    and starts answering. It scores every size's items last, each distinct
+    (item, answer) once: sizes that give an item one answer share its
+    result. With concurrency > 1, items run on one pool of that many
+    threads, so a size is answered while the next is chunked and embedded,
+    and two threads may score one pair; embed_single_fn, generate_fn and
+    judge must then be thread-safe. Results and errors are those of one item
+    at a time through every step: a size raises its earliest error in input
+    order, tagged (errors.tag_qa) with its item's id. An error of the size's
+    own, as a question row whose dim is not its index's, is untagged and
+    answers no item. A failed item skips every later item that has not
+    started, and no later size is built. With out_dir, each size that
+    succeeds writes its results there; nothing is deleted.
     """
     if not docs:
         raise RagBenchError("sweep needs a non-empty corpus")
@@ -76,8 +78,16 @@ def run_sweep(docs: list[Document], qa_set: list[QAItem], app: AppConfig, *,
     def answer(qa, hits):
         return answer_question(qa.question, hits, generate_fn, app.rag)
 
+    # (qa, answer): its result, for every size that gives qa that answer. An
+    # error is not kept. Threads that race on one pair compute equal results.
+    # Sizes share the object, so a per-size field must copy it on a hit
+    scored: dict[tuple[QAItem, str], EvalResult] = {}
+
     def score(qa, record):
-        return answer_correctness(record.answer, qa, vector, app.metric, judge)
+        key = qa, record.answer
+        if key not in scored:
+            scored[key] = answer_correctness(record.answer, qa, vector, app.metric, judge)
+        return scored[key]
 
     # a stage maps each size to (its items' outcomes, its error before them).
     # One failure list stops both stages' later items: only items answered

@@ -443,28 +443,32 @@ class FailingJudge(LexicalJudge):
         return super().extract(text)
 
 
+def one_item_at_a_time(cfg, docs, qa):
+    """The unstaged loop: every chunk embedded at every size, and every item
+    of every size answered and scored on its own: per_question by size."""
+    def embed_fn(text):
+        return offline_batch([text])[0]
+
+    expected = {}
+    for size in cfg.chunk_sizes:
+        chunks = chunk_corpus(docs, size)
+        texts = [c.text for c in chunks]
+        index = Index(chunks, dict(zip(texts, offline_batch(texts))))
+        expected[size] = [
+            answer_correctness(
+                answer_question(item.question,
+                                index.query_topk([embed_fn(item.question)], cfg.rag.top_k)[0],
+                                mock_generate, cfg.rag).answer,
+                item, embed_fn, cfg.metric, LexicalJudge())
+            for item in qa]
+    return expected
+
+
 class TestStages:
     def test_equals_one_item_at_a_time(self):
-        # reference: the unstaged loop, every chunk embedded at every size
         cfg = AppConfig(chunk_sizes=[100, 200, 400])
         docs, qa = make_corpus(), make_qa(6)
-
-        def embed_fn(text):
-            return offline_batch([text])[0]
-
-        expected = {}
-        for size in cfg.chunk_sizes:
-            chunks = chunk_corpus(docs, size)
-            texts = [c.text for c in chunks]
-            index = Index(chunks, dict(zip(texts, offline_batch(texts))))
-            expected[size] = [
-                answer_correctness(
-                    answer_question(item.question,
-                                    index.query_topk([embed_fn(item.question)], cfg.rag.top_k)[0],
-                                    mock_generate, cfg.rag).answer,
-                    item, embed_fn, cfg.metric, LexicalJudge())
-                for item in qa]
-        assert run(cfg, docs=docs, qa=qa).per_question == expected
+        assert run(cfg, docs=docs, qa=qa).per_question == one_item_at_a_time(cfg, docs, qa)
 
     def test_equal_chunk_texts_share_one_row(self):
         # every document 20 times under other ids, about 2,000 chunks: each
@@ -632,6 +636,91 @@ class TestStages:
         expected = sweep(1)
         assert sweep(4) == expected
         assert expected == "[qa q2] embedder down"
+
+
+# make_corpus's documents are at most 592 characters long, so the two
+# largest sizes chunk them alike, and give each item the answer it got at 1000
+MEMO_SIZES = [100, 200, 1000, 2000]
+
+
+def recorded_answers(monkeypatch):
+    """A list that collects (question, answer) for each item the sweep
+    answers, through sweep's answer_question."""
+    answered = []
+
+    def record(question, *args):
+        answer = answer_question(question, *args)
+        answered.append((question, answer.answer))
+        return answer
+
+    monkeypatch.setattr(sweep_mod, "answer_question", record)
+    return answered
+
+
+class CountingJudge(LexicalJudge):
+    """Lexical judge that records every text it extracts statements from."""
+
+    def __init__(self):
+        super().__init__()
+        self.texts = []
+
+    def extract(self, text):
+        self.texts.append(text)
+        return super().extract(text)
+
+
+class PairFailingJudge(LexicalJudge):
+    """Lexical judge whose classification of one (answer, ground truth)
+    pair fails."""
+
+    def __init__(self, answer, ground_truth):
+        super().__init__()
+        self.pair = self.extract(answer), self.extract(ground_truth)
+
+    def classify(self, answer_stmts, gt_stmts):
+        if (answer_stmts, gt_stmts) == self.pair:
+            raise RagBenchError("judge down")
+        return super().classify(answer_stmts, gt_stmts)
+
+
+class TestScoreMemo:
+    def test_each_distinct_answer_judged_once(self, monkeypatch):
+        answered = recorded_answers(monkeypatch)
+        judge, qa = CountingJudge(), make_qa()
+        run_sweep(make_corpus(), qa, AppConfig(chunk_sizes=MEMO_SIZES),
+                  embed_texts_fn=offline_batch, embed_single_fn=single_batch,
+                  generate_fn=mock_generate, judge=judge)
+        # each score extracts the answer's statements, then the ground truth's
+        of_truth = {item.ground_truth: item.id for item in qa}
+        judged = [(of_truth[gt], answer)
+                  for answer, gt in zip(judge.texts[::2], judge.texts[1::2])]
+        of_question = {item.question: item.id for item in qa}
+        distinct = {(of_question[question], answer) for question, answer in answered}
+        assert sorted(judged) == sorted(distinct)
+        assert len(answered) == len(MEMO_SIZES) * len(qa) > len(distinct)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_shared_scores_equal_each_item_scored_alone(self, workers):
+        cfg = AppConfig(chunk_sizes=MEMO_SIZES)
+        docs, qa = make_corpus(), make_qa(6)
+        got = run(cfg, docs=docs, qa=qa, concurrency=workers).per_question
+        expected = one_item_at_a_time(cfg, docs, qa)
+        assert ({size: list(map(asdict, results)) for size, results in got.items()}
+                == {size: list(map(asdict, results)) for size, results in expected.items()})
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_judge_error_on_a_repeated_pair_fails_the_sweep(self, monkeypatch, workers):
+        answered = recorded_answers(monkeypatch)
+        run(AppConfig(chunk_sizes=MEMO_SIZES))
+        qa = make_qa()
+        # q2's answer at the largest size, which it also gets at the size before
+        answer = answered[-2][1]
+        assert answered.count((qa[2].question, answer)) == 2
+        with pytest.raises(RagBenchError, match=r"^\[qa q2\] judge down$"):
+            run_sweep(make_corpus(), qa, AppConfig(chunk_sizes=MEMO_SIZES),
+                      embed_texts_fn=offline_batch, embed_single_fn=single_batch,
+                      generate_fn=mock_generate,
+                      judge=PairFailingJudge(answer, qa[2].ground_truth), concurrency=workers)
 
 
 def hand_report(means):

@@ -157,6 +157,40 @@ class TestQuery:
         assert [h.chunk_ref for h in stacked[2]] == [("d", i) for i in range(4)]
         assert all(math.isnan(h.score) for h in stacked[2])
 
+    def test_mixed_block_equals_each_row_alone_and_the_oracle(self):
+        # one block of five rows: NaN; all zero; three texts tied at the
+        # k-th score, so more than k candidates; ordinary; and zero scores
+        # beside a negative one. At k above the text count, every row keeps
+        # every text. Rows and norms are exact, so one row scores the same
+        # bits alone as in the block
+        entries = [entry("d1", 0, vec(1, 0, 0, 0)), entry("d0", 1, vec(2, 0, 0, 0)),
+                   entry("d1", 2, vec(4, 0, 0, 0)), entry("d0", 0, vec(0, 1, 0, 0)),
+                   entry("d1", 1, vec(-1, 0, 0, 0)), entry("d2", 1, vec(0, 0, 2, 0)),
+                   entry("d3", 0, vec(0, 0, 0, 1), "shared"),
+                   entry("d0", 2, vec(0, 0, 0, 1), "shared")]
+        idx = index_of(entries)
+        queries = np.array([[np.nan, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0],
+                            [-3, 4, 12, 0], [0, -1, 0, 0]])
+
+        def bits(hit):
+            return hit.chunk_ref, hit.also, hit.text, repr(hit.score)
+
+        for k in (2, 10):
+            stacked = idx.query_topk(queries, k)
+            for q, hits in zip(queries, stacked):
+                assert len(hits) == min(k, 7)
+                assert list(map(bits, hits)) == list(map(bits, idx.query_topk([q], k)[0]))
+                expected = oracle_text_topk(entries, q, k)
+                assert [(h.chunk_ref, h.also) for h in hits] == [(r, a) for _, r, a in expected]
+                for h, (score, _, _) in zip(hits, expected):
+                    if math.isnan(score):
+                        assert math.isnan(h.score)
+                    else:
+                        assert h.score == pytest.approx(score, abs=1e-12)
+        # the NaN row in column order; the tied texts by smallest ref
+        assert [h.chunk_ref for h in stacked[0][:3]] == [("d0", 0), ("d0", 1), ("d0", 2)]
+        assert [h.chunk_ref for h in idx.query_topk(queries[2:3], 2)[0]] == [("d0", 1), ("d1", 0)]
+
     def test_full_permutation_sorted(self):
         rng = random.Random(3)
         entries = [entry("d", i, rand_vec(rng, 8)) for i in range(50)]
